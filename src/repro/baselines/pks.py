@@ -72,6 +72,12 @@ class PksConfig:
             self.selection_policy in PKS_SELECTION_POLICIES,
             f"selection_policy must be one of {PKS_SELECTION_POLICIES}",
         )
+        require(self.kmeans_iterations >= 1, "kmeans_iterations must be >= 1")
+        # A smaller fit sample cannot produce the k candidates PKS searches.
+        require(
+            self.kmeans_fit_sample is None or self.kmeans_fit_sample >= self.max_k,
+            "kmeans_fit_sample must be None or >= max_k",
+        )
 
 
 @dataclass(frozen=True)

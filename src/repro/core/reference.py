@@ -1,4 +1,4 @@
-"""Retained scalar reference implementations of the vectorized hot paths.
+"""Retained reference implementations of rewritten hot paths.
 
 The profile-side math (stratify/CoV, KDE splits, golden-cycle alignment,
 the harmonic-mean predictor, PKS cluster bookkeeping) runs as grouped
@@ -13,6 +13,12 @@ telemetry emission) for two reasons:
   a cap=100k synthetic profile, turning the speedup into a pinned,
   regression-gated number (``BENCH_scale.json``).
 
+:class:`ReferenceKMeans` and :class:`ReferenceBisectingKMeans` are PKS's
+row-major k-means as it was before the feature-major rewrite of
+:mod:`repro.baselines.kmeans`, verbatim but for the bisection's stop on
+an empty half; ``tests/core/test_kmeans_reference.py`` pins the rewrite
+to them bit for bit.
+
 Nothing in the production pipeline calls this module.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.kmeans import KMeansResult
 from repro.core.config import SieveConfig
 from repro.core.kde import kde_strata
 from repro.core.prediction import PredictionResult, predict_cycles, predict_ipc
@@ -35,6 +42,7 @@ from repro.gpu.hardware import WorkloadMeasurement
 from repro.profiling.table import ProfileTable
 from repro.utils.seeding import rng_for
 from repro.utils.stats import coefficient_of_variation
+from repro.utils.validation import require
 from repro.workloads.spec import Tier
 
 
@@ -199,3 +207,179 @@ def pks_representative_rows_scalar(
         rows.append(row)
         members.append(cluster_rows)
     return rows, members
+
+
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(n, k) matrix of squared Euclidean distances."""
+    # ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2, computed blockwise for memory.
+    x_sq = np.einsum("ij,ij->i", points, points)[:, None]
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    return np.maximum(x_sq - 2.0 * points @ centroids.T + c_sq, 0.0)
+
+
+class ReferenceKMeans:
+    """Row-major Lloyd's algorithm with k-means++ seeding."""
+
+    def __init__(
+        self,
+        k: int,
+        seed_label: str,
+        max_iterations: int = 50,
+        fit_sample_size: int | None = 20_000,
+        n_init: int = 4,
+    ):
+        require(k >= 1, "k must be >= 1")
+        require(max_iterations >= 1, "need at least one iteration")
+        require(n_init >= 1, "need at least one initialization")
+        self.k = k
+        self.seed_label = seed_label
+        self.max_iterations = max_iterations
+        self.fit_sample_size = fit_sample_size
+        self.n_init = n_init
+
+    def _plus_plus_init(
+        self, points: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        n = len(points)
+        centroids = np.empty((self.k, points.shape[1]))
+        centroids[0] = points[rng.integers(n)]
+        closest = _squared_distances(points, centroids[:1]).ravel()
+        for i in range(1, self.k):
+            total = closest.sum()
+            if total <= 0:
+                centroids[i:] = centroids[0]
+                break
+            probabilities = closest / total
+            centroids[i] = points[rng.choice(n, p=probabilities)]
+            distance_to_new = _squared_distances(points, centroids[i : i + 1]).ravel()
+            np.minimum(closest, distance_to_new, out=closest)
+        return centroids
+
+    def _lloyd(
+        self, fit_points: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, float]:
+        """One k-means++-seeded Lloyd run; returns (centroids, fit inertia)."""
+        k = min(self.k, len(fit_points))
+        centroids = self._plus_plus_init(fit_points, rng)[:k]
+        labels: np.ndarray | None = None
+        distances = None
+        for _iteration in range(self.max_iterations):
+            distances = _squared_distances(fit_points, centroids)
+            new_labels = distances.argmin(axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for cluster in range(k):
+                members = fit_points[labels == cluster]
+                if len(members):
+                    centroids[cluster] = members.mean(axis=0)
+        assert labels is not None and distances is not None
+        inertia = float(distances[np.arange(len(fit_points)), labels].sum())
+        return centroids, inertia
+
+    def fit(self, points: np.ndarray) -> KMeansResult:
+        """Cluster ``points`` ((n, d) array); keeps the best of n_init runs."""
+        points = np.asarray(points, dtype=np.float64)
+        require(points.ndim == 2, "expected (n, d) points")
+        require(len(points) >= 1, "cannot cluster an empty set")
+        rng = rng_for("kmeans", self.seed_label, self.k)
+
+        fit_points = points
+        if self.fit_sample_size is not None and len(points) > self.fit_sample_size:
+            chosen = rng.choice(len(points), size=self.fit_sample_size, replace=False)
+            fit_points = points[np.sort(chosen)]
+
+        best_centroids: np.ndarray | None = None
+        best_inertia = np.inf
+        for _attempt in range(self.n_init):
+            centroids, inertia = self._lloyd(fit_points, rng)
+            if inertia < best_inertia:
+                best_inertia = inertia
+                best_centroids = centroids
+        assert best_centroids is not None
+
+        # Assign the full population (== fit set when no subsampling).
+        full_distances = _squared_distances(points, best_centroids)
+        full_labels = full_distances.argmin(axis=1)
+        inertia = float(full_distances[np.arange(len(points)), full_labels].sum())
+        return KMeansResult(
+            centroids=best_centroids, labels=full_labels, inertia=inertia
+        )
+
+
+class ReferenceBisectingKMeans:
+    """Row-major divisive hierarchical k-means (see BisectingKMeans)."""
+
+    def __init__(
+        self,
+        max_k: int,
+        seed_label: str,
+        max_iterations: int = 50,
+        fit_sample_size: int | None = 20_000,
+        n_init: int = 2,
+    ):
+        require(max_k >= 1, "max_k must be >= 1")
+        self.max_k = max_k
+        self.seed_label = seed_label
+        self.max_iterations = max_iterations
+        self.fit_sample_size = fit_sample_size
+        self.n_init = n_init
+
+    def fit_all(self, points: np.ndarray) -> dict[int, KMeansResult]:
+        """Cluster ``points``; returns one nested result per k in 1..max_k."""
+        points = np.asarray(points, dtype=np.float64)
+        require(points.ndim == 2, "expected (n, d) points")
+        require(len(points) >= 1, "cannot cluster an empty set")
+        rng = rng_for("bisecting-kmeans", self.seed_label)
+
+        fit_points = points
+        if self.fit_sample_size is not None and len(points) > self.fit_sample_size:
+            chosen = rng.choice(len(points), size=self.fit_sample_size, replace=False)
+            fit_points = points[np.sort(chosen)]
+
+        # Current partition of the fit sample: list of (member_indices,
+        # centroid, inertia).
+        all_indices = np.arange(len(fit_points))
+        centroid = fit_points.mean(axis=0)
+        inertia = float(((fit_points - centroid) ** 2).sum())
+        clusters: list[tuple[np.ndarray, np.ndarray, float]] = [
+            (all_indices, centroid, inertia)
+        ]
+
+        snapshots: dict[int, np.ndarray] = {1: np.array([centroid])}
+        while len(clusters) < min(self.max_k, len(fit_points)):
+            # Bisect the cluster with the largest inertia (skip singletons).
+            splittable = [i for i, c in enumerate(clusters) if len(c[0]) >= 2]
+            if not splittable:
+                break
+            target = max(splittable, key=lambda i: clusters[i][2])
+            members = clusters[target][0]
+            two_means = ReferenceKMeans(
+                2,
+                seed_label=f"{self.seed_label}/bisect{len(clusters) - 1}",
+                max_iterations=self.max_iterations,
+                fit_sample_size=None,
+                n_init=self.n_init,
+            ).fit(fit_points[members])
+            if (two_means.labels == two_means.labels[0]).all():
+                break  # a half is empty: the same split would repeat forever
+            clusters.pop(target)
+            for half in (0, 1):
+                rows = members[two_means.labels == half]
+                if len(rows) == 0:
+                    continue
+                sub_centroid = fit_points[rows].mean(axis=0)
+                sub_inertia = float(((fit_points[rows] - sub_centroid) ** 2).sum())
+                clusters.append((rows, sub_centroid, sub_inertia))
+            snapshots[len(clusters)] = np.array([c[1] for c in clusters])
+
+        # Assign the full population against each snapshot's centroids.
+        results: dict[int, KMeansResult] = {}
+        for k, centroids in snapshots.items():
+            distances = _squared_distances(points, centroids)
+            labels = distances.argmin(axis=1)
+            inertia = float(distances[np.arange(len(points)), labels].sum())
+            results[k] = KMeansResult(
+                centroids=centroids, labels=labels, inertia=inertia
+            )
+        return results

@@ -1,9 +1,13 @@
 """Tests for the from-scratch k-means and bisecting k-means."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
 from repro.baselines.kmeans import BisectingKMeans, KMeans
+from repro.utils.errors import SelectionError
 
 
 def blobs(centers, per=100, scale=0.05, seed=0):
@@ -11,6 +15,22 @@ def blobs(centers, per=100, scale=0.05, seed=0):
     return np.vstack(
         [rng.normal(center, scale, size=(per, len(center))) for center in centers]
     )
+
+
+@contextlib.contextmanager
+def returns_within(seconds):
+    """Fail, instead of hanging the suite, when the block never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestKMeans:
@@ -55,6 +75,19 @@ class TestKMeans:
         with pytest.raises(ValueError):
             KMeans(0, seed_label="bad")
 
+    def test_empty_fit_sample_rejected(self):
+        with pytest.raises(ValueError, match="fit_sample_size"):
+            KMeans(2, seed_label="bad", fit_sample_size=0)
+        with pytest.raises(ValueError, match="fit_sample_size"):
+            BisectingKMeans(4, seed_label="bad", fit_sample_size=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_points_rejected(self, bad):
+        points = blobs([(0, 0), (5, 5)])
+        points[7, 1] = bad
+        with pytest.raises(SelectionError, match="non-finite"):
+            KMeans(2, seed_label="nan").fit(points)
+
 
 class TestBisectingKMeans:
     def test_returns_every_k_up_to_max(self):
@@ -92,3 +125,28 @@ class TestBisectingKMeans:
         points = np.array([[0.0], [5.0], [10.0]])
         results = BisectingKMeans(10, seed_label="tiny").fit_all(points)
         assert max(results) == 3
+
+    def test_identical_points_stop_instead_of_hanging(self):
+        with returns_within(30):
+            results = BisectingKMeans(5, seed_label="same").fit_all(np.zeros((50, 3)))
+        assert list(results) == [1]
+        assert results[1].inertia == 0.0
+        assert not results[1].labels.any()
+
+    def test_repeated_points_stop_at_the_distinct_count(self):
+        distinct = np.array([[0.0, 0.0], [3.0, 1.0], [-2.0, 5.0]])
+        points = np.tile(distinct, (10, 1))
+        with returns_within(30):
+            results = BisectingKMeans(20, seed_label="repeat").fit_all(points)
+        assert list(results) == [1, 2, 3]
+        labels = results[3].labels
+        assert sorted(np.unique(labels)) == [0, 1, 2]
+        for row in range(3):  # each distinct point is a cluster of its own
+            assert len(np.unique(labels[row::3])) == 1
+        assert results[3].inertia == 0.0
+
+    def test_non_finite_points_rejected(self):
+        points = blobs([(0, 0), (5, 5)])
+        points[3, 0] = np.nan
+        with pytest.raises(SelectionError, match="non-finite"):
+            BisectingKMeans(4, seed_label="nan").fit_all(points)

@@ -26,6 +26,24 @@ def test_requires_metric_matrix(toy_run, toy_measurement):
         PksPipeline().select(table, toy_measurement)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"kmeans_iterations": 0},
+        {"kmeans_fit_sample": 0},
+        {"kmeans_fit_sample": 19},
+    ],
+)
+def test_config_rejects_kmeans_settings_that_cannot_search_k(field):
+    with pytest.raises(ValueError, match="kmeans_"):
+        PksConfig(**field)
+
+
+def test_config_accepts_a_fit_sample_of_max_k():
+    assert PksConfig(max_k=5, kmeans_fit_sample=5).kmeans_fit_sample == 5
+    assert PksConfig(kmeans_fit_sample=None).kmeans_fit_sample is None
+
+
 def test_chosen_k_within_bounds(pks_selection):
     assert 2 <= pks_selection.chosen_k <= 20
 

@@ -93,6 +93,16 @@ def test_config_from_dict_recurses_into_nested_dataclasses():
     assert isinstance(config.pks, PksConfig) and config.pks.max_k == 5
 
 
+@pytest.mark.parametrize(
+    "body", [{"kmeans_iterations": 0}, {"kmeans_fit_sample": 0}]
+)
+def test_config_from_dict_rejects_unusable_kmeans_settings(body):
+    for method, payload in (("pks", body), ("pks-two-level", {"pks": body})):
+        with pytest.raises(BadRequestError, match="kmeans_") as caught:
+            protocol.config_from_dict(method, payload)
+        assert caught.value.http_status == 400
+
+
 def test_config_from_dict_rejects_unknown_fields():
     with pytest.raises(BadRequestError, match="unknown config.*nope"):
         protocol.config_from_dict("sieve", {"nope": 1})

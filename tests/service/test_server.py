@@ -14,6 +14,8 @@ from repro.evaluation.runner import evaluate_method
 from repro.observability.export import parse_prometheus
 from repro.profiling.csv_io import read_profile_csv, write_profile_csv
 from repro.service import protocol
+from repro.service.server import ServiceConfig, start_in_thread
+from tests.service.conftest import Client
 
 
 def test_healthz_reports_dispatcher_and_engine(client):
@@ -153,6 +155,38 @@ def test_crashing_task_is_structured_500_sibling_unaffected(client):
         "/v1/predict", {"workload": "rodinia/nw", "method": "periodic", "cap": 200}
     )
     assert status == 200
+
+
+def test_pks_on_duplicated_rows_returns_before_the_deadline(tmp_path):
+    # duplicate:1.0 leaves clusters of identical rows, whose bisection
+    # used to repeat one split forever and hold the dispatcher's batch
+    # thread until the task deadline; a short one bounds the wait here.
+    handle = start_in_thread(
+        ServiceConfig(
+            cache_dir=str(tmp_path), window_s=0.002, deadline_s=30.0, max_attempts=1
+        )
+    )
+    client = Client(handle.host, handle.port)
+    try:
+        status, body, _ = client.post(
+            "/v1/select",
+            {"workload": "cactus/gst", "method": "pks", "cap": 16,
+             "faults": "duplicate:1.0"},
+        )
+    finally:
+        client.close()
+        handle.stop()
+    assert status == 200, body
+
+
+@pytest.mark.parametrize("config", [{"kmeans_iterations": 0}, {"kmeans_fit_sample": 0}])
+def test_unusable_kmeans_config_is_a_400(client, config):
+    status, body, _ = client.post(
+        "/v1/select",
+        {"workload": "cactus/gst", "method": "pks", "cap": 200, "config": config},
+    )
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
 
 
 def test_abrupt_disconnect_does_not_poison_the_server(service, client):

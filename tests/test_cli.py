@@ -1,7 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -21,6 +27,20 @@ def test_sample_command_runs(capsys):
     assert "sieve" in out
     assert "pks-first" in out
     assert "800" in out
+
+
+def test_pks_on_a_fully_duplicated_profile_exits():
+    # duplicate:1.0 leaves clusters of identical rows, whose bisection
+    # used to repeat one split forever; a subprocess bounds the wait.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    argv = ["--no-cache", "--cap", "16", "--inject-faults", "duplicate:1.0",
+            "sample", "cactus/gst", "--method", "pks"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pks-first" in proc.stdout
 
 
 def test_table2_command_runs(capsys):
