@@ -20,8 +20,10 @@ environment:
   ``BENCH_<figure>.json`` run manifest there (per-stage timings +
   accuracy rows + error attributions), plus a ``TRACE_<figure>.json``
   Chrome trace and an ``ATTRIBUTION_<figure>.json`` dump; the CI
-  ``bench-regression`` job diffs the manifests against the committed
-  ``benchmarks/baselines/`` copies and uploads the traces as artifacts.
+  ``bench-regression`` job gates three runs per figure with
+  ``sieve-repro report --against`` the committed
+  ``benchmarks/perfstore/`` snapshot and uploads the traces and
+  attributions as artifacts.
 """
 
 from __future__ import annotations

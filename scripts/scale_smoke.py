@@ -17,15 +17,16 @@ KDE inner loop dominates), then:
   result matches the in-process evaluation plus the expected
   ``engine.shm.*`` counters;
 * when ``SIEVE_BENCH_MANIFEST_DIR`` is set, writes ``BENCH_scale.json``
-  (per-stage wall times + deterministic aggregates) for the CI
-  ``scale-bench`` job to diff against ``benchmarks/baselines/`` via
-  ``scripts/check_bench_regression.py --figures scale``.
+  (per-stage wall times + deterministic aggregates), auto-recorded into
+  the perf store when ``SIEVE_PERFSTORE_DIR`` is set. The CI
+  ``scale-bench`` job records three runs and gates them with
+  ``sieve-repro report --against`` the committed
+  ``benchmarks/perfstore/`` snapshot.
 
-Timing-derived numbers (the speedups) are reported in the manifest's
-``config`` block, which the regression differ ignores; the gated
-surfaces are the *stage wall times* (vectorized stages regressing >25%
-fail CI) and the deterministic aggregates (strata/representative counts,
-prediction error, shm counters).
+Timing-derived numbers (the speedups) ride as a ``scale.speedups``
+event, which the gate ignores; the gated surfaces are the *stage wall
+times* (rank test over three runs, 2x / 0.1 s floors) and the
+deterministic aggregates and prediction error (compared exactly).
 
 Usage::
 

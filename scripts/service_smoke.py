@@ -11,9 +11,12 @@ the acceptance bar names:
 * ``GET /v1/metrics`` parses as valid Prometheus exposition text
   (:func:`repro.observability.export.parse_prometheus` is the strict
   validator);
-* the resulting ``BENCH_service.json`` manifest is written for the
-  ``check_bench_regression.py --figures service`` gate and uploaded as a
-  CI artifact.
+* the resulting ``BENCH_service.json`` manifest is written to
+  ``--out`` and auto-recorded into the perf store when
+  ``SIEVE_PERFSTORE_DIR`` is set. The CI ``service-smoke`` job records
+  three runs, gates them with ``sieve-repro report --against`` the
+  committed ``benchmarks/perfstore/`` snapshot, and uploads the
+  manifests as artifacts.
 
 A sequential warm-up pass touches every unique (workload, method, cap)
 task first, so the measured burst exercises the dispatcher and cache
@@ -37,8 +40,8 @@ from repro.observability.export import parse_prometheus
 from repro.service import loadgen
 from repro.service.server import ServiceConfig, start_in_thread
 
-#: Fixed smoke parameters: the committed BENCH_service.json baseline was
-#: generated with exactly these, so CI's manifest diffs like-for-like.
+#: Fixed smoke parameters: the committed perf store snapshot's service
+#: runs were recorded with exactly these, so CI gates like-for-like.
 SEED = 2023
 PATTERN = "poisson:200"
 REQUESTS = 96

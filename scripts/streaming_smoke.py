@@ -17,9 +17,11 @@ tier-3 kernels of ~1000 invocations each), then:
   kernels keep exact picks through the stream's first/CTA trackers;
 * when ``SIEVE_BENCH_MANIFEST_DIR`` is set, writes
   ``BENCH_streaming.json`` (per-stage wall times + deterministic
-  aggregates) for the CI ``streaming-smoke`` job to diff against
-  ``benchmarks/baselines/`` via
-  ``scripts/check_bench_regression.py --figures streaming``.
+  aggregates), auto-recorded into the perf store when
+  ``SIEVE_PERFSTORE_DIR`` is set. The CI ``streaming-smoke`` job
+  records three runs and gates them with
+  ``sieve-repro report --against`` the committed
+  ``benchmarks/perfstore/`` snapshot.
 
 Usage::
 

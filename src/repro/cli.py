@@ -13,6 +13,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.core.config import SieveConfig
@@ -567,28 +568,31 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_report(args) -> int:
-    """Render run manifests; diff exactly two and gate on regressions.
+    """Render run manifests, or gate them and exit 1 on a failed row.
 
-    With ``--against <rev>`` the baseline comes from the performance
-    version store instead: every stored run of that revision is compared
-    statistically against the given manifest(s).
+    Exactly two manifests (baseline, then current) are gated one run per
+    side. With ``--against <rev>`` the baseline is every stored run of
+    that revision with the same experiment shape as the given manifests.
     """
-    from repro.observability.manifest import (
-        RunManifest,
-        diff_manifests,
-        regression_failures,
-    )
-    from repro.observability.report import render_diff, render_manifest
+    from repro.observability.manifest import RunManifest
+    from repro.observability.report import _diff_attribution, render_manifest
 
     manifests = [RunManifest.load(path) for path in args.manifests]
     if args.against:
         return _report_against(args, manifests)
     if len(manifests) == 2:
-        regressions = diff_manifests(
-            manifests[0], manifests[1], max_slowdown=args.max_slowdown
+        code = _print_gate(
+            args,
+            manifests[:1],
+            manifests[1:],
+            baseline_label=args.manifests[0],
+            current_label=args.manifests[1],
         )
-        print(render_diff(manifests[0], manifests[1], regressions))
-        return 1 if regression_failures(regressions) else 0
+        attribution = _diff_attribution(*manifests)
+        if attribution:
+            print()
+            print(attribution)
+        return code
     for index, manifest in enumerate(manifests):
         if index:
             print()
@@ -596,60 +600,59 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _report_against(args, manifests) -> int:
-    """Statistical gate of the given manifests vs a stored revision."""
-    from pathlib import Path
+def _print_gate(args, baseline, current, **labels) -> int:
+    """Gate ``current`` against ``baseline`` with the report flags."""
+    from repro.perfstore import gate_manifests, render_gate_report
 
-    from repro.observability.manifest import RunManifest
-    from repro.perfstore import (
-        PerfStore,
-        figure_from_command,
-        gate_manifests,
-        render_gate_report,
-        store_from_env,
-    )
-    from repro.utils.errors import PerfStoreError
-
-    figure = args.figure or figure_from_command(manifests[0].command)
-    store = PerfStore(args.store) if args.store else store_from_env()
-    baseline: list = []
-    label = args.against
-    try:
-        version = store.resolve(args.against)
-        baseline = [run.manifest for run in store.runs(version, figure)]
-        label = version[:12]
-    except PerfStoreError as exc:
-        diagnostics.emit("perfstore", str(exc), severity="info")
-    if not baseline:
-        fallback = Path("benchmarks/baselines") / f"BENCH_{figure}.json"
-        if not fallback.exists():
-            print(
-                f"error: revision {args.against!r} has no stored {figure} "
-                f"profile and no committed fallback at {fallback}",
-                file=sys.stderr,
-            )
-            return 2
-        diagnostics.emit(
-            "perfstore",
-            f"revision {args.against!r} has no stored {figure} profile; "
-            f"falling back to {fallback}",
-            severity="info",
-        )
-        baseline = [RunManifest.load(fallback)]
-        label = str(fallback)
     report = gate_manifests(
         baseline,
-        manifests,
+        current,
         alpha=args.alpha,
         min_ratio=args.min_ratio,
         min_seconds=args.min_seconds,
         fallback_slowdown=args.max_slowdown,
-        baseline_label=label,
-        current_label=f"current ({len(manifests)} run(s))",
-        figure=figure,
+        **labels,
     )
     print(render_gate_report(report, verbose=args.verbose))
     return 1 if report.regressed else 0
+
+
+def _report_against(args, manifests) -> int:
+    """Gate the given manifests against a stored revision's runs of the
+    same figure and config fingerprint."""
+    from repro.perfstore import figure_from_command
+    from repro.perfstore.store import config_fingerprint
+    from repro.utils.errors import PerfStoreError
+
+    figure = args.figure or figure_from_command(manifests[0].command)
+    shapes = {config_fingerprint(figure, m.config): m.config for m in manifests}
+    if len(shapes) > 1:
+        raise PerfStoreError(
+            f"the manifests mix {len(shapes)} {figure} configs; gate one "
+            "experiment shape at a time",
+            configs="; ".join(
+                json.dumps(config, sort_keys=True) for config in shapes.values()
+            ),
+        )
+    ((fingerprint, config),) = shapes.items()
+    store = _perf_store(args)
+    version = store.resolve(args.against)
+    baseline = [run.manifest for run in store.runs(version, figure, fingerprint)]
+    if not baseline:
+        raise PerfStoreError(
+            f"revision {version[:12]} has no stored {figure} runs with config "
+            f"{json.dumps(config, sort_keys=True)}",
+            fingerprint=fingerprint,
+            store=str(store.root),
+        )
+    return _print_gate(
+        args,
+        baseline,
+        manifests,
+        baseline_label=version[:12],
+        current_label=f"current ({len(manifests)} run(s))",
+        figure=figure,
+    )
 
 
 def _perf_store(args):
@@ -1079,9 +1082,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="render run manifests; with exactly two, diff them and "
-        "exit 1 on regressions; with --against REV, gate statistically "
-        "against the performance store",
+        help="render run manifests; with exactly two, gate the second "
+        "against the first and exit 1 on a failed row; with --against "
+        "REV, gate them against the performance store",
     )
     report.add_argument(
         "manifests", nargs="+",
@@ -1090,13 +1093,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--max-slowdown", type=float, default=1.25,
-        help="per-stage wall-time ratio tolerated when diffing, and the "
-        "single-sample fallback limit for --against (default 1.25)",
+        help="wall-time ratio tolerated when either side has a single "
+        "run: the gate's single-sample limit (default 1.25)",
     )
     report.add_argument(
         "--against", metavar="REV", default=None,
         help="gate the manifests against the stored runs of REV (commit "
-        "SHA, prefix or symbolic rev) from the performance store",
+        "SHA, prefix or symbolic rev) with the same config, from the "
+        "performance store",
     )
     report.add_argument(
         "--store", default=None,
@@ -1109,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--alpha", type=float, default=0.05,
-        help="rank-test significance level for --against (default 0.05)",
+        help="rank-test significance level (default 0.05)",
     )
     report.add_argument(
         "--min-ratio", type=float, default=1.10,
@@ -1123,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "--verbose", action="store_true",
-        help="also list statistically indistinguishable metrics",
+        help="also list indistinguishable and matched metrics",
     )
     report.set_defaults(handler=_cmd_report)
 

@@ -9,22 +9,20 @@ Three primitives, one artifact:
 * :class:`RunManifest` — a single JSON artifact per run: config, package
   fingerprint, cache statistics, per-stage timings, per-workload
   accuracy, events and diagnostics
-  (:mod:`repro.observability.manifest`), rendered and diffed by
-  :mod:`repro.observability.report`.
+  (:mod:`repro.observability.manifest`), rendered by
+  :mod:`repro.observability.report` and gated by
+  :func:`repro.perfstore.gate.gate_manifests`.
 
 ``SIEVE_OBS=off`` turns the whole layer into a no-op.
 """
 
 from repro.observability.manifest import (
     MANIFEST_SCHEMA,
-    Regression,
     RunManifest,
     StageStat,
     aggregate_stages,
     collect_manifest,
-    diff_manifests,
     record_event,
-    regression_failures,
 )
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.spans import SpanRecord, capture_spans, span
@@ -33,18 +31,15 @@ from repro.observability.state import enabled, set_enabled
 __all__ = [
     "MANIFEST_SCHEMA",
     "MetricsRegistry",
-    "Regression",
     "RunManifest",
     "SpanRecord",
     "StageStat",
     "aggregate_stages",
     "capture_spans",
     "collect_manifest",
-    "diff_manifests",
     "enabled",
     "get_registry",
     "record_event",
-    "regression_failures",
     "set_enabled",
     "span",
 ]

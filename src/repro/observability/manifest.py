@@ -8,10 +8,10 @@ aggregated from :mod:`repro.observability.spans`, per-workload accuracy
 rows, the metrics registry snapshot, structured events (e.g. a process
 pool dying) and any degraded-path diagnostics.
 
-Manifests round-trip through JSON losslessly (``to_json``/``from_json``)
-and diff against each other (:func:`diff_manifests`) — the committed
-``benchmarks/baselines/BENCH_*.json`` files are manifests, and the CI
-``bench-regression`` job is exactly one such diff.
+Manifests round-trip through JSON losslessly (``to_json``/``from_json``);
+:func:`repro.perfstore.gate.gate_manifests` compares sets of them, and
+the committed ``benchmarks/perfstore/`` snapshot stores them (without
+their attribution) as the regression baselines.
 
 Stage accounting: ``wall_s`` is inclusive; ``self_s`` subtracts the wall
 time of *same-process* direct children, so the self times of all stages
@@ -300,197 +300,3 @@ def collect_manifest(
         else (),
         attribution=tuple(dict(entry) for entry in attribution),
     )
-
-
-# -------------------------------------------------------------------- diff
-
-
-@dataclass(frozen=True)
-class Regression:
-    """One baseline-vs-current deviation the diff wants eyes on.
-
-    ``severity`` separates build-failing deviations (``"fail"``) from
-    explicitly-reported-but-informational ones (``"info"``: a brand-new
-    stage, a wall measured against a zero baseline) — gates must count
-    only ``fail`` rows (see :func:`regression_failures`).
-    """
-
-    # "total-wall" | "stage-wall" | "stage-missing" | "stage-new"
-    # | "accuracy" | "aggregate"
-    kind: str
-    name: str
-    baseline: float
-    current: float
-    detail: str
-    severity: str = "fail"
-
-    @property
-    def failed(self) -> bool:
-        return self.severity == "fail"
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.name}: {self.detail}"
-
-
-def regression_failures(regressions: Iterable[Regression]) -> list[Regression]:
-    """The subset of a diff's rows that should gate a build."""
-    return [r for r in regressions if r.failed]
-
-
-def _accuracy_drifted(base: float, cur: float, atol: float, rtol: float) -> bool:
-    return abs(cur - base) > atol + rtol * abs(base)
-
-
-def diff_manifests(
-    baseline: RunManifest,
-    current: RunManifest,
-    *,
-    max_slowdown: float = 1.25,
-    min_seconds: float = 0.05,
-    accuracy_atol: float = 1e-9,
-    accuracy_rtol: float = 1e-6,
-) -> list[Regression]:
-    """Regressions of ``current`` relative to ``baseline``.
-
-    Wall-time checks fire when a stage (or the total) is more than
-    ``max_slowdown``× slower *and* at least ``min_seconds`` slower — the
-    absolute floor keeps sub-millisecond stages from tripping the gate
-    on scheduler noise. Accuracy checks compare every ``*_error`` field
-    of matching per-workload rows and every shared aggregate key; the
-    pipeline is seed-deterministic, so the tolerance only absorbs float
-    reassociation, not algorithmic drift.
-
-    Stages that exist on only one side are reported explicitly: removed
-    stages as failing ``stage-missing`` rows (when they spent more than
-    ``min_seconds`` in the baseline), brand-new stages as informational
-    ``stage-new`` rows. A wall measured against a (near-)zero baseline
-    is likewise an informational row — no ratio is computed against
-    nothing — instead of a silent skip.
-    """
-    regressions: list[Regression] = []
-    # Below this, a baseline wall is "not measured" — a ratio against it
-    # would be noise amplified to millions of x.
-    zero_wall = 1e-6
-
-    def check_wall(kind: str, name: str, base: float, cur: float) -> None:
-        if base <= zero_wall:
-            if cur > min_seconds:
-                regressions.append(
-                    Regression(
-                        kind=kind,
-                        name=name,
-                        baseline=base,
-                        current=cur,
-                        detail=(
-                            f"no usable baseline wall ({base:.3f}s); current "
-                            f"{cur:.3f}s is a new measurement, not a regression"
-                        ),
-                        severity="info",
-                    )
-                )
-            return
-        if cur > base * max_slowdown and cur - base > min_seconds:
-            regressions.append(
-                Regression(
-                    kind=kind,
-                    name=name,
-                    baseline=base,
-                    current=cur,
-                    detail=(
-                        f"{cur:.3f}s vs baseline {base:.3f}s "
-                        f"({cur / base:.2f}x, limit {max_slowdown:.2f}x)"
-                    ),
-                )
-            )
-
-    check_wall("total-wall", "total", baseline.total_wall_s, current.total_wall_s)
-    current_stages = {stage.name: stage for stage in current.stages}
-    baseline_names = {stage.name for stage in baseline.stages}
-    for stage in baseline.stages:
-        counterpart = current_stages.get(stage.name)
-        if counterpart is None:
-            if stage.wall_s > min_seconds:
-                regressions.append(
-                    Regression(
-                        kind="stage-missing",
-                        name=stage.name,
-                        baseline=stage.wall_s,
-                        current=0.0,
-                        detail=(
-                            f"stage removed: ran {stage.wall_s:.3f}s in baseline "
-                            "but never in current run"
-                        ),
-                    )
-                )
-            continue
-        check_wall("stage-wall", stage.name, stage.wall_s, counterpart.wall_s)
-    for stage in current.stages:
-        if stage.name not in baseline_names and stage.wall_s > min_seconds:
-            regressions.append(
-                Regression(
-                    kind="stage-new",
-                    name=stage.name,
-                    baseline=0.0,
-                    current=stage.wall_s,
-                    detail=(
-                        f"new stage: {stage.wall_s:.3f}s in current run, absent "
-                        "from baseline — no history to regress against"
-                    ),
-                    severity="info",
-                )
-            )
-
-    current_rows = {row.get("workload"): row for row in current.workloads}
-    for row in baseline.workloads:
-        counterpart = current_rows.get(row.get("workload"))
-        if counterpart is None:
-            regressions.append(
-                Regression(
-                    kind="accuracy",
-                    name=str(row.get("workload")),
-                    baseline=0.0,
-                    current=0.0,
-                    detail="workload present in baseline but absent from current run",
-                )
-            )
-            continue
-        for key, base_value in row.items():
-            if not key.endswith("_error") or not isinstance(base_value, (int, float)):
-                continue
-            cur_value = counterpart.get(key)
-            if cur_value is None or _accuracy_drifted(
-                base_value, cur_value, accuracy_atol, accuracy_rtol
-            ):
-                regressions.append(
-                    Regression(
-                        kind="accuracy",
-                        name=f"{row['workload']}.{key}",
-                        baseline=float(base_value),
-                        current=float(cur_value) if cur_value is not None else float("nan"),
-                        detail=(
-                            f"{cur_value!r} vs baseline {base_value!r} "
-                            f"(tolerance atol={accuracy_atol:g}, rtol={accuracy_rtol:g})"
-                        ),
-                    )
-                )
-
-    for key, base_value in baseline.aggregates.items():
-        if not isinstance(base_value, (int, float)):
-            continue
-        cur_value = current.aggregates.get(key)
-        if cur_value is None or _accuracy_drifted(
-            base_value, cur_value, accuracy_atol, accuracy_rtol
-        ):
-            regressions.append(
-                Regression(
-                    kind="aggregate",
-                    name=key,
-                    baseline=float(base_value),
-                    current=float(cur_value) if cur_value is not None else float("nan"),
-                    detail=(
-                        f"{cur_value!r} vs baseline {base_value!r} "
-                        f"(tolerance atol={accuracy_atol:g}, rtol={accuracy_rtol:g})"
-                    ),
-                )
-            )
-    return regressions

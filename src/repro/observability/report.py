@@ -2,15 +2,15 @@
 
 Backs ``sieve-repro report``: one manifest renders as a per-stage timing
 table (sorted by self time, the honest "where did the wall clock go"
-ordering) plus per-workload accuracy rows and cache statistics; two
-manifests render as a side-by-side diff with every regression
-:func:`repro.observability.manifest.diff_manifests` found.
+ordering) plus per-workload accuracy rows and cache statistics. Two
+manifests are gated by :func:`repro.perfstore.gate.gate_manifests`;
+:func:`_diff_attribution` adds their per-kernel attribution drift.
 """
 
 from __future__ import annotations
 
 from repro.evaluation.reporting import format_table, percent
-from repro.observability.manifest import Regression, RunManifest
+from repro.observability.manifest import RunManifest
 
 
 def _seconds(value: float) -> str:
@@ -178,70 +178,6 @@ def render_attribution(entries, top: int = 8) -> str:
                     ],
                 )
             )
-    return "\n".join(lines)
-
-
-def render_diff(
-    baseline: RunManifest,
-    current: RunManifest,
-    regressions: list[Regression],
-) -> str:
-    """Two manifests side by side, regressions flagged and listed.
-
-    Failing rows list as regressions; informational rows (new stages,
-    walls with no usable baseline) list separately as notes so they are
-    explicit without implying a broken build.
-    """
-    flagged = {
-        r.name
-        for r in regressions
-        if r.kind in ("stage-wall", "stage-missing") and r.failed
-    }
-    current_stages = {stage.name: stage for stage in current.stages}
-    rows = []
-    for stage in sorted(baseline.stages, key=lambda s: s.wall_s, reverse=True):
-        counterpart = current_stages.pop(stage.name, None)
-        ratio = (
-            f"{counterpart.wall_s / stage.wall_s:.2f}x"
-            if counterpart is not None and stage.wall_s > 0
-            else "-"
-        )
-        rows.append(
-            (
-                stage.name,
-                _seconds(stage.wall_s),
-                _seconds(counterpart.wall_s) if counterpart else "absent",
-                ratio,
-                "REGRESSED" if stage.name in flagged else "",
-            )
-        )
-    for name, stage in sorted(current_stages.items()):  # new stages
-        rows.append((name, "absent", _seconds(stage.wall_s), "-", "new"))
-
-    lines = [
-        f"baseline : {baseline.command} ({baseline.created or 'uncreated'})",
-        f"current  : {current.command} ({current.created or 'uncreated'})",
-        f"total    : {_seconds(baseline.total_wall_s)} -> "
-        f"{_seconds(current.total_wall_s)}",
-        "",
-        format_table(["stage", "baseline", "current", "ratio", "flag"], rows),
-        "",
-    ]
-    failures = [r for r in regressions if r.failed]
-    notes = [r for r in regressions if not r.failed]
-    if failures:
-        lines.append(f"{len(failures)} regression(s):")
-        lines.extend(f"  {regression}" for regression in failures)
-    else:
-        lines.append("no regressions.")
-    if notes:
-        lines.append(f"{len(notes)} note(s):")
-        lines.extend(f"  {note}" for note in notes)
-
-    attribution = _diff_attribution(baseline, current)
-    if attribution:
-        lines.append("")
-        lines.append(attribution)
     return "\n".join(lines)
 
 

@@ -1,25 +1,30 @@
-"""Statistical diff of two run *sets* — the noise-aware regression gate.
+"""Statistical diff of two run *sets* — the one regression gate.
 
-Where :func:`repro.observability.manifest.diff_manifests` compares two
-single manifests with a ratio threshold, :func:`gate_manifests` compares
-*samples*: every stored run of the baseline version against every run of
-the current one, one :class:`GateRow` per metric (total wall, each
-stage's wall, each workload's ``*_error`` fields, each numeric
-aggregate), each carrying a verdict from
-:func:`repro.perfstore.stats.degradation_test` plus both distribution
-summaries so reports can show bootstrap CIs.
+:func:`gate_manifests` compares *samples*: every stored run of the
+baseline version against every run of the current one (``report A B``
+is the one-run-per-side case), one :class:`GateRow` per metric.
+
+* **Walls** (total and each stage) get a verdict from
+  :func:`repro.perfstore.stats.degradation_test`: the rank test with a
+  practical floor at n >= 2 per side, the labeled single-sample ratio
+  heuristic otherwise.
+* **Accuracy** (each workload's ``*_error`` fields) and **aggregates**
+  are compared exactly, at any n and in either direction: the pipeline
+  is seed-deterministic, so every value on both sides must sit within
+  ``1e-9 + 1e-6·|b|`` of the baseline median ``b``. The tolerance only
+  absorbs float reassociation; an improvement is drift too.
 
 Stages present on only one side get explicit ``new`` / ``removed`` rows
 instead of a silent skip or a near-zero division: ``removed`` (the
 baseline spent real time there and the current run never entered it) is
-a failure like the legacy diff's ``stage-missing``; ``new`` is
-informational — a freshly added stage has no baseline to regress from.
+a failure; ``new`` is informational — a freshly added stage has no
+baseline to regress from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.observability import metrics
 from repro.observability.manifest import RunManifest
@@ -44,7 +49,8 @@ class GateRow:
     #: | "accuracy" | "aggregate" | "workload-new" | "workload-removed"
     kind: str
     name: str
-    #: "regressed" | "improved" | "indistinguishable" | "new" | "removed"
+    #: "regressed" | "improved" | "indistinguishable" (walls);
+    #: "matched" | "drifted" (accuracy, aggregates); "new" | "removed"
     verdict: str
     severity: str
     detail: str
@@ -52,7 +58,7 @@ class GateRow:
     current: DistributionSummary | None = None
     p_slower: float | None = None
     p_faster: float | None = None
-    #: "rank" | "single-sample" | "presence"
+    #: "rank" | "single-sample" | "exact" | "presence"
     mode: str = "presence"
 
     @property
@@ -131,6 +137,37 @@ def _verdict_row(
     )
 
 
+#: Exact-comparison tolerance for accuracy and aggregate rows: absorbs
+#: float reassociation across platforms, never algorithmic drift.
+EXACT_ATOL = 1e-9
+EXACT_RTOL = 1e-6
+
+
+def _exact_row(
+    kind: str, name: str, base_vals: Sequence[float], cur_vals: Sequence[float]
+) -> GateRow:
+    """Fail unless every value on both sides matches the baseline median."""
+    base = summarize(base_vals)
+    cur = summarize(cur_vals)
+    tolerance = EXACT_ATOL + EXACT_RTOL * abs(base.median)
+    deviations = [abs(v - base.median) for v in (*base_vals, *cur_vals)]
+    matched = all(d <= tolerance for d in deviations)  # NaN never matches
+    return GateRow(
+        kind=kind,
+        name=name,
+        verdict="matched" if matched else "drifted",
+        severity=SEVERITY_INFO if matched else SEVERITY_FAIL,
+        detail=(
+            f"median {base.median:.6g} -> {cur.median:.6g}; largest deviation "
+            f"{max(deviations):.3g} from the baseline median "
+            f"(tolerance {tolerance:.3g})"
+        ),
+        baseline=base,
+        current=cur,
+        mode="exact",
+    )
+
+
 def _stage_walls(runs: Sequence[RunManifest]) -> dict[str, list[float]]:
     walls: dict[str, list[float]] = {}
     for manifest in runs:
@@ -172,21 +209,18 @@ def gate_manifests(
     min_ratio: float = 1.10,
     min_seconds: float = 0.05,
     fallback_slowdown: float = 1.25,
-    accuracy_min_ratio: float = 1.01,
-    accuracy_min_abs: float = 1e-6,
     baseline_label: str = "baseline",
     current_label: str = "current",
     figure: str = "",
 ) -> GateReport:
-    """Gate ``current`` runs against ``baseline`` runs statistically.
+    """Gate ``current`` runs against ``baseline`` runs.
 
     Wall metrics regress when the rank test is significant at ``alpha``
     *and* the median moved by ``min_ratio``× and ``min_seconds``
-    absolute; accuracy/aggregate metrics use the (much tighter)
-    ``accuracy_*`` floors because the pipeline is seed-deterministic —
-    any systematic shift is algorithmic drift, not noise. With a single
-    run on either side every row degrades to the labeled
-    ``single-sample`` heuristic (``fallback_slowdown``).
+    absolute; with a single run on either side they degrade to the
+    labeled ``single-sample`` heuristic (``fallback_slowdown``).
+    Accuracy and aggregate metrics are compared exactly at any n (see
+    the module docstring): any drift fails.
 
     The overall verdict lands on the ``perfstore.gate`` metric.
     """
@@ -203,18 +237,6 @@ def gate_manifests(
             alpha=alpha,
             min_ratio=min_ratio,
             min_abs=min_seconds,
-            fallback_slowdown=fallback_slowdown,
-        )
-
-    def accuracy_test(
-        base_vals: Sequence[float], cur_vals: Sequence[float]
-    ) -> GateVerdict:
-        return degradation_test(
-            base_vals,
-            cur_vals,
-            alpha=alpha,
-            min_ratio=accuracy_min_ratio,
-            min_abs=accuracy_min_abs,
             fallback_slowdown=fallback_slowdown,
         )
 
@@ -281,9 +303,7 @@ def gate_manifests(
                 cur_vals = cur_metrics.get(key)
                 name = f"{workload}.{key}"
                 if base_vals and cur_vals:
-                    rows.append(
-                        _verdict_row("accuracy", name, accuracy_test(base_vals, cur_vals))
-                    )
+                    rows.append(_exact_row("accuracy", name, base_vals, cur_vals))
                 elif base_vals:
                     rows.append(
                         GateRow(
@@ -333,7 +353,7 @@ def gate_manifests(
         base_vals = base_aggregates.get(key)
         cur_vals = cur_aggregates.get(key)
         if base_vals and cur_vals:
-            rows.append(_verdict_row("aggregate", key, accuracy_test(base_vals, cur_vals)))
+            rows.append(_exact_row("aggregate", key, base_vals, cur_vals))
         elif base_vals:
             rows.append(
                 GateRow(
@@ -381,8 +401,8 @@ def render_gate_report(report: GateReport, *, verbose: bool = False) -> str:
     """Human-readable gate report.
 
     Non-verbose output shows every decided row (regressed / improved /
-    new / removed) and folds the indistinguishable bulk into one count;
-    ``verbose=True`` prints everything.
+    drifted / new / removed) and folds the indistinguishable and matched
+    bulk into one count; ``verbose=True`` prints everything.
     """
     lines = [
         f"perf gate: {report.current_label} (n={report.n_current}) vs "
@@ -391,7 +411,7 @@ def render_gate_report(report: GateReport, *, verbose: bool = False) -> str:
     ]
     quiet = 0
     for row in report.rows:
-        if not verbose and row.verdict == "indistinguishable":
+        if not verbose and row.verdict in ("indistinguishable", "matched"):
             quiet += 1
             continue
         marker = "FAIL" if row.failed else row.verdict
@@ -400,6 +420,8 @@ def render_gate_report(report: GateReport, *, verbose: bool = False) -> str:
             f"({_ci(row.baseline)} -> {_ci(row.current)})"
         )
     if quiet:
-        lines.append(f"  ({quiet} metric(s) statistically indistinguishable)")
+        lines.append(
+            f"  ({quiet} metric(s) statistically indistinguishable or matched)"
+        )
     lines.append(f"verdict: {report.verdict.upper()}")
     return "\n".join(lines)

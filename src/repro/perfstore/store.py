@@ -5,6 +5,7 @@ Layout (everything JSON, everything written atomically)::
     <root>/
       index.json                      compact rebuildable index
       objects/<aa>/<sha256>.json      content-addressed RunManifest blobs
+                                      (stored without their attribution)
       versions/<version>/<figure>/<fingerprint>/runs.jsonl
                                       append-only run log (one line per run)
       versions/<version>/attachments/<kind>/<name>.json
@@ -16,7 +17,10 @@ label works — the store never requires git. The run log is append-only
 and multiple runs per ``(version, figure, fingerprint)`` are first-class:
 that is what turns a CI gate from a point comparison into a statistical
 one. Objects are deduplicated by content hash, so re-ingesting the same
-manifest appends a log line but stores no new bytes.
+manifest appends a log line but stores no new bytes. Per-kernel error
+attributions are dropped on ingest: nothing here reads them, they make
+up ~99% of a fig3 manifest, and benches write them to
+``ATTRIBUTION_<figure>.json`` beside the manifest anyway.
 
 ``figure`` names what was measured (``fig3``, ``scale``, ``service``,
 ...); the ``fingerprint`` hashes the manifest's config so runs are only
@@ -29,10 +33,10 @@ import json
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.observability import metrics
 from repro.observability.manifest import RunManifest
@@ -236,9 +240,10 @@ class PerfStore:
     ) -> IngestReceipt:
         """Record one run under ``(version, figure, config_fingerprint)``.
 
-        The manifest blob is content-addressed (identical re-ingests
-        store nothing new); the run log always grows by one line, so
-        repeated runs of one commit accumulate into a sample.
+        The manifest blob, minus its attribution, is content-addressed
+        (identical re-ingests store nothing new); the run log always
+        grows by one line, so repeated runs of one commit accumulate
+        into a sample.
         """
         figure = figure or figure_from_command(manifest.command)
         version = version or current_version()
@@ -249,7 +254,7 @@ class PerfStore:
             PerfStoreError,
         )
         fingerprint = config_fingerprint(figure, manifest.config)
-        blob = manifest.to_json()
+        blob = replace(manifest, attribution=()).to_json()
         object_id = sha256(blob.encode("utf-8")).hexdigest()
         object_path = self._object_path(object_id)
         stored_object = not object_path.exists()

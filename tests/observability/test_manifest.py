@@ -1,6 +1,5 @@
-"""Manifest assembly, JSON round-trip, self-time accounting and diffing."""
+"""Manifest assembly, JSON round-trip and self-time accounting."""
 
-import dataclasses
 import time
 
 import pytest
@@ -9,11 +8,8 @@ from repro.observability import manifest as obs_manifest
 from repro.observability import metrics, spans, state
 from repro.observability.manifest import (
     RunManifest,
-    StageStat,
     aggregate_stages,
     collect_manifest,
-    diff_manifests,
-    regression_failures,
 )
 from repro.observability.spans import span
 
@@ -111,116 +107,3 @@ def test_events_recorded_even_when_disabled():
     obs_manifest.record_event("pool.failure", exception="OSError('x')")
     events = obs_manifest.events(since=mark)
     assert events == ({"kind": "pool.failure", "exception": "OSError('x')"},)
-
-
-def _manifest(total, stages, workloads=(), aggregates=None):
-    return RunManifest(
-        command="m",
-        total_wall_s=total,
-        stages=tuple(
-            StageStat(name=n, count=1, wall_s=w, self_s=w, cpu_s=w)
-            for n, w in stages
-        ),
-        workloads=tuple(workloads),
-        aggregates=dict(aggregates or {}),
-    )
-
-
-def test_diff_clean_when_identical():
-    baseline = _manifest(
-        1.0, [("a", 0.6), ("b", 0.4)],
-        workloads=[{"workload": "w", "sieve_error": 0.01}],
-        aggregates={"avg": 0.01},
-    )
-    assert diff_manifests(baseline, baseline) == []
-
-
-def test_diff_flags_two_x_slowdown():
-    baseline = _manifest(1.0, [("a", 0.6), ("b", 0.4)])
-    slowed = _manifest(2.0, [("a", 1.2), ("b", 0.8)])
-    kinds = {(r.kind, r.name) for r in diff_manifests(baseline, slowed)}
-    assert kinds == {
-        ("total-wall", "total"),
-        ("stage-wall", "a"),
-        ("stage-wall", "b"),
-    }
-
-
-def test_diff_min_seconds_floor_absorbs_noise():
-    baseline = _manifest(0.010, [("tiny", 0.010)])
-    slowed = _manifest(0.020, [("tiny", 0.020)])
-    assert diff_manifests(baseline, slowed) == []  # 2x but < 50ms delta
-
-
-def test_diff_flags_missing_stage_and_workload():
-    baseline = _manifest(
-        1.0, [("a", 0.9)], workloads=[{"workload": "w", "sieve_error": 0.01}]
-    )
-    current = _manifest(1.0, [])
-    kinds = {(r.kind, r.name) for r in diff_manifests(baseline, current)}
-    assert ("stage-missing", "a") in kinds
-    assert ("accuracy", "w") in kinds
-
-
-def test_diff_reports_new_stage_as_info_not_failure():
-    baseline = _manifest(1.0, [("a", 0.9)])
-    current = _manifest(1.0, [("a", 0.9), ("b", 0.3)])
-    regressions = diff_manifests(baseline, current)
-    by_kind = {(r.kind, r.name): r for r in regressions}
-    row = by_kind[("stage-new", "b")]
-    assert row.severity == "info"
-    assert not row.failed
-    assert regression_failures(regressions) == []  # info rows never gate
-
-
-def test_diff_ignores_new_stage_below_floor():
-    baseline = _manifest(1.0, [("a", 0.9)])
-    current = _manifest(1.0, [("a", 0.9), ("blip", 0.001)])
-    assert diff_manifests(baseline, current) == []
-
-
-def test_diff_zero_baseline_wall_is_informational():
-    # A 0-second baseline wall must not produce a millions-of-x ratio:
-    # the current measurement is reported as info, never as a failure.
-    baseline = _manifest(0.0, [("a", 0.0)])
-    current = _manifest(3.0, [("a", 3.0)])
-    regressions = diff_manifests(baseline, current)
-    assert regressions  # visible, not silently skipped
-    assert all(r.severity == "info" for r in regressions)
-    assert regression_failures(regressions) == []
-    details = {r.detail for r in regressions}
-    assert any("no usable baseline wall" in d for d in details)
-
-
-def test_diff_removed_stage_still_fails():
-    baseline = _manifest(1.0, [("a", 0.9)])
-    current = _manifest(1.0, [("b", 0.9)])
-    regressions = diff_manifests(baseline, current)
-    removed = [r for r in regressions if r.kind == "stage-missing"]
-    assert removed and removed[0].severity == "fail" and removed[0].failed
-    assert removed[0] in regression_failures(regressions)
-
-
-def test_diff_flags_accuracy_and_aggregate_drift():
-    baseline = _manifest(
-        1.0, [("a", 0.9)],
-        workloads=[{"workload": "w", "sieve_error": 0.010, "sieve_cov": 0.2}],
-        aggregates={"sieve_avg": 0.010},
-    )
-    current = dataclasses.replace(
-        baseline,
-        workloads=({"workload": "w", "sieve_error": 0.011, "sieve_cov": 0.9},),
-        aggregates={"sieve_avg": 0.011},
-    )
-    regressions = diff_manifests(baseline, current)
-    names = {r.name for r in regressions}
-    # *_error keys and aggregates are gated; other row fields are not.
-    assert names == {"w.sieve_error", "sieve_avg"}
-    # But float-reassociation noise within rtol passes.
-    nearly = dataclasses.replace(
-        baseline,
-        workloads=({"workload": "w", "sieve_error": 0.010 * (1 + 1e-9),
-                    "sieve_cov": 0.2},),
-        aggregates={"sieve_avg": 0.010 * (1 + 1e-9)},
-    )
-    assert diff_manifests(baseline, nearly) == []

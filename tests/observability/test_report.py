@@ -2,11 +2,10 @@
 
 import dataclasses
 
-from repro.observability.manifest import RunManifest, StageStat, diff_manifests
+from repro.observability.manifest import RunManifest, StageStat
 from repro.observability.report import (
     _diff_attribution,
     render_attribution,
-    render_diff,
     render_manifest,
 )
 
@@ -43,70 +42,7 @@ def test_render_manifest_includes_key_sections():
     assert "sieve_avg" in text
     assert "3 hits / 1 misses" in text
     assert "engine.pool_failure" in text
-
-
-def test_render_diff_lists_regressions():
-    baseline = _manifest(1.0, 0.6)
-    slowed = _manifest(2.0, 1.2)
-    regressions = diff_manifests(baseline, slowed)
-    text = render_diff(baseline, slowed, regressions)
-    assert "REGRESSED" in text
-    assert "2.00x" in text
-    assert f"{len(regressions)} regression(s):" in text
-
-
-def test_render_diff_clean():
-    baseline = _manifest(1.0, 0.6)
-    text = render_diff(baseline, baseline, [])
-    assert "no regressions." in text
-
-
-def _with_stages(manifest, stages):
-    return dataclasses.replace(manifest, stages=tuple(stages))
-
-
-def _stage(name, wall):
-    return StageStat(name=name, count=1, wall_s=wall, self_s=wall, cpu_s=wall)
-
-
-def test_render_diff_stage_present_in_only_one_manifest():
-    baseline = _with_stages(
-        _manifest(1.0, 0.6), [_stage("sieve.stratify", 0.6), _stage("old.only", 0.2)]
-    )
-    current = _with_stages(
-        _manifest(1.0, 0.6), [_stage("sieve.stratify", 0.6), _stage("new.only", 0.3)]
-    )
-    regressions = diff_manifests(baseline, current)
-    text = render_diff(baseline, current, regressions)
-    # The vanished stage renders as absent (and gates); the new one as new.
-    assert ("old.only", "absent") in [
-        (line.split()[0], line.split()[2]) for line in text.splitlines()
-        if line.startswith("old.only")
-    ]
-    assert any(
-        line.startswith("new.only") and "absent" in line and "new" in line
-        for line in text.splitlines()
-    )
-    assert any(r.kind == "stage-missing" and r.name == "old.only" for r in regressions)
-
-
-def test_render_diff_zero_wall_stage_no_zero_division():
-    baseline = _with_stages(_manifest(1.0, 0.6), [_stage("instant", 0.0)])
-    current = _with_stages(_manifest(1.0, 0.6), [_stage("instant", 0.0)])
-    regressions = diff_manifests(baseline, current)
-    text = render_diff(baseline, current, regressions)  # must not raise
-    assert regressions == []
-    instant = next(line for line in text.splitlines() if line.startswith("instant"))
-    assert instant.rstrip().endswith("-")  # ratio is a dash, not a division
-
-
-def test_render_diff_zero_total_wall_no_zero_division():
-    baseline = _manifest(0.0, 0.0)
-    current = _manifest(0.0, 0.0)
-    regressions = diff_manifests(baseline, current)
-    assert regressions == []
-    render_diff(baseline, current, regressions)
-    render_manifest(baseline)  # stage share falls back without dividing by 0
+    render_manifest(_manifest(0.0, 0.0))  # zero total wall: no division by 0
 
 
 # --------------------------------------------------------------------- #
@@ -206,5 +142,3 @@ def test_diff_attribution_reports_drift_and_largest_mover():
 def test_diff_attribution_empty_when_absent():
     baseline = _manifest(1.0, 0.6)
     assert _diff_attribution(baseline, baseline) == ""
-    # And render_diff stays attribution-free rather than crashing.
-    assert "attribution drift" not in render_diff(baseline, baseline, [])

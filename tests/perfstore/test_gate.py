@@ -1,4 +1,4 @@
-"""The statistical regression gate over run *sets* (acceptance bar)."""
+"""The regression gate over run *sets* (acceptance bar)."""
 
 import pytest
 
@@ -6,7 +6,9 @@ from repro.perfstore.gate import gate_manifests, render_gate_report
 
 from .conftest import make_manifest
 
-#: +-3% jitter shapes, matching scripts/check_bench_regression.py.
+#: Deterministic +-3% run-to-run jitter: two samples drawn from "the
+#: same machine on a good day" (the snapshot self-test reuses the rerun
+#: shape on real stored runs).
 BASE_JITTER = (0.97, 1.00, 1.03)
 RERUN_JITTER = (0.98, 1.01, 1.02)
 
@@ -41,6 +43,10 @@ def test_same_distribution_reruns_pass():
     assert not report.regressed
     assert report.verdict == "indistinguishable"
     assert all(row.mode == "rank" for row in report.rows)
+    # The rank path never divides by a zero median either.
+    zero = jittered(0.0)
+    render_gate_report(gate_manifests(zero, jittered(1.0)), verbose=True)
+    assert not gate_manifests(zero, zero).regressed
 
 
 def test_removed_stage_fails_and_new_stage_informs():
@@ -76,22 +82,57 @@ def test_removed_trivial_stage_is_only_informational():
     assert not report.regressed
 
 
+def _error_runs(values):
+    return [
+        make_manifest(workloads=[{"workload": "w", "sieve_error": v}]) for v in values
+    ]
+
+
+def _aggregate_runs(values):
+    return [make_manifest(aggregates={"sieve_avg": v}) for v in values]
+
+
 def test_accuracy_uses_tighter_floor_than_wall_metrics():
-    # A 5% error increase is far below the 10% wall floor but far above
-    # the 1% accuracy floor: the pipeline is seed-deterministic, so a
-    # systematic shift of this size is algorithmic drift.
-    baseline = [
-        make_manifest(workloads=[{"workload": "w", "sieve_error": 0.0100 + i * 1e-5}])
-        for i in range(3)
-    ]
-    current = [
-        make_manifest(workloads=[{"workload": "w", "sieve_error": 0.0105 + i * 1e-5}])
-        for i in range(3)
-    ]
-    report = gate_manifests(baseline, current)
+    # A 5% error increase is far below the 10% wall floor, but accuracy
+    # is compared exactly: the pipeline is seed-deterministic, so every
+    # run repeats the same value and any shift is algorithmic drift.
+    report = gate_manifests(_error_runs((0.0100,) * 3), _error_runs((0.0105,) * 3))
     accuracy = next(r for r in report.rows if r.kind == "accuracy")
     assert accuracy.name == "w.sieve_error"
-    assert accuracy.failed and accuracy.verdict == "regressed"
+    assert accuracy.mode == "exact"
+    assert accuracy.failed and accuracy.verdict == "drifted"
+    wall = next(r for r in report.rows if r.kind == "total-wall")
+    assert not wall.failed
+
+
+DRIFT_CASES = [
+    pytest.param((0.010,), (0.012,), id="n1-worse"),
+    pytest.param((0.010, 0.010), (0.020, 0.020), id="n2-doubled"),
+    pytest.param((0.012,) * 3, (0.010,) * 3, id="n3-improved"),
+]
+
+
+@pytest.mark.parametrize("runs", [_error_runs, _aggregate_runs], ids=["error", "agg"])
+@pytest.mark.parametrize("base_vals,cur_vals", DRIFT_CASES)
+def test_accuracy_drift_fails_at_any_n_in_either_direction(runs, base_vals, cur_vals):
+    report = gate_manifests(runs(base_vals), runs(cur_vals))
+    row = next(r for r in report.rows if r.kind in ("accuracy", "aggregate"))
+    assert row.verdict == "drifted" and row.failed and row.mode == "exact"
+    assert report.regressed
+
+
+@pytest.mark.parametrize("runs", [_error_runs, _aggregate_runs], ids=["error", "agg"])
+def test_accuracy_within_tolerance_matches(runs):
+    # Three identical runs match; so does float-reassociation noise
+    # (1e-9 relative) far inside the 1e-9 + 1e-6*|b| tolerance.
+    assert not gate_manifests(runs((0.010,) * 3), runs((0.010,) * 3)).regressed
+    nearly = runs((0.010 * (1 + 1e-9),) * 3)
+    report = gate_manifests(runs((0.010,) * 3), nearly)
+    assert not report.regressed
+    row = next(r for r in report.rows if r.kind in ("accuracy", "aggregate"))
+    assert row.verdict == "matched"
+    # One drifting run on either side is enough to fail.
+    assert gate_manifests(runs((0.010, 0.010, 0.0101)), runs((0.010,))).regressed
 
 
 def test_removed_metric_and_workload_fail_new_ones_inform():
@@ -129,7 +170,7 @@ def test_aggregate_regression_and_removal():
     current = [make_manifest(aggregates={"sieve_avg": 0.012}) for _ in range(3)]
     report = gate_manifests(baseline, current)
     by_name = {(row.kind, row.name): row for row in report.rows}
-    assert by_name[("aggregate", "sieve_avg")].verdict == "regressed"
+    assert by_name[("aggregate", "sieve_avg")].verdict == "drifted"
     assert by_name[("aggregate", "old_key")].verdict == "removed"
     assert by_name[("aggregate", "old_key")].failed
 
@@ -142,6 +183,12 @@ def test_single_runs_fall_back_to_labeled_heuristic():
         for row in report.rows
         if row.kind in ("total-wall", "stage-wall")
     )
+    # Zero walls on either side: no ratio is ever taken against nothing.
+    zero = [make_manifest(total=0.0, stages=(("a", 0.0),))]
+    busy = [make_manifest(total=3.0, stages=(("a", 3.0),))]
+    for baseline, current in ((zero, zero), (zero, busy), (busy, zero)):
+        render_gate_report(gate_manifests(baseline, current), verbose=True)
+    assert not gate_manifests(zero, zero).regressed
 
 
 def test_report_round_trips_to_dict():

@@ -130,6 +130,8 @@ def test_single_sample_fallback_uses_ratio_heuristic():
     assert regressed.p_slower is None
     assert degradation_test([1.0], [1.2]).verdict == "indistinguishable"
     assert degradation_test([1.3], [1.0]).verdict == "improved"
+    # 2x slower but under the absolute floor: scheduler noise, not a regression.
+    assert degradation_test([0.010], [0.020]).verdict == "indistinguishable"
 
 
 def test_empty_samples_rejected():

@@ -5,6 +5,7 @@ manifests round-trip byte-identically through the object store, and the
 set of stored runs is invariant under ingestion order.
 """
 
+import dataclasses
 import json
 import random
 
@@ -40,6 +41,24 @@ def test_ingest_round_trips_byte_identically(tmp_path):
     restored = store.load_object(receipt.object_id)
     assert restored == manifest
     assert restored.to_json() == manifest.to_json()
+
+
+def test_ingest_drops_attribution_and_keeps_everything_else(tmp_path):
+    store = PerfStore(tmp_path)
+    bare = make_manifest(
+        total=1.23,
+        workloads=[{"workload": "w", "sieve_error": 0.01}],
+        aggregates={"sieve_avg": 0.01},
+    )
+    attributed = dataclasses.replace(
+        bare, attribution=({"workload": "w", "method": "sieve", "signed_error": 0.01},)
+    )
+    receipt = store.ingest(attributed, version="v1")
+    restored = store.load_object(receipt.object_id)
+    assert restored.attribution == ()
+    assert restored == bare
+    # The object id hashes the stored (attribution-free) blob.
+    assert store.ingest(bare, version="v1").object_id == receipt.object_id
 
 
 def test_reingest_deduplicates_object_but_grows_the_log(tmp_path):

@@ -74,10 +74,13 @@ def test_report_renders_single_manifest(manifest_path, capsys):
 
 
 def test_report_diff_passes_and_fails(manifest_path, tmp_path, capsys):
-    # Identical manifests: clean diff, exit 0.
+    # Identical manifests: clean gate, exit 0, attribution drift table.
     assert main(["report", str(manifest_path), str(manifest_path)]) == 0
-    assert "no regressions." in capsys.readouterr().out
-    # Injected 2x slowdown: regressions, exit 1.
+    out = capsys.readouterr().out
+    assert "verdict: INDISTINGUISHABLE" in out and "FAIL" not in out
+    assert "attribution drift:" in out and "cactus/gru · sieve" in out
+    # Injected 2x slowdown: one run per side, so the labeled
+    # single-sample ratio limit decides; exit 1.
     payload = json.loads(manifest_path.read_text())
     payload["total_wall_s"] *= 2
     for stage in payload["stages"]:
@@ -86,7 +89,16 @@ def test_report_diff_passes_and_fails(manifest_path, tmp_path, capsys):
     slowed = tmp_path / "slow.json"
     slowed.write_text(json.dumps(payload))
     assert main(["report", str(manifest_path), str(slowed)]) == 1
-    assert "regression(s):" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[total-wall] total: FAIL" in out and "single-sample" in out
+    assert "verdict: REGRESSED" in out
+    # A 1e-4 relative accuracy drift fails too.
+    payload = json.loads(manifest_path.read_text())
+    payload["workloads"][0]["sieve_error"] *= 1 + 1e-4
+    drifted = tmp_path / "drift.json"
+    drifted.write_text(json.dumps(payload))
+    assert main(["report", str(manifest_path), str(drifted)]) == 1
+    assert "[accuracy] cactus/gru.sieve_error: FAIL" in capsys.readouterr().out
 
 
 def test_no_trace_out_writes_nothing(tmp_path, capsys):

@@ -14,12 +14,12 @@ JITTER = (0.97, 1.00, 1.03)
 RERUN_JITTER = (0.98, 1.01, 1.02)
 
 
-def write_manifest(path, factor=1.0, jitter=1.0):
+def write_manifest(path, factor=1.0, jitter=1.0, cap=400, error=0.01):
     scale = factor * jitter
     manifest = RunManifest(
         command="bench fig3",
         created="2026-01-01T00:00:00+00:00",
-        config={"cap": 400, "jobs": 1},
+        config={"cap": cap, "jobs": 1},
         total_wall_s=2.0 * scale,
         stages=(
             StageStat(
@@ -27,8 +27,8 @@ def write_manifest(path, factor=1.0, jitter=1.0):
                 wall_s=1.2 * scale, self_s=1.2 * scale, cpu_s=1.2 * scale,
             ),
         ),
-        workloads=({"workload": "w", "sieve_error": 0.01},),
-        aggregates={"sieve_avg": 0.01},
+        workloads=({"workload": "w", "sieve_error": error},),
+        aggregates={"sieve_avg": error},
     )
     manifest.save(path)
     return path
@@ -139,8 +139,7 @@ def test_report_against_resolves_version_prefix(store_dir, tmp_path, capsys):
     assert "base-rev"[:12] in capsys.readouterr().out
 
 
-def test_report_against_unknown_rev_without_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no benchmarks/baselines/ here
+def test_report_against_unknown_rev_without_fallback(tmp_path, capsys):
     current = str(write_manifest(tmp_path / "cur.json"))
     code = main(
         ["report", current, "--against", "no-such-rev",
@@ -150,16 +149,29 @@ def test_report_against_unknown_rev_without_fallback(tmp_path, capsys, monkeypat
     assert "no stored" in capsys.readouterr().err
 
 
-def test_report_against_falls_back_to_committed_baseline(tmp_path, capsys):
-    # An empty store + the repo's committed BENCH_fig3.json baseline:
-    # gating the baseline against itself must pass via the fallback.
-    current = tmp_path / "cur.json"
-    baseline = RunManifest.load("benchmarks/baselines/BENCH_fig3.json")
-    baseline.save(current)
-    code = main(
-        ["report", str(current), "--against", "no-such-rev",
-         "--store", str(tmp_path / "empty-store"), "--figure", "fig3"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "BENCH_fig3.json" in out
+def test_report_against_only_compares_the_same_experiment_shape(tmp_path, capsys):
+    # The stored cap-1200 runs are slower and less accurate than cap-400
+    # runs: comparing the two shapes would call walls "improved" and
+    # accuracy drifted. The gate must refuse instead.
+    store = tmp_path / "store"
+    for i, j in enumerate(JITTER):
+        path = write_manifest(
+            tmp_path / f"big-{i}.json", factor=3.0, jitter=j, cap=1200, error=0.02
+        )
+        main(["perf", "ingest", str(path), "--store", str(store),
+              "--version", "base-rev"])
+    current = [
+        str(write_manifest(tmp_path / f"cur-{i}.json", jitter=j))
+        for i, j in enumerate(RERUN_JITTER)
+    ]
+    code = main(["report", *current, "--against", "base-rev", "--store", str(store)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert '"cap": 400' in captured.err
+    assert "verdict" not in captured.out
+
+    mixed = [current[0], str(write_manifest(tmp_path / "mixed.json", cap=1200))]
+    code = main(["report", *mixed, "--against", "base-rev", "--store", str(store)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "mix 2 fig3 configs" in err and '"cap": 1200' in err
