@@ -19,6 +19,17 @@ row-major k-means as it was before the feature-major rewrite of
 an empty half; ``tests/core/test_kmeans_reference.py`` pins the rewrite
 to them bit for bit.
 
+The GPU model's per-kernel path is kept the same way: occupancy over each
+distinct CTA size, :func:`reference_invocation_timing` and
+:func:`reference_memory_traffic` per kernel, :class:`ReferenceHardwareExecutor`
+measuring kernel by kernel, and the profilers' chronological flatten and
+per-kernel native runtimes. Production evaluates one execution record per
+(run, architecture) instead (:func:`repro.gpu.hardware.execution_record`);
+``tests/core/test_record_reference.py`` pins it, the golden measurement,
+both profile tables and both profiling costs to these bit for bit.
+They keep the original arithmetic line for line (comments dropped);
+``reference_invocation_timing`` also returns the DRAM bytes it computed.
+
 Nothing in the production pipeline calls this module.
 """
 
@@ -38,11 +49,27 @@ from repro.evaluation.imputation import (
     kernel_mean_ipc,
     measured_ipc_or_none,
 )
-from repro.gpu.hardware import WorkloadMeasurement
+from repro.gpu.arch import SECTOR_BYTES, WARP_SIZE, GpuArchitecture
+from repro.gpu.hardware import KernelMeasurement, WorkloadLike, WorkloadMeasurement
+from repro.gpu.kernel import InvocationBatch, KernelTraits
+from repro.gpu.memory import MemoryTraffic
+from repro.gpu.occupancy import occupancy_for
+from repro.gpu.timing import (
+    ALU_LATENCY,
+    ATOMIC_THROUGHPUT,
+    L1_HIT_LATENCY,
+    L2_HIT_LATENCY,
+    OVERLAP_RESIDUAL,
+    WAVE_TAIL_PENALTY,
+    TimingBreakdown,
+)
+from repro.profiling.cost import ProfilingCost, ProfilingCostModel
+from repro.profiling.metrics import PKS_METRICS
 from repro.profiling.table import ProfileTable
 from repro.utils.seeding import rng_for
 from repro.utils.stats import coefficient_of_variation
 from repro.utils.validation import require
+from repro.workloads.generator import WorkloadRun
 from repro.workloads.spec import Tier
 
 
@@ -383,3 +410,249 @@ class ReferenceBisectingKMeans:
                 centroids=centroids, labels=labels, inertia=inertia
             )
         return results
+
+
+def reference_occupancy_table(
+    arch: GpuArchitecture, traits: KernelTraits, cta_sizes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-record ``occupancy_table``: :func:`occupancy_for` per distinct size."""
+    cta_sizes = np.asarray(cta_sizes)
+    unique_sizes, inverse = np.unique(cta_sizes, return_inverse=True)
+    ctas = np.empty(len(unique_sizes), dtype=np.int64)
+    warps = np.empty(len(unique_sizes), dtype=np.int64)
+    for i, size in enumerate(unique_sizes):
+        result = occupancy_for(arch, traits, int(size))
+        ctas[i] = result.ctas_per_sm
+        warps[i] = result.active_warps_per_sm
+    return ctas[inverse], warps[inverse]
+
+
+def reference_capacity_adjusted_l2_hit(
+    arch: GpuArchitecture, traits: KernelTraits, footprint_bytes: np.ndarray
+) -> np.ndarray:
+    """Pre-record ``capacity_adjusted_l2_hit`` for one kernel."""
+    footprint = np.maximum(np.asarray(footprint_bytes, dtype=np.float64), 1.0)
+    pressure = footprint / float(arch.l2_size_bytes)
+    scale = 1.0 / np.maximum(pressure, 1.0)
+    return traits.l2_hit_rate * scale
+
+
+def reference_memory_traffic(
+    arch: GpuArchitecture, traits: KernelTraits, batch: InvocationBatch
+) -> MemoryTraffic:
+    """Pre-record ``memory_traffic`` for one kernel."""
+    global_sectors = (
+        batch.coalesced_global_loads + batch.coalesced_global_stores
+    ).astype(np.float64)
+    local_sectors = batch.coalesced_local_loads.astype(np.float64)
+    l1_accesses = global_sectors + local_sectors
+
+    l1_misses = l1_accesses * (1.0 - traits.l1_hit_rate)
+
+    footprint_bytes = l1_misses * SECTOR_BYTES
+    l2_hit = reference_capacity_adjusted_l2_hit(arch, traits, footprint_bytes)
+    dram_sectors = l1_misses * (1.0 - l2_hit)
+
+    return MemoryTraffic(
+        l1_sector_accesses=l1_accesses,
+        l2_sector_accesses=l1_misses,
+        dram_bytes=dram_sectors * SECTOR_BYTES,
+        atomic_ops=batch.thread_global_atomics.astype(np.float64),
+    )
+
+
+def _reference_memory_warp_instructions(batch: InvocationBatch) -> np.ndarray:
+    thread_level = (
+        batch.thread_global_loads
+        + batch.thread_global_stores
+        + batch.thread_local_loads
+        + batch.thread_shared_loads
+        + batch.thread_shared_stores
+        + batch.thread_global_atomics
+    ).astype(np.float64)
+    return thread_level / WARP_SIZE
+
+
+def reference_invocation_timing(
+    arch: GpuArchitecture, traits: KernelTraits, batch: InvocationBatch
+) -> TimingBreakdown:
+    """Pre-record ``invocation_timing``: one kernel's invocations."""
+    ctas_per_sm, active_warps = reference_occupancy_table(arch, traits, batch.cta_size)
+    num_ctas = batch.num_ctas.astype(np.float64)
+
+    warp_insns = batch.insn_count.astype(np.float64) / (
+        WARP_SIZE * batch.divergence_efficiency
+    )
+    mem_warp_insns = np.minimum(_reference_memory_warp_instructions(batch), warp_insns)
+    compute_warp_insns = warp_insns - mem_warp_insns
+
+    critical_ctas = np.maximum(num_ctas / arch.num_sms, 1.0) + WAVE_TAIL_PENALTY
+    per_sm_share = critical_ctas / num_ctas
+
+    per_sm_warp_insns = warp_insns * per_sm_share
+    per_sm_compute = compute_warp_insns * per_sm_share
+    per_sm_mem_issue = mem_warp_insns * per_sm_share
+
+    issue_bound = per_sm_warp_insns / arch.schedulers_per_sm
+    fp = per_sm_compute * traits.fp_ratio / arch.warp_throughput(arch.fp32_lanes_per_sm)
+    integer = (
+        per_sm_compute
+        * traits.int_ratio
+        / arch.warp_throughput(arch.int32_lanes_per_sm)
+    )
+    sfu = per_sm_compute * traits.sfu_ratio / arch.warp_throughput(arch.sfu_lanes_per_sm)
+    lsu = per_sm_mem_issue / arch.warp_throughput(arch.lsu_lanes_per_sm)
+    unit_bound = np.maximum.reduce([fp + integer, sfu, lsu])
+    raw_compute = np.maximum(issue_bound, unit_bound)
+
+    resident_ctas = np.minimum(ctas_per_sm.astype(np.float64), num_ctas)
+    resident_warps = np.minimum(
+        active_warps.astype(np.float64),
+        resident_ctas * batch.warps_per_cta.astype(np.float64),
+    )
+    mem_fraction = np.divide(
+        mem_warp_insns, warp_insns, out=np.zeros_like(warp_insns), where=warp_insns > 0
+    )
+    miss_latency = traits.l1_hit_rate * L1_HIT_LATENCY + (1.0 - traits.l1_hit_rate) * (
+        traits.l2_hit_rate * L2_HIT_LATENCY
+        + (1.0 - traits.l2_hit_rate) * arch.dram_latency_cycles
+    )
+    avg_latency = ALU_LATENCY + mem_fraction * miss_latency
+    supply = resident_warps * traits.ilp
+    utilization = supply / (supply + avg_latency)
+    compute_cycles = raw_compute / utilization
+
+    traffic = reference_memory_traffic(arch, traits, batch)
+    memory_cycles = (
+        traffic.dram_bytes / arch.bytes_per_cycle
+        + traffic.atomic_ops / ATOMIC_THROUGHPUT
+    )
+
+    longer = np.maximum(compute_cycles, memory_cycles)
+    shorter = np.minimum(compute_cycles, memory_cycles)
+    total = (
+        arch.kernel_launch_overhead_cycles
+        + (longer + OVERLAP_RESIDUAL * shorter)
+        * traits.personality
+        * traits.efficiency_on(arch.family)
+    )
+    return TimingBreakdown(
+        compute_cycles=compute_cycles,
+        memory_cycles=memory_cycles,
+        total_cycles=total,
+        dram_bytes=traffic.dram_bytes,
+    )
+
+
+class ReferenceHardwareExecutor:
+    """Pre-record ``HardwareExecutor``: times and measures kernel by kernel."""
+
+    def __init__(self, arch: GpuArchitecture):
+        self.arch = arch
+
+    def measure_kernel(
+        self, workload_name: str, kernel_name: str, traits: KernelTraits,
+        batch: InvocationBatch,
+    ) -> KernelMeasurement:
+        timing = reference_invocation_timing(self.arch, traits, batch)
+        cycles = timing.total_cycles
+        if traits.measurement_noise_cov > 0:
+            rng = rng_for("hardware", self.arch.name, workload_name, kernel_name)
+            sigma = traits.measurement_noise_cov
+            noise = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(batch))
+            cycles = cycles * noise
+        return KernelMeasurement(
+            kernel_name=kernel_name,
+            cycles=np.maximum(np.rint(cycles), 1.0).astype(np.int64),
+            insn_count=batch.insn_count.astype(np.int64),
+        )
+
+    def measure(self, workload: WorkloadLike) -> WorkloadMeasurement:
+        per_kernel: dict[str, KernelMeasurement] = {}
+        for kernel in workload.kernels:
+            name = kernel.traits.name
+            if name in per_kernel:
+                raise ValueError(f"duplicate kernel name {name!r} in workload")
+            per_kernel[name] = self.measure_kernel(
+                workload.name, name, kernel.traits, kernel.batch
+            )
+        return WorkloadMeasurement(
+            workload_name=workload.name,
+            architecture=self.arch.name,
+            clock_ghz=self.arch.clock_ghz,
+            per_kernel=per_kernel,
+        )
+
+
+def reference_flatten_chronological(run: WorkloadRun) -> ProfileTable:
+    """Pre-record ``flatten_chronological``: per-kernel metric matrices."""
+    kernel_names = tuple(k.traits.name for k in run.kernels)
+    kernel_id = np.concatenate(
+        [np.full(len(k), i, dtype=np.int32) for i, k in enumerate(run.kernels)]
+    )
+    invocation_id = np.concatenate(
+        [np.arange(len(k), dtype=np.int64) for k in run.kernels]
+    )
+    chrono = np.concatenate([k.batch.chrono_index for k in run.kernels])
+    insn = np.concatenate([k.batch.insn_count for k in run.kernels])
+    cta_size = np.concatenate([k.batch.cta_size for k in run.kernels])
+    num_ctas = np.concatenate([k.batch.num_ctas for k in run.kernels])
+    metrics = np.concatenate([k.batch.pks_metric_matrix() for k in run.kernels])
+
+    order = np.argsort(chrono, kind="stable")
+    return ProfileTable(
+        workload=run.label,
+        kernel_names=kernel_names,
+        kernel_id=kernel_id[order],
+        invocation_id=invocation_id[order],
+        insn_count=insn[order],
+        cta_size=cta_size[order],
+        num_ctas=num_ctas[order],
+        metrics=metrics[order],
+    )
+
+
+def reference_native_runtimes_and_footprints(
+    run: WorkloadRun, arch: GpuArchitecture
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-record native runtimes (s) and footprints (bytes), chronological."""
+    seconds_parts: list[np.ndarray] = []
+    footprint_parts: list[np.ndarray] = []
+    chrono_parts: list[np.ndarray] = []
+    for kernel in run.kernels:
+        timing = reference_invocation_timing(arch, kernel.traits, kernel.batch)
+        seconds_parts.append(timing.total_cycles / (arch.clock_ghz * 1e9))
+        traffic = reference_memory_traffic(arch, kernel.traits, kernel.batch)
+        footprint_parts.append(np.minimum(traffic.dram_bytes, arch.memory_gb * 1e9))
+        chrono_parts.append(kernel.batch.chrono_index)
+    order = np.argsort(np.concatenate(chrono_parts), kind="stable")
+    return (
+        np.concatenate(seconds_parts)[order],
+        np.concatenate(footprint_parts)[order],
+    )
+
+
+def reference_nvbit_profile(
+    run: WorkloadRun, arch: GpuArchitecture
+) -> tuple[ProfileTable, ProfilingCost]:
+    """Pre-record ``NVBitProfiler.profile``."""
+    table = reference_flatten_chronological(run).without_metrics()
+    native_seconds, _ = reference_native_runtimes_and_footprints(run, arch)
+    cost = ProfilingCostModel().nvbit_cost(run.label, native_seconds)
+    return table, cost
+
+
+def reference_nsight_profile(
+    run: WorkloadRun, arch: GpuArchitecture
+) -> tuple[ProfileTable, ProfilingCost]:
+    """Pre-record ``NsightComputeProfiler.profile``."""
+    table = reference_flatten_chronological(run)
+    native_seconds, footprints = reference_native_runtimes_and_footprints(run, arch)
+    cost = ProfilingCostModel().nsight_cost(
+        run.label,
+        native_seconds,
+        footprints,
+        num_metrics=len(PKS_METRICS),
+        complexity=run.spec.profiling_complexity,
+    )
+    return table, cost

@@ -5,17 +5,23 @@
 counts (with small, deterministic measurement noise) that both samplers'
 accuracy is judged against — the paper's "golden reference, total cycle
 count, collected on real hardware" (Section IV).
+
+Like the paper, which profiles the same executions it measures, every
+consumer reads one :class:`ExecutionRecord` per (run, architecture): the
+noiseless cycles and DRAM bytes of every invocation, timed by a single
+:func:`~repro.gpu.timing.invocation_timing` call over the run's
+concatenated invocations (:func:`execution_record`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Protocol
 
 import numpy as np
 
 from repro.gpu.arch import GpuArchitecture
-from repro.gpu.kernel import InvocationBatch, KernelTraits
+from repro.gpu.kernel import InvocationBatch, KernelTraits, TraitColumns
 from repro.gpu.timing import invocation_timing
 from repro.utils.seeding import rng_for
 
@@ -86,6 +92,67 @@ class WorkloadMeasurement:
         return self.total_instructions / self.total_cycles
 
 
+@dataclass(frozen=True)
+class ExecutionRecord:
+    """Noiseless execution of every invocation of a run on one architecture.
+
+    Rows are kernel-major: kernel ``k`` of the run owns rows
+    ``starts[k]:starts[k] + len(kernel)``, in its batch's order, and
+    ``order`` lists the rows chronologically (the order a profiler emits
+    them). The arrays are read-only because every consumer of the run
+    shares them: the golden measurement adds noise to a copy of
+    ``cycles``, and the profilers cost ``cycles`` and ``dram_bytes`` row
+    by row.
+    """
+
+    starts: np.ndarray  # int64, first row of each kernel
+    order: np.ndarray  # int64, rows in chronological order
+    cycles: np.ndarray  # float64, modeled cycles before measurement noise
+    dram_bytes: np.ndarray  # float64, DRAM traffic
+
+
+def execution_record(arch: GpuArchitecture, workload: WorkloadLike) -> ExecutionRecord:
+    """The execution record of ``workload`` on ``arch``.
+
+    A :class:`~repro.workloads.generator.WorkloadRun` memoizes its records
+    by architecture; any other workload is timed on every call. Two
+    threads racing on one run may both compute the record, never
+    differently.
+    """
+    records = getattr(workload, "_records", None)
+    record = None if records is None else records.get(arch)
+    if record is None:
+        record = _time_invocations(arch, tuple(workload.kernels))
+        if records is not None:
+            record = records.setdefault(arch, record)
+    return record
+
+
+def _time_invocations(
+    arch: GpuArchitecture, kernels: tuple[KernelLike, ...]
+) -> ExecutionRecord:
+    sizes = np.array([len(k.batch) for k in kernels], dtype=np.int64)
+    batch = InvocationBatch(
+        **{
+            f.name: np.concatenate([getattr(k.batch, f.name) for k in kernels])
+            for f in fields(InvocationBatch)
+        }
+    )
+    traits = TraitColumns(
+        [k.traits for k in kernels], np.repeat(np.arange(len(kernels)), sizes)
+    )
+    timing = invocation_timing(arch, traits, batch)
+    record = ExecutionRecord(
+        starts=np.cumsum(sizes) - sizes,
+        order=np.argsort(batch.chrono_index, kind="stable"),
+        cycles=timing.total_cycles,
+        dram_bytes=timing.dram_bytes,
+    )
+    for f in fields(record):
+        getattr(record, f.name).flags.writeable = False
+    return record
+
+
 class HardwareExecutor:
     """Execute workloads on a modeled GPU and report hardware counters.
 
@@ -98,37 +165,36 @@ class HardwareExecutor:
     def __init__(self, arch: GpuArchitecture):
         self.arch = arch
 
-    def measure_kernel(
-        self, workload_name: str, kernel_name: str, traits: KernelTraits,
-        batch: InvocationBatch,
-    ) -> KernelMeasurement:
-        """Measure every invocation of one kernel."""
-        timing = invocation_timing(self.arch, traits, batch)
-        cycles = timing.total_cycles
-        if traits.measurement_noise_cov > 0:
-            rng = rng_for("hardware", self.arch.name, workload_name, kernel_name)
-            sigma = traits.measurement_noise_cov
-            noise = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(batch))
-            cycles = cycles * noise
-        return KernelMeasurement(
-            kernel_name=kernel_name,
-            cycles=np.maximum(np.rint(cycles), 1.0).astype(np.int64),
-            insn_count=batch.insn_count.astype(np.int64),
-        )
-
     def measure(self, workload: WorkloadLike) -> WorkloadMeasurement:
         """Measure every kernel invocation of ``workload``."""
-        per_kernel: dict[str, KernelMeasurement] = {}
-        for kernel in workload.kernels:
+        kernels = tuple(workload.kernels)
+        names: set[str] = set()
+        for kernel in kernels:
             name = kernel.traits.name
-            if name in per_kernel:
+            if name in names:
                 raise ValueError(f"duplicate kernel name {name!r} in workload")
-            per_kernel[name] = self.measure_kernel(
-                workload.name, name, kernel.traits, kernel.batch
-            )
+            names.add(name)
+        record = execution_record(self.arch, workload)
+        cycles = record.cycles.copy()
+        kernel_rows = [slice(s, s + len(k.batch)) for s, k in zip(record.starts, kernels)]
+        for rows, kernel in zip(kernel_rows, kernels):
+            sigma = kernel.traits.measurement_noise_cov
+            if sigma > 0:
+                rng = rng_for("hardware", self.arch.name, workload.name, kernel.traits.name)
+                cycles[rows] *= rng.lognormal(
+                    mean=-0.5 * sigma**2, sigma=sigma, size=len(kernel.batch)
+                )
+        cycles = np.maximum(np.rint(cycles), 1.0).astype(np.int64)
         return WorkloadMeasurement(
             workload_name=workload.name,
             architecture=self.arch.name,
             clock_ghz=self.arch.clock_ghz,
-            per_kernel=per_kernel,
+            per_kernel={
+                kernel.traits.name: KernelMeasurement(
+                    kernel_name=kernel.traits.name,
+                    cycles=cycles[rows],
+                    insn_count=kernel.batch.insn_count.astype(np.int64),
+                )
+                for rows, kernel in zip(kernel_rows, kernels)
+            },
         )

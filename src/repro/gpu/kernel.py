@@ -10,11 +10,17 @@ Two halves live here:
   the central failure mode of PKS the paper identifies.
 * :class:`InvocationBatch` — the vectorized per-invocation descriptors of a
   kernel: instruction count, launch shape, and the Table II metric columns.
+
+:class:`TraitColumns` spreads the traits of many kernels over the rows of
+one batch that holds all their invocations, so the hardware model can
+time a whole workload in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -69,6 +75,56 @@ class KernelTraits:
         return self.arch_efficiency.get(family, 1.0)
 
 
+#: The :class:`KernelTraits` attributes :class:`TraitColumns` exposes as
+#: per-row columns: the per-kernel numbers the timing model reads.
+TRAIT_COLUMNS: tuple[str, ...] = (
+    "regs_per_thread",
+    "smem_per_cta",
+    "ilp",
+    "l1_hit_rate",
+    "l2_hit_rate",
+    "fp_ratio",
+    "sfu_ratio",
+    "int_ratio",
+    "personality",
+)
+
+
+class TraitColumns:
+    """The traits of many kernels, one row per invocation.
+
+    Row ``i`` reads the traits of ``kernels[kernel[i]]``. Each attribute
+    in :data:`TRAIT_COLUMNS` and :meth:`efficiency_on` has the name and
+    meaning it has on :class:`KernelTraits`, but is a column aligned
+    with the rows, so the timing model accepts either and numpy
+    broadcasting does the rest. Columns are gathered on access from one
+    value per kernel; slicing (``columns[rows]``) slices only ``kernel``.
+    """
+
+    def __init__(self, kernels: Sequence[KernelTraits], kernel: np.ndarray):
+        self.kernels = tuple(kernels)
+        self.kernel = kernel
+        self._per_kernel = {
+            name: np.array([getattr(t, name) for t in self.kernels])
+            for name in TRAIT_COLUMNS
+        }
+
+    def __getitem__(self, rows: slice) -> "TraitColumns":
+        sliced = copy.copy(self)
+        sliced.kernel = self.kernel[rows]
+        return sliced
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        per_kernel = self.__dict__.get("_per_kernel", {})
+        if name not in per_kernel:
+            raise AttributeError(name)
+        return per_kernel[name][self.kernel]
+
+    def efficiency_on(self, family: str) -> np.ndarray:
+        """Each row's cycle multiplier for an architecture family."""
+        return np.array([t.efficiency_on(family) for t in self.kernels])[self.kernel]
+
+
 #: Column order of the 12 PKS execution characteristics (Table II).
 PKS_METRIC_NAMES: tuple[str, ...] = (
     "coalesced_global_loads",
@@ -83,6 +139,22 @@ PKS_METRIC_NAMES: tuple[str, ...] = (
     "instruction_count",
     "divergence_efficiency",
     "num_thread_blocks",
+)
+
+#: The :class:`InvocationBatch` column behind each of :data:`PKS_METRIC_NAMES`.
+PKS_METRIC_COLUMNS: tuple[str, ...] = (
+    "coalesced_global_loads",
+    "coalesced_global_stores",
+    "coalesced_local_loads",
+    "thread_global_loads",
+    "thread_global_stores",
+    "thread_local_loads",
+    "thread_shared_loads",
+    "thread_shared_stores",
+    "thread_global_atomics",
+    "insn_count",
+    "divergence_efficiency",
+    "num_ctas",
 )
 
 
@@ -149,6 +221,12 @@ class InvocationBatch:
     def __len__(self) -> int:
         return len(self.insn_count)
 
+    def rows(self, rows: slice) -> "InvocationBatch":
+        """The invocations in ``rows``, as a batch of views."""
+        return InvocationBatch(
+            **{f.name: getattr(self, f.name)[rows] for f in fields(self)}
+        )
+
     @property
     def warps_per_cta(self) -> np.ndarray:
         """Warps per CTA at warp granularity."""
@@ -163,18 +241,6 @@ class InvocationBatch:
 
         Column order follows :data:`PKS_METRIC_NAMES`.
         """
-        columns = [
-            self.coalesced_global_loads,
-            self.coalesced_global_stores,
-            self.coalesced_local_loads,
-            self.thread_global_loads,
-            self.thread_global_stores,
-            self.thread_local_loads,
-            self.thread_shared_loads,
-            self.thread_shared_stores,
-            self.thread_global_atomics,
-            self.insn_count,
-            self.divergence_efficiency,
-            self.num_ctas,
-        ]
-        return np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+        return np.column_stack(
+            [np.asarray(getattr(self, c), dtype=np.float64) for c in PKS_METRIC_COLUMNS]
+        )

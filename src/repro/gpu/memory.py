@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.arch import SECTOR_BYTES, GpuArchitecture
-from repro.gpu.kernel import InvocationBatch, KernelTraits
+from repro.gpu.kernel import InvocationBatch, KernelTraits, TraitColumns
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,9 @@ class MemoryTraffic:
 
 
 def capacity_adjusted_l2_hit(
-    arch: GpuArchitecture, traits: KernelTraits, footprint_bytes: np.ndarray
+    arch: GpuArchitecture,
+    traits: KernelTraits | TraitColumns,
+    footprint_bytes: np.ndarray,
 ) -> np.ndarray:
     """Degrade the kernel's nominal L2 hit rate by working-set pressure.
 
@@ -44,9 +46,15 @@ def capacity_adjusted_l2_hit(
 
 
 def memory_traffic(
-    arch: GpuArchitecture, traits: KernelTraits, batch: InvocationBatch
+    arch: GpuArchitecture,
+    traits: KernelTraits | TraitColumns,
+    batch: InvocationBatch,
 ) -> MemoryTraffic:
-    """Compute the memory traffic of every invocation in ``batch``."""
+    """Compute the memory traffic of every invocation in ``batch``.
+
+    ``traits`` is the kernel's :class:`KernelTraits` or per-row
+    :class:`TraitColumns`, as in :func:`~repro.gpu.timing.invocation_timing`.
+    """
     global_sectors = (
         batch.coalesced_global_loads + batch.coalesced_global_stores
     ).astype(np.float64)

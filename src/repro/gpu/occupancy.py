@@ -8,12 +8,13 @@ register, shared-memory and hardware CTA-slot constraints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.gpu.arch import WARP_SIZE, GpuArchitecture
-from repro.gpu.kernel import KernelTraits
+from repro.gpu.kernel import KernelTraits, TraitColumns
 from repro.utils.validation import require
 
 
@@ -77,20 +78,42 @@ def occupancy_for(
 
 
 def occupancy_table(
-    arch: GpuArchitecture, traits: KernelTraits, cta_sizes: np.ndarray
+    arch: GpuArchitecture,
+    traits: KernelTraits | TraitColumns,
+    cta_sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized occupancy over an array of CTA sizes.
 
-    Returns ``(ctas_per_sm, active_warps_per_sm)`` arrays aligned with
-    ``cta_sizes``. CTA sizes repeat heavily within a kernel, so results are
-    memoized per distinct size.
+    ``traits`` is one kernel's :class:`KernelTraits`, or
+    :class:`TraitColumns` aligned with ``cta_sizes``. Returns
+    ``(ctas_per_sm, active_warps_per_sm)`` int64 arrays aligned with
+    ``cta_sizes``: :func:`occupancy_for`'s floor divisions and minimum,
+    as integer array arithmetic. If a CTA cannot launch, raises
+    :func:`occupancy_for`'s :class:`ValueError` for the first such
+    kernel (in ``kernels`` order) and its smallest such CTA size.
     """
-    cta_sizes = np.asarray(cta_sizes)
-    unique_sizes, inverse = np.unique(cta_sizes, return_inverse=True)
-    ctas = np.empty(len(unique_sizes), dtype=np.int64)
-    warps = np.empty(len(unique_sizes), dtype=np.int64)
-    for i, size in enumerate(unique_sizes):
-        result = occupancy_for(arch, traits, int(size))
-        ctas[i] = result.ctas_per_sm
-        warps[i] = result.active_warps_per_sm
-    return ctas[inverse], warps[inverse]
+    cta_sizes = np.asarray(cta_sizes, dtype=np.int64)
+    require(bool(np.all(cta_sizes >= 1)), "CTA size must be >= 1")
+    warps_per_cta = -(-cta_sizes // WARP_SIZE)
+    regs_per_cta = traits.regs_per_thread * warps_per_cta * WARP_SIZE
+    smem = np.asarray(traits.smem_per_cta)
+    limits = (
+        arch.max_threads_per_sm // (warps_per_cta * WARP_SIZE),
+        arch.max_warps_per_sm // warps_per_cta,
+        arch.max_ctas_per_sm,
+        arch.registers_per_sm // np.maximum(regs_per_cta, 1),
+        np.where(
+            smem > 0,
+            arch.shared_memory_per_sm // np.maximum(smem, 1),
+            arch.max_ctas_per_sm,
+        ),
+    )
+    ctas_per_sm = functools.reduce(np.minimum, limits)
+    unlaunchable = ctas_per_sm < 1
+    if unlaunchable.any():
+        if isinstance(traits, TraitColumns):
+            first = int(traits.kernel[unlaunchable].min())
+            unlaunchable &= traits.kernel == first
+            traits = traits.kernels[first]
+        occupancy_for(arch, traits, int(cta_sizes[unlaunchable].min()))
+    return ctas_per_sm, ctas_per_sm * warps_per_cta

@@ -14,16 +14,22 @@ enough to reproduce every behaviour the paper's evaluation depends on:
   different speeds — the property that defeats PKS clustering;
 * architecture configs (SM datapaths, bandwidth, clock) shift kernels
   differently — the property probed by the Figure 9 relative study.
+
+Every step is elementwise (``+ - * /``, ``maximum``, ``minimum`` and
+integer floor division), so an invocation's cycles do not depend on
+which other invocations share its call: one kernel's batch with its
+:class:`KernelTraits`, or a whole workload's invocations with per-row
+:class:`TraitColumns`, evaluated in blocks of :data:`BLOCK_ROWS` rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.gpu.arch import WARP_SIZE, GpuArchitecture
-from repro.gpu.kernel import InvocationBatch, KernelTraits
+from repro.gpu.kernel import InvocationBatch, KernelTraits, TraitColumns
 from repro.gpu.memory import memory_traffic
 from repro.gpu.occupancy import occupancy_table
 from repro.observability import metrics, span
@@ -46,6 +52,11 @@ OVERLAP_RESIDUAL = 0.2
 #: on the critical-path SM.
 WAVE_TAIL_PENALTY = 0.2
 
+#: Rows evaluated at a time. The model keeps about 40 row-sized
+#: temporaries alive, so a whole workload's rows at once would cost more
+#: memory and cache than blocks of this size; the results are identical.
+BLOCK_ROWS = 16_384
+
 
 @dataclass(frozen=True)
 class TimingBreakdown:
@@ -54,6 +65,7 @@ class TimingBreakdown:
     compute_cycles: np.ndarray
     memory_cycles: np.ndarray
     total_cycles: np.ndarray  # noiseless model output, before measurement noise
+    dram_bytes: np.ndarray  # DRAM traffic (``memory_traffic``)
 
 
 def _memory_warp_instructions(batch: InvocationBatch) -> np.ndarray:
@@ -70,18 +82,44 @@ def _memory_warp_instructions(batch: InvocationBatch) -> np.ndarray:
 
 
 def invocation_timing(
-    arch: GpuArchitecture, traits: KernelTraits, batch: InvocationBatch
+    arch: GpuArchitecture,
+    traits: KernelTraits | TraitColumns,
+    batch: InvocationBatch,
 ) -> TimingBreakdown:
-    """Model the cycle count of every invocation in ``batch`` on ``arch``."""
+    """Model the cycle count of every invocation in ``batch`` on ``arch``.
+
+    ``traits`` is the kernel's :class:`KernelTraits`, or
+    :class:`TraitColumns` aligned with ``batch`` when the batch holds the
+    invocations of many kernels.
+    """
     metrics.inc("gpu.timing.invocations", len(batch))
     with span("gpu.timing"):
-        return _invocation_timing(arch, traits, batch)
+        # Occupancy first, over every row, so a launch failure names the
+        # same kernel whatever the blocking.
+        ctas_per_sm, active_warps = occupancy_table(arch, traits, batch.cta_size)
+        n = len(batch)
+        result = TimingBreakdown(*(np.empty(n) for _ in fields(TimingBreakdown)))
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            block = _invocation_timing(
+                arch,
+                traits[rows] if isinstance(traits, TraitColumns) else traits,
+                batch.rows(rows),
+                ctas_per_sm[rows],
+                active_warps[rows],
+            )
+            for f in fields(TimingBreakdown):
+                getattr(result, f.name)[rows] = getattr(block, f.name)
+        return result
 
 
 def _invocation_timing(
-    arch: GpuArchitecture, traits: KernelTraits, batch: InvocationBatch
+    arch: GpuArchitecture,
+    traits: KernelTraits | TraitColumns,
+    batch: InvocationBatch,
+    ctas_per_sm: np.ndarray,
+    active_warps: np.ndarray,
 ) -> TimingBreakdown:
-    ctas_per_sm, active_warps = occupancy_table(arch, traits, batch.cta_size)
     num_ctas = batch.num_ctas.astype(np.float64)
 
     # Warp-level issue slots. Divergence below 1.0 inflates the number of
@@ -157,4 +195,5 @@ def _invocation_timing(
         compute_cycles=compute_cycles,
         memory_cycles=memory_cycles,
         total_cycles=total,
+        dram_bytes=traffic.dram_bytes,
     )

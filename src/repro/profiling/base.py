@@ -1,64 +1,64 @@
-"""Shared machinery for the profiler front-ends."""
+"""Shared machinery for the profiler front-ends.
+
+A profiler observes the execution it profiles. Every front-end reads the
+run's :class:`~repro.gpu.hardware.ExecutionRecord` on its architecture,
+the record the golden measurement also reads, so a context build times
+each invocation once. The record's chronological order flattens the run
+into the profile table, its cycles give each invocation's native runtime
+and its DRAM bytes the memory footprint Nsight saves and restores between
+replay passes.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.gpu.arch import GpuArchitecture
-from repro.gpu.memory import memory_traffic
-from repro.gpu.timing import invocation_timing
+from repro.gpu.hardware import ExecutionRecord
+from repro.gpu.kernel import PKS_METRIC_COLUMNS
 from repro.profiling.table import ProfileTable
 from repro.workloads.generator import WorkloadRun
 
 
-def flatten_chronological(run: WorkloadRun) -> ProfileTable:
-    """Flatten a workload run into a chronological profile table.
+def flatten_chronological(
+    run: WorkloadRun, record: ExecutionRecord, with_metrics: bool
+) -> ProfileTable:
+    """Flatten ``run`` into a profile table, rows in ``record.order``.
 
-    The returned table carries the full metric matrix; front-ends strip it
-    down to what their tool actually collects.
+    ``with_metrics`` adds the Table II matrix (what Nsight collects);
+    without it the table holds what NVBit collects.
     """
-    kernel_names = tuple(k.traits.name for k in run.kernels)
-    kernel_id = np.concatenate(
-        [np.full(len(k), i, dtype=np.int32) for i, k in enumerate(run.kernels)]
-    )
-    invocation_id = np.concatenate(
-        [np.arange(len(k), dtype=np.int64) for k in run.kernels]
-    )
-    chrono = np.concatenate([k.batch.chrono_index for k in run.kernels])
-    insn = np.concatenate([k.batch.insn_count for k in run.kernels])
-    cta_size = np.concatenate([k.batch.cta_size for k in run.kernels])
-    num_ctas = np.concatenate([k.batch.num_ctas for k in run.kernels])
-    metrics = np.concatenate([k.batch.pks_metric_matrix() for k in run.kernels])
+    sizes = np.array([len(k) for k in run.kernels], dtype=np.int64)
+    order = record.order
 
-    order = np.argsort(chrono, kind="stable")
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([getattr(k.batch, name) for k in run.kernels])[order]
+
+    columns = {name: column(name) for name in ("insn_count", "cta_size", "num_ctas")}
+    metrics = None
+    if with_metrics:
+        metrics = np.empty((len(order), len(PKS_METRIC_COLUMNS)))
+        for j, name in enumerate(PKS_METRIC_COLUMNS):
+            metrics[:, j] = columns[name] if name in columns else column(name)
+    kernel_id = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    invocation_id = np.arange(len(order), dtype=np.int64) - np.repeat(record.starts, sizes)
     return ProfileTable(
         workload=run.label,
-        kernel_names=kernel_names,
+        kernel_names=tuple(k.traits.name for k in run.kernels),
         kernel_id=kernel_id[order],
         invocation_id=invocation_id[order],
-        insn_count=insn[order],
-        cta_size=cta_size[order],
-        num_ctas=num_ctas[order],
-        metrics=metrics[order],
+        insn_count=columns["insn_count"],
+        cta_size=columns["cta_size"],
+        num_ctas=columns["num_ctas"],
+        metrics=metrics,
     )
 
 
-def native_runtimes_and_footprints(
-    run: WorkloadRun, arch: GpuArchitecture
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless native runtime (s) and memory footprint (bytes) per
-    invocation, in chronological order — the inputs to the cost model."""
-    seconds_parts: list[np.ndarray] = []
-    footprint_parts: list[np.ndarray] = []
-    chrono_parts: list[np.ndarray] = []
-    for kernel in run.kernels:
-        timing = invocation_timing(arch, kernel.traits, kernel.batch)
-        seconds_parts.append(timing.total_cycles / (arch.clock_ghz * 1e9))
-        traffic = memory_traffic(arch, kernel.traits, kernel.batch)
-        footprint_parts.append(np.minimum(traffic.dram_bytes, arch.memory_gb * 1e9))
-        chrono_parts.append(kernel.batch.chrono_index)
-    order = np.argsort(np.concatenate(chrono_parts), kind="stable")
-    return (
-        np.concatenate(seconds_parts)[order],
-        np.concatenate(footprint_parts)[order],
-    )
+def native_seconds(record: ExecutionRecord, arch: GpuArchitecture) -> np.ndarray:
+    """Noiseless native runtime (s) per invocation, chronological."""
+    return record.cycles[record.order] / (arch.clock_ghz * 1e9)
+
+
+def footprints(record: ExecutionRecord, arch: GpuArchitecture) -> np.ndarray:
+    """Memory footprint (bytes) per invocation, chronological."""
+    return np.minimum(record.dram_bytes[record.order], arch.memory_gb * 1e9)

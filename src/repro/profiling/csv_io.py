@@ -31,6 +31,34 @@ from repro.utils.validation import require
 
 _BASE_COLUMNS = ("kernel_name", "invocation_id", "insn_count", "cta_size", "num_ctas")
 
+#: Inclusive ranges of the int32 and int64 columns a row's integers fill.
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def check_int_fields(invocation: int, insn: int, cta: int, ctas: int) -> None:
+    """Raise ``ValueError`` unless a row's integers fit their columns.
+
+    ``int()`` accepts any size, but a profile table stores ``cta_size``
+    as int32 and the other three as int64, which a larger value would
+    overflow.
+    """
+    if (
+        _INT64_MIN <= invocation <= _INT64_MAX
+        and _INT64_MIN <= insn <= _INT64_MAX
+        and _INT32_MIN <= cta <= _INT32_MAX
+        and _INT64_MIN <= ctas <= _INT64_MAX
+    ):
+        return
+    for field, value, low, high, dtype in (
+        ("invocation_id", invocation, _INT64_MIN, _INT64_MAX, "int64"),
+        ("insn_count", insn, _INT64_MIN, _INT64_MAX, "int64"),
+        ("cta_size", cta, _INT32_MIN, _INT32_MAX, "int32"),
+        ("num_ctas", ctas, _INT64_MIN, _INT64_MAX, "int64"),
+    ):
+        if not low <= value <= high:
+            raise ValueError(f"{field} {value} is out of range for {dtype}")
+
 
 def write_profile_csv(table: ProfileTable, path: str | Path) -> None:
     """Write ``table`` to ``path`` as CSV (one row per invocation)."""
@@ -108,7 +136,10 @@ def parse_data_row(
     insn = int(row[2])
     cta = int(row[3])
     ctas = int(row[4])
-    metric_values = [float(v) for v in row[5:]]
+    check_int_fields(invocation, insn, cta, ctas)
+    # Most feeds carry no metrics: skip the per-row comprehension there,
+    # which costs about what the range check adds.
+    metric_values = [float(v) for v in row[5:]] if num_metrics else []
     return name, invocation, insn, cta, ctas, metric_values
 
 
@@ -409,7 +440,14 @@ class ProfileTableReader:
                 if line_num == 1 and ("workload" in record or "rows" in record):
                     self.workload = str(record.get("workload", self.workload))
                     if "rows" in record:
-                        self.declared_rows = int(record["rows"])
+                        try:
+                            self.declared_rows = int(record["rows"])
+                        except (TypeError, ValueError, OverflowError):
+                            raise ProfileError(
+                                f"unparseable row count {record['rows']!r}",
+                                path=str(self._path),
+                                row=line_num,
+                            ) from None
                     continue
                 raise ProfileError(
                     "row object missing 'kernel_name'",
@@ -417,17 +455,18 @@ class ProfileTableReader:
                     row=line_num,
                 )
             try:
-                yield (
-                    str(record["kernel_name"]),
+                fields = (
                     int(record["invocation_id"]),
                     int(record["insn_count"]),
                     int(record["cta_size"]),
                     int(record["num_ctas"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+                check_int_fields(*fields)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ProfileError(
                     f"bad row object: {exc!r}", path=str(self._path), row=line_num
                 ) from None
+            yield (str(record["kernel_name"]), *fields)
 
 
 class _ChainedText(io.TextIOBase):

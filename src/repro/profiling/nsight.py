@@ -11,7 +11,8 @@ weeks" (Section II-B).
 from __future__ import annotations
 
 from repro.gpu.arch import AMPERE_RTX3080, GpuArchitecture
-from repro.profiling.base import flatten_chronological, native_runtimes_and_footprints
+from repro.gpu.hardware import execution_record
+from repro.profiling.base import flatten_chronological, footprints, native_seconds
 from repro.profiling.cost import ProfilingCost, ProfilingCostModel
 from repro.profiling.metrics import PKS_METRICS
 from repro.profiling.table import ProfileTable
@@ -27,12 +28,12 @@ class NsightComputeProfiler:
 
     def profile(self, run: WorkloadRun) -> tuple[ProfileTable, ProfilingCost]:
         """Profile ``run``; returns (full metric table, modeled cost)."""
-        table = flatten_chronological(run)
-        native_seconds, footprints = native_runtimes_and_footprints(run, self.arch)
+        record = execution_record(self.arch, run)
+        table = flatten_chronological(run, record, with_metrics=True)
         cost = self._cost_model.nsight_cost(
             run.label,
-            native_seconds,
-            footprints,
+            native_seconds(record, self.arch),
+            footprints(record, self.arch),
             num_metrics=len(PKS_METRICS),
             complexity=run.spec.profiling_complexity,
         )

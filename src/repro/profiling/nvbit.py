@@ -8,7 +8,8 @@ comes for free with every kernel launch. Single pass, modest slowdown.
 from __future__ import annotations
 
 from repro.gpu.arch import AMPERE_RTX3080, GpuArchitecture
-from repro.profiling.base import flatten_chronological, native_runtimes_and_footprints
+from repro.gpu.hardware import execution_record
+from repro.profiling.base import flatten_chronological, native_seconds
 from repro.profiling.cost import ProfilingCost, ProfilingCostModel
 from repro.profiling.table import ProfileTable
 from repro.workloads.generator import WorkloadRun
@@ -23,7 +24,7 @@ class NVBitProfiler:
 
     def profile(self, run: WorkloadRun) -> tuple[ProfileTable, ProfilingCost]:
         """Profile ``run``; returns (instruction-count table, modeled cost)."""
-        table = flatten_chronological(run).without_metrics()
-        native_seconds, _ = native_runtimes_and_footprints(run, self.arch)
-        cost = self._cost_model.nvbit_cost(run.label, native_seconds)
+        record = execution_record(self.arch, run)
+        table = flatten_chronological(run, record, with_metrics=False)
+        cost = self._cost_model.nvbit_cost(run.label, native_seconds(record, self.arch))
         return table, cost

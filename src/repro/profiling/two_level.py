@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.arch import AMPERE_RTX3080, GpuArchitecture
+from repro.gpu.hardware import execution_record
 from repro.observability import metrics, span
-from repro.profiling.base import flatten_chronological, native_runtimes_and_footprints
+from repro.profiling.base import flatten_chronological, footprints, native_seconds
 from repro.profiling.cost import ProfilingCost, ProfilingCostModel
 from repro.profiling.metrics import PKS_METRICS
 from repro.profiling.table import ProfileTable
@@ -73,8 +74,10 @@ class TwoLevelProfiler:
     def profile(self, run: WorkloadRun) -> TwoLevelProfile:
         """Profile ``run`` with the two-level scheme."""
         with span("profiling.two_level", workload=run.label):
-            full = flatten_chronological(run)
-            native_seconds, footprints = native_runtimes_and_footprints(run, self.arch)
+            record = execution_record(self.arch, run)
+            full = flatten_chronological(run, record, with_metrics=True)
+            seconds = native_seconds(record, self.arch)
+            footprint = footprints(record, self.arch)
             budget = min(self.detailed_budget, len(full))
             head = np.arange(budget)
             tail = np.arange(budget, len(full))
@@ -86,12 +89,12 @@ class TwoLevelProfiler:
             metrics.inc("profiling.two_level.light", int(len(full) - budget))
             detailed_cost = self._cost_model.nsight_cost(
                 run.label,
-                native_seconds[head],
-                footprints[head],
+                seconds[head],
+                footprint[head],
                 num_metrics=len(PKS_METRICS),
                 complexity=run.spec.profiling_complexity,
             )
-            light_cost = self._cost_model.nvbit_cost(run.label, native_seconds[tail])
+            light_cost = self._cost_model.nvbit_cost(run.label, seconds[tail])
             return TwoLevelProfile(
                 detailed=detailed,
                 light=light,

@@ -41,7 +41,7 @@ from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.runner import MethodResult
 from repro.methods import MethodRequest, get_method
-from repro.profiling.csv_io import read_profile_csv
+from repro.profiling.csv_io import check_int_fields, read_profile_csv
 from repro.profiling.table import ProfileTable
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import BadRequestError, SieveError
@@ -189,7 +189,7 @@ def table_from_rows(rows: object, workload: str) -> ProfileTable:
         try:
             name = str(row["kernel_name"])
             count = int(row["insn_count"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BadRequestError(
                 f"profile_rows[{i}] needs kernel_name and integer insn_count: {exc}"
             ) from exc
@@ -200,12 +200,16 @@ def table_from_rows(rows: object, workload: str) -> ProfileTable:
         default_invocation = per_kernel_count.get(name, 0)
         per_kernel_count[name] = default_invocation + 1
         try:
-            invocation_id[i] = int(row.get("invocation_id", default_invocation))
-            insn[i] = count
-            cta_size[i] = int(row.get("cta_size", 128))
-            num_ctas[i] = int(row.get("num_ctas", 1))
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(f"profile_rows[{i}] has a non-integer field: {exc}") from exc
+            fields = (
+                int(row.get("invocation_id", default_invocation)),
+                count,
+                int(row.get("cta_size", 128)),
+                int(row.get("num_ctas", 1)),
+            )
+            check_int_fields(*fields)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadRequestError(f"profile_rows[{i}] has a bad integer field: {exc}") from exc
+        invocation_id[i], insn[i], cta_size[i], num_ctas[i] = fields
     try:
         return ProfileTable(
             workload=workload,

@@ -10,7 +10,7 @@ from the workload label, so generation is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,12 +72,18 @@ class GeneratedKernel:
 
 @dataclass(frozen=True)
 class WorkloadRun:
-    """A generated workload execution ready for profiling/measurement."""
+    """A generated workload execution ready for profiling/measurement.
+
+    ``_records`` memoizes the run's execution record per architecture
+    (:func:`repro.gpu.hardware.execution_record`), which the golden
+    measurement and every profiler of the run read.
+    """
 
     name: str
     suite: str
     spec: WorkloadSpec
     kernels: tuple[GeneratedKernel, ...]
+    _records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def label(self) -> str:

@@ -166,6 +166,27 @@ def test_read_bad_row_reports_path_and_line(tmp_path):
     assert "row 5" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,1,99999999999999999999999,128,16", "insn_count .* out of range for int64"),
+        ("a,1,5,3000000000,16", "cta_size 3000000000 is out of range for int32"),
+    ],
+    ids=["insn_count-int64", "cta_size-int32"],
+)
+def test_read_out_of_range_integer_reports_path_and_line(tmp_path, row, message):
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "# workload,x,rows,2\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        "a,0,5,128,16\n"
+        f"{row}\n"
+    )
+    with pytest.raises(ProfileError, match=message) as excinfo:
+        read_profile_csv(path)
+    assert (excinfo.value.path, excinfo.value.row) == (str(path), 4)
+
+
 def test_read_truncated_file_raises(tmp_path):
     table = tiny_table(["a", "b"])
     path = tmp_path / "truncated.csv"

@@ -174,6 +174,21 @@ def test_validate_csv_salvages_around_malformed_rows(pks_table, tmp_path):
     assert len(table) == len(pks_table) - 2
 
 
+def test_validate_csv_reports_out_of_range_integers(tmp_path):
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "# workload,x,rows,3\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        "a,0,5,128,16\n"
+        "a,1,5,3000000000,16\n"
+        "a,2,99999999999999999999999,128,16\n"
+    )
+    report, table = validate_profile_csv(path)
+    malformed = [i for i in report.issues if i.kind == "malformed-row"]
+    assert [i.row for i in malformed] == [4, 5]
+    assert table is not None and len(table) == 1
+
+
 def test_validate_csv_missing_file():
     report, table = validate_profile_csv("/nonexistent/profile.csv")
     assert table is None

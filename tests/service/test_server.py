@@ -115,6 +115,49 @@ def test_client_errors_are_typed_400s(client, route, payload, expected_type):
     assert body["error"]["message"]
 
 
+def post_raw(client, route, raw: str) -> tuple[int, dict]:
+    client.connection.request(
+        "POST", route, body=raw.encode(), headers={"Content-Length": str(len(raw))}
+    )
+    response = client.connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+ROW = {"kernel_name": "k", "insn_count": 5}
+
+
+def rows_body(*rows) -> str:
+    return json.dumps({"profile_rows": list(rows)})
+
+
+@pytest.mark.parametrize(
+    "raw, located",
+    [
+        (rows_body(ROW, {**ROW, "insn_count": 2**70}), "profile_rows[1]"),
+        (rows_body(ROW, {**ROW, "cta_size": 3_000_000_000}), "profile_rows[1]"),
+        ('{"profile_rows": [{"kernel_name": "k", "insn_count": 1e400}]}', "profile_rows[0]"),
+    ],
+    ids=["insn-2**70", "cta-3e9", "insn-1e400"],
+)
+def test_out_of_range_inline_rows_are_typed_400s(client, raw, located):
+    status, body = post_raw(client, "/v1/select", raw)
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
+    assert located in body["error"]["message"]
+
+
+def test_out_of_range_inline_csv_is_a_typed_400(client):
+    csv = (
+        "# workload,w,rows,1\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        f"k,0,{2**70},128,1\n"
+    )
+    status, body = post_raw(client, "/v1/select", json.dumps({"profile_csv": csv}))
+    assert status == 400
+    assert body["error"]["type"] == "ProfileError"
+    assert body["error"]["context"]["row"] == 3
+
+
 def test_malformed_json_is_a_400(client):
     client.connection.request(
         "POST", "/v1/select", body=b"{nope",

@@ -173,6 +173,46 @@ def test_malformed_jsonl_row_carries_line_number():
     assert excinfo.value.context.get("row") == 2
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("a,1,99999999999999999999999,128,4", "insn_count .* out of range for int64"),
+        ("a,1,20,3000000000,4", "cta_size 3000000000 is out of range for int32"),
+    ],
+    ids=["insn_count-int64", "cta_size-int32"],
+)
+def test_out_of_range_csv_integer_carries_line_number(tmp_path, row, message):
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "# workload,wl,rows,2\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        "a,0,10,128,4\n"
+        f"{row}\n"
+    )
+    with pytest.raises(ProfileError, match=message) as excinfo:
+        list(ProfileTableReader(path))
+    assert excinfo.value.context == {"path": str(path), "row": 4}
+
+
+ROW = '{"kernel_name": "a", "invocation_id": 1, "insn_count": %s, "cta_size": 128, "num_ctas": 4}'
+
+
+@pytest.mark.parametrize(
+    "lines, message, line",
+    [
+        (['{"rows": "abc"}', ROW % 10], "unparseable row count 'abc'", 1),
+        ([ROW % 10, ROW % "1e30"], "insn_count .* out of range for int64", 2),
+        ([ROW % 10, ROW % "Infinity"], "cannot convert float infinity to integer", 2),
+    ],
+    ids=["header-rows", "insn_count-1e30", "insn_count-infinity"],
+)
+def test_bad_jsonl_number_carries_line_number(lines, message, line):
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ProfileError, match=message) as excinfo:
+        list(ProfileTableReader(io.StringIO(text), fmt="jsonl"))
+    assert excinfo.value.context.get("row") == line
+
+
 def test_empty_csv_feed_raises(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

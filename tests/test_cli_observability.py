@@ -80,9 +80,11 @@ def test_report_diff_passes_and_fails(manifest_path, tmp_path, capsys):
     assert "verdict: INDISTINGUISHABLE" in out and "FAIL" not in out
     assert "attribution drift:" in out and "cactus/gru · sieve" in out
     # Injected 2x slowdown: one run per side, so the labeled
-    # single-sample ratio limit decides; exit 1.
+    # single-sample ratio limit decides; exit 1. The extra 0.1 s keeps
+    # the total's absolute delta above the 0.05 s floor however fast the
+    # traced run itself was.
     payload = json.loads(manifest_path.read_text())
-    payload["total_wall_s"] *= 2
+    payload["total_wall_s"] = payload["total_wall_s"] * 2 + 0.1
     for stage in payload["stages"]:
         stage["wall_s"] *= 2
         stage["self_s"] *= 2
