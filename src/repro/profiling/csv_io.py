@@ -1,4 +1,4 @@
-"""CSV serialization of profile tables.
+"""CSV and JSONL serialization of profile tables, read by one parser.
 
 Section IV: "The data is converted into a readable CSV file which serves as
 input to PKS and Sieve." This module round-trips :class:`ProfileTable`
@@ -6,17 +6,25 @@ through that CSV format.
 
 The preamble row carries the workload name and the expected invocation-row
 count (``# workload,<name>,rows,<n>``) so truncated files are detectable;
-readers tolerate older files without the count. :func:`read_profile_csv`
-is strict: any malformed row raises :class:`ProfileError` carrying the
-file path and 1-based line number. For a lenient scan that salvages the
-good rows and reports everything wrong, see
-:func:`repro.robustness.validate.validate_profile_csv`.
+readers tolerate older files without the count. A header that names metric
+columns must name all eleven non-instruction Table II metrics, in any
+order; such a file reads back as the canonical ``(rows, 12)`` matrix with
+``instruction_count`` taken from ``insn_count``.
+
+:class:`ProfileTableReader` is the only code that turns profile text into
+rows: one row loop for CSV, one for JSONL, and one column builder
+(:func:`build_profile_table`) that the service's inline JSON rows share.
+Every malformed data row and a short row count go through one reader
+method, which raises :class:`ProfileError` with the source and 1-based line
+number. :func:`read_profile_csv` is the reader over a whole file plus a
+concat; :func:`repro.robustness.validate.validate_profile_csv` is the
+reader with that method overridden to record issues instead of raising.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,11 +33,17 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from repro.gpu.kernel import PKS_METRIC_NAMES
-from repro.profiling.table import ProfileTable
+from repro.profiling.table import ProfileTable, concat_profile_tables
 from repro.utils.errors import ProfileError
 from repro.utils.validation import require
 
 _BASE_COLUMNS = ("kernel_name", "invocation_id", "insn_count", "cta_size", "num_ctas")
+
+#: The Table II metrics a CSV stores as columns (``instruction_count`` is
+#: the ``insn_count`` column), and where each sits in the canonical matrix.
+_STORED_METRICS = tuple(name for name in PKS_METRIC_NAMES if name != "instruction_count")
+_STORED_SLOTS = [PKS_METRIC_NAMES.index(name) for name in _STORED_METRICS]
+_INSN_SLOT = PKS_METRIC_NAMES.index("instruction_count")
 
 #: Inclusive ranges of the int32 and int64 columns a row's integers fill.
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
@@ -88,7 +102,19 @@ def write_profile_csv(table: ProfileTable, path: str | Path) -> None:
             writer.writerow(record)
 
 
-def parse_preamble(preamble: list[str], path: Path) -> tuple[str, int | None]:
+def json_int(value: object, field: str) -> int:
+    """A JSON value as an integer count; raises ``ValueError`` otherwise.
+
+    ``int()`` alone would read ``true`` as 1 and truncate ``1.9`` to 1.
+    Integral floats (``1e3``) and integer strings still read.
+    """
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return number
+
+
+def _parse_preamble(preamble: list[str], path: Path) -> tuple[str, int | None]:
     """Extract (workload, declared row count) from the preamble row."""
     require(
         len(preamble) >= 2 and preamble[0] == "# workload",
@@ -107,8 +133,12 @@ def parse_preamble(preamble: list[str], path: Path) -> tuple[str, int | None]:
     return workload, declared_rows
 
 
-def parse_header(header: list[str], path: Path) -> list[str]:
-    """Check the base columns and return the trailing metric columns."""
+def _parse_header(header: list[str], path: Path) -> tuple[int, ...]:
+    """Check the header; return where each stored metric sits in a row.
+
+    The result holds, for each of ``_STORED_METRICS``, its position among
+    the row's metric fields; it is empty for a header without metrics.
+    """
     require(
         tuple(header[: len(_BASE_COLUMNS)]) == _BASE_COLUMNS,
         f"unexpected CSV columns {header[:len(_BASE_COLUMNS)]!r}",
@@ -121,128 +151,59 @@ def parse_header(header: list[str], path: Path) -> list[str]:
         f"unknown metric columns {unknown!r}",
         lambda m: ProfileError(m, path=str(path), row=2),
     )
-    return metric_columns
-
-
-def parse_data_row(
-    row: list[str], num_metrics: int
-) -> tuple[str, int, int, int, int, list[float]]:
-    """Parse one data row; raises plain ``ValueError`` on any bad field."""
-    expected = len(_BASE_COLUMNS) + num_metrics
-    if len(row) != expected:
-        raise ValueError(f"expected {expected} columns, found {len(row)}")
-    name = row[0]
-    invocation = int(row[1])
-    insn = int(row[2])
-    cta = int(row[3])
-    ctas = int(row[4])
-    check_int_fields(invocation, insn, cta, ctas)
-    # Most feeds carry no metrics: skip the per-row comprehension there,
-    # which costs about what the range check adds.
-    metric_values = [float(v) for v in row[5:]] if num_metrics else []
-    return name, invocation, insn, cta, ctas, metric_values
-
-
-def read_profile_csv(path: str | Path) -> ProfileTable:
-    """Read a profile table previously written by :func:`write_profile_csv`.
-
-    Malformed input — empty files, bad headers, rows with the wrong column
-    count or unparseable numbers, missing metric columns, or a row count
-    that contradicts the preamble (a truncated file) — raises
-    :class:`ProfileError` with the file path and 1-based row number.
-    """
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            preamble = next(reader)
-        except StopIteration:
-            raise ProfileError("empty profile CSV", path=str(path)) from None
-        workload, declared_rows = parse_preamble(preamble, path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(
-                "missing header row", path=str(path), row=2
-            ) from None
-        metric_columns = parse_header(header, path)
-        rows = []
-        line_numbers = []
-        for row in reader:
-            rows.append(row)
-            line_numbers.append(reader.line_num)
-
+    if not metric_columns:
+        return ()
+    position = {name: j for j, name in enumerate(metric_columns)}
+    missing = [name for name in _STORED_METRICS if name not in position]
     require(
-        len(rows) > 0,
-        "profile CSV contains no invocation rows",
-        lambda m: ProfileError(m, path=str(path)),
+        not missing,
+        f"missing metric columns {missing!r}",
+        lambda m: ProfileError(m, path=str(path), row=2),
     )
-    if declared_rows is not None and declared_rows != len(rows):
-        raise ProfileError(
-            f"row count mismatch: preamble declares {declared_rows} rows, "
-            f"found {len(rows)} (file truncated or rows dropped?)",
-            path=str(path),
-        )
+    return tuple(position[name] for name in _STORED_METRICS)
 
-    kernel_names: list[str] = []
-    kernel_index: dict[str, int] = {}
-    kernel_id = np.empty(len(rows), dtype=np.int32)
-    invocation_id = np.empty(len(rows), dtype=np.int64)
-    insn = np.empty(len(rows), dtype=np.int64)
-    cta_size = np.empty(len(rows), dtype=np.int32)
-    num_ctas = np.empty(len(rows), dtype=np.int64)
-    metric_values = (
-        np.empty((len(rows), len(metric_columns)), dtype=np.float64)
-        if metric_columns
-        else None
-    )
-    for i, row in enumerate(rows):
-        try:
-            name, inv, count, cta, ctas, values = parse_data_row(
-                row, len(metric_columns)
-            )
-        except ValueError as exc:
-            raise ProfileError(
-                str(exc), path=str(path), row=line_numbers[i]
-            ) from None
-        if name not in kernel_index:
-            kernel_index[name] = len(kernel_names)
-            kernel_names.append(name)
-        kernel_id[i] = kernel_index[name]
+
+def build_profile_table(
+    rows: list[tuple],
+    workload: str,
+    names: list[str],
+    index: dict[str, int],
+    metric_slots: tuple[int, ...] = (),
+) -> ProfileTable:
+    """Assemble parsed rows into a table: the one column builder.
+
+    Each row is ``(kernel_name, invocation_id, insn_count, cta_size,
+    num_ctas, metric_values)`` with range-checked integers. Kernels are
+    numbered first-seen into ``names``/``index``, which the caller owns,
+    so a map passed again with the next rows keeps every earlier id. With
+    ``metric_slots`` (see :func:`_parse_header`) the table carries the
+    canonical ``(rows, 12)`` matrix; otherwise it has no metrics.
+    """
+    n = len(rows)
+    kernel_id = np.empty(n, dtype=np.int32)
+    invocation_id = np.empty(n, dtype=np.int64)
+    insn = np.empty(n, dtype=np.int64)
+    cta_size = np.empty(n, dtype=np.int32)
+    num_ctas = np.empty(n, dtype=np.int64)
+    for i, (name, inv, count, cta, ctas, _) in enumerate(rows):
+        slot = index.get(name)
+        if slot is None:
+            slot = index[name] = len(names)
+            names.append(name)
+        kernel_id[i] = slot
         invocation_id[i] = inv
         insn[i] = count
         cta_size[i] = cta
         num_ctas[i] = ctas
-        if metric_values is not None:
-            metric_values[i] = values
-
     metrics = None
-    if metric_values is not None:
-        # Reassemble the full Table II matrix in canonical column order,
-        # reinserting instruction_count from its dedicated column. The
-        # stored columns may appear in any order; all non-instruction
-        # metrics must be present.
-        stored = {name: j for j, name in enumerate(metric_columns)}
-        missing = [
-            name
-            for name in PKS_METRIC_NAMES
-            if name != "instruction_count" and name not in stored
-        ]
-        require(
-            not missing,
-            f"missing metric columns {missing!r}",
-            lambda m: ProfileError(m, path=str(path), row=2),
-        )
-        metrics = np.empty((len(rows), len(PKS_METRIC_NAMES)), dtype=np.float64)
-        for j, name in enumerate(PKS_METRIC_NAMES):
-            if name == "instruction_count":
-                metrics[:, j] = insn.astype(np.float64)
-            else:
-                metrics[:, j] = metric_values[:, stored[name]]
-
+    if metric_slots:
+        stored = np.array([row[5] for row in rows], dtype=np.float64)
+        metrics = np.empty((n, len(PKS_METRIC_NAMES)), dtype=np.float64)
+        metrics[:, _INSN_SLOT] = insn
+        metrics[:, _STORED_SLOTS] = stored[:, metric_slots]
     return ProfileTable(
         workload=workload,
-        kernel_names=tuple(kernel_names),
+        kernel_names=tuple(names),
         kernel_id=kernel_id,
         invocation_id=invocation_id,
         insn_count=insn,
@@ -252,9 +213,23 @@ def read_profile_csv(path: str | Path) -> ProfileTable:
     )
 
 
-#: JSONL feed fields, one object per invocation row. ``workload`` and
-#: ``rows`` may appear in an optional leading header object instead.
-_JSONL_FIELDS = _BASE_COLUMNS
+def read_profile_csv(source: str | Path | TextIO) -> ProfileTable:
+    """Read a profile table previously written by :func:`write_profile_csv`.
+
+    ``source`` is a path or an open text handle. Malformed input — empty
+    files, bad headers, rows with the wrong column count or unparseable
+    numbers, missing metric columns, or a row count that contradicts the
+    preamble (a truncated file) — raises :class:`ProfileError` with the
+    source and 1-based line number.
+    """
+    reader = ProfileTableReader(source, fmt="csv")
+    chunks = list(reader)
+    require(
+        len(chunks) > 0,
+        "profile CSV contains no invocation rows",
+        lambda m: ProfileError(m, path=str(reader._path)),
+    )
+    return concat_profile_tables(chunks)
 
 
 class ProfileTableReader:
@@ -267,21 +242,23 @@ class ProfileTableReader:
     chunk's ``kernel_names`` tuple is the map so far (a prefix-consistent
     view). Only O(chunk_rows + kernels) rows are resident at any time.
 
-    ``source`` is a path, ``"-"`` (stdin), or an open text handle. The
-    format is taken from ``fmt`` (``"csv"``/``"jsonl"``), else sniffed:
-    a ``.jsonl``/``.ndjson`` suffix or a first byte of ``{`` means JSONL.
+    ``source`` is a path, ``"-"`` (stdin), or an open text handle whose
+    ``name``, if any, locates errors. The format is taken from ``fmt``
+    (``"csv"``/``"jsonl"``), else sniffed: a ``.jsonl``/``.ndjson``
+    suffix, or a first line starting with ``{``, means JSONL.
 
     * CSV feeds use the :func:`write_profile_csv` layout (preamble +
-      header + rows); trailing metric columns are accepted and dropped —
-      streams consume the Sieve-visible columns.
+      header + rows). A header with metric columns yields chunks with the
+      canonical ``(rows, 12)`` Table II matrix.
     * JSONL feeds carry one object per row with keys ``kernel_name``,
       ``invocation_id``, ``insn_count``, ``cta_size``, ``num_ctas``; an
       optional leading ``{"workload": ..., "rows": ...}`` header object
       plays the preamble's role.
 
-    Malformed rows raise :class:`ProfileError` with the 1-based line
-    number. When the feed declared a row count, exhausting it early
-    raises the same truncation error as :func:`read_profile_csv`.
+    Preamble, header and encoding errors raise :class:`ProfileError`. A
+    malformed data row, and a feed that ends short of its declared row
+    count, go through :meth:`_reject_row`, which raises
+    :class:`ProfileError` with the 1-based line number.
     """
 
     def __init__(
@@ -304,6 +281,8 @@ class ProfileTableReader:
         self.rows_read = 0
         self._names: list[str] = []
         self._index: dict[str, int] = {}
+        #: The CSV header's metric layout (see :func:`_parse_header`).
+        self._metric_slots: tuple[int, ...] = ()
         if hasattr(source, "read"):
             self._handle: TextIO = source  # type: ignore[assignment]
             self._path = Path(getattr(source, "name", "<stream>"))
@@ -316,6 +295,7 @@ class ProfileTableReader:
             self._path = Path(source)
             self._handle = self._path.open(newline="")
             self._owns_handle = True
+        self._lines: Iterator[str] = iter(self._handle)
         self._fmt = fmt or self._sniff()
 
     def _sniff(self) -> str:
@@ -324,176 +304,133 @@ class ProfileTableReader:
             return "jsonl"
         if suffix == ".csv":
             return "csv"
-        if self._handle.seekable():
-            pos = self._handle.tell()
-            first = self._handle.read(1)
-            self._handle.seek(pos)
-            return "jsonl" if first == "{" else "csv"
-        # Non-seekable (a pipe): peek by buffering the first line.
-        first_line = self._handle.readline()
-        rest = self._handle
-        self._handle = _ChainedText(first_line, rest)
-        return "jsonl" if first_line.lstrip()[:1] == "{" else "csv"
+        try:
+            first = self._handle.readline()
+        except UnicodeDecodeError as exc:
+            if self._owns_handle:
+                self._handle.close()
+            raise self._undecodable(exc, 0) from exc
+        self._lines = itertools.chain((first,), self._lines)
+        return "jsonl" if first.lstrip()[:1] == "{" else "csv"
 
-    def _register(self, name: str) -> int:
-        slot = self._index.get(name)
-        if slot is None:
-            slot = len(self._names)
-            self._index[name] = slot
-            self._names.append(name)
-        return slot
+    def _reject_row(self, message: str, line: int | None) -> None:
+        """Handle a malformed data row, or a short count (``line`` None)."""
+        raise ProfileError(message, path=str(self._path), row=line)
 
-    def _chunk_from(
-        self, parsed: list[tuple[str, int, int, int, int]]
-    ) -> ProfileTable:
-        n = len(parsed)
-        kernel_id = np.empty(n, dtype=np.int32)
-        invocation_id = np.empty(n, dtype=np.int64)
-        insn = np.empty(n, dtype=np.int64)
-        cta_size = np.empty(n, dtype=np.int32)
-        num_ctas = np.empty(n, dtype=np.int64)
-        for i, (name, inv, count, cta, ctas) in enumerate(parsed):
-            kernel_id[i] = self._register(name)
-            invocation_id[i] = inv
-            insn[i] = count
-            cta_size[i] = cta
-            num_ctas[i] = ctas
-        self.rows_read += n
-        return ProfileTable(
-            workload=self.workload,
-            kernel_names=tuple(self._names),
-            kernel_id=kernel_id,
-            invocation_id=invocation_id,
-            insn_count=insn,
-            cta_size=cta_size,
-            num_ctas=num_ctas,
+    def _undecodable(self, exc: UnicodeDecodeError, lines_read: int) -> ProfileError:
+        # The decoder fails on a whole block of bytes that starts on the
+        # line after the last one read; count lines up to the bad byte.
+        line = lines_read + 1 + exc.object[: exc.start].count(b"\n")
+        return ProfileError(
+            f"not valid UTF-8: {exc.reason}", path=str(self._path), row=line
         )
 
     def __iter__(self) -> Iterator[ProfileTable]:
         try:
-            rows = self._iter_csv() if self._fmt == "csv" else self._iter_jsonl()
-            pending: list[tuple[str, int, int, int, int]] = []
-            for record in rows:
-                pending.append(record)
-                if len(pending) >= self.chunk_rows:
-                    yield self._chunk_from(pending)
-                    pending = []
-            if pending:
-                yield self._chunk_from(pending)
-            if (
-                self.declared_rows is not None
-                and self.rows_read != self.declared_rows
-            ):
-                raise ProfileError(
-                    f"row count mismatch: feed declares {self.declared_rows} "
-                    f"rows, delivered {self.rows_read} (truncated feed?)",
-                    path=str(self._path),
+            rows = self._csv_rows() if self._fmt == "csv" else self._jsonl_rows()
+            while batch := list(itertools.islice(rows, self.chunk_rows)):
+                self.rows_read += len(batch)
+                yield build_profile_table(
+                    batch, self.workload, self._names, self._index, self._metric_slots
+                )
+                del batch  # free these rows before parsing the next batch
+            if self.declared_rows is not None and self.rows_read != self.declared_rows:
+                self._reject_row(
+                    f"row count mismatch: declared {self.declared_rows} rows, "
+                    f"found {self.rows_read} (truncated file or dropped rows?)",
+                    None,
                 )
         finally:
             if self._owns_handle:
                 self._handle.close()
 
-    def _iter_csv(self) -> Iterator[tuple[str, int, int, int, int]]:
-        reader = csv.reader(self._handle)
+    def _csv_rows(self) -> Iterator[tuple]:
+        reader = csv.reader(self._lines)
         try:
-            preamble = next(reader)
-        except StopIteration:
-            raise ProfileError("empty profile feed", path=str(self._path)) from None
-        self.workload, self.declared_rows = parse_preamble(preamble, self._path)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProfileError(
-                "missing header row", path=str(self._path), row=2
-            ) from None
-        metric_columns = parse_header(header, self._path)
-        for row in reader:
-            try:
-                name, inv, count, cta, ctas, _ = parse_data_row(
-                    row, len(metric_columns)
-                )
-            except ValueError as exc:
-                raise ProfileError(
-                    str(exc), path=str(self._path), row=reader.line_num
-                ) from None
-            yield name, inv, count, cta, ctas
-
-    def _iter_jsonl(self) -> Iterator[tuple[str, int, int, int, int]]:
-        for line_num, line in enumerate(self._handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ProfileError(
-                    f"unparseable JSON: {exc}", path=str(self._path), row=line_num
-                ) from None
-            if not isinstance(record, dict):
-                raise ProfileError(
-                    f"expected a JSON object, got {type(record).__name__}",
-                    path=str(self._path),
-                    row=line_num,
-                )
-            if "kernel_name" not in record:
-                # Leading header object: workload / declared row count.
-                if line_num == 1 and ("workload" in record or "rows" in record):
-                    self.workload = str(record.get("workload", self.workload))
-                    if "rows" in record:
-                        try:
-                            self.declared_rows = int(record["rows"])
-                        except (TypeError, ValueError, OverflowError):
-                            raise ProfileError(
-                                f"unparseable row count {record['rows']!r}",
-                                path=str(self._path),
-                                row=line_num,
-                            ) from None
-                    continue
-                raise ProfileError(
-                    "row object missing 'kernel_name'",
-                    path=str(self._path),
-                    row=line_num,
-                )
-            try:
-                fields = (
-                    int(record["invocation_id"]),
-                    int(record["insn_count"]),
-                    int(record["cta_size"]),
-                    int(record["num_ctas"]),
-                )
-                check_int_fields(*fields)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ProfileError(
-                    f"bad row object: {exc!r}", path=str(self._path), row=line_num
-                ) from None
-            yield (str(record["kernel_name"]), *fields)
-
-
-class _ChainedText(io.TextIOBase):
-    """Re-prefix a consumed first line onto a non-seekable text stream."""
-
-    def __init__(self, head: str, rest: TextIO):
-        self._head = head
-        self._rest = rest
-
-    def readline(self, size: int = -1) -> str:  # pragma: no cover - trivial
-        if self._head:
-            line, self._head = self._head, ""
-            return line
-        return self._rest.readline(size)
-
-    def read(self, size: int = -1) -> str:
-        if size is None or size < 0:
-            data, self._head = self._head, ""
-            return data + self._rest.read()
-        if self._head:
-            data, self._head = self._head[:size], self._head[size:]
-            return data
-        return self._rest.read(size)
-
-    def __iter__(self):
+            preamble = next(reader, None)
+            if preamble is None:
+                raise ProfileError("empty profile CSV", path=str(self._path))
+            self.workload, self.declared_rows = _parse_preamble(preamble, self._path)
+            header = next(reader, None)
+            if header is None:
+                raise ProfileError("missing header row", path=str(self._path), row=2)
+        except csv.Error as exc:
+            raise ProfileError(str(exc), path=str(self._path), row=reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise self._undecodable(exc, reader.line_num) from exc
+        self._metric_slots = slots = _parse_header(header, self._path)
+        width = len(header)
+        # csv.Error (an oversized field) is caught around the row loop, not
+        # per row; the csv reader resumes at the next line.
         while True:
-            line = self.readline()
-            if not line:
+            try:
+                for row in reader:
+                    try:
+                        if len(row) != width:
+                            raise ValueError(f"expected {width} columns, found {len(row)}")
+                        invocation = int(row[1])
+                        insn = int(row[2])
+                        cta = int(row[3])
+                        ctas = int(row[4])
+                        check_int_fields(invocation, insn, cta, ctas)
+                        # () for no metrics: no per-row list on Sieve feeds.
+                        values = [float(v) for v in row[5:]] if slots else ()
+                    except ValueError as exc:
+                        self._reject_row(str(exc), reader.line_num)
+                        continue
+                    yield row[0], invocation, insn, cta, ctas, values
                 return
-            yield line
+            except csv.Error as exc:
+                self._reject_row(str(exc), reader.line_num)
+            except UnicodeDecodeError as exc:
+                raise self._undecodable(exc, reader.line_num) from exc
+
+    def _jsonl_rows(self) -> Iterator[tuple]:
+        line_num = 0
+        try:
+            for line_num, line in enumerate(self._lines, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    self._reject_row(f"unparseable JSON: {exc}", line_num)
+                    continue
+                if not isinstance(record, dict):
+                    self._reject_row(
+                        f"expected a JSON object, got {type(record).__name__}", line_num
+                    )
+                    continue
+                if "kernel_name" not in record:
+                    # Leading header object: workload / declared row count.
+                    if line_num == 1 and ("workload" in record or "rows" in record):
+                        self._jsonl_header(record)
+                        continue
+                    self._reject_row("row object missing 'kernel_name'", line_num)
+                    continue
+                try:
+                    name = str(record["kernel_name"])
+                    fields = (
+                        json_int(record["invocation_id"], "invocation_id"),
+                        json_int(record["insn_count"], "insn_count"),
+                        json_int(record["cta_size"], "cta_size"),
+                        json_int(record["num_ctas"], "num_ctas"),
+                    )
+                    check_int_fields(*fields)
+                except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                    self._reject_row(f"bad row object: {exc!r}", line_num)
+                    continue
+                yield (name, *fields, ())
+        except UnicodeDecodeError as exc:
+            raise self._undecodable(exc, line_num) from exc
+
+    def _jsonl_header(self, record: dict) -> None:
+        self.workload = str(record.get("workload", self.workload))
+        if "rows" in record:
+            try:
+                self.declared_rows = json_int(record["rows"], "rows")
+            except (TypeError, ValueError, OverflowError):
+                raise ProfileError(
+                    f"unparseable row count {record['rows']!r}", path=str(self._path), row=1
+                ) from None

@@ -11,9 +11,10 @@ marks *missing* data (invocation-id gaps, truncation) that no repair can
 recreate but that the pipelines tolerate. A report is ``ok`` when it has
 no errors.
 
-:func:`validate_profile_csv` is the lenient file-level twin: it scans a
-CSV row by row, records every malformed row instead of raising, salvages
-the parseable rows into a table and validates that.
+:func:`validate_profile_csv` is the lenient file-level twin: it runs the
+one profile parser (:class:`~repro.profiling.csv_io.ProfileTableReader`)
+with its bad-row method overridden to record each malformed row instead
+of raising, salvages the parseable rows into a table and validates that.
 
 :func:`repair_table` drops or imputes the error-level rows/cells and
 records every action taken; its output always passes
@@ -23,19 +24,14 @@ with hypothesis).
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.profiling.csv_io import (
-    parse_data_row,
-    parse_header,
-    parse_preamble,
-)
-from repro.profiling.table import ProfileTable
+from repro.profiling.csv_io import ProfileTableReader
+from repro.profiling.table import ProfileTable, concat_profile_tables
 from repro.utils.errors import ProfileError
 
 #: issue kinds considered data corruption (repairable); everything else is
@@ -203,6 +199,19 @@ def validate_table(
 # Lenient CSV validation
 
 
+class _LenientReader(ProfileTableReader):
+    """The profile reader, recording malformed rows instead of raising."""
+
+    def __init__(self, path: Path):
+        self.issues: list[ValidationIssue] = []
+        super().__init__(path, fmt="csv")
+
+    def _reject_row(self, message: str, line: int | None) -> None:
+        # A short count (no line) is validate_table's row-count warning.
+        if line is not None:
+            self.issues.append(ValidationIssue("malformed-row", message, row=line))
+
+
 def validate_profile_csv(
     path: str | Path,
 ) -> tuple[ValidationReport, ProfileTable | None]:
@@ -213,89 +222,35 @@ def validate_profile_csv(
     (with its 1-based line number) and is skipped. The salvaged rows are
     assembled into a table which then runs through :func:`validate_table`;
     that report's issues are merged in. Returns ``(report, table)`` where
-    ``table`` is ``None`` only when nothing was salvageable (unreadable
-    preamble/header or zero good rows).
+    ``table`` is ``None`` only when nothing was salvageable: an unreadable
+    file, preamble or header, text that is not valid UTF-8, or zero good
+    rows.
     """
     path = Path(path)
     report = ValidationReport(source=str(path), rows_checked=0)
-
     try:
-        handle = path.open(newline="")
+        reader = _LenientReader(path)
+        chunks = list(reader)
     except OSError as exc:
         report.issues.append(ValidationIssue("unreadable-file", str(exc)))
         return report, None
+    except ProfileError as exc:
+        undecodable = isinstance(exc.__cause__, UnicodeDecodeError)
+        report.issues.append(ValidationIssue(
+            "unreadable-file" if undecodable else "malformed-header",
+            str(exc), row=exc.row,
+        ))
+        return report, None
 
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            preamble = next(reader)
-            workload, declared_rows = parse_preamble(preamble, path)
-            header = next(reader)
-            metric_columns = parse_header(header, path)
-        except StopIteration:
-            report.issues.append(ValidationIssue(
-                "malformed-header", "file ends before preamble/header"
-            ))
-            return report, None
-        except ProfileError as exc:
-            report.issues.append(ValidationIssue(
-                "malformed-header", str(exc), row=exc.row
-            ))
-            return report, None
-
-        parsed = []
-        for row in reader:
-            report.rows_checked += 1
-            try:
-                parsed.append(parse_data_row(row, len(metric_columns)))
-            except ValueError as exc:
-                report.issues.append(ValidationIssue(
-                    "malformed-row", str(exc), row=reader.line_num
-                ))
-
-    if not parsed:
+    report.issues.extend(reader.issues)
+    report.rows_checked = reader.rows_read + len(reader.issues)
+    if not chunks:
         report.issues.append(ValidationIssue(
             "empty-table", "no parseable invocation rows"
         ))
         return report, None
-
-    kernel_names: list[str] = []
-    kernel_index: dict[str, int] = {}
-    n = len(parsed)
-    kernel_id = np.empty(n, dtype=np.int32)
-    invocation_id = np.empty(n, dtype=np.int64)
-    insn = np.empty(n, dtype=np.int64)
-    cta_size = np.empty(n, dtype=np.int32)
-    num_ctas = np.empty(n, dtype=np.int64)
-    metrics = (
-        np.empty((n, len(metric_columns)), dtype=np.float64)
-        if metric_columns
-        else None
-    )
-    for i, (name, inv, count, cta, ctas, values) in enumerate(parsed):
-        if name not in kernel_index:
-            kernel_index[name] = len(kernel_names)
-            kernel_names.append(name)
-        kernel_id[i] = kernel_index[name]
-        invocation_id[i] = inv
-        insn[i] = count
-        cta_size[i] = cta
-        num_ctas[i] = ctas
-        if metrics is not None:
-            metrics[i] = values
-
-    table = ProfileTable(
-        workload=workload,
-        kernel_names=tuple(kernel_names),
-        kernel_id=kernel_id,
-        invocation_id=invocation_id,
-        insn_count=insn,
-        cta_size=cta_size,
-        num_ctas=num_ctas,
-        metrics=metrics,
-        metric_names=tuple(metric_columns) if metric_columns else (),
-    )
-    table_report = validate_table(table, declared_rows=declared_rows)
+    table = concat_profile_tables(chunks)
+    table_report = validate_table(table, declared_rows=reader.declared_rows)
     report.issues.extend(table_report.issues)
     return report, table
 

@@ -19,29 +19,33 @@ Two invariants anchor this module, both pinned by tests:
 
 Requests either reference a catalog workload by label (full registry
 path through the engine: select *and* predict) or carry an inline
-profile table — CSV text through the existing
-:func:`repro.profiling.csv_io.read_profile_csv` loader, or JSON rows —
-which supports selection only (prediction needs a golden reference
-measurement that an uploaded profile does not carry).
+profile table, which supports selection only (prediction needs a golden
+reference measurement that an uploaded profile does not carry). Inline
+CSV text is read from the request string by the one profile parser,
+:class:`~repro.profiling.csv_io.ProfileTableReader`, so its errors name
+``profile_csv`` and the line in the body; inline JSON rows are checked
+here and assembled by the same column builder.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.runner import MethodResult
 from repro.methods import MethodRequest, get_method
-from repro.profiling.csv_io import check_int_fields, read_profile_csv
+from repro.profiling.csv_io import (
+    build_profile_table,
+    check_int_fields,
+    json_int,
+    read_profile_csv,
+)
 from repro.profiling.table import ProfileTable
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import BadRequestError, SieveError
@@ -172,71 +176,43 @@ def table_from_rows(rows: object, workload: str) -> ProfileTable:
     """Build a Sieve-visible profile table from inline JSON rows.
 
     Each row is an object with ``kernel_name``, ``insn_count`` and
-    optionally ``invocation_id``, ``cta_size``, ``num_ctas``.
+    optionally ``invocation_id`` (default: the kernel's next index),
+    ``cta_size`` (128) and ``num_ctas`` (1).
     """
     _require(isinstance(rows, list) and len(rows) > 0, "profile_rows must be a non-empty list")
-    names: list[str] = []
-    index: dict[str, int] = {}
-    n = len(rows)
-    kernel_id = np.empty(n, dtype=np.int32)
-    invocation_id = np.empty(n, dtype=np.int64)
-    insn = np.empty(n, dtype=np.int64)
-    cta_size = np.empty(n, dtype=np.int32)
-    num_ctas = np.empty(n, dtype=np.int64)
+    parsed = []
     per_kernel_count: dict[str, int] = {}
     for i, row in enumerate(rows):
         _require(isinstance(row, dict), f"profile_rows[{i}] must be an object")
         try:
             name = str(row["kernel_name"])
-            count = int(row["insn_count"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            count = json_int(row["insn_count"], "insn_count")
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise BadRequestError(
                 f"profile_rows[{i}] needs kernel_name and integer insn_count: {exc}"
             ) from exc
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        kernel_id[i] = index[name]
         default_invocation = per_kernel_count.get(name, 0)
         per_kernel_count[name] = default_invocation + 1
         try:
             fields = (
-                int(row.get("invocation_id", default_invocation)),
+                json_int(row.get("invocation_id", default_invocation), "invocation_id"),
                 count,
-                int(row.get("cta_size", 128)),
-                int(row.get("num_ctas", 1)),
+                json_int(row.get("cta_size", 128), "cta_size"),
+                json_int(row.get("num_ctas", 1), "num_ctas"),
             )
             check_int_fields(*fields)
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadRequestError(f"profile_rows[{i}] has a bad integer field: {exc}") from exc
-        invocation_id[i], insn[i], cta_size[i], num_ctas[i] = fields
-    try:
-        return ProfileTable(
-            workload=workload,
-            kernel_names=tuple(names),
-            kernel_id=kernel_id,
-            invocation_id=invocation_id,
-            insn_count=insn,
-            cta_size=cta_size,
-            num_ctas=num_ctas,
-        )
-    except SieveError as exc:
-        raise BadRequestError(f"inline profile rejected: {exc}") from exc
+        parsed.append((name, *fields, ()))
+    return build_profile_table(parsed, workload, [], {})
 
 
 def table_from_csv(text: str) -> ProfileTable:
-    """Parse inline CSV text through the strict profile-CSV loader."""
+    """Parse inline CSV text with the profile reader; errors name ``profile_csv``."""
     _require(isinstance(text, str) and text.strip() != "", "profile_csv must be non-empty text")
-    fd, tmp = tempfile.mkstemp(prefix="service-profile-", suffix=".csv")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        return read_profile_csv(tmp)
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    handle = io.StringIO(text, newline="")
+    handle.name = "profile_csv"
+    return read_profile_csv(handle)
 
 
 def parse_request(kind: str, payload: object) -> EvaluationRequest:

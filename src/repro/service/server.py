@@ -327,7 +327,7 @@ class SieveService:
         try:
             try:
                 payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
             request = protocol.parse_request(kind, payload)
             if request.inline:

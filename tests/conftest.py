@@ -5,11 +5,16 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.evaluation.context import WorkloadContext, build_context
 from repro.gpu import AMPERE_RTX3080, HardwareExecutor
 from repro.workloads.generator import WorkloadRun, generate
 from repro.workloads.spec import KernelBehavior, WorkloadSpec
+
+#: ``--hypothesis-profile=fuzz`` runs property tests that leave
+#: ``max_examples`` to the profile (the ingest fuzz) far deeper.
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session", autouse=True)

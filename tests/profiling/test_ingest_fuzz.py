@@ -1,0 +1,216 @@
+"""Fuzz the one profile parser: every input ends typed, and chunking is exact.
+
+Valid CSV and JSONL feeds are rendered from small random tables (hostile
+kernel names, with and without metric columns), then mutated once. Each
+input runs through every entry point that parses profile text: the
+reader at three chunk sizes, ``read_profile_csv``, the lenient validator,
+and the service's request parser with ``profile_csv`` and ``profile_rows``
+bodies. The outcome must be a table, a report or a ``SieveError``; a row
+error must carry its line or its ``profile_rows[i]`` field.
+
+The default hypothesis profile keeps this to a few seconds; CI runs it
+deeper with ``--hypothesis-profile=fuzz``.
+"""
+
+from __future__ import annotations
+
+import functools
+import io
+import json
+import pickle
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.gpu.kernel import PKS_METRIC_NAMES
+from repro.profiling.csv_io import ProfileTableReader, read_profile_csv, write_profile_csv
+from repro.profiling.table import ProfileTable, concat_profile_tables
+from repro.robustness.validate import validate_profile_csv
+from repro.service import protocol
+from repro.utils.errors import BadRequestError, ProfileError, SieveError
+
+CHUNK_SIZES = (1, 7, 4096)
+#: ProfileErrors about the whole feed rather than one line.
+WHOLE_FEED = ("empty profile CSV", "row count mismatch", "profile CSV contains no invocation rows")
+NAMES = st.text(alphabet='ab,"\n\r\t {[ядро<>*', min_size=1, max_size=6)
+MUTATIONS = (
+    "none", "drop", "duplicate", "truncate", "splice", "swap", "delete-field",
+    "quote", "huge", "deep", "rows",
+)
+
+
+def deep_list(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+#: Row-level mutations of a ``profile_rows`` body.
+HOSTILE_VALUES = (1.9, True, None, "x", "12", 2**70, -1, {}, deep_list(5000))
+
+
+@st.composite
+def tables(draw) -> ProfileTable:
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 25))
+    kernel_id = np.array(draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)))
+    seen: dict[int, int] = {}
+    invocation_id = []
+    for kid in kernel_id.tolist():
+        invocation_id.append(seen.get(kid, 0))
+        seen[kid] = invocation_id[-1] + 1
+    insn = np.array(draw(st.lists(st.integers(1, 2**40), min_size=n, max_size=n)), dtype=np.int64)
+    metrics = None
+    if draw(st.booleans()):
+        metrics = np.array(
+            draw(st.lists(
+                st.floats(0, 1e6, allow_nan=False), min_size=n * 12, max_size=n * 12
+            ))
+        ).reshape(n, len(PKS_METRIC_NAMES))
+        metrics[:, PKS_METRIC_NAMES.index("instruction_count")] = insn
+    return ProfileTable(
+        workload="fuzz",
+        kernel_names=tuple(names),
+        kernel_id=kernel_id.astype(np.int32),
+        invocation_id=np.array(invocation_id, dtype=np.int64),
+        insn_count=insn,
+        cta_size=np.full(n, 128, dtype=np.int32),
+        num_ctas=np.array(draw(st.lists(st.integers(1, 64), min_size=n, max_size=n))),
+        metrics=metrics,
+    )
+
+
+def row_dicts(table: ProfileTable) -> list[dict]:
+    return [
+        {
+            "kernel_name": table.kernel_name_of_row(i),
+            "invocation_id": int(table.invocation_id[i]),
+            "insn_count": int(table.insn_count[i]),
+            "cta_size": int(table.cta_size[i]),
+            "num_ctas": int(table.num_ctas[i]),
+        }
+        for i in range(len(table))
+    ]
+
+
+def csv_text(table: ProfileTable, path) -> str:
+    write_profile_csv(table, path)
+    with open(path, newline="") as handle:
+        return handle.read()
+
+
+def jsonl_text(table: ProfileTable) -> str:
+    lines = [json.dumps({"workload": table.workload, "rows": len(table)})]
+    lines += [json.dumps(row) for row in row_dicts(table)]
+    return "\n".join(lines) + "\n"
+
+
+def mutate(text: str, mutation: str, data) -> str:
+    lines = text.splitlines(keepends=True)
+    line = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(text)))
+    if mutation == "drop":
+        del lines[line]
+    elif mutation == "duplicate":
+        lines.insert(line, lines[line])
+    elif mutation == "truncate":
+        return text[:at]
+    elif mutation == "splice":
+        return text[:at] + data.draw(st.text(max_size=8)) + text[at:]
+    elif mutation in ("swap", "delete-field"):
+        fields = lines[line].split(",")
+        i = data.draw(st.integers(0, len(fields) - 1))
+        j = data.draw(st.integers(0, len(fields) - 1))
+        if mutation == "swap":
+            fields[i], fields[j] = fields[j], fields[i]
+        else:
+            del fields[i]
+        lines[line] = ",".join(fields)
+    elif mutation == "quote":
+        return text[:at] + '"' + text[at:]
+    elif mutation == "huge":
+        return text[:at] + "x" * 131_073 + text[at:]
+    elif mutation == "deep":
+        lines.insert(line, "[" * 5000 + "]" * 5000 + "\n")
+    elif mutation == "rows":
+        wrong = data.draw(st.integers(-2, 40))
+        lines[0] = re.sub(r'(rows"?[:,] ?)\d+', rf"\g<1>{wrong}", lines[0])
+    return "".join(lines)
+
+
+def outcome(parse):
+    """The parse's result, or the SieveError it raised; nothing else escapes."""
+    try:
+        return parse()
+    except SieveError as exc:
+        return exc
+
+
+def assert_located(result) -> None:
+    if isinstance(result, ProfileError):
+        assert result.row is not None or result.message.startswith(WHOLE_FEED), result
+    elif isinstance(result, BadRequestError):
+        assert "profile_" in result.message, result
+
+
+def digest(table) -> bytes:
+    return pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest-fuzz")
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(table=tables(), fmt=st.sampled_from(["csv", "jsonl"]), mutation=st.sampled_from(MUTATIONS),
+       data=st.data())
+def test_every_ingest_path_ends_typed(scratch, table, fmt, mutation, data):
+    clean = csv_text(table, scratch / "clean.csv") if fmt == "csv" else jsonl_text(table)
+    text = clean if mutation == "none" else mutate(clean, mutation, data)
+    path = scratch / "feed.txt"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+
+    def chunks(size: int) -> list[ProfileTable]:
+        return list(ProfileTableReader(io.StringIO(text, newline=""), chunk_rows=size, fmt=fmt))
+
+    chunked = {}
+    for size in CHUNK_SIZES:
+        result = outcome(functools.partial(chunks, size))
+        assert_located(result)
+        if not isinstance(result, SieveError):
+            assert all(1 <= len(chunk) <= size for chunk in result)
+            chunked[size] = result
+    strict = outcome(lambda: read_profile_csv(io.StringIO(text, newline="")))
+    assert_located(strict)
+    report, salvaged = validate_profile_csv(path)
+    assert all(i.row is not None for i in report.issues if i.kind == "malformed-row")
+    assert_located(outcome(lambda: protocol.parse_request("select", {"profile_csv": text})))
+
+    rows = row_dicts(table)
+    if mutation != "none":
+        i = data.draw(st.integers(0, len(rows) - 1))
+        key = data.draw(st.sampled_from(sorted(rows[i])))
+        if data.draw(st.booleans()):
+            del rows[i][key]
+        else:
+            rows[i][key] = data.draw(st.sampled_from(HOSTILE_VALUES))
+    assert_located(outcome(lambda: protocol.parse_request("select", {"profile_rows": rows})))
+
+    if mutation == "none":
+        # Chunking never changes the table: every chunk size concatenates
+        # to the strict whole-file read of the same feed.
+        if fmt == "csv":
+            want = strict
+            assert salvaged is not None and digest(salvaged) == digest(want)
+        else:
+            sieve_text = csv_text(table.without_metrics(), path)
+            want = read_profile_csv(io.StringIO(sieve_text, newline=""))
+        assert set(chunked) == set(CHUNK_SIZES)
+        for chunks in chunked.values():
+            assert digest(concat_profile_tables(chunks)) == digest(want)

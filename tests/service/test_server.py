@@ -158,6 +158,38 @@ def test_out_of_range_inline_csv_is_a_typed_400(client):
     assert body["error"]["context"]["row"] == 3
 
 
+def test_inline_csv_errors_name_profile_csv_not_a_server_path(client):
+    csv = (
+        "# workload,w,rows,1\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        "k,0,not-a-count,128,1\n"
+    )
+    raw = json.dumps({"profile_csv": csv})
+    first, second = post_raw(client, "/v1/select", raw), post_raw(client, "/v1/select", raw)
+    assert first[0] == second[0] == 400
+    assert first[1]["error"] == second[1]["error"]
+    assert first[1]["error"]["context"] == {"path": "profile_csv", "row": 3}
+
+
+def test_oversized_inline_csv_field_is_a_typed_400(client):
+    csv = (
+        "# workload,w,rows,1\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        + "k" * 131_073 + ",0,5,128,1\n"
+    )
+    status, body = post_raw(client, "/v1/select", json.dumps({"profile_csv": csv}))
+    assert status == 400
+    assert body["error"]["type"] == "ProfileError"
+    assert body["error"]["context"] == {"path": "profile_csv", "row": 3}
+
+
+def test_deeply_nested_body_is_a_400(client):
+    raw = '{"profile_rows": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    status, body = post_raw(client, "/v1/select", raw)
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
+
+
 def test_malformed_json_is_a_400(client):
     client.connection.request(
         "POST", "/v1/select", body=b"{nope",
