@@ -7,18 +7,24 @@ through that CSV format.
 The preamble row carries the workload name and the expected invocation-row
 count (``# workload,<name>,rows,<n>``) so truncated files are detectable;
 readers tolerate older files without the count. A header that names metric
-columns must name all eleven non-instruction Table II metrics, in any
-order; such a file reads back as the canonical ``(rows, 12)`` matrix with
-``instruction_count`` taken from ``insn_count``.
+columns must name each of the eleven non-instruction Table II metrics once,
+in any order; such a file reads back as the canonical ``(rows, 12)`` matrix
+with ``instruction_count`` taken from ``insn_count``.
 
 :class:`ProfileTableReader` is the only code that turns profile text into
-rows: one row loop for CSV, one for JSONL, and one column builder
-(:func:`build_profile_table`) that the service's inline JSON rows share.
-Every malformed data row and a short row count go through one reader
-method, which raises :class:`ProfileError` with the source and 1-based line
-number. :func:`read_profile_csv` is the reader over a whole file plus a
-concat; :func:`repro.robustness.validate.validate_profile_csv` is the
-reader with that method overridden to record issues instead of raising.
+rows. CSV data is read one block of ``chunk_rows`` lines at a time, by
+column: ``np.loadtxt`` converts the numeric columns and one split per line
+takes the kernel names. A block whose text could parse differently that
+way than through the csv module goes through the csv row loop instead,
+and from the first quote the row loop reads the rest of the feed (a
+quoted field may span lines). JSONL has one row loop. Row loops share
+one column builder (:func:`build_profile_table`) with the service's
+inline JSON rows. Every malformed data row and a short row count go
+through one reader method, which raises :class:`ProfileError` with the
+source and 1-based line number. :func:`read_profile_csv` is the reader
+over a whole file plus a concat;
+:func:`repro.robustness.validate.validate_profile_csv` is the reader with
+that method overridden to record issues instead of raising.
 """
 
 from __future__ import annotations
@@ -27,12 +33,14 @@ import csv
 import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from repro.gpu.kernel import PKS_METRIC_NAMES
+from repro.observability import metrics
 from repro.profiling.table import ProfileTable, concat_profile_tables
 from repro.utils.errors import ProfileError
 from repro.utils.validation import require
@@ -48,6 +56,12 @@ _INSN_SLOT = PKS_METRIC_NAMES.index("instruction_count")
 #: Inclusive ranges of the int32 and int64 columns a row's integers fill.
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: The characters a block may hold to take the column path: printable
+#: ASCII, tab and line ends. ``np.loadtxt`` strips ``\x1c``-``\x1f`` as
+#: whitespace where ``int()`` rejects them, and NUL is an error to the
+#: csv module before Python 3.11.
+_PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
 
 def check_int_fields(invocation: int, insn: int, cta: int, ctas: int) -> None:
@@ -139,27 +153,31 @@ def _parse_header(header: list[str], path: Path) -> tuple[int, ...]:
     The result holds, for each of ``_STORED_METRICS``, its position among
     the row's metric fields; it is empty for a header without metrics.
     """
+
+    def at_header(message: str) -> ProfileError:
+        return ProfileError(message, path=str(path), row=2)
+
     require(
         tuple(header[: len(_BASE_COLUMNS)]) == _BASE_COLUMNS,
         f"unexpected CSV columns {header[:len(_BASE_COLUMNS)]!r}",
-        lambda m: ProfileError(m, path=str(path), row=2),
+        at_header,
     )
     metric_columns = header[len(_BASE_COLUMNS):]
     unknown = [name for name in metric_columns if name not in PKS_METRIC_NAMES]
+    require(not unknown, f"unknown metric columns {unknown!r}", at_header)
+    # Only one column can be kept per metric; a second copy would be dropped.
     require(
-        not unknown,
-        f"unknown metric columns {unknown!r}",
-        lambda m: ProfileError(m, path=str(path), row=2),
+        "instruction_count" not in metric_columns,
+        "metric column 'instruction_count' repeats insn_count",
+        at_header,
     )
+    repeated = sorted({name for name in metric_columns if metric_columns.count(name) > 1})
+    require(not repeated, f"repeated metric columns {repeated!r}", at_header)
     if not metric_columns:
         return ()
     position = {name: j for j, name in enumerate(metric_columns)}
     missing = [name for name in _STORED_METRICS if name not in position]
-    require(
-        not missing,
-        f"missing metric columns {missing!r}",
-        lambda m: ProfileError(m, path=str(path), row=2),
-    )
+    require(not missing, f"missing metric columns {missing!r}", at_header)
     return tuple(position[name] for name in _STORED_METRICS)
 
 
@@ -170,7 +188,7 @@ def build_profile_table(
     index: dict[str, int],
     metric_slots: tuple[int, ...] = (),
 ) -> ProfileTable:
-    """Assemble parsed rows into a table: the one column builder.
+    """Assemble parsed rows into a table: the row loops' column builder.
 
     Each row is ``(kernel_name, invocation_id, insn_count, cta_size,
     num_ctas, metric_values)`` with range-checked integers. Kernels are
@@ -195,12 +213,29 @@ def build_profile_table(
         insn[i] = count
         cta_size[i] = cta
         num_ctas[i] = ctas
-    metrics = None
+    stored = np.array([row[5] for row in rows], dtype=np.float64) if metric_slots else None
+    return _profile_table(
+        workload, names, kernel_id, invocation_id, insn, cta_size, num_ctas, stored, metric_slots
+    )
+
+
+def _profile_table(
+    workload: str,
+    names: list[str],
+    kernel_id: np.ndarray,
+    invocation_id: np.ndarray,
+    insn: np.ndarray,
+    cta_size: np.ndarray,
+    num_ctas: np.ndarray,
+    stored: np.ndarray | None,
+    metric_slots: tuple[int, ...],
+) -> ProfileTable:
+    """The table over parsed columns; ``stored`` holds the metric fields."""
+    matrix = None
     if metric_slots:
-        stored = np.array([row[5] for row in rows], dtype=np.float64)
-        metrics = np.empty((n, len(PKS_METRIC_NAMES)), dtype=np.float64)
-        metrics[:, _INSN_SLOT] = insn
-        metrics[:, _STORED_SLOTS] = stored[:, metric_slots]
+        matrix = np.empty((len(insn), len(PKS_METRIC_NAMES)), dtype=np.float64)
+        matrix[:, _INSN_SLOT] = insn
+        matrix[:, _STORED_SLOTS] = stored[:, metric_slots]
     return ProfileTable(
         workload=workload,
         kernel_names=tuple(names),
@@ -209,8 +244,23 @@ def build_profile_table(
         insn_count=insn,
         cta_size=cta_size,
         num_ctas=num_ctas,
-        metrics=metrics,
+        metrics=matrix,
     )
+
+
+def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
+    """``lines``, then ``exc``: a feed as far as it could be read."""
+    yield from lines
+    raise exc
+
+
+def _read_columns(lines: list[str], usecols: Sequence[int], dtype: type) -> np.ndarray:
+    """The ``(lines, len(usecols))`` fields of comma-separated ``lines``.
+
+    Given a list, ``np.loadtxt`` reads each item as one line and raises
+    where a line break sits anywhere but at its end; it skips blank lines.
+    """
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=usecols, ndmin=2)
 
 
 def read_profile_csv(source: str | Path | TextIO) -> ProfileTable:
@@ -249,7 +299,13 @@ class ProfileTableReader:
 
     * CSV feeds use the :func:`write_profile_csv` layout (preamble +
       header + rows). A header with metric columns yields chunks with the
-      canonical ``(rows, 12)`` Table II matrix.
+      canonical ``(rows, 12)`` Table II matrix. Data is read in blocks of
+      ``chunk_rows`` lines, each parsed by column (see
+      :meth:`_column_chunk`) unless its text could read differently
+      there; such a block goes through the row loop (:meth:`_csv_rows`)
+      with the same line numbers, and from the first block holding a
+      quote the row loop reads the rest of the feed. Either way the
+      chunks, errors and line numbers are the row loop's.
     * JSONL feeds carry one object per row with keys ``kernel_name``,
       ``invocation_id``, ``insn_count``, ``cta_size``, ``num_ctas``; an
       optional leading ``{"workload": ..., "rows": ...}`` header object
@@ -327,13 +383,13 @@ class ProfileTableReader:
 
     def __iter__(self) -> Iterator[ProfileTable]:
         try:
-            rows = self._csv_rows() if self._fmt == "csv" else self._jsonl_rows()
-            while batch := list(itertools.islice(rows, self.chunk_rows)):
-                self.rows_read += len(batch)
-                yield build_profile_table(
-                    batch, self.workload, self._names, self._index, self._metric_slots
-                )
-                del batch  # free these rows before parsing the next batch
+            if self._fmt == "csv":
+                chunks = self._csv_chunks()
+            else:
+                chunks = self._row_chunks(self._jsonl_rows())
+            for chunk in chunks:
+                self.rows_read += len(chunk)
+                yield chunk
             if self.declared_rows is not None and self.rows_read != self.declared_rows:
                 self._reject_row(
                     f"row count mismatch: declared {self.declared_rows} rows, "
@@ -344,7 +400,17 @@ class ProfileTableReader:
             if self._owns_handle:
                 self._handle.close()
 
-    def _csv_rows(self) -> Iterator[tuple]:
+    def _row_chunks(self, rows: Iterator[tuple]) -> Iterator[ProfileTable]:
+        """A row loop's rows as tables of at most ``chunk_rows`` rows."""
+        while batch := list(itertools.islice(rows, self.chunk_rows)):
+            metrics.inc("profiling.reader.blocks", path="rows")
+            yield build_profile_table(
+                batch, self.workload, self._names, self._index, self._metric_slots
+            )
+            del batch  # free these rows before parsing the next batch
+
+    def _csv_chunks(self) -> Iterator[ProfileTable]:
+        """Preamble and header, then the data one block at a time."""
         reader = csv.reader(self._lines)
         try:
             preamble = next(reader, None)
@@ -358,8 +424,98 @@ class ProfileTableReader:
             raise ProfileError(str(exc), path=str(self._path), row=reader.line_num) from None
         except UnicodeDecodeError as exc:
             raise self._undecodable(exc, reader.line_num) from exc
-        self._metric_slots = slots = _parse_header(header, self._path)
+        self._metric_slots = _parse_header(header, self._path)
         width = len(header)
+        before = reader.line_num  # lines read so far
+        while True:
+            block: list[str] = []
+            try:
+                # extend keeps the lines read before a decode error.
+                block.extend(itertools.islice(self._lines, self.chunk_rows))
+            except UnicodeDecodeError as exc:
+                # The row loop meets those lines before the bad bytes, so it
+                # raises for a bad row among them first, else for the bytes.
+                for _ in self._csv_rows(_then_raise(block, exc), width, before):
+                    pass
+            if not block:
+                return
+            text = "".join(block)
+            if '"' in text:
+                # A quoted field may span lines; the csv module reads the rest.
+                rest = itertools.chain(block, self._lines)
+                yield from self._row_chunks(self._csv_rows(rest, width, before))
+                return
+            chunk = self._column_chunk(block, text, width)
+            if chunk is None:
+                yield from self._row_chunks(self._csv_rows(block, width, before))
+            else:
+                metrics.inc("profiling.reader.blocks", path="column")
+                yield chunk
+            before += len(block)
+
+    def _column_chunk(self, block: list[str], text: str, width: int) -> ProfileTable | None:
+        """``block`` (quote-free lines) parsed by column, or None to decline.
+
+        The chunk equals what the row loop builds from these lines. A block
+        declines wherever the two could differ: a line without exactly
+        ``width`` fields, a blank line, a character outside
+        ``_PLAIN_TEXT``, a line longer than the csv module's field limit,
+        an integer ``int()`` or its column would reject, or any warning
+        from ``np.loadtxt`` (since NumPy 1.23 it reads ``5.0`` in an
+        integer column as 5 with a DeprecationWarning, until a later
+        release raises instead). The row loop then reads the block and
+        reports each bad row.
+        """
+        n = len(block)
+        if (
+            text.count(",") != n * (width - 1)
+            or not text.isascii()
+            or text.encode("ascii").translate(None, _PLAIN_TEXT)
+            or max(map(len, block)) > csv.field_size_limit()
+        ):
+            return None
+        try:
+            # catch_warnings is process-wide: another thread's warning
+            # raised meanwhile is recorded here, not shown, and declines
+            # this block. No warning is turned into an error.
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ints = _read_columns(block, (1, 2, 3, 4), np.int64)
+                stored = (
+                    _read_columns(block, range(5, width), np.float64)
+                    if self._metric_slots
+                    else None
+                )
+        except ValueError:
+            return None
+        # Fewer rows than lines: loadtxt skipped a blank line.
+        if caught or len(ints) != n:
+            return None
+        cta_size = ints[:, 2]
+        if cta_size.min() < _INT32_MIN or cta_size.max() > _INT32_MAX:
+            return None
+        names = [line.partition(",")[0] for line in block]
+        index = self._index
+        for name in dict.fromkeys(names):
+            if name not in index:
+                index[name] = len(self._names)
+                self._names.append(name)
+        return _profile_table(
+            self.workload,
+            self._names,
+            np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=n),
+            ints[:, 0].copy(),
+            ints[:, 1].copy(),
+            cta_size.astype(np.int32),
+            ints[:, 3].copy(),
+            stored,
+            self._metric_slots,
+        )
+
+    def _csv_rows(self, lines: Iterable[str], width: int, before: int) -> Iterator[tuple]:
+        """The row loop over data ``lines`` that follow line ``before``."""
+        reader = csv.reader(lines)
+        slots = self._metric_slots
         # csv.Error (an oversized field) is caught around the row loop, not
         # per row; the csv reader resumes at the next line.
         while True:
@@ -376,14 +532,14 @@ class ProfileTableReader:
                         # () for no metrics: no per-row list on Sieve feeds.
                         values = [float(v) for v in row[5:]] if slots else ()
                     except ValueError as exc:
-                        self._reject_row(str(exc), reader.line_num)
+                        self._reject_row(str(exc), before + reader.line_num)
                         continue
                     yield row[0], invocation, insn, cta, ctas, values
                 return
             except csv.Error as exc:
-                self._reject_row(str(exc), reader.line_num)
+                self._reject_row(str(exc), before + reader.line_num)
             except UnicodeDecodeError as exc:
-                raise self._undecodable(exc, reader.line_num) from exc
+                raise self._undecodable(exc, before + reader.line_num) from exc
 
     def _jsonl_rows(self) -> Iterator[tuple]:
         line_num = 0

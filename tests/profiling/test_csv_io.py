@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.gpu.kernel import PKS_METRIC_NAMES
-from repro.profiling.csv_io import read_profile_csv, write_profile_csv
+from repro.profiling.csv_io import ProfileTableReader, read_profile_csv, write_profile_csv
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.nvbit import NVBitProfiler
 from repro.profiling.table import ProfileTable
+from repro.robustness.validate import validate_profile_csv
 from repro.utils.errors import ProfileError
 
 
@@ -206,3 +207,42 @@ def test_read_unknown_metric_column_raises(tmp_path):
     )
     with pytest.raises(ProfileError, match="unknown metric columns"):
         read_profile_csv(path)
+
+
+BASE_COLUMNS = ["kernel_name", "invocation_id", "insn_count", "cta_size", "num_ctas"]
+STORED_METRICS = [name for name in PKS_METRIC_NAMES if name != "instruction_count"]
+
+
+def assert_header_rejected(path, message):
+    """The reader, read_profile_csv and the validator reject the header."""
+    for parse in (read_profile_csv, lambda p: list(ProfileTableReader(p))):
+        with pytest.raises(ProfileError, match=message) as excinfo:
+            parse(path)
+        assert (excinfo.value.path, excinfo.value.row) == (str(path), 2)
+    report, table = validate_profile_csv(path)
+    assert table is None
+    assert [(issue.kind, issue.row) for issue in report.issues] == [("malformed-header", 2)]
+
+
+def test_read_repeated_metric_column_raises(tmp_path):
+    # Reading either copy would silently drop the other's values.
+    header = BASE_COLUMNS + STORED_METRICS + ["coalesced_global_loads"]
+    path = tmp_path / "repeated.csv"
+    path.write_text(
+        "# workload,x,rows,1\n"
+        + ",".join(header) + "\n"
+        + "k,0,100,128,16," + ",".join(["0.5"] * 11 + ["9.0"]) + "\n"
+    )
+    assert_header_rejected(path, r"repeated metric columns \['coalesced_global_loads'\]")
+
+
+def test_read_instruction_count_column_raises(tmp_path):
+    # insn_count is the instruction_count metric; a second copy could disagree.
+    header = BASE_COLUMNS + ["instruction_count"] + STORED_METRICS
+    path = tmp_path / "insn.csv"
+    path.write_text(
+        "# workload,x,rows,1\n"
+        + ",".join(header) + "\n"
+        + "k,0,100,128,16,999," + ",".join(["0.5"] * 11) + "\n"
+    )
+    assert_header_rejected(path, "metric column 'instruction_count' repeats insn_count")

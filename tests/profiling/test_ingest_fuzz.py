@@ -8,6 +8,11 @@ and the service's request parser with ``profile_csv`` and ``profile_rows``
 bodies. The outcome must be a table, a report or a ``SieveError``; a row
 error must carry its line or its ``profile_rows[i]`` field.
 
+A second property pins the reader's column path to its row loop: every
+CSV feed, edited where ``np.loadtxt`` and ``int()``/``float()`` or the
+csv module could part ways, reads the same with the column path forced to
+decline (chunks, errors and lines, and the validator's issues).
+
 The default hypothesis profile keeps this to a few seconds; CI runs it
 deeper with ``--hypothesis-profile=fuzz``.
 """
@@ -15,14 +20,17 @@ deeper with ``--hypothesis-profile=fuzz``.
 from __future__ import annotations
 
 import functools
+import hashlib
 import io
 import json
 import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.kernel import PKS_METRIC_NAMES
@@ -36,6 +44,9 @@ CHUNK_SIZES = (1, 7, 4096)
 #: ProfileErrors about the whole feed rather than one line.
 WHOLE_FEED = ("empty profile CSV", "row count mismatch", "profile CSV contains no invocation rows")
 NAMES = st.text(alphabet='ab,"\n\r\t {[ядро<>*', min_size=1, max_size=6)
+#: Names the csv module writes unquoted, so their blocks can take the
+#: reader's column path.
+PLAIN_NAMES = st.text(alphabet="ab_0 \t{[<>*#", min_size=1, max_size=6)
 MUTATIONS = (
     "none", "drop", "duplicate", "truncate", "splice", "swap", "delete-field",
     "quote", "huge", "deep", "rows",
@@ -54,8 +65,8 @@ HOSTILE_VALUES = (1.9, True, None, "x", "12", 2**70, -1, {}, deep_list(5000))
 
 
 @st.composite
-def tables(draw) -> ProfileTable:
-    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+def tables(draw, name_text=NAMES) -> ProfileTable:
+    names = draw(st.lists(name_text, min_size=1, max_size=4, unique=True))
     n = draw(st.integers(1, 25))
     kernel_id = np.array(draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)))
     seen: dict[int, int] = {}
@@ -214,3 +225,120 @@ def test_every_ingest_path_ends_typed(scratch, table, fmt, mutation, data):
         assert set(chunked) == set(CHUNK_SIZES)
         for chunks in chunked.values():
             assert digest(concat_profile_tables(chunks)) == digest(want)
+
+
+# ------------------------------------------------------------------ #
+# The column path reads every CSV as the row loop does
+
+#: Field text on which ``np.loadtxt`` and ``int()``/``float()`` could
+#: disagree: control-character padding, digit separators, non-ASCII
+#: digits, int64 and int32 edges, float text in an integer column, and
+#: float spellings.
+FIELD_TOKENS = (
+    "\x1c5", "5\x1f", "\x1d\x1e7", "\xa05", "5\u2003", "1_000", "\u0663",
+    str(2**63), str(-(2**63) - 1), str(2**63 - 1), "3000000000", "-2147483649",
+    "5.0", "1e3", " 7 ", "\t7", "+5", "",
+    "nan", "-nan", "inf", "-Infinity", "1e400", "-0.0", "5e-324", "1_0.5", "0x10",
+)
+#: Edits to a whole line.
+LINE_EDITS = ("blank", "extra-field", "drop-field", "bare-cr", "nul", "quote")
+BASE_HEADER = "kernel_name,invocation_id,insn_count,cta_size,num_ctas"
+METRIC_HEADER = ",".join([BASE_HEADER, *(n for n in PKS_METRIC_NAMES if n != "instruction_count")])
+
+
+def feed(*rows: str, header: str = BASE_HEADER, end: str = "\r\n") -> str:
+    head = [f"# workload,w,rows,{len(rows)}", header]
+    return "".join(line + end for line in head + list(rows))
+
+
+def metric_row(*values: str) -> str:
+    return "k,0,5,128,1," + ",".join(values + ("1.5",) * (11 - len(values)))
+
+
+@st.composite
+def csv_feeds(draw) -> str:
+    """A written profile CSV with mixed line ends and up to three edits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        table = draw(tables(draw(st.sampled_from([PLAIN_NAMES, NAMES]))))
+        lines = csv_text(table, Path(tmp) / "feed.csv").splitlines(keepends=True)
+    ends = draw(st.sampled_from(["\r\n", "\n", "mixed"]))
+    if ends != "\r\n":
+        lines = [
+            line[:-2] + "\n" if ends == "\n" or draw(st.booleans()) else line
+            for line in lines
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(2, len(lines) - 1))
+        body = lines[i].rstrip("\r\n")
+        end = lines[i][len(body):]
+        edit = draw(st.sampled_from(FIELD_TOKENS + LINE_EDITS))
+        at = draw(st.integers(0, len(body)))
+        if edit == "blank":
+            body = end + body
+        elif edit == "extra-field":
+            body += ",9"
+        elif edit == "drop-field":
+            body = body.rpartition(",")[0]
+        elif edit in ("bare-cr", "nul", "quote"):
+            body = body[:at] + {"bare-cr": "\r", "nul": "\x00", "quote": '"'}[edit] + body[at:]
+        else:
+            fields = body.split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = edit
+            body = ",".join(fields)
+        lines[i] = body + end
+    return "".join(lines)
+
+
+def read_everywhere(text: str, path) -> tuple:
+    """What every caller sees of ``text``: strict chunks at each size, the
+    whole-file read and the validator's report."""
+
+    def seen(parse):
+        try:
+            return parse()
+        except ProfileError as exc:
+            return str(exc)
+
+    def chunk_digests(size: int) -> list[str]:
+        feed = io.StringIO(text, newline="")
+        return [
+            hashlib.sha256(digest(chunk)).hexdigest()
+            for chunk in ProfileTableReader(feed, chunk_rows=size, fmt="csv")
+        ]
+
+    strict = [seen(functools.partial(chunk_digests, size)) for size in CHUNK_SIZES]
+    whole = seen(lambda: digest(read_profile_csv(io.StringIO(text, newline=""))))
+    report, salvaged = validate_profile_csv(path)
+    issues = [(issue.kind, issue.message, issue.row) for issue in report.issues]
+    return strict, whole, issues, salvaged is not None and digest(salvaged)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=csv_feeds())
+@example(text=feed("a,0,5,128,1", '"b",0,6,128,1', "a,1,5,128,1"))
+@example(text=feed("a,0,\x1f9,128,1", "a,1,5,128,\x1c1"))
+@example(text=feed("a,0,\t5\t,128,1", "a,1, 5 ,128,1", end="\n"))
+@example(text=feed("a,0,5\r,128,1", "a,1,5,128,1"))
+@example(text=feed("a,0,5,128,1,7", "a,1,5,128,1"))
+@example(text=feed("a,0,5,128,1", "", "a,1,5,128,1"))
+@example(text=feed("a,0,5,128,1,6,7,8,9", "", "a,1,5,128,1"))  # commas still add up
+@example(text=feed("x" * 131_073 + ",0,5,128,1"))
+@example(text=feed("a,0,5,3000000000,1", "a,1,5,-2147483649,1", "a,2,5,2147483647,1"))
+@example(text=feed("a,0,1_000,128,1", "a,1,\u0663,128,1", f"a,2,{2**63},128,1"))
+@example(text=feed("a,0,5.0,128,1", "a,1,1e3,128,1"))
+@example(text=feed("a\x00,0,5,128,1", "\u044f\u0434\u0440\u043e,1,5,128,1", end="\n"))
+@example(text=feed(
+    metric_row("nan", "-nan", "inf", "-inf", "1e400", "-1e400"),
+    metric_row("-0.0", "5e-324", "2.5e-324", "1.7976931348623159e308"),
+    metric_row("1_0.5"),
+    header=METRIC_HEADER,
+))
+def test_column_path_reads_as_the_row_loop(scratch, text):
+    path = scratch / "column.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    columns = read_everywhere(text, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProfileTableReader, "_column_chunk", lambda self, block, text, width: None)
+        rows = read_everywhere(text, path)
+    assert columns == rows

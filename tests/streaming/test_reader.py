@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.evaluation.context import build_context
+from repro.observability.metrics import get_registry
 from repro.profiling.csv_io import (
     ProfileTableReader,
     read_profile_csv,
@@ -251,3 +253,72 @@ def test_csv_feed_drives_sieve_stream_to_batch_parity(table, tmp_path):
     streamed = stream.finalize()
     batch = SievePipeline(SieveConfig()).select(read_profile_csv(path))
     assert pickle.dumps(streamed) == pickle.dumps(batch)
+
+
+HEADER = "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+
+
+def blocks_by_path(read) -> dict[str, float]:
+    """How many blocks each path parsed while ``read()`` ran."""
+    registry = get_registry()
+    paths = ("column", "rows")
+    before = {p: registry.counter("profiling.reader.blocks", path=p) for p in paths}
+    read()
+    return {p: registry.counter("profiling.reader.blocks", path=p) - before[p] for p in paths}
+
+
+def test_program_feeds_take_only_the_column_path(tmp_path):
+    # A stream feed as perfbench writes it: plain names, LF line ends.
+    lines = [
+        f"k{i % 7},{i // 7},{1000 + i},{128 + 32 * (i % 3)},{1 + i % 50}\n" for i in range(700)
+    ]
+    feed = tmp_path / "feed.csv"
+    feed.write_text("# workload,wl,rows,700\n" + HEADER + "".join(lines))
+    assert blocks_by_path(lambda: list(ProfileTableReader(feed, chunk_rows=64))) == {
+        "column": 11, "rows": 0,
+    }
+    # write_profile_csv ends lines with CRLF, with and without metrics.
+    context = build_context("cactus/gru", max_invocations=900)
+    for profile in (context.sieve_table, context.pks_table):
+        path = tmp_path / "written.csv"
+        write_profile_csv(profile, path)
+        assert b"\r\n" in path.read_bytes()
+        counts = blocks_by_path(lambda: list(ProfileTableReader(path, chunk_rows=256)))
+        assert counts == {"column": -(-len(profile) // 256), "rows": 0}
+
+
+def test_quoted_kernel_name_takes_the_row_loop_from_its_block_on(tmp_path):
+    names = ["a", "b", '"c, d"', "a", "b", "a"]
+    path = tmp_path / "quoted.csv"
+    path.write_text(
+        "# workload,wl,rows,6\n" + HEADER
+        + "".join(f"{name},{i},{10 + i},128,4\n" for i, name in enumerate(names))
+    )
+    reader = ProfileTableReader(path, chunk_rows=2)
+    assert blocks_by_path(lambda: list(reader)) == {"column": 1, "rows": 2}
+    assert reader._names == ["a", "b", "c, d"]
+
+
+def test_loadtxt_reading_float_text_as_an_integer_declines(tmp_path, monkeypatch):
+    """NumPy 1.23's loadtxt reads ``5.0`` in an integer column as 5 and
+    warns (a DeprecationWarning); later releases raise. Acting like it,
+    ``np.loadtxt`` must not get the block past the column path."""
+    loadtxt = np.loadtxt
+
+    def deprecated_float_ints(lines, dtype=float, **kwargs):
+        if dtype is np.int64 and any(",5.0," in line for line in lines):
+            warnings.warn(
+                "loadtxt(): Parsing an integer via a float is deprecated.",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            lines = [line.replace(",5.0,", ",5,") for line in lines]
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", deprecated_float_ints)
+    path = tmp_path / "float.csv"
+    path.write_text("# workload,wl,rows,2\n" + HEADER + "a,0,7,128,4\na,1,5.0,128,4\n")
+    for parse in (read_profile_csv, lambda p: list(ProfileTableReader(p))):
+        with pytest.raises(ProfileError, match=r"invalid literal for int\(\).*'5.0'") as excinfo:
+            parse(path)
+        assert excinfo.value.context == {"path": str(path), "row": 4}
