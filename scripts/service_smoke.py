@@ -11,6 +11,9 @@ the acceptance bar names:
 * ``GET /v1/metrics`` parses as valid Prometheus exposition text
   (:func:`repro.observability.export.parse_prometheus` is the strict
   validator);
+* no worker process outlives the server: ``handle.stop()`` closes the
+  engine, which stops its long-lived isolated workers (``--jobs`` of
+  them), so ``multiprocessing.active_children()`` must then be empty;
 * the resulting ``BENCH_service.json`` manifest is written to
   ``--out`` and auto-recorded into the perf store when
   ``SIEVE_PERFSTORE_DIR`` is set. The CI ``service-smoke`` job records
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import multiprocessing
 import sys
 import tempfile
 from pathlib import Path
@@ -117,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=2,
-        help="engine process-pool width inside each batch (default 2)",
+        help="isolated worker processes behind the batches (default 2)",
     )
     args = parser.parse_args(argv)
 
@@ -135,11 +139,13 @@ def main(argv: list[str] | None = None) -> int:
             families = check_metrics(handle.host, handle.port)
         finally:
             handle.stop()
+    survivors = multiprocessing.active_children()
 
     summary = report.summary()
     for key, value in summary.items():
         print(f"{key}: {value}")
     print(f"/v1/metrics: {families} families, exposition valid")
+    print(f"child processes alive after stop: {len(survivors)}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = report.to_manifest()
@@ -158,6 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     if summary["p99_s"] > args.p99_bound_s:
         failures.append(
             f"p99 {summary['p99_s']:.3f}s exceeds the {args.p99_bound_s}s bound"
+        )
+    if survivors:
+        failures.append(
+            f"{len(survivors)} child process(es) outlived the server: "
+            + ", ".join(f"pid {child.pid}" for child in survivors)
         )
     if len(report.records) != REQUESTS:
         failures.append(

@@ -30,12 +30,16 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
+import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -78,6 +82,13 @@ CACHE_SCHEMA = 3
 
 #: The default method comparison (the paper's headline Sieve-vs-PKS).
 KNOWN_METHODS = ("sieve", "pks")
+
+#: Serializes ``ResultCache.stats`` and ``Quarantine`` updates: a server
+#: probes the cache on its event loop while its batch thread runs tasks.
+#: A forked child gets a fresh lock, since its copy may have been taken
+#: while another thread held it.
+_bookkeeping = threading.Lock()
+os.register_at_fork(after_in_child=_bookkeeping._at_fork_reinit)
 
 
 def default_cache_dir() -> Path:
@@ -242,11 +253,17 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
     This is the process-pool worker: module-level so it pickles by
     reference, and independent of all engine state so serial and parallel
     execution share one code path.
+
+    The result keys are interned. Pickle writes a string once per object,
+    so a key that *is* its result's ``method`` string pickles shorter than
+    an equal copy; a task unpickled in a worker carries copies, and
+    without interning its results would pickle differently from the same
+    results computed in-process.
     """
     def evaluate(context) -> dict[str, MethodResult]:
         if task.streaming is not None:
             return {
-                request.key: evaluate_method_streaming(
+                sys.intern(request.key): evaluate_method_streaming(
                     request.method,
                     context,
                     request.config,
@@ -256,7 +273,9 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
                 for request in task.methods
             }
         return {
-            request.key: evaluate_method(request.method, context, request.config)
+            sys.intern(request.key): evaluate_method(
+                request.method, context, request.config
+            )
             for request in task.methods
         }
 
@@ -411,7 +430,8 @@ class ResultCache:
         try:
             payload = pickle.loads(path.read_bytes())
         except FileNotFoundError:
-            self.stats.misses += 1
+            with _bookkeeping:
+                self.stats.misses += 1
             metrics.inc("engine.cache.miss", reason="absent")
             return None
         except Exception as exc:  # torn write, foreign file, pickle drift
@@ -424,7 +444,8 @@ class ResultCache:
         ):
             self._drop_invalid(path, "stale schema or key mismatch", "stale")
             return None
-        self.stats.hits += 1
+        with _bookkeeping:
+            self.stats.hits += 1
         metrics.inc("engine.cache.hit")
         return payload["results"]
 
@@ -450,11 +471,13 @@ class ResultCache:
                 "engine.cache", f"cache write failed for {path.name}: {exc}"
             )
             return
-        self.stats.writes += 1
+        with _bookkeeping:
+            self.stats.writes += 1
 
     def _drop_invalid(self, path: Path, reason: str, reason_label: str) -> None:
-        self.stats.invalid += 1
-        self.stats.misses += 1
+        with _bookkeeping:
+            self.stats.invalid += 1
+            self.stats.misses += 1
         metrics.inc("engine.cache.miss", reason=reason_label)
         diagnostics.emit("engine.cache", f"dropping cache entry {path.name}: {reason}")
         try:
@@ -488,7 +511,7 @@ class RetryPolicy:
     """Deadline + bounded-retry knobs for isolated task execution.
 
     ``deadline_s`` is the per-*attempt* wall-clock budget; ``None``
-    disables the deadline (the supervisor blocks until the child
+    disables the deadline (the supervisor blocks until the worker
     responds). Backoff between attempt ``k`` and ``k+1`` is
     ``backoff_base_s * backoff_factor**k``.
     """
@@ -601,8 +624,10 @@ class Quarantine:
     def strike(self, kind: str, ident: str) -> int:
         """Record one failure; returns the new strike count."""
         entry = self._entry(kind, ident)
-        self.strikes[entry] = self.strikes.get(entry, 0) + 1
-        count = self.strikes[entry]
+        with _bookkeeping:
+            count = self.strikes[entry] = self.strikes.get(entry, 0) + 1
+            # Saved under the lock, so the file never ends on an older count.
+            self._save()
         metrics.inc("engine.quarantine.strikes", kind=kind)
         if count == self.threshold:
             metrics.inc("engine.quarantine.added", kind=kind)
@@ -613,7 +638,6 @@ class Quarantine:
             obs_manifest.record_event(
                 "engine.quarantined", target=kind, ident=ident, strikes=count
             )
-        self._save()
         return count
 
     def is_quarantined(self, kind: str, ident: str) -> bool:
@@ -621,15 +645,16 @@ class Quarantine:
 
     def clear(self, kind: str | None = None) -> int:
         """Forget strikes (optionally only one kind); returns entries dropped."""
-        if kind is None:
-            dropped = len(self.strikes)
-            self.strikes = {}
-        else:
-            doomed = [e for e in self.strikes if e.startswith(f"{kind}:")]
-            dropped = len(doomed)
-            for entry in doomed:
-                del self.strikes[entry]
-        self._save()
+        with _bookkeeping:
+            if kind is None:
+                dropped = len(self.strikes)
+                self.strikes = {}
+            else:
+                doomed = [e for e in self.strikes if e.startswith(f"{kind}:")]
+                dropped = len(doomed)
+                for entry in doomed:
+                    del self.strikes[entry]
+            self._save()
         return dropped
 
     def entries(self) -> list[tuple[str, str, int]]:
@@ -641,74 +666,132 @@ class Quarantine:
         return rows
 
 
-def _isolated_child(task: EvaluationTask, attempt: int, conn) -> None:
-    """Entry point of a single-task worker process.
+#: How often an idle worker checks that its supervisor still exists.
+_ORPHAN_CHECK_S = 1.0
+#: How long :meth:`_Worker.stop` waits for a worker to exit by itself.
+_WORKER_STOP_S = 5.0
 
-    Applies deterministic task-surface sabotage first (the chaos hooks
-    behind :func:`repro.robustness.faults.task_sabotage`): ``hang``
-    sleeps past any reasonable deadline, ``crash`` kills the process
-    abruptly, ``task_error`` raises. Sabotage depends only on
-    ``(plan.seed, mode, label, attempt)`` — never on scheduling — so
-    ``jobs=1`` and ``jobs=N`` campaigns sabotage identically.
+
+def _sabotage(task: EvaluationTask, attempt: int) -> None:
+    """Apply deterministic task-surface sabotage before an attempt runs.
+
+    The chaos hooks behind :func:`repro.robustness.faults.task_sabotage`:
+    ``hang`` sleeps past any reasonable deadline, ``crash`` kills the
+    worker abruptly, ``task_error`` raises. Sabotage depends only on
+    ``(plan.seed, mode, label, attempt)`` — never on scheduling or on
+    which worker runs the attempt — so ``jobs=1`` and ``jobs=N``
+    campaigns sabotage identically.
     """
-    try:
-        if task.fault_plan is not None:
-            mode = task_sabotage(task.fault_plan, task.label, attempt)
-            if mode == "hang":
-                time.sleep(3600.0)
-            elif mode == "crash":
-                os._exit(13)
-            elif mode == "task_error":
-                raise EngineError(
-                    "injected task fault",
-                    workload=task.label,
-                    attempt=attempt,
-                )
-        payload = run_task_with_telemetry(task)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 — ship *any* failure to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            os._exit(1)
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+    if task.fault_plan is None:
+        return
+    mode = task_sabotage(task.fault_plan, task.label, attempt)
+    if mode == "hang":
+        time.sleep(3600.0)
+    elif mode == "crash":
+        os._exit(13)
+    elif mode == "task_error":
+        raise EngineError("injected task fault", workload=task.label, attempt=attempt)
 
 
-def _supervised_attempt(
-    task: EvaluationTask, attempt: int, deadline_s: float | None
-) -> tuple[str, object]:
-    """Run one attempt in a dedicated child process under a deadline.
+def _worker_main(conn, parent_pid: int) -> None:
+    """Entry point of a long-lived isolated worker process.
 
-    Returns ``(status, payload)`` where status is ``ok`` (payload is the
-    telemetry tuple from :func:`run_task_with_telemetry`), ``timeout``,
-    ``crash`` or ``error`` (payload is a description). The child is
-    terminated (then killed) on timeout, so a hung task costs exactly
-    one deadline — never the campaign.
+    Loops: receive ``(task, attempt)``, sabotage it if its plan says so,
+    run it with its own telemetry (:func:`run_task_with_telemetry` resets
+    spans, sinks, metrics and events per task) and send the result back.
+    The context LRU survives between tasks, which is the point of keeping
+    the worker. ``None`` — or the supervisor's process going away — ends
+    the loop, and the worker *returns* from its target, so multiprocessing
+    runs the process's exit finalizers; a killed worker would skip them.
+    A task that raises anything but an ``Exception`` (a ``SystemExit``
+    from a method, say) ends the worker without a reply, so the supervisor
+    charges that task the crash rather than checking in a dying worker.
+    SIGINT is ignored: a terminal's Ctrl-C reaches the whole process
+    group, and the supervisor, not the signal, decides when workers stop.
     """
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_isolated_child, args=(task, attempt, sender), daemon=True)
-    proc.start()
-    sender.close()
-    try:
-        if not receiver.poll(deadline_s):
-            _reap(proc)
-            return ("timeout", f"no result within {deadline_s}s deadline")
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
         try:
-            status, payload = receiver.recv()
-        except EOFError:
-            proc.join(5.0)
-            return ("crash", f"worker died without result (exitcode={proc.exitcode})")
-        proc.join(5.0)
-        return (status, payload)
-    finally:
-        receiver.close()
-        if proc.is_alive():
-            _reap(proc)
+            while not conn.poll(_ORPHAN_CHECK_S):
+                if os.getppid() != parent_pid:
+                    return
+            message = conn.recv()
+        except (EOFError, OSError):
+            return  # the supervisor is gone
+        if message is None:
+            return
+        task, attempt = message
+        try:
+            _sabotage(task, attempt)
+            conn.send(("ok", run_task_with_telemetry(task)))
+        except Exception as exc:  # ship the task's failure to the supervisor
+            try:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            except OSError:
+                return  # the supervisor is gone
+
+
+class _Worker:
+    """One long-lived worker process and the supervisor's end of its pipe."""
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_worker_main, args=(child, os.getpid()), daemon=True
+        )
+        _start_on_plain_thread(self.proc)
+        child.close()
+
+    def take(self, message: tuple) -> None:
+        """Send ``message``; a worker that cannot take it is discarded."""
+        try:
+            self.conn.send(message)
+        except BaseException:
+            self.discard()
+            raise
+
+    def stop(self) -> None:
+        """Ask the worker to exit and join it; only a stuck one is killed."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # already gone
+        self.discard(_WORKER_STOP_S)
+
+    def discard(self, join_s: float = 0.0) -> None:
+        """Close the pipe, wait up to ``join_s`` for an exit, then reap."""
+        self.conn.close()
+        if join_s:
+            self.proc.join(join_s)
+        if self.proc.is_alive():
+            _reap(self.proc)
+        else:
+            self.proc.join()
+
+
+def _start_on_plain_thread(proc: multiprocessing.Process) -> None:
+    """``proc.start()`` on a short-lived plain thread; re-raises its error.
+
+    A child forked from a ``concurrent.futures`` thread (a supervisor, the
+    service's batch thread) inherits that executor's exit hook, which
+    joins the forking thread — the child's only thread — and fails, so
+    the worker would exit with code 1 after a clean stop. A plain thread
+    is not in the executor's registry.
+    """
+    errors: list[BaseException] = []
+
+    def start() -> None:
+        try:
+            proc.start()
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            errors.append(exc)
+
+    starter = threading.Thread(target=start, name="sieve-worker-fork")
+    starter.start()
+    starter.join()
+    if errors:
+        raise errors[0]
 
 
 def _reap(proc: multiprocessing.Process) -> None:
@@ -720,7 +803,93 @@ def _reap(proc: multiprocessing.Process) -> None:
         proc.join(5.0)
 
 
+class _WorkerPool:
+    """The long-lived workers behind :meth:`EvaluationEngine.run_isolated`.
+
+    Workers are forked on demand and returned to an idle list of at most
+    ``size`` (the engine's ``jobs``) after each attempt, so a later task
+    finds the contexts an earlier one built. Forking happens under the
+    lock: a worker forked while another's pipe is half set up would hold
+    that pipe's child end, and a crash of the other would then read as a
+    timeout instead of an ``EOFError``.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._idle: list[_Worker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def attempt(
+        self, task: EvaluationTask, attempt: int, deadline_s: float | None
+    ) -> tuple[str, object]:
+        """Run one attempt in a worker under a deadline.
+
+        Returns ``(status, payload)`` where status is ``ok`` (payload is
+        the telemetry tuple from :func:`run_task_with_telemetry`),
+        ``timeout``, ``crash`` or ``error`` (payload is a description). A
+        timeout kills the worker and a crash loses it; either way the
+        next attempt gets a fresh one. The pipe is a socket pair, so a
+        worker that dies before reading the task resets the connection
+        rather than closing it: that too is a crash.
+        """
+        worker = self._send((task, attempt))
+        try:
+            reply = worker.conn.recv() if worker.conn.poll(deadline_s) else None
+        except (EOFError, OSError):
+            worker.discard(5.0)
+            return ("crash", f"worker died without result (exitcode={worker.proc.exitcode})")
+        except BaseException:
+            worker.discard()
+            raise
+        if reply is None:
+            worker.discard()
+            return ("timeout", f"no result within {deadline_s}s deadline")
+        self._checkin(worker)
+        return reply
+
+    def _send(self, message: tuple) -> _Worker:
+        """A worker that has taken ``message``.
+
+        An idle worker that died since its last task shows up dead at
+        checkout or as a broken pipe on send; either way a fresh worker
+        takes the message and the attempt is not charged.
+        """
+        worker = self._checkout(fresh=False)
+        try:
+            worker.take(message)
+        except OSError:
+            worker = self._checkout(fresh=True)
+            worker.take(message)
+        return worker
+
+    def _checkout(self, fresh: bool) -> _Worker:
+        with self._lock:
+            while self._idle and not fresh:
+                worker = self._idle.pop()
+                if worker.proc.is_alive():
+                    return worker
+                worker.discard()
+            return _Worker()
+
+    def _checkin(self, worker: _Worker) -> None:
+        with self._lock:
+            if not self._closed and len(self._idle) < self.size:
+                self._idle.append(worker)
+                return
+        worker.stop()
+
+    def close(self) -> None:
+        """Stop every idle worker; one still busy stops when checked in."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.stop()
+
+
 def _run_with_retries(
+    workers: _WorkerPool,
     task: EvaluationTask,
     policy: RetryPolicy,
     sleep: Callable[[float], None] = time.sleep,
@@ -736,7 +905,7 @@ def _run_with_retries(
         with span(
             "engine.attempt", workload=task.label, attempt=attempt
         ):
-            status, payload = _supervised_attempt(task, attempt, policy.deadline_s)
+            status, payload = workers.attempt(task, attempt, policy.deadline_s)
         if status == "ok":
             results = payload[0]
             return (
@@ -812,12 +981,20 @@ class EvaluationEngine:
             quarantine_path, threshold=self.config.quarantine_threshold
         )
         if self.cache is not None:
-            self.cache.on_invalid = lambda key: self.quarantine.strike("cache", key)
+            # A partial, not a lambda over self: no reference cycle, so an
+            # engine nobody closed is freed (and its workers stopped) at once.
+            self.cache.on_invalid = partial(self.quarantine.strike, "cache")
         self._shm = SharedTablePlane()
         self._closed = False
         # The plane, not the engine, is what atexit must reap: segments
         # are kernel objects that outlive a crashed interpreter's heap.
         register_plane(self._shm)
+        self._workers = _WorkerPool(self.config.jobs)
+        # Stops the workers when an unclosed engine is collected, and at
+        # exit ahead of multiprocessing's terminate of daemon children.
+        self._stop_workers = mp_util.Finalize(
+            self, self._workers.close, exitpriority=10
+        )
 
     @property
     def cache_stats(self) -> CacheStats | None:
@@ -843,15 +1020,19 @@ class EvaluationEngine:
         return self._shm.release(ref)
 
     def close(self) -> None:
-        """Unlink every published segment; idempotent, crash-safe.
+        """Stop the isolated workers and unlink every published segment.
 
-        Registered per-plane with ``atexit`` as a backstop; benches and
-        the service also call it (or use the engine as a context
-        manager) so long-lived processes do not accumulate segments.
+        Idempotent and crash-safe. Each idle worker is sent a stop message
+        and joined; only a stuck one is terminated. Registered per-plane
+        with ``atexit``, and per-engine with multiprocessing's exit
+        finalizers, as a backstop; benches and the service also call it
+        (or use the engine as a context manager) so long-lived processes
+        do not accumulate segments or workers.
         """
         if self._closed:
             return
         self._closed = True
+        self._stop_workers()
         freed = self._shm.close()
         unregister_plane(self._shm)
         if freed:
@@ -935,6 +1116,34 @@ class EvaluationEngine:
             ):
                 return completed + [run_task(task) for task in remaining]
 
+    def probe(self, task: EvaluationTask, key: str | None) -> TaskOutcome | None:
+        """The outcome :meth:`run_isolated` gives ``task`` without running it.
+
+        ``quarantined`` when the label is struck out (checked first), the
+        cached results when ``key`` (the task's :meth:`~EvaluationTask.
+        cache_key`, or ``None`` without a cache) has an entry, else
+        ``None``: the task must run. The service answers hits with this
+        before they reach a batch.
+        """
+        if self.quarantine.is_quarantined("task", task.label):
+            metrics.inc("engine.isolated.quarantine_skips")
+            obs_manifest.record_event(
+                "engine.task_skipped", workload=task.label, reason="quarantined"
+            )
+            return TaskOutcome(
+                task.label,
+                "quarantined",
+                attempts=0,
+                error="skipped: quarantined task",
+            )
+        if self.cache is not None and key is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return TaskOutcome(
+                    task.label, "ok", cached, attempts=0, from_cache=True
+                )
+        return None
+
     def run_isolated(
         self,
         tasks: Sequence[EvaluationTask],
@@ -942,14 +1151,15 @@ class EvaluationEngine:
     ) -> list[TaskOutcome]:
         """Evaluate tasks with per-task crash isolation and deadlines.
 
-        Each pending task runs in its *own* child process supervised by a
-        thread: a hang costs one deadline, a crash costs one task, and
-        neither aborts the batch (contrast :meth:`run`, where one dying
-        worker used to cost the whole pool). Failed tasks earn quarantine
-        strikes; quarantined tasks are skipped outright. Outcomes come
-        back in input order, cache-warm where possible, and worker
-        telemetry is merged in input order so ``jobs=1`` and ``jobs=N``
-        produce byte-identical surviving results and aggregates.
+        Each pending task runs in one of at most ``jobs`` long-lived
+        worker processes, supervised by a thread: a hang costs one
+        deadline, a crash costs one attempt, and neither aborts the batch
+        (contrast :meth:`run`, where one dying worker used to cost the
+        whole pool). Failed tasks earn quarantine strikes; quarantined
+        tasks are skipped outright. Outcomes come back in input order,
+        cache-warm where possible, and worker telemetry is merged in input
+        order so ``jobs=1`` and ``jobs=N`` produce byte-identical
+        surviving results and aggregates.
         """
         policy = policy or self.config.retry
         with span("engine.run_isolated", tasks=len(tasks)) as iso_span:
@@ -957,38 +1167,25 @@ class EvaluationEngine:
             keys: list[str | None] = [None] * len(tasks)
             pending: list[int] = []
             for index, task in enumerate(tasks):
-                if self.quarantine.is_quarantined("task", task.label):
-                    metrics.inc("engine.isolated.quarantine_skips")
-                    obs_manifest.record_event(
-                        "engine.task_skipped", workload=task.label, reason="quarantined"
-                    )
-                    ordered[index] = TaskOutcome(
-                        task.label,
-                        "quarantined",
-                        attempts=0,
-                        error="skipped: quarantined task",
-                    )
-                    continue
                 if self.cache is not None:
                     keys[index] = task.cache_key()
-                    cached = self.cache.get(keys[index])
-                    if cached is not None:
-                        ordered[index] = TaskOutcome(
-                            task.label, "ok", cached, attempts=0, from_cache=True
-                        )
-                        continue
-                pending.append(index)
+                ordered[index] = self.probe(task, keys[index])
+                if ordered[index] is None:
+                    pending.append(index)
             if pending:
                 jobs = min(self.config.jobs, len(pending))
                 if jobs <= 1:
                     attempted = [
-                        _run_with_retries(tasks[i], policy) for i in pending
+                        _run_with_retries(self._workers, tasks[i], policy)
+                        for i in pending
                     ]
                 else:
                     with ThreadPoolExecutor(max_workers=jobs) as supervisors:
                         attempted = list(
                             supervisors.map(
-                                lambda i: _run_with_retries(tasks[i], policy),
+                                lambda i: _run_with_retries(
+                                    self._workers, tasks[i], policy
+                                ),
                                 pending,
                             )
                         )

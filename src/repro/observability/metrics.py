@@ -19,6 +19,8 @@ wall-clock durations; durations live in spans).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -27,6 +29,12 @@ from repro.observability import state
 #: Default histogram bucket upper bounds: powers of 4 spanning 1 .. ~10^9
 #: (sizes/counts); one overflow bucket catches the rest.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(4.0**i for i in range(16))
+
+#: Serializes registry updates: a server counts on its event loop and on
+#: its batch thread at once. A forked child gets a fresh lock, since its
+#: copy may have been taken while another thread held it.
+_lock = threading.Lock()
+os.register_at_fork(after_in_child=_lock._at_fork_reinit)
 
 
 def metric_key(name: str, labels: Mapping[str, object]) -> str:
@@ -117,17 +125,19 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         key = metric_key(name, labels)
-        self._counters[key] = self._counters.get(key, 0.0) + value
+        with _lock:
+            self._counters[key] = self._counters.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
         self._gauges[metric_key(name, labels)] = float(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
         key = metric_key(name, labels)
-        histogram = self._histograms.get(key)
-        if histogram is None:
-            histogram = self._histograms[key] = Histogram()
-        histogram.observe(value)
+        with _lock:
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = Histogram()
+            histogram.observe(value)
 
     # -------------------------------------------------------------- read
 
@@ -149,13 +159,14 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """JSON-able, deterministically ordered view of the registry."""
-        return {
-            "counters": {k: self._counters[k] for k in sorted(self._counters)},
-            "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
-            "histograms": {
-                k: self._histograms[k].to_dict() for k in sorted(self._histograms)
-            },
-        }
+        with _lock:
+            return {
+                "counters": {k: self._counters[k] for k in sorted(self._counters)},
+                "gauges": {k: self._gauges[k] for k in sorted(self._gauges)},
+                "histograms": {
+                    k: self._histograms[k].to_dict() for k in sorted(self._histograms)
+                },
+            }
 
     def merge(self, snapshot: Mapping) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
@@ -164,22 +175,24 @@ class MetricsRegistry:
         snapshot's value (callers merge in task input order, which makes
         the result identical to serial execution).
         """
-        for key, value in snapshot.get("counters", {}).items():
-            self._counters[key] = self._counters.get(key, 0.0) + value
-        for key, value in snapshot.get("gauges", {}).items():
-            self._gauges[key] = float(value)
-        for key, payload in snapshot.get("histograms", {}).items():
-            shipped = Histogram.from_dict(payload)
-            mine = self._histograms.get(key)
-            if mine is None:
-                self._histograms[key] = shipped
-            else:
-                mine.merge(shipped)
+        with _lock:
+            for key, value in snapshot.get("counters", {}).items():
+                self._counters[key] = self._counters.get(key, 0.0) + value
+            for key, value in snapshot.get("gauges", {}).items():
+                self._gauges[key] = float(value)
+            for key, payload in snapshot.get("histograms", {}).items():
+                shipped = Histogram.from_dict(payload)
+                mine = self._histograms.get(key)
+                if mine is None:
+                    self._histograms[key] = shipped
+                else:
+                    mine.merge(shipped)
 
     def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
+        with _lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._histograms.clear()
 
 
 _registry = MetricsRegistry()

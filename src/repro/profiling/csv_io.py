@@ -57,10 +57,10 @@ _INSN_SLOT = PKS_METRIC_NAMES.index("instruction_count")
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-#: The characters a block may hold to take the column path: printable
-#: ASCII, tab and line ends. ``np.loadtxt`` strips ``\x1c``-``\x1f`` as
-#: whitespace where ``int()`` rejects them, and NUL is an error to the
-#: csv module before Python 3.11.
+#: The characters a block's converted fields may hold to take the column
+#: path: printable ASCII, tab and line ends. ``np.loadtxt`` strips
+#: ``\x1c``-``\x1f`` as whitespace where ``int()`` rejects them, and NUL
+#: is an error to the csv module before Python 3.11.
 _PLAIN_TEXT = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 
 
@@ -252,6 +252,26 @@ def _then_raise(lines: list[str], exc: Exception) -> Iterator[str]:
     """``lines``, then ``exc``: a feed as far as it could be read."""
     yield from lines
     raise exc
+
+
+def _plain_fields(block: list[str], text: str) -> bool:
+    """Whether ``block`` (``text`` is its lines joined) holds no NUL and
+    only ``_PLAIN_TEXT`` after each line's first comma.
+
+    Kernel names are split off by ``str.partition`` and never converted,
+    so they may hold any other character; NUL is an error to the csv
+    module before Python 3.11. A block that is plain throughout, as a
+    feed of printable-ASCII names is, passes without splitting its lines:
+    the split adds about a fifth to the column path on a Sieve feed.
+    """
+    if text.isascii() and not text.encode("ascii").translate(None, _PLAIN_TEXT):
+        return True
+    numbers = "".join([line.partition(",")[2] for line in block])
+    return (
+        "\x00" not in text
+        and numbers.isascii()
+        and not numbers.encode("ascii").translate(None, _PLAIN_TEXT)
+    )
 
 
 def _read_columns(lines: list[str], usecols: Sequence[int], dtype: type) -> np.ndarray:
@@ -458,9 +478,9 @@ class ProfileTableReader:
 
         The chunk equals what the row loop builds from these lines. A block
         declines wherever the two could differ: a line without exactly
-        ``width`` fields, a blank line, a character outside
-        ``_PLAIN_TEXT``, a line longer than the csv module's field limit,
-        an integer ``int()`` or its column would reject, or any warning
+        ``width`` fields, a blank line, a character :func:`_plain_fields`
+        rejects, a line longer than the csv module's field limit, an
+        integer ``int()`` or its column would reject, or any warning
         from ``np.loadtxt`` (since NumPy 1.23 it reads ``5.0`` in an
         integer column as 5 with a DeprecationWarning, until a later
         release raises instead). The row loop then reads the block and
@@ -469,8 +489,7 @@ class ProfileTableReader:
         n = len(block)
         if (
             text.count(",") != n * (width - 1)
-            or not text.isascii()
-            or text.encode("ascii").translate(None, _PLAIN_TEXT)
+            or not _plain_fields(block, text)
             or max(map(len, block)) > csv.field_size_limit()
         ):
             return None

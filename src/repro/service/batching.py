@@ -5,14 +5,16 @@ The server handles each HTTP request on its own asyncio task, but the
 cache probe, process fan-out and quarantine bookkeeping amortize over a
 task list. The dispatcher bridges the two worlds:
 
-* :meth:`BatchingDispatcher.submit` enqueues one
-  :class:`~repro.evaluation.engine.EvaluationTask` and awaits its
-  :class:`~repro.evaluation.engine.TaskOutcome`;
+* :meth:`BatchingDispatcher.submit` answers a task the engine can
+  answer without running it — a result-cache hit or a quarantined label,
+  via :meth:`~repro.evaluation.engine.EvaluationEngine.probe` — at once;
+  any other :class:`~repro.evaluation.engine.EvaluationTask` is enqueued
+  and its :class:`~repro.evaluation.engine.TaskOutcome` awaited;
 * a single flusher coroutine sleeps for the batching window
   (``window_s``) after the first arrival, then drains everything queued
   into one ``engine.run_isolated`` call on a worker thread — the engine
-  parallelizes *inside* the batch via its process pool, so exactly one
-  batch runs at a time and batches never contend for the pool;
+  parallelizes *inside* the batch via its worker processes, so exactly
+  one batch runs at a time and batches never contend for the workers;
 * requests whose tasks share a cache key **coalesce**: the first one
   enqueues the engine task, later arrivals await the same future. With
   ``asyncio.shield`` around the shared future, one client cancelling
@@ -68,6 +70,7 @@ class _Pending:
     """One unique engine task waiting for (or in) a batch."""
 
     task: EvaluationTask
+    key: str
     future: asyncio.Future = field(default_factory=asyncio.Future)
 
 
@@ -96,8 +99,8 @@ class BatchingDispatcher:
         self._wakeup = asyncio.Event()
         self._flusher: asyncio.Task | None = None
         self._closed = False
-        # One worker thread: batches are serialized; the engine's own
-        # process pool provides the parallelism within a batch.
+        # One worker thread: batches are serialized; the engine's worker
+        # processes provide the parallelism within a batch.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sieve-service-batch"
         )
@@ -108,24 +111,33 @@ class BatchingDispatcher:
                 self._flush_loop(), name="sieve-service-flusher"
             )
 
-    async def submit(self, task: EvaluationTask) -> TaskOutcome:
-        """Queue ``task`` and await its outcome.
+    async def submit(self, task: EvaluationTask, key: str | None = None) -> TaskOutcome:
+        """Answer ``task`` from the engine's probe, or queue it and await it.
 
+        ``key`` is the task's cache key, when the caller already has it.
         Identical concurrent tasks (same content-addressed cache key)
-        share one engine execution. Cancellation of this coroutine
-        abandons *this* waiter only — the shared work keeps running for
-        the siblings.
+        share one engine execution; a task that is not in flight and that
+        the engine answers without running (a cache hit, a quarantined
+        label) returns at once, without waiting for the window or a batch.
+        A miss is probed again inside its batch. Cancellation of this
+        coroutine abandons *this* waiter only — the shared work keeps
+        running for the siblings.
         """
         if self._closed:
             raise ServiceUnavailableError("service is shutting down")
         self.stats.requests += 1
-        key = task.cache_key()
+        if key is None:
+            key = task.cache_key()
         pending = self._inflight.get(key)
         if pending is not None:
             self.stats.coalesced += 1
             inc("service.coalesced")
         else:
-            pending = _Pending(task=task)
+            outcome = self.engine.probe(task, key)
+            if outcome is not None:
+                self._count(outcome)
+                return outcome
+            pending = _Pending(task=task, key=key)
             self._inflight[key] = pending
             self._queue.append(pending)
             self._wakeup.set()
@@ -186,9 +198,7 @@ class BatchingDispatcher:
                     pending.future.set_exception(exc)
             return
         for pending, outcome in zip(batch, outcomes):
-            if outcome.status != "ok":
-                self.stats.failures += 1
-                inc("service.task_failures", status=outcome.status)
+            self._count(outcome)
             self._finish(pending)
             if not pending.future.done():
                 pending.future.set_result(outcome)
@@ -196,7 +206,11 @@ class BatchingDispatcher:
     def _run_isolated(self, tasks: list[EvaluationTask]) -> list[TaskOutcome]:
         return self.engine.run_isolated(tasks, self.retry)
 
+    def _count(self, outcome: TaskOutcome) -> None:
+        if outcome.status != "ok":
+            self.stats.failures += 1
+            inc("service.task_failures", status=outcome.status)
+
     def _finish(self, pending: _Pending) -> None:
-        key = pending.task.cache_key()
-        if self._inflight.get(key) is pending:
-            del self._inflight[key]
+        if self._inflight.get(pending.key) is pending:
+            del self._inflight[pending.key]

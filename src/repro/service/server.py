@@ -28,6 +28,7 @@ import dataclasses
 import json
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.evaluation.engine import (
@@ -53,6 +54,10 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+#: Catalog results kept encoded for repeated requests, least recently
+#: used first out: (cache key, kind) -> (JSON of ``result``, digest).
+MEMO_ENTRIES = 256
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -62,7 +67,7 @@ class ServiceConfig:
     port: int = 0  # 0 = ephemeral; the bound port lands on the handle
     window_s: float = 0.005  # micro-batching window
     max_batch: int = 32
-    jobs: int = 1  # engine process-pool width per batch
+    jobs: int = 1  # isolated worker processes (the parallelism within a batch)
     use_cache: bool = True
     cache_dir: str | None = None
     quarantine_threshold: int = 2
@@ -109,6 +114,7 @@ class SieveService:
         self._request_counter = 0
         self._started_at: float | None = None
         self._clients: set[asyncio.Task] = set()
+        self._encoded: OrderedDict[tuple[str, str], tuple[str, str]] = OrderedDict()
 
     async def serve(
         self,
@@ -176,7 +182,15 @@ class SieveService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
+                length_text = headers.get("content-length", "0") or "0"
+                if not (length_text.isascii() and length_text.isdigit()):
+                    await self._respond(writer, 400, self._error_body(
+                        BadRequestError(
+                            "Content-Length must be a non-negative decimal integer",
+                            header="Content-Length",
+                        )))
+                    break
+                length = int(length_text)
                 if length > self.config.max_body_bytes:
                     await self._respond(writer, 413, self._error_body(
                         BadRequestError(
@@ -320,7 +334,7 @@ class SieveService:
 
     # ---------------------------------------------------------- evaluation
 
-    async def _evaluate(self, kind: str, body: bytes) -> tuple[int, dict]:
+    async def _evaluate(self, kind: str, body: bytes) -> tuple[int, dict | bytes]:
         self._request_counter += 1
         request_id = f"req-{self._request_counter:06d}"
         t0 = time.perf_counter()
@@ -361,35 +375,64 @@ class SieveService:
 
     async def _evaluate_catalog(
         self, request: protocol.EvaluationRequest, request_id: str, t0: float
-    ) -> tuple[int, dict]:
+    ) -> tuple[int, dict | bytes]:
         task = EvaluationTask(
             label=request.workload,
             max_invocations=request.cap,
             methods=(request.method_request(),),
             fault_plan=request.fault_plan,
         )
-        outcome = await self.dispatcher.submit(task)
+        key = task.cache_key()
+        outcome = await self.dispatcher.submit(task, key)
         if not outcome.ok:
             body = {
                 "request_id": request_id,
                 "error": protocol.outcome_error_payload(outcome),
             }
             return protocol.outcome_status(outcome), body
-        result = outcome[request.method]
-        body = {
-            "request_id": request_id,
+        result_json, digest = self._encode(request, key, outcome[request.method])
+        head = {
             "kind": request.kind,
             "method": request.method,
-            "workload": request.workload,
-            **protocol.response_body(request, result),
+            "pickle_sha256": digest,
+            "request_id": request_id,
+        }
+        tail = {
             "telemetry": {
                 "from_cache": outcome.from_cache,
                 "attempts": outcome.attempts,
                 "inline": False,
                 "wall_s": round(time.perf_counter() - t0, 6),
             },
+            "workload": request.workload,
         }
-        return 200, body
+        # canonical_json sorts keys, and "result" sorts between the head's
+        # keys and the tail's: joining the three gives the bytes
+        # canonical_json would give for the whole dict.
+        return 200, (
+            protocol.canonical_json(head)[:-1]
+            + ',"result":'
+            + result_json
+            + ","
+            + protocol.canonical_json(tail)[1:]
+        ).encode("utf-8")
+
+    def _encode(
+        self, request: protocol.EvaluationRequest, key: str, result
+    ) -> tuple[str, str]:
+        """The JSON of ``result``'s projection and its digest, computed once
+        per (cache key, kind) while the entry stays among ``MEMO_ENTRIES``."""
+        memo_key = (key, request.kind)
+        entry = self._encoded.get(memo_key)
+        if entry is not None:
+            self._encoded.move_to_end(memo_key)
+            return entry
+        body = protocol.response_body(request, result)
+        entry = (protocol.canonical_json(body["result"]), body["pickle_sha256"])
+        self._encoded[memo_key] = entry
+        if len(self._encoded) > MEMO_ENTRIES:
+            self._encoded.popitem(last=False)
+        return entry
 
 
 # ------------------------------------------------------- background thread

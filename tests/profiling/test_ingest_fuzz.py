@@ -47,6 +47,13 @@ NAMES = st.text(alphabet='ab,"\n\r\t {[ядро<>*', min_size=1, max_size=6)
 #: Names the csv module writes unquoted, so their blocks can take the
 #: reader's column path.
 PLAIN_NAMES = st.text(alphabet="ab_0 \t{[<>*#", min_size=1, max_size=6)
+#: Unquoted names outside printable ASCII: Cyrillic, CJK, NBSP, U+0085,
+#: U+2028, a combining mark and ASCII controls.
+WIDE_NAMES = st.text(
+    alphabet="ab_ядро核心\u00a0\u0085\u2028\u0301\x01\x0b\x0c\x1c\x1f\x7f",
+    min_size=1,
+    max_size=6,
+)
 MUTATIONS = (
     "none", "drop", "duplicate", "truncate", "splice", "swap", "delete-field",
     "quote", "huge", "deep", "rows",
@@ -259,8 +266,10 @@ def metric_row(*values: str) -> str:
 def csv_feeds(draw) -> str:
     """A written profile CSV with mixed line ends and up to three edits."""
     with tempfile.TemporaryDirectory() as tmp:
-        table = draw(tables(draw(st.sampled_from([PLAIN_NAMES, NAMES]))))
-        lines = csv_text(table, Path(tmp) / "feed.csv").splitlines(keepends=True)
+        table = draw(tables(draw(st.sampled_from([PLAIN_NAMES, WIDE_NAMES, NAMES]))))
+        # Split where the reader does: str.splitlines also breaks at
+        # U+0085 and U+2028, which names may hold.
+        lines = io.StringIO(csv_text(table, Path(tmp) / "feed.csv"), newline="").readlines()
     ends = draw(st.sampled_from(["\r\n", "\n", "mixed"]))
     if ends != "\r\n":
         lines = [
@@ -327,6 +336,9 @@ def read_everywhere(text: str, path) -> tuple:
 @example(text=feed("a,0,1_000,128,1", "a,1,\u0663,128,1", f"a,2,{2**63},128,1"))
 @example(text=feed("a,0,5.0,128,1", "a,1,1e3,128,1"))
 @example(text=feed("a\x00,0,5,128,1", "\u044f\u0434\u0440\u043e,1,5,128,1", end="\n"))
+@example(text=feed("\u044f\u2028,0,5,128,1", "\u6838\u0301\u0085,1,5,128,1"))
+@example(text=feed("\u044f,0,5,128,1", "\u6838,1,\u00a05,128,1", "b,0,5,128,\u0663"))
+@example(text=feed("a\x0b,0,5,128,1", "b\x1f\x7f,1,5,128,1", "c,0,\x1c5,128,1"))
 @example(text=feed(
     metric_row("nan", "-nan", "inf", "-inf", "1e400", "-1e400"),
     metric_row("-0.0", "5e-324", "2.5e-324", "1.7976931348623159e308"),

@@ -12,7 +12,12 @@ import threading
 
 import pytest
 
-from repro.evaluation.engine import EvaluationTask, TaskOutcome
+from repro.evaluation.engine import (
+    EngineConfig,
+    EvaluationEngine,
+    EvaluationTask,
+    TaskOutcome,
+)
 from repro.service.batching import BatchingDispatcher
 from repro.utils.errors import ServiceUnavailableError
 
@@ -24,6 +29,9 @@ class StubEngine:
         self.batches: list[list[EvaluationTask]] = []
         self.fail_labels = set(fail_labels)
         self.release = release
+
+    def probe(self, task, key):
+        return None  # every task is a miss
 
     def run_isolated(self, tasks, policy=None):
         if self.release is not None:
@@ -162,3 +170,93 @@ def test_close_fails_queued_requests_and_rejects_new_ones():
             await dispatcher.submit(task_for("rodinia/lud"))
 
     run(main())
+
+
+# --------------------------------------------------------------------- #
+# Answers without a batch: the engine's probe, checked in submit
+
+
+class ProbedEngine(StubEngine):
+    """A real engine's probe in front of the scripted batches."""
+
+    def __init__(self, engine: EvaluationEngine):
+        super().__init__()
+        self.engine = engine
+
+    def probe(self, task, key):
+        return self.engine.probe(task, key)
+
+
+def cached_engine(tmp_path) -> EvaluationEngine:
+    return EvaluationEngine(EngineConfig(cache_dir=tmp_path / "cache"))
+
+
+def test_cache_hit_returns_without_waiting_for_the_window(tmp_path):
+    engine = cached_engine(tmp_path)
+    hit = task_for("rodinia/nw")
+    engine.cache.put(hit.cache_key(), {"periodic": "cached"})
+
+    async def main():
+        stub = ProbedEngine(engine)
+        dispatcher = BatchingDispatcher(stub, window_s=30.0)
+        await dispatcher.start()
+        outcome = await asyncio.wait_for(dispatcher.submit(hit), timeout=5.0)
+        await dispatcher.close()
+        return stub, dispatcher, outcome
+
+    stub, dispatcher, outcome = run(main())
+    engine.close()
+    assert outcome.ok and outcome.from_cache and outcome.attempts == 0
+    assert dict(outcome.results) == {"periodic": "cached"}
+    assert stub.batches == []
+    assert dispatcher.stats.to_dict() == {
+        "requests": 1, "coalesced": 0, "batches": 0, "tasks": 0, "failures": 0,
+    }
+
+
+def test_quarantined_label_returns_its_outcome_at_once(tmp_path):
+    engine = cached_engine(tmp_path)
+    for _ in range(engine.quarantine.threshold):
+        engine.quarantine.strike("task", "rodinia/lud")
+
+    async def main():
+        stub = ProbedEngine(engine)
+        dispatcher = BatchingDispatcher(stub, window_s=30.0)
+        await dispatcher.start()
+        outcome = await asyncio.wait_for(
+            dispatcher.submit(task_for("rodinia/lud")), timeout=5.0
+        )
+        await dispatcher.close()
+        return stub, dispatcher, outcome
+
+    stub, dispatcher, outcome = run(main())
+    engine.close()
+    assert outcome.status == "quarantined" and outcome.attempts == 0
+    assert stub.batches == []
+    assert dispatcher.stats.failures == 1
+
+
+def test_misses_beside_a_hit_still_coalesce_into_one_batch(tmp_path):
+    engine = cached_engine(tmp_path)
+    hit = task_for("rodinia/nw")
+    engine.cache.put(hit.cache_key(), {"periodic": "cached"})
+
+    async def main():
+        stub = ProbedEngine(engine)
+        dispatcher = BatchingDispatcher(stub, window_s=0.02)
+        await dispatcher.start()
+        outcomes = await asyncio.gather(
+            dispatcher.submit(hit),
+            *[dispatcher.submit(task_for("rodinia/lud")) for _ in range(3)],
+            dispatcher.submit(task_for("rodinia/srad")),
+        )
+        await dispatcher.close()
+        return stub, dispatcher, outcomes
+
+    stub, dispatcher, outcomes = run(main())
+    engine.close()
+    assert outcomes[0].from_cache
+    assert [o.from_cache for o in outcomes[1:]] == [False] * 4
+    assert len(stub.batches) == 1
+    assert sorted(task.label for task in stub.batches[0]) == ["rodinia/lud", "rodinia/srad"]
+    assert dispatcher.stats.coalesced == 2 and dispatcher.stats.tasks == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
 import socket
@@ -14,6 +15,7 @@ from repro.evaluation.runner import evaluate_method
 from repro.observability.export import parse_prometheus
 from repro.profiling.csv_io import read_profile_csv, write_profile_csv
 from repro.service import protocol
+from repro.service import server as server_mod
 from repro.service.server import ServiceConfig, start_in_thread
 from tests.service.conftest import Client
 
@@ -308,3 +310,118 @@ def test_identical_served_results_are_cache_hits(client):
     assert second["telemetry"]["from_cache"] is True
     assert pickle.dumps(first["result"]) == pickle.dumps(second["result"])
     assert first["pickle_sha256"] == second["pickle_sha256"]
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1e3"])
+def test_malformed_content_length_is_a_typed_400(service, value):
+    raw = socket.create_connection((service.host, service.port), timeout=30)
+    try:
+        raw.sendall(
+            f"POST /v1/select HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{}}".encode()
+        )
+        received = b""
+        while chunk := raw.recv(65536):  # the server closes after answering
+            received += chunk
+    finally:
+        raw.close()
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(body)["error"]
+    assert error["type"] == "BadRequestError"
+    assert "Content-Length" in error["message"]
+    assert error["context"] == {"header": "Content-Length"}
+
+
+def post_bytes(service, route: str, payload: dict) -> tuple[int, bytes]:
+    connection = http.client.HTTPConnection(service.host, service.port, timeout=120)
+    try:
+        body = json.dumps(payload).encode()
+        connection.request(
+            "POST", route, body=body, headers={"Content-Length": str(len(body))}
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("route", [protocol.SELECT_ROUTE, protocol.PREDICT_ROUTE])
+def test_repeated_hits_return_the_canonical_bytes_of_the_full_body(
+    service, monkeypatch, route
+):
+    payload = {"workload": "rodinia/gaussian", "method": "sieve", "cap": 250}
+    direct = evaluate_method("sieve", build_context("rodinia/gaussian", 250), None)
+    if route == protocol.SELECT_ROUTE:
+        kind, expected = "select", protocol.selection_to_dict(direct.selection)
+        digest = protocol.pickle_digest(direct.selection)
+    else:
+        kind, expected = "predict", protocol.result_to_dict(direct)
+        digest = protocol.pickle_digest(direct)
+    encodings = []
+    real_response_body = protocol.response_body
+    monkeypatch.setattr(
+        protocol,
+        "response_body",
+        lambda request, result: encodings.append(1) or real_response_body(request, result),
+    )
+    replies = [post_bytes(service, route, payload) for _ in range(3)]
+    for status, raw in replies:
+        assert status == 200
+        body = json.loads(raw)
+        # The bytes the server built before the memo: canonical_json of
+        # the whole response dict.
+        assert raw == protocol.canonical_json(body).encode("utf-8")
+        assert set(body) == {
+            "request_id", "kind", "method", "workload", "result",
+            "pickle_sha256", "telemetry",
+        }
+        assert (body["kind"], body["method"]) == (kind, "sieve")
+        assert body["workload"] == "rodinia/gaussian"
+        assert body["result"] == expected
+        assert body["pickle_sha256"] == digest
+        assert set(body["telemetry"]) == {"from_cache", "attempts", "inline", "wall_s"}
+    assert [json.loads(raw)["telemetry"]["from_cache"] for _, raw in replies[1:]] == [True, True]
+    assert len(encodings) == 1  # encoded once, then served from the memo
+
+
+def test_theta_sweep_on_a_warm_worker_matches_direct(tmp_path):
+    """Each θ re-runs one workload in the same worker, reusing the context
+    its first request built; every digest is the in-process one."""
+    thetas = (0.3, 0.55, 0.8)
+    payload = {"workload": "rodinia/lud", "method": "sieve", "cap": 260}
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    try:
+        client = Client(handle.host, handle.port)
+        try:
+            bodies = [
+                client.post("/v1/predict", dict(payload, config={"theta": theta}))[1]
+                for theta in thetas
+            ]
+        finally:
+            client.close()
+        [worker] = handle.service.engine._workers._idle
+    finally:
+        handle.stop()
+    assert worker.proc.exitcode == 0
+    telemetry = [(b["telemetry"]["from_cache"], b["telemetry"]["attempts"]) for b in bodies]
+    assert telemetry == [(False, 1)] * 3
+    # Evaluated in-process only now, so the worker built its own context.
+    context = build_context("rodinia/lud", 260)
+    for theta, body in zip(thetas, bodies):
+        direct = evaluate_method("sieve", context, SieveConfig(theta=theta))
+        assert body["pickle_sha256"] == protocol.pickle_digest(direct)
+        assert body["result"] == protocol.result_to_dict(direct)
+
+
+def test_response_memo_never_exceeds_its_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "MEMO_ENTRIES", 2)
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    try:
+        sizes = []
+        for cap in (101, 102, 103, 101):
+            payload = {"workload": "rodinia/nw", "method": "periodic", "cap": cap}
+            assert post_bytes(handle, protocol.SELECT_ROUTE, payload)[0] == 200
+            sizes.append(len(handle.service._encoded))
+    finally:
+        handle.stop()
+    assert sizes == [1, 2, 2, 2]

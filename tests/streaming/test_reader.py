@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 import warnings
 
 import numpy as np
@@ -285,6 +286,24 @@ def test_program_feeds_take_only_the_column_path(tmp_path):
         assert b"\r\n" in path.read_bytes()
         counts = blocks_by_path(lambda: list(ProfileTableReader(path, chunk_rows=256)))
         assert counts == {"column": -(-len(profile) // 256), "rows": 0}
+
+
+def test_unprintable_kernel_names_take_the_column_path(tmp_path, monkeypatch):
+    names = [
+        "ядро_свёртки", "核心", "k\u00a0nbsp", "k\u0085", "k\u2028", "e\u0301", "k\x1f\x7f",
+    ]
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "# workload,wl,rows,126\n" + HEADER
+        + "".join(f"{names[i % 7]},{i // 7},{1000 + i},128,{1 + i % 5}\n" for i in range(126)),
+        encoding="utf-8",
+    )
+    reader = ProfileTableReader(path, chunk_rows=32)
+    assert blocks_by_path(lambda: list(reader)) == {"column": 4, "rows": 0}
+    assert reader._names == names
+    columns = read_profile_csv(path)
+    monkeypatch.setattr(ProfileTableReader, "_column_chunk", lambda self, block, text, width: None)
+    assert pickle.dumps(columns) == pickle.dumps(read_profile_csv(path))
 
 
 def test_quoted_kernel_name_takes_the_row_loop_from_its_block_on(tmp_path):
