@@ -6,7 +6,10 @@ directory and asserts the contract the engine promises:
 * the warm (cache-hit) run is at least MIN_SPEEDUP faster than the cold
   run;
 * both runs produce byte-identical pickled ``MethodResult``\\ s;
-* the warm run served every task from cache (no recomputation).
+* the warm run served every task from cache (no recomputation);
+* no worker process outlives its engine: each run closes its engine,
+  which stops the long-lived workers ``--jobs`` > 1 forks, so
+  ``multiprocessing.active_children()`` must then be empty.
 
 Usage::
 
@@ -18,6 +21,7 @@ Exits non-zero (with a diagnostic) on any violation.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import pickle
 import sys
 import tempfile
@@ -31,12 +35,12 @@ MIN_SPEEDUP = 5.0
 
 
 def run_once(cache: Path, jobs: int, cap: int):
-    engine = EvaluationEngine(
+    with EvaluationEngine(
         EngineConfig(jobs=jobs, use_cache=True, cache_dir=cache)
-    )
-    start = time.perf_counter()
-    rows = compare_methods(max_invocations=cap, engine=engine)
-    elapsed = time.perf_counter() - start
+    ) as engine:
+        start = time.perf_counter()
+        rows = compare_methods(max_invocations=cap, engine=engine)
+        elapsed = time.perf_counter() - start
     return rows, elapsed, engine.cache_stats
 
 
@@ -50,11 +54,13 @@ def main(argv: list[str] | None = None) -> int:
         cache = Path(tmp)
         cold_rows, cold_time, cold_stats = run_once(cache, args.jobs, args.cap)
         warm_rows, warm_time, warm_stats = run_once(cache, args.jobs, args.cap)
+    survivors = multiprocessing.active_children()
 
     speedup = cold_time / warm_time if warm_time > 0 else float("inf")
     print(f"cold: {cold_time:.3f}s ({cold_stats.summary()})")
     print(f"warm: {warm_time:.3f}s ({warm_stats.summary()})")
     print(f"warm-cache speedup: {speedup:.1f}x (required >= {MIN_SPEEDUP}x)")
+    print(f"child processes alive after close: {len(survivors)}")
 
     failures = []
     if warm_stats.hits != len(cold_rows) or warm_stats.misses != 0:
@@ -74,6 +80,11 @@ def main(argv: list[str] | None = None) -> int:
     if speedup < MIN_SPEEDUP:
         failures.append(
             f"warm run only {speedup:.1f}x faster (need >= {MIN_SPEEDUP}x)"
+        )
+    if survivors:
+        failures.append(
+            f"{len(survivors)} child process(es) outlived their engine: "
+            + ", ".join(f"pid {child.pid}" for child in survivors)
         )
 
     for failure in failures:

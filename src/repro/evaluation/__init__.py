@@ -20,7 +20,6 @@ _EXPORTS = {
     "EngineConfig": "engine",
     "EvaluationEngine": "engine",
     "EvaluationTask": "engine",
-    "TaskResult": "engine",
     "ResultCache": "engine",
     "default_cache_dir": "engine",
     "prediction_error": "metrics",

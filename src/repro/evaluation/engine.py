@@ -4,17 +4,17 @@ Every figure/table experiment reduces to the same unit of work: build a
 workload context (generate + measure + profile) and run one or both
 samplers on it. That unit is a pure function of (resolved workload spec,
 sampler configs, fault plan, package source), so this module fans units
-out across a process pool and memoizes their results in a content-
-addressed on-disk cache:
+out across long-lived supervised worker processes and memoizes their
+results in a content-addressed on-disk cache:
 
 * :class:`EvaluationTask` — one picklable, seed-deterministic unit of
   work, with a :meth:`~EvaluationTask.cache_key` derived via
   :func:`repro.utils.hashing.stable_hash`;
 * :class:`ResultCache` — the on-disk store (atomic writes, corruption
   tolerance, hit/miss statistics);
-* :class:`EvaluationEngine` — scheduling: cache probe, process-pool
-  fan-out, graceful degradation to serial execution when the pool dies
-  (reported through :mod:`repro.robustness.diagnostics`).
+* :class:`EvaluationEngine` — scheduling: cache probe, then fan-out over
+  at most ``jobs`` workers, where a dying worker costs its task one
+  attempt (reported through :mod:`repro.robustness.diagnostics`).
 
 Determinism contract: every stochastic element downstream of a task
 (workload generation, measurement noise, k-means init, random selection)
@@ -35,9 +35,8 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from multiprocessing import util as mp_util
 from pathlib import Path
@@ -235,24 +234,11 @@ class EvaluationTask:
         )
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    """A task's outcome plus where it came from (computed vs cache)."""
-
-    label: str
-    results: Mapping[str, MethodResult]
-    from_cache: bool = False
-
-    def __getitem__(self, method: str) -> MethodResult:
-        return self.results[method]
-
-
 def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
     """Execute one task in the current process.
 
-    This is the process-pool worker: module-level so it pickles by
-    reference, and independent of all engine state so serial and parallel
-    execution share one code path.
+    What the workers run, and :meth:`EvaluationEngine.run` at one lane:
+    independent of all engine state, so every lane shares one code path.
 
     The result keys are interned. Pickle writes a string once per object,
     so a key that *is* its result's ``method`` string pickles shorter than
@@ -299,7 +285,7 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
 def run_task_with_telemetry(
     task: EvaluationTask,
 ) -> tuple[dict[str, MethodResult], tuple, dict, tuple]:
-    """Pool worker: run a task and ship its telemetry back to the parent.
+    """Worker: run a task and ship its telemetry back to the parent.
 
     The worker's span records, metrics registry and event list are reset
     at task start (the fork inherited the parent's — counting that twice
@@ -307,9 +293,8 @@ def run_task_with_telemetry(
     task's delta. Live sinks are also dropped: they wrap parent-owned
     file handles, and a forked worker emitting into them would interleave
     with the parent's stream. The parent adopts spans under its fan-out
-    span and merges metric snapshots and events in task input order
-    (``pool.map`` preserves it), which keeps the merged telemetry
-    byte-equal to a serial run's.
+    span and merges metric snapshots and events in task input order,
+    which keeps the merged telemetry byte-equal to a one-lane run's.
     """
     spans.reset()
     spans.clear_sinks()
@@ -322,60 +307,6 @@ def run_task_with_telemetry(
         metrics.get_registry().snapshot(),
         obs_manifest.events(),
     )
-
-
-class PoolFailure(EngineError):
-    """The process pool died mid-run.
-
-    Carries the results of every task that *did* complete before the
-    failure (``pool.map`` streams them back in input order), so the
-    serial fallback can reuse them instead of recomputing — losing a
-    worker to the OOM killer on task 47 of 50 no longer costs 47
-    recomputations.
-    """
-
-    def __init__(self, completed: list[dict], cause: BaseException):
-        super().__init__(
-            f"process pool failed after {len(completed)} completed tasks: {cause!r}",
-            completed=len(completed),
-        )
-        self.completed = completed
-        self.cause = cause
-
-
-def _pool_map(jobs: int, tasks: Sequence[EvaluationTask]) -> list[dict]:
-    """Run tasks through a process pool, preserving input order.
-
-    When observability is enabled, workers return their telemetry along
-    with the results; spans are grafted under the live ``engine.pool``
-    span and metric snapshots merge into the parent registry here, in
-    input order (``pool.map`` preserves it), so parallel aggregation is
-    deterministic.
-
-    If the pool dies mid-run, raises :class:`PoolFailure` wrapping the
-    original exception plus the prefix of results already streamed back.
-    """
-    completed: list[dict] = []
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            if not obs_state.enabled():
-                for task_results in pool.map(run_task, tasks):
-                    completed.append(task_results)
-                return completed
-            with span("engine.pool", jobs=jobs, tasks=len(tasks)) as pool_span:
-                registry = metrics.get_registry()
-                for task_results, worker_spans, snapshot, worker_events in pool.map(
-                    run_task_with_telemetry, tasks
-                ):
-                    spans.adopt(
-                        worker_spans, parent_id=pool_span.span_id, proc="worker"
-                    )
-                    registry.merge(snapshot)
-                    obs_manifest.extend_events(worker_events)
-                    completed.append(task_results)
-                return completed
-    except (BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-        raise PoolFailure(completed, exc) from exc
 
 
 @dataclass
@@ -508,7 +439,7 @@ class ResultCache:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Deadline + bounded-retry knobs for isolated task execution.
+    """Deadline + bounded-retry knobs for tasks run on the workers.
 
     ``deadline_s`` is the per-*attempt* wall-clock budget; ``None``
     disables the deadline (the supervisor blocks until the worker
@@ -538,7 +469,7 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """Result of one isolated task, successful or not.
+    """Result of one task, successful or not.
 
     ``status`` is one of ``ok`` (results present), ``timeout`` (every
     attempt blew its deadline), ``crash`` (worker process died),
@@ -672,33 +603,40 @@ _ORPHAN_CHECK_S = 1.0
 _WORKER_STOP_S = 5.0
 
 
-def _sabotage(task: EvaluationTask, attempt: int) -> None:
-    """Apply deterministic task-surface sabotage before an attempt runs.
+def _sabotage(task: EvaluationTask, mode: str | None) -> None:
+    """Apply the task-surface sabotage the supervisor chose for an attempt.
 
     The chaos hooks behind :func:`repro.robustness.faults.task_sabotage`:
     ``hang`` sleeps past any reasonable deadline, ``crash`` kills the
-    worker abruptly, ``task_error`` raises. Sabotage depends only on
+    worker abruptly, ``task_error`` raises. The mode depends only on
     ``(plan.seed, mode, label, attempt)`` — never on scheduling or on
     which worker runs the attempt — so ``jobs=1`` and ``jobs=N``
     campaigns sabotage identically.
     """
-    if task.fault_plan is None:
-        return
-    mode = task_sabotage(task.fault_plan, task.label, attempt)
     if mode == "hang":
         time.sleep(3600.0)
     elif mode == "crash":
         os._exit(13)
     elif mode == "task_error":
-        raise EngineError("injected task fault", workload=task.label, attempt=attempt)
+        raise EngineError("injected task fault", workload=task.label)
+
+
+def _portable(exc: Exception) -> Exception | None:
+    """``exc`` if it survives a pickle round trip, else ``None``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 — any failure means "send text only"
+        return None
+    return exc
 
 
 def _worker_main(conn, parent_pid: int) -> None:
-    """Entry point of a long-lived isolated worker process.
+    """Entry point of a long-lived worker process.
 
-    Loops: receive ``(task, attempt)``, sabotage it if its plan says so,
-    run it with its own telemetry (:func:`run_task_with_telemetry` resets
-    spans, sinks, metrics and events per task) and send the result back.
+    Loops: receive ``(task, sabotage)``, apply the sabotage mode, run the
+    task with its own telemetry (:func:`run_task_with_telemetry` resets
+    spans, sinks, metrics and events per task) and send the result back;
+    a raised ``Exception`` goes back as text, plus itself if it pickles.
     The context LRU survives between tasks, which is the point of keeping
     the worker. ``None`` — or the supervisor's process going away — ends
     the loop, and the worker *returns* from its target, so multiprocessing
@@ -720,13 +658,13 @@ def _worker_main(conn, parent_pid: int) -> None:
             return  # the supervisor is gone
         if message is None:
             return
-        task, attempt = message
+        task, mode = message
         try:
-            _sabotage(task, attempt)
+            _sabotage(task, mode)
             conn.send(("ok", run_task_with_telemetry(task)))
         except Exception as exc:  # ship the task's failure to the supervisor
             try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                conn.send(("error", (f"{type(exc).__name__}: {exc}", _portable(exc))))
             except OSError:
                 return  # the supervisor is gone
 
@@ -804,52 +742,68 @@ def _reap(proc: multiprocessing.Process) -> None:
 
 
 class _WorkerPool:
-    """The long-lived workers behind :meth:`EvaluationEngine.run_isolated`.
+    """The long-lived workers behind both of the engine's entry points.
 
     Workers are forked on demand and returned to an idle list of at most
     ``size`` (the engine's ``jobs``) after each attempt, so a later task
     finds the contexts an earlier one built. Forking happens under the
     lock: a worker forked while another's pipe is half set up would hold
     that pipe's child end, and a crash of the other would then read as a
-    timeout instead of an ``EOFError``.
+    timeout instead of an ``EOFError``. Busy workers are kept with their
+    fan-out's stop event, for :meth:`interrupt`.
     """
 
     def __init__(self, size: int):
         self.size = size
         self._idle: list[_Worker] = []
+        self._busy: dict[_Worker, threading.Event] = {}
         self._lock = threading.Lock()
         self._closed = False
 
     def attempt(
-        self, task: EvaluationTask, attempt: int, deadline_s: float | None
+        self,
+        task: EvaluationTask,
+        sabotage: str | None,
+        deadline_s: float | None,
+        stop: threading.Event,
     ) -> tuple[str, object]:
         """Run one attempt in a worker under a deadline.
 
         Returns ``(status, payload)`` where status is ``ok`` (payload is
         the telemetry tuple from :func:`run_task_with_telemetry`),
-        ``timeout``, ``crash`` or ``error`` (payload is a description). A
-        timeout kills the worker and a crash loses it; either way the
-        next attempt gets a fresh one. The pipe is a socket pair, so a
-        worker that dies before reading the task resets the connection
-        rather than closing it: that too is a crash.
+        ``error`` (payload is the worker's ``(text, exception)``),
+        ``timeout`` or ``crash`` (payload is a description). A timeout
+        kills the worker and a crash loses it; either way the next
+        attempt gets a fresh one. The pipe is a socket pair, so a worker
+        that dies before reading the task resets the connection rather
+        than closing it: that too is a crash.
         """
-        worker = self._send((task, attempt))
+        worker = self._send((task, sabotage), stop)
         try:
             reply = worker.conn.recv() if worker.conn.poll(deadline_s) else None
         except (EOFError, OSError):
-            worker.discard(5.0)
+            self._drop(worker, 5.0)
             return ("crash", f"worker died without result (exitcode={worker.proc.exitcode})")
         except BaseException:
-            worker.discard()
+            self._drop(worker)
             raise
         if reply is None:
-            worker.discard()
+            self._drop(worker)
             return ("timeout", f"no result within {deadline_s}s deadline")
         self._checkin(worker)
         return reply
 
-    def _send(self, message: tuple) -> _Worker:
-        """A worker that has taken ``message``.
+    def interrupt(self, stop: threading.Event) -> None:
+        """Kill ``stop``'s busy workers, and any it sends to later; their
+        supervisors see a crash and reap them."""
+        with self._lock:
+            stop.set()
+            for worker, owner in self._busy.items():
+                if owner is stop:
+                    worker.proc.kill()
+
+    def _send(self, message: tuple, stop: threading.Event) -> _Worker:
+        """A worker that has taken ``message``, busy on ``stop``'s fan-out.
 
         An idle worker that died since its last task shows up dead at
         checkout or as a broken pipe on send; either way a fresh worker
@@ -861,6 +815,10 @@ class _WorkerPool:
         except OSError:
             worker = self._checkout(fresh=True)
             worker.take(message)
+        with self._lock:
+            self._busy[worker] = stop
+            if stop.is_set():  # stopped while the message was on its way
+                worker.proc.kill()
         return worker
 
     def _checkout(self, fresh: bool) -> _Worker:
@@ -874,10 +832,16 @@ class _WorkerPool:
 
     def _checkin(self, worker: _Worker) -> None:
         with self._lock:
+            del self._busy[worker]
             if not self._closed and len(self._idle) < self.size:
                 self._idle.append(worker)
                 return
         worker.stop()
+
+    def _drop(self, worker: _Worker, join_s: float = 0.0) -> None:
+        with self._lock:
+            del self._busy[worker]
+        worker.discard(join_s)
 
     def close(self) -> None:
         """Stop every idle worker; one still busy stops when checked in."""
@@ -892,26 +856,39 @@ def _run_with_retries(
     workers: _WorkerPool,
     task: EvaluationTask,
     policy: RetryPolicy,
+    stop: threading.Event,
+    isolated: bool,
     sleep: Callable[[float], None] = time.sleep,
 ) -> tuple[TaskOutcome, tuple | None]:
     """Drive one task through supervised attempts with backoff.
 
     Returns the outcome plus the worker telemetry tuple for successful
     attempts (``None`` on failure); the caller merges telemetry in task
-    input order so parallel campaigns stay deterministic.
+    input order so parallel campaigns stay deterministic. ``isolated``
+    is :meth:`EvaluationEngine.run_isolated`'s contract: the fault plan
+    sabotages attempts, and a raised error is retried and reported.
+    Otherwise (:meth:`EvaluationEngine.run`) a raised error is raised
+    here, unretried, and so is a crash on every attempt.
     """
     status, payload = "error", "never attempted"
     for attempt in range(policy.max_attempts):
-        with span(
-            "engine.attempt", workload=task.label, attempt=attempt
-        ):
-            status, payload = workers.attempt(task, attempt, policy.deadline_s)
+        sabotage = None
+        if isolated and task.fault_plan is not None:
+            sabotage = task_sabotage(task.fault_plan, task.label, attempt)
+        with span("engine.attempt", workload=task.label, attempt=attempt):
+            status, payload = workers.attempt(task, sabotage, policy.deadline_s, stop)
         if status == "ok":
             results = payload[0]
             return (
                 TaskOutcome(task.label, "ok", results, attempts=attempt + 1),
                 payload,
             )
+        if status == "error":
+            payload, exc = payload
+            if not isolated:
+                raise exc if exc is not None else TaskCrashError(payload, workload=task.label)
+        if stop.is_set():
+            break  # the fan-out was stopped: neither retry nor report
         metrics.inc("engine.isolated.attempt_failures", reason=status)
         diagnostics.emit(
             "engine.isolated",
@@ -920,6 +897,8 @@ def _run_with_retries(
         )
         if attempt + 1 < policy.max_attempts:
             sleep(policy.backoff(attempt))
+    if not isolated:
+        raise TaskCrashError(f"worker died on every attempt: {payload}", workload=task.label)
     return (
         TaskOutcome(
             task.label,
@@ -932,6 +911,16 @@ def _run_with_retries(
     )
 
 
+def _adopt(telemetry: tuple, parent_id: int) -> None:
+    """Merge one worker task's telemetry under the fan-out span."""
+    if not obs_state.enabled():
+        return
+    _, worker_spans, snapshot, worker_events = telemetry
+    spans.adopt(worker_spans, parent_id=parent_id, proc="worker")
+    metrics.get_registry().merge(snapshot)
+    obs_manifest.extend_events(worker_events)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Tunable parameters of the evaluation engine."""
@@ -939,16 +928,13 @@ class EngineConfig:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: Path | None = None  # None -> default_cache_dir()
-    #: Re-run remaining work serially when the worker pool dies mid-run
-    #: (OOM-killed worker, interpreter mismatch) instead of failing.
-    serial_fallback: bool = True
     #: Where the quarantine list persists. ``None`` puts it next to the
     #: cache (``<cache_dir>/quarantine.json``) when caching is on, else
     #: keeps it in memory for the engine's lifetime.
     quarantine_path: Path | None = None
     #: Failures before a task label / cache key is quarantined.
     quarantine_threshold: int = 2
-    #: Deadline + retry schedule used by :meth:`EvaluationEngine.run_isolated`.
+    #: Deadline + retry schedule of the workers; ``run`` drops the deadline.
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
@@ -961,12 +947,13 @@ class EngineConfig:
 
 
 class EvaluationEngine:
-    """Schedule evaluation tasks across the cache and a process pool.
+    """Schedule evaluation tasks across the cache and long-lived workers.
 
-    ``run`` returns :class:`TaskResult`\\ s in input order regardless of
-    completion order, cache state or worker count; the serial path
-    (``jobs=1``) and the default ``EngineConfig(jobs=1, use_cache=False)``
-    reproduce the historical single-process behaviour exactly.
+    Both entry points return :class:`TaskOutcome`\\ s in input order
+    regardless of completion order, cache state or worker count, and fan
+    out over the same ``jobs`` workers; the one-lane path (``jobs=1``) and
+    the default ``EngineConfig(jobs=1, use_cache=False)`` reproduce the
+    historical single-process behaviour exactly.
     """
 
     def __init__(self, config: EngineConfig | None = None):
@@ -1020,7 +1007,7 @@ class EvaluationEngine:
         return self._shm.release(ref)
 
     def close(self) -> None:
-        """Stop the isolated workers and unlink every published segment.
+        """Stop the workers and unlink every published segment.
 
         Idempotent and crash-safe. Each idle worker is sent a stop message
         and joined; only a stuck one is terminated. Registered per-plane
@@ -1046,10 +1033,16 @@ class EvaluationEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def run(self, tasks: Sequence[EvaluationTask]) -> list[TaskResult]:
-        """Evaluate every task, probing the cache first."""
+    def run(self, tasks: Sequence[EvaluationTask]) -> list[TaskOutcome]:
+        """Evaluate every task, probing the cache first.
+
+        Tasks run in the caller at one lane, else on the workers with no
+        deadline, quarantine or sabotage. A task's error is raised as it
+        was raised; a worker's death costs its task one attempt, and the
+        retry policy's last one raises :class:`TaskCrashError`.
+        """
         with span("engine.run", tasks=len(tasks)):
-            ordered: list[TaskResult | None] = [None] * len(tasks)
+            ordered: list[TaskOutcome | None] = [None] * len(tasks)
             pending: list[int] = []
             keys: list[str | None] = [None] * len(tasks)
             with span("engine.cache.probe", tasks=len(tasks)):
@@ -1058,17 +1051,17 @@ class EvaluationEngine:
                         keys[index] = task.cache_key()
                         cached = self.cache.get(keys[index])
                         if cached is not None:
-                            ordered[index] = TaskResult(
-                                task.label, cached, from_cache=True
+                            ordered[index] = TaskOutcome(
+                                task.label, "ok", cached, from_cache=True
                             )
                             continue
                     pending.append(index)
             if pending:
                 computed = self._execute([tasks[i] for i in pending])
-                for index, results in zip(pending, computed):
-                    ordered[index] = TaskResult(tasks[index].label, results)
-                    self._cache_put(keys[index], results)
-            return [result for result in ordered if result is not None]
+                for index, outcome in zip(pending, computed):
+                    ordered[index] = outcome
+                    self._cache_put(keys[index], dict(outcome.results))
+            return [outcome for outcome in ordered if outcome is not None]
 
     def _cache_put(self, key: str | None, results: dict[str, MethodResult]) -> None:
         """Write-through, unless the key's entries keep coming back corrupt."""
@@ -1079,42 +1072,45 @@ class EvaluationEngine:
             return
         self.cache.put(key, results)
 
-    def _execute(self, tasks: Sequence[EvaluationTask]) -> list[dict]:
+    def _execute(self, tasks: Sequence[EvaluationTask]) -> list[TaskOutcome]:
         jobs = min(self.config.jobs, len(tasks))
         if jobs <= 1:
-            return [run_task(task) for task in tasks]
-        try:
-            return _pool_map(jobs, tasks)
-        except (PoolFailure, BrokenProcessPool, pickle.PicklingError, OSError) as exc:
-            # Plain exceptions cover tests (and callers) that substitute
-            # _pool_map with something that raises directly.
-            if isinstance(exc, PoolFailure):
-                completed, cause = exc.completed, exc.cause
-            else:
-                completed, cause = [], exc
-            if not self.config.serial_fallback:
-                raise cause
-            remaining = tasks[len(completed):]
-            obs_manifest.record_event(
-                "engine.pool_failure",
-                exception=repr(cause),
-                jobs=jobs,
-                tasks=len(tasks),
-                completed=len(completed),
-            )
-            metrics.inc("engine.pool.failures")
-            diagnostics.emit(
-                "engine",
-                f"process pool failed ({cause!r}); reusing {len(completed)} "
-                f"completed results and degrading to serial execution for "
-                f"{len(remaining)} remaining tasks",
-            )
-            with span(
-                "engine.serial_fallback",
-                tasks=len(remaining),
-                reused=len(completed),
-            ):
-                return completed + [run_task(task) for task in remaining]
+            return [
+                TaskOutcome(task.label, "ok", run_task(task), attempts=1)
+                for task in tasks
+            ]
+        policy = replace(self.config.retry, deadline_s=None)
+        with span("engine.pool", jobs=jobs, tasks=len(tasks)) as pool_span:
+            attempted = self._supervise(tasks, policy, isolated=False)
+            for _, telemetry in attempted:
+                _adopt(telemetry, pool_span.span_id)
+        return [outcome for outcome, _ in attempted]
+
+    def _supervise(
+        self, tasks: Sequence[EvaluationTask], policy: RetryPolicy, isolated: bool
+    ) -> list[tuple[TaskOutcome, tuple | None]]:
+        """Run tasks on the workers, in input order: ``jobs`` supervisor
+        threads, whose attempt spans nest under the caller's open spans,
+        or a plain loop at one lane. If the wait is interrupted or a task
+        raises, the busy workers are killed, not waited for: they ignore
+        SIGINT, and without a deadline a full-scale task runs for minutes.
+        """
+        stop = threading.Event()
+        open_ids = spans.open_spans()
+
+        def supervise(task: EvaluationTask) -> tuple[TaskOutcome, tuple | None]:
+            spans.nest_under(open_ids)
+            return _run_with_retries(self._workers, task, policy, stop, isolated)
+
+        jobs = min(self.config.jobs, len(tasks))
+        if jobs <= 1:
+            return [supervise(task) for task in tasks]
+        with ThreadPoolExecutor(max_workers=jobs) as supervisors:
+            try:
+                return list(supervisors.map(supervise, tasks))
+            except BaseException:
+                self._workers.interrupt(stop)
+                raise
 
     def probe(self, task: EvaluationTask, key: str | None) -> TaskOutcome | None:
         """The outcome :meth:`run_isolated` gives ``task`` without running it.
@@ -1152,14 +1148,14 @@ class EvaluationEngine:
         """Evaluate tasks with per-task crash isolation and deadlines.
 
         Each pending task runs in one of at most ``jobs`` long-lived
-        worker processes, supervised by a thread: a hang costs one
-        deadline, a crash costs one attempt, and neither aborts the batch
-        (contrast :meth:`run`, where one dying worker used to cost the
-        whole pool). Failed tasks earn quarantine strikes; quarantined
-        tasks are skipped outright. Outcomes come back in input order,
-        cache-warm where possible, and worker telemetry is merged in input
-        order so ``jobs=1`` and ``jobs=N`` produce byte-identical
-        surviving results and aggregates.
+        worker processes, even at one lane: a hang costs one deadline, a
+        crash or a raised error one attempt, and neither aborts the batch
+        (contrast :meth:`run`, which raises a task's error). The task's
+        fault plan may sabotage each attempt. Failed tasks earn quarantine
+        strikes; quarantined tasks are skipped outright. Outcomes come
+        back in input order, cache-warm where possible, and worker
+        telemetry is merged in input order so ``jobs=1`` and ``jobs=N``
+        produce byte-identical surviving results and aggregates.
         """
         policy = policy or self.config.retry
         with span("engine.run_isolated", tasks=len(tasks)) as iso_span:
@@ -1173,36 +1169,14 @@ class EvaluationEngine:
                 if ordered[index] is None:
                     pending.append(index)
             if pending:
-                jobs = min(self.config.jobs, len(pending))
-                if jobs <= 1:
-                    attempted = [
-                        _run_with_retries(self._workers, tasks[i], policy)
-                        for i in pending
-                    ]
-                else:
-                    with ThreadPoolExecutor(max_workers=jobs) as supervisors:
-                        attempted = list(
-                            supervisors.map(
-                                lambda i: _run_with_retries(
-                                    self._workers, tasks[i], policy
-                                ),
-                                pending,
-                            )
-                        )
-                registry = metrics.get_registry()
+                attempted = self._supervise(
+                    [tasks[i] for i in pending], policy, isolated=True
+                )
                 for index, (outcome, telemetry) in zip(pending, attempted):
                     ordered[index] = outcome
                     if outcome.ok:
                         self._cache_put(keys[index], dict(outcome.results))
-                        if telemetry is not None and obs_state.enabled():
-                            _, worker_spans, snapshot, worker_events = telemetry
-                            spans.adopt(
-                                worker_spans,
-                                parent_id=iso_span.span_id,
-                                proc="isolated",
-                            )
-                            registry.merge(snapshot)
-                            obs_manifest.extend_events(worker_events)
+                        _adopt(telemetry, iso_span.span_id)
                     else:
                         metrics.inc("engine.isolated.failures", status=outcome.status)
                         obs_manifest.record_event(

@@ -97,7 +97,7 @@ class ExperimentSpec:
     A spec is pure data — hashable, comparable, trivially serialized —
     and :meth:`tasks` lowers it onto engine tasks, so one
     :func:`run_experiment` executes every figure's spec through the
-    same cache/pool machinery.
+    same cache/worker machinery.
     """
 
     name: str
@@ -158,9 +158,9 @@ def run_experiment(
     """Execute a spec through the evaluation engine, one row per workload.
 
     ``engine`` routes the per-workload work through a
-    :class:`repro.evaluation.engine.EvaluationEngine` (process-pool
-    fan-out + on-disk result cache); the default is serial and uncached,
-    which reproduces the historical behaviour exactly.
+    :class:`repro.evaluation.engine.EvaluationEngine` (worker fan-out +
+    on-disk result cache); the default is serial and uncached, which
+    reproduces the historical behaviour exactly.
     """
     if engine is None:
         engine = EvaluationEngine(EngineConfig(jobs=1, use_cache=False))

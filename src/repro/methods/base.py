@@ -39,7 +39,7 @@ class MethodRequest:
 
     ``config`` is ``None`` (method defaults) or an instance of the
     method's ``config_schema`` dataclass — frozen, picklable and
-    content-hashable, so a request can ship to a pool worker and feed a
+    content-hashable, so a request can ship to a worker process and feed a
     cache key. ``alias`` renames the request's result column when one
     experiment runs the same method under several configs (e.g. the
     Figure 5 PKS policy study).

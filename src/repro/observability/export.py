@@ -15,7 +15,7 @@ Three consumers, three formats:
   it.
 * **Chrome/Perfetto trace events** — :func:`chrome_trace` lays nested
   spans out as ``ph:"X"`` complete events on per-process tracks (main
-  process on one pid, each pool-worker task batch on its own thread of a
+  process on one pid, each worker task batch on its own thread of a
   "workers" pid), ready for ``chrome://tracing`` or https://ui.perfetto.dev.
 * **Prometheus textfile exposition** — :func:`prometheus_text` renders a
   :class:`~repro.observability.metrics.MetricsRegistry` snapshot
@@ -27,13 +27,13 @@ Canonical span paths
 
 A span's path is the ``/``-joined chain of ancestor names, each
 qualified by its ``workload`` attribute (``engine.task[cactus/gru]/
-sieve.predict[cactus/gru]``). Two infra spans are elided so serial and
-pooled runs canonicalize identically: ``engine.pool`` /
-``engine.serial_fallback`` segments are dropped, and paths are truncated
-to start at their last ``engine.task`` segment (a worker's batch is
-rootless after the per-task reset; a serial run nests the same spans
+sieve.predict[cactus/gru]``). Two infra spans are elided so one-lane and
+fanned-out runs canonicalize identically: ``engine.pool`` /
+``engine.attempt`` segments are dropped, and paths are truncated to
+start at their last ``engine.task`` segment (a worker's batch is
+rootless after the per-task reset; a one-lane run nests the same spans
 under ``engine.run``). ``seq`` numbers repeated paths in record order,
-which both the serial and the merged parallel stream produce in task
+which both the one-lane and the merged parallel stream produce in task
 input order.
 """
 
@@ -61,9 +61,9 @@ __all__ = [
     "write_prometheus",
 ]
 
-#: Engine fan-out plumbing, elided from canonical paths (a serial run
-#: has no pool span; a degraded run has an extra fallback span).
-_INFRA_SEGMENTS = frozenset({"engine.pool", "engine.serial_fallback"})
+#: Engine fan-out plumbing, elided from canonical paths (a one-lane run
+#: has no fan-out span and no attempt spans).
+_INFRA_SEGMENTS = frozenset({"engine.pool", "engine.attempt"})
 
 #: Fields that differ run-to-run (or between jobs=1 and jobs=N) and are
 #: therefore excluded from structural exports.
@@ -180,7 +180,7 @@ def canonical_events(
         chain.reverse()  # root .. leaf
         names = [r.name for r in chain]
         # Start at the last engine.task ancestor when there is one: a
-        # serial run nests tasks under engine.run, a pool worker's batch
+        # one-lane run nests tasks under engine.run, a worker's batch
         # is rootless — both truncate to the same task-relative path.
         for index in range(len(chain) - 1, -1, -1):
             if names[index] == "engine.task":
@@ -279,7 +279,7 @@ def chrome_trace(records: Iterable[SpanRecord]) -> dict:
                 "name": "process_name",
                 "pid": 1,
                 "tid": 0,
-                "args": {"name": "pool workers"},
+                "args": {"name": "workers"},
             }
         )
         for root, tid in sorted(batches.items(), key=lambda item: item[1]):

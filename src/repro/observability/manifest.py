@@ -5,8 +5,8 @@ make the pipeline slower or less accurate?": the command and its config,
 the package version and source fingerprint (so a manifest is traceable
 to exact code), cache hit/miss statistics, per-stage timing statistics
 aggregated from :mod:`repro.observability.spans`, per-workload accuracy
-rows, the metrics registry snapshot, structured events (e.g. a process
-pool dying) and any degraded-path diagnostics.
+rows, the metrics registry snapshot, structured events (e.g. a task that
+failed) and any degraded-path diagnostics.
 
 Manifests round-trip through JSON losslessly (``to_json``/``from_json``);
 :func:`repro.perfstore.gate.gate_manifests` compares sets of them, and
@@ -55,7 +55,7 @@ _events: list[dict] = []
 
 def record_event(kind: str, **fields) -> dict:
     """Record a structured, manifest-bound event (always on: events are
-    rare and load-bearing — a pool failure must reach the manifest even
+    rare and load-bearing — a task failure must reach the manifest even
     when tracing is disabled)."""
     event = {"kind": kind, **fields}
     _events.append(event)
@@ -75,7 +75,7 @@ def reset_events() -> None:
 
 
 def extend_events(shipped: Iterable[Mapping]) -> None:
-    """Merge events shipped from a worker process (engine pool merge)."""
+    """Merge events shipped from a worker process (engine fan-out merge)."""
     _events.extend(dict(event) for event in shipped)
 
 

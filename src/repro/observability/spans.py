@@ -17,13 +17,14 @@ Design constraints, in order:
   its ``error`` field) even when its body raises; the stack always
   unwinds, so one failing stage cannot corrupt the trace of the next.
 * **Picklable records.** Worker processes ship their span records back
-  to the parent through the evaluation engine's process pool;
+  to the parent through the evaluation engine's worker pipes;
   :func:`adopt` grafts them under the parent's fan-out span with fresh
   ids and a ``proc`` tag so self-time accounting stays per-process.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -53,7 +54,7 @@ class SpanRecord:
     parent_id: int  # -1 for a root span
     depth: int
     error: str | None = None  # exception type name if the body raised
-    proc: str = "main"  # "main", or "worker" for pool-shipped spans
+    proc: str = "main"  # "main", or "worker" for worker-shipped spans
     attrs: dict = field(default_factory=dict)
     start_s: float = 0.0  # per-process perf_counter stamp at __enter__
 
@@ -74,7 +75,10 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+#: A forked child gets a fresh lock: engine workers fork while supervisor
+#: threads open spans, and a copy taken mid-span would block its reset.
 _lock = threading.Lock()
+os.register_at_fork(after_in_child=_lock._at_fork_reinit)
 _records: list[SpanRecord] = []
 _dropped = 0
 _next_id = 0
@@ -99,7 +103,7 @@ def remove_sink(sink) -> None:
 
 
 def clear_sinks() -> None:
-    """Drop every registered sink (pool workers after fork, tests)."""
+    """Drop every registered sink (workers after fork, tests)."""
     _sinks.clear()
 
 
@@ -191,6 +195,17 @@ def span(name: str, **attrs) -> _Span | _NullSpan:
     return _Span(name, attrs)
 
 
+def open_spans() -> tuple[int, ...]:
+    """Ids of this thread's open spans, outermost first."""
+    return tuple(_stack())
+
+
+def nest_under(open_ids: tuple[int, ...]) -> None:
+    """Open this thread's next spans under another thread's
+    :func:`open_spans`; a new thread's spans would otherwise be roots."""
+    _tls.stack = list(open_ids)
+
+
 def mark() -> int:
     """A position in the record list; pass to ``records(since=...)``.
 
@@ -215,7 +230,7 @@ def dropped() -> int:
 
 
 def reset() -> None:
-    """Drop all records and live-stack state (tests, pool workers)."""
+    """Drop all records and live-stack state (tests, workers)."""
     global _dropped, _next_id
     with _lock:
         _records.clear()

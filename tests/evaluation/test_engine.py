@@ -125,43 +125,15 @@ def test_bad_jobs_rejected():
         EngineConfig(jobs=0)
 
 
-def test_pool_failure_degrades_to_serial(tmp_path, monkeypatch):
-    import repro.evaluation.engine as engine_module
-    from repro.observability import manifest as obs_manifest
-
-    def broken_pool(jobs, tasks):
-        raise OSError("fork bomb protection")
-
-    monkeypatch.setattr(engine_module, "_pool_map", broken_pool)
-    engine = EvaluationEngine(EngineConfig(jobs=4, cache_dir=tmp_path))
-    events_mark = obs_manifest.events_mark()
-    with capture_diagnostics() as caught:
-        results = engine.run([task_for(label) for label in LABELS])
-    assert [r.label for r in results] == LABELS
-    # The degradation reaches diagnostics AND the manifest event stream,
-    # both carrying the originating exception's repr.
-    engine_diags = [c for c in caught if c.source == "engine"]
-    assert engine_diags
-    assert "OSError('fork bomb protection')" in engine_diags[0].message
-    failures = [
-        e for e in obs_manifest.events(since=events_mark)
-        if e["kind"] == "engine.pool_failure"
-    ]
-    assert failures
-    assert failures[0]["exception"] == "OSError('fork bomb protection')"
-    assert failures[0]["tasks"] == len(LABELS)
-
-    strict = EvaluationEngine(
-        EngineConfig(jobs=4, cache_dir=tmp_path / "strict", serial_fallback=False)
-    )
-    with pytest.raises(OSError):
-        strict.run([task_for(label, max_invocations=CAP + 16) for label in LABELS])
-
-
 def test_worker_exception_propagates(tmp_path):
     engine = EvaluationEngine(EngineConfig(jobs=1, cache_dir=tmp_path))
     with pytest.raises(KeyError):
         engine.run([task_for("no-such-suite/no-such-workload")])
+    # Two lanes: the KeyError crosses a worker's pipe (no cache, so the
+    # cache key's catalog lookup cannot raise it in the caller first).
+    with EvaluationEngine(EngineConfig(jobs=2, use_cache=False)) as engine:
+        with pytest.raises(KeyError):
+            engine.run([task_for("no-such-suite/no-such-workload"), task_for()])
 
 
 # --------------------------------------------------------------------- #

@@ -1,24 +1,31 @@
 """Resilience tests for the hardened evaluation engine.
 
-Covers the failure paths the fuzz campaign leans on: partial-result
-reuse when the process pool dies mid-run, crash isolation with bounded
-retries and deadlines, the quarantine strike list, and the determinism
-contract under injected task-surface faults (``jobs=1`` and ``jobs=4``
-must produce byte-identical surviving results).
+Covers the failure paths the fuzz campaign leans on: a worker dying
+under ``run`` (one attempt, not the run), ``run`` being interrupted,
+crash isolation with bounded retries and deadlines, the quarantine
+strike list, and the determinism contract under injected task-surface
+faults (``jobs=1`` and ``jobs=4`` must produce byte-identical surviving
+results).
 """
 
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.evaluation.engine as engine_mod
 from repro.evaluation.engine import (
     EngineConfig,
     EvaluationEngine,
     EvaluationTask,
-    PoolFailure,
     Quarantine,
     RetryPolicy,
     TaskOutcome,
@@ -51,53 +58,114 @@ def engine_for(tmp_path, jobs=1, use_cache=True, **overrides):
 
 
 # --------------------------------------------------------------------- #
-# Satellite: partial-result reuse on pool failure
+# run on the workers: a dying worker costs one attempt, not the run
 
 
-def test_pool_failure_reuses_completed_results(tmp_path, monkeypatch):
-    """A pool that dies after task 1 of 2 must not recompute task 1."""
+def test_worker_killed_mid_task_under_run_costs_one_attempt(tmp_path, monkeypatch):
+    """The task whose worker dies reruns in a fresh worker; every result
+    matches a one-lane run and lands in the cache."""
+    marker = tmp_path / "died"
+    real = engine_mod.run_task_with_telemetry
+
+    def dies_once(task):
+        if task.label == LABELS[1] and not marker.exists():
+            marker.touch()
+            os._exit(9)
+        return real(task)
+
+    # Patched before the engine forks its first worker, so workers run it.
+    monkeypatch.setattr(engine_mod, "run_task_with_telemetry", dies_once)
     tasks = [task_for(label) for label in LABELS]
-    first = run_task(tasks[0])
+    with engine_for(tmp_path, jobs=2) as engine:
+        results = engine.run(tasks)
+    assert marker.exists()
+    assert [(r.label, r.attempts) for r in results] == [(LABELS[0], 1), (LABELS[1], 2)]
+    serial = engine_for(tmp_path / "serial", use_cache=False).run(tasks)
+    for result, reference in zip(results, serial):
+        assert pickle.dumps(result.results) == pickle.dumps(reference.results)
+    assert all(r.from_cache for r in engine_for(tmp_path).run(tasks))
 
-    def dying_pool(jobs, pool_tasks):
-        raise PoolFailure([first], OSError("worker lost"))
 
-    monkeypatch.setattr(engine_mod, "_pool_map", dying_pool)
-    recomputed = []
-    real_run_task = run_task
-    monkeypatch.setattr(
-        engine_mod,
-        "run_task",
-        lambda task: recomputed.append(task.label) or real_run_task(task),
+def test_run_ignores_task_surface_sabotage(tmp_path):
+    """``run`` sends its workers no sabotage: a crash plan still only
+    corrupts what its table and measurement faults corrupt."""
+    plan = parse_fault_plan("crash:1.0", seed=3)
+    tasks = [task_for(label, fault_plan=plan) for label in LABELS]
+    with engine_for(tmp_path, jobs=2, use_cache=False) as engine:
+        results = engine.run(tasks)
+    for task, result in zip(tasks, results):
+        assert pickle.dumps(result.results) == pickle.dumps(run_task(task))
+
+
+def test_run_raises_an_unpicklable_task_error_as_a_crash(tmp_path, monkeypatch):
+    class LocalError(Exception):  # defined in a function, so it cannot pickle
+        pass
+
+    def raises(task):
+        raise LocalError(f"boom in {task.label}")
+
+    monkeypatch.setattr(engine_mod, "run_task_with_telemetry", raises)
+    with engine_for(tmp_path, jobs=2, use_cache=False) as engine:
+        with pytest.raises(TaskCrashError, match=f"LocalError: boom in {LABELS[0]}"):
+            engine.run([task_for(label) for label in LABELS])
+
+
+#: A run whose two tasks sleep in their workers until the run is stopped.
+INTERRUPTED_RUN = """
+import sys, time
+from pathlib import Path
+import repro.evaluation.engine as engine_mod
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, EvaluationTask
+
+def long_task(task):
+    (Path(sys.argv[1]) / task.label.replace("/", "_")).touch()
+    time.sleep(600)
+
+engine_mod.run_task_with_telemetry = long_task
+engine = EvaluationEngine(EngineConfig(jobs=2, use_cache=False))
+engine.run([EvaluationTask(label, methods=("sieve",)) for label in sys.argv[2:]])
+"""
+
+
+def test_interrupted_run_kills_its_busy_workers(tmp_path):
+    """Ctrl-C reaches the whole process group and workers ignore it, so an
+    interrupted ``run`` kills its busy workers instead of waiting out their
+    tasks, exits promptly and leaves no process behind."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_RUN, str(tmp_path), *LABELS],
+        env=env,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
     )
-
-    engine = engine_for(tmp_path, jobs=2)
-    results = engine.run(tasks)
-    assert [r.label for r in results] == LABELS
-    # Only the task *after* the failure point ran serially.
-    assert recomputed == [LABELS[1]]
-    assert pickle.dumps(results[0].results) == pickle.dumps(first)
-
-    # Cache re-emission: the reused prefix was written through too, so a
-    # fresh engine on the same cache serves everything warm.
-    warm = engine_for(tmp_path, jobs=1)
-    replay = warm.run(tasks)
-    assert all(r.from_cache for r in replay)
-    for before, after in zip(results, replay):
-        assert pickle.dumps(before.results) == pickle.dumps(after.results)
-
-
-def test_pool_failure_without_fallback_reraises_cause(tmp_path, monkeypatch):
-    cause = OSError("worker lost")
-    monkeypatch.setattr(
-        engine_mod,
-        "_pool_map",
-        lambda jobs, tasks: (_ for _ in ()).throw(PoolFailure([], cause)),
-    )
-    engine = engine_for(tmp_path, jobs=2, serial_fallback=False)
-    with pytest.raises(OSError) as excinfo:
-        engine.run([task_for(label) for label in LABELS])
-    assert excinfo.value is cause
+    try:
+        give_up = time.monotonic() + 60.0
+        while len(list(tmp_path.iterdir())) < len(LABELS):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < give_up, "the tasks never started"
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        sent = time.monotonic()
+        proc.wait(timeout=60.0)
+        took = time.monotonic() - sent
+        left = True
+        for _ in range(50):
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                left = False
+                break
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=30.0)
+        proc.stderr.close()
+    assert took < 5.0
+    assert not left
+    assert proc.returncode != 0
 
 
 # --------------------------------------------------------------------- #

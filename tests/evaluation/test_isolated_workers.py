@@ -1,9 +1,10 @@
-"""The long-lived workers behind ``EvaluationEngine.run_isolated``.
+"""The long-lived workers behind ``EvaluationEngine.run_isolated`` and ``run``.
 
 A worker keeps its context cache between tasks; a crash or a timeout
 costs the attempt and the worker, never the next task; a worker that
-died while idle is replaced for free; and close (or dropping an engine
-nobody closed) stops every worker with a clean exit.
+died while idle is replaced for free; worker telemetry nests under the
+fan-out span; and close (or dropping an engine nobody closed) stops
+every worker with a clean exit.
 """
 
 import gc
@@ -25,7 +26,9 @@ from repro.evaluation.engine import (
     run_task,
 )
 from repro.methods import MethodRequest
-from repro.observability import metrics
+from repro.observability import metrics, spans
+from repro.observability.export import chrome_trace
+from repro.observability.manifest import collect_manifest
 from repro.robustness.faults import parse_fault_plan
 
 #: A cap no other test builds, so no worker inherits this context.
@@ -164,8 +167,9 @@ def test_task_that_exits_its_worker_is_charged_the_crash(tmp_path, monkeypatch):
     [
         (metrics._lock, lambda: metrics.MetricsRegistry().inc("x")),
         (engine_module._bookkeeping, lambda: engine_module.Quarantine().strike("task", "x")),
+        (spans._lock, spans.reset),
     ],
-    ids=["metrics", "engine"],
+    ids=["metrics", "engine", "spans"],
 )
 def test_a_child_forked_while_a_counter_lock_is_held_can_count(lock, count):
     """Workers fork from threads that count; a lock copied while held
@@ -180,6 +184,31 @@ def test_a_child_forked_while_a_counter_lock_is_held_can_count(lock, count):
         child.join()
     assert not stuck
     assert child.exitcode == 0
+
+
+@pytest.mark.parametrize(
+    "entry, fan_out", [("run_isolated", "engine.run_isolated"), ("run", "engine.pool")]
+)
+def test_worker_telemetry_nests_under_the_fan_out_span(tmp_path, entry, fan_out):
+    """Every attempt span is a child of the fan-out span, so a manifest's
+    total is its root's wall time, and each task's worker spans get their
+    own track of the Chrome trace's worker process."""
+    engine = engine_for(tmp_path, jobs=2)
+    mark = spans.mark()
+    with spans.span("test.root"):
+        getattr(engine, entry)([task_for(), task_for("cactus/gst")])
+    engine.close()
+    window = spans.records(since=mark)
+    [root] = [r for r in window if r.name == "test.root"]
+    [parent] = [r for r in window if r.name == fan_out]
+    attempts = [r for r in window if r.name == "engine.attempt"]
+    assert [r.parent_id for r in attempts] == [parent.span_id] * 2
+    assert collect_manifest("test", since=mark).total_wall_s == root.wall_s
+    events = chrome_trace(window)["traceEvents"]
+    tracks = {e["args"]["name"] for e in events if e["ph"] == "M" and e["pid"] == 1 and e["tid"]}
+    assert tracks == {"task cactus/gru", "task cactus/gst"}
+    on_workers = [e for e in events if e["ph"] == "X" and e["pid"] == 1]
+    assert len(on_workers) == sum(r.proc == "worker" for r in window) > 0
 
 
 def test_close_stops_every_worker_with_a_clean_exit(tmp_path):

@@ -2,12 +2,13 @@
 
 The contract under test (see :mod:`repro.evaluation.shm`): the engine
 owns every segment it publishes and *always* unlinks them — on a normal
-``close()`` (idempotently), on a process-pool failure, and when an
-isolated child crashes mid-task — while workers only ever attach and
+``close()`` (idempotently), and when a worker crashes mid-task under
+either entry point — while workers only ever attach and
 close their own mapping. "No leaked segments" is asserted the strong
 way: after cleanup, attaching by name must raise ``FileNotFoundError``.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.evaluation.engine import (
     EngineConfig,
     EvaluationEngine,
     EvaluationTask,
-    PoolFailure,
     run_task,
 )
 from repro.evaluation.shm import _LIVE_PLANES, _attach_segment, attached_context
@@ -109,20 +109,27 @@ def test_release_refcounts_dedup(tmp_path, bundle):
 # Failure paths
 
 
-def test_pool_failure_leaves_no_segments(tmp_path, monkeypatch, bundle):
-    """A dying pool degrades to serial; close still reaps the segment."""
+def test_worker_crash_under_run_leaves_no_segments(tmp_path, monkeypatch, bundle):
+    """A worker dying mid-task under ``run`` never takes the owner's
+    segment along: the task reruns on it, and close still reaps it."""
     table, golden = bundle
-    monkeypatch.setattr(
-        engine_mod,
-        "_pool_map",
-        lambda jobs, tasks: (_ for _ in ()).throw(
-            PoolFailure([], OSError("worker lost"))
-        ),
-    )
-    engine = engine_for(tmp_path, jobs=4)
+    marker = tmp_path / "died"
+    real = engine_mod.run_task_with_telemetry
+
+    def dies_once(task):
+        try:
+            marker.touch(exist_ok=False)  # O_EXCL: exactly one worker dies
+        except FileExistsError:
+            return real(task)
+        os._exit(9)
+
+    monkeypatch.setattr(engine_mod, "run_task_with_telemetry", dies_once)
+    engine = engine_for(tmp_path, jobs=2)
     ref = engine.publish_table(table, golden)
-    [result] = engine.run([table_task(ref)])
-    assert result.results["sieve"].error >= 0.0
+    results = engine.run([table_task(ref), table_task(ref)])
+    assert sorted(result.attempts for result in results) == [1, 2]
+    assert all(result.results["sieve"].error >= 0.0 for result in results)
+    assert not segment_is_gone(ref.segment)  # owner still holds it
     engine.close()
     assert segment_is_gone(ref.segment)
 
