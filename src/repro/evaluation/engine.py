@@ -36,7 +36,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from multiprocessing import util as mp_util
 from pathlib import Path
@@ -48,13 +48,6 @@ from repro.evaluation.runner import (
     MethodResult,
     evaluate_method,
     evaluate_method_streaming,
-)
-from repro.evaluation.shm import (
-    SharedTablePlane,
-    SharedTableRef,
-    attached_context,
-    register_plane,
-    unregister_plane,
 )
 from repro.methods import MethodRequest, get_method
 from repro.observability import manifest as obs_manifest
@@ -69,9 +62,9 @@ from repro.utils.validation import require
 from repro.workloads.catalog import spec_for
 from repro.workloads.spec import WorkloadSpec
 
-if TYPE_CHECKING:  # annotation-only; keeps baselines out of the import graph
-    from repro.baselines.pks import PksConfig
-    from repro.core.config import SieveConfig
+if TYPE_CHECKING:  # annotation-only
+    from repro.core.types import SampleSelection
+    from repro.profiling.table import ProfileTable
     from repro.streaming.base import StreamingSpec
 
 #: Bump when the cached payload layout changes; old entries become misses.
@@ -120,12 +113,12 @@ class EvaluationTask:
 
     Tasks are frozen, hashable and picklable; workers resolve the label
     through the catalog and rebuild the context from seeds, so shipping a
-    task to another process ships *no* bulk data.
+    task to another process ships *no* bulk data — except a table task,
+    which carries its table.
 
     ``methods`` accepts registry names (``"sieve"``) and/or
     :class:`~repro.methods.MethodRequest`\\ s; plain names are normalized
-    into requests at construction, folding in the legacy ``sieve_config``
-    / ``pks_config`` conveniences. Every requested method must resolve in
+    into requests at construction. Every requested method must resolve in
     the registry — construction and :meth:`cache_key` both raise a typed
     :class:`~repro.utils.errors.UnknownMethodError` otherwise, so a task
     can never mint a cache key for a method that cannot run.
@@ -133,20 +126,21 @@ class EvaluationTask:
 
     label: str
     max_invocations: int | None = None
-    sieve_config: SieveConfig | None = None
-    pks_config: PksConfig | None = None
     fault_plan: FaultPlan | None = None
     methods: tuple[str | MethodRequest, ...] = KNOWN_METHODS
     #: Inline workload spec for labels *not* in the catalog (fuzz
     #: candidates). When set, its ``label`` must equal ``label`` and it
     #: replaces the catalog lookup in both execution and cache keying.
     spec: WorkloadSpec | None = None
-    #: Shared-memory bundle reference (see :mod:`repro.evaluation.shm`)
-    #: for tasks over a materialized profile table. Workers attach the
-    #: segment instead of rebuilding the context from seeds; the ref's
-    #: content digest replaces the spec in the cache key. Mutually
-    #: exclusive with ``spec``.
-    table_ref: SharedTableRef | None = None
+    #: A profile table shipped by value (an uploaded profile). A table
+    #: task is select-only: its one method selects from the table through
+    #: :func:`repro.service.protocol.select_inline`, and its result is
+    #: the :class:`~repro.core.types.SampleSelection`. The table's
+    #: :meth:`~repro.profiling.table.ProfileTable.digest` replaces the
+    #: spec in the cache key. Left out of equality and hashing, which a
+    #: table of arrays does not support; callers derive ``label`` from the
+    #: digest instead.
+    table: ProfileTable | None = field(default=None, compare=False)
     #: When set, each method consumes the profile through its
     #: ``begin_stream`` surface in ``chunk_rows`` slices (optionally with
     #: a bounded per-kernel reservoir) instead of one batch ``select``.
@@ -156,11 +150,6 @@ class EvaluationTask:
 
     def __post_init__(self) -> None:
         require(len(self.methods) >= 1, "task must request a method", EngineError)
-        require(
-            self.spec is None or self.table_ref is None,
-            "a task carries an inline spec or a shared table ref, not both",
-            EngineError,
-        )
         if self.spec is not None:
             require(
                 self.spec.label == self.label,
@@ -168,18 +157,19 @@ class EvaluationTask:
                 f"task label {self.label!r}",
                 EngineError,
             )
-        if self.table_ref is not None:
+        if self.table is not None:
             require(
-                self.table_ref.workload == self.label,
-                f"shared table workload {self.table_ref.workload!r} does "
-                f"not match task label {self.label!r}",
+                self.spec is None
+                and self.max_invocations is None
+                and self.fault_plan is None
+                and self.streaming is None
+                and len(self.methods) == 1,
+                "a table task selects with one method, and carries no spec, "
+                "cap, fault plan or streaming spec",
                 EngineError,
             )
-        legacy = {"sieve": self.sieve_config, "pks": self.pks_config}
         requests = tuple(
-            entry
-            if isinstance(entry, MethodRequest)
-            else MethodRequest(method=entry, config=legacy.get(entry))
+            entry if isinstance(entry, MethodRequest) else MethodRequest(method=entry)
             for entry in self.methods
         )
         keys = [request.key for request in requests]
@@ -191,32 +181,27 @@ class EvaluationTask:
         # Fail loudly now: resolve every name and type-check its config.
         for request in requests:
             get_method(request.method).resolve_config(request.config)
-        # Normalize in place (frozen dataclass): the legacy configs live
-        # inside the requests from here on, so a task built from names +
-        # configs hashes identically to one built from explicit requests.
+        # Normalize in place (frozen dataclass), so a task built from names
+        # hashes identically to one built from explicit requests.
         object.__setattr__(self, "methods", requests)
-        object.__setattr__(self, "sieve_config", None)
-        object.__setattr__(self, "pks_config", None)
 
     def cache_key(self) -> str:
         """Content-addressed identity of this task's result.
 
         Key material: schema version, package version, package source
         fingerprint, the *resolved* workload spec (so catalog
-        recalibration invalidates), the invocation cap, the fault plan
-        and every method request (registry name + full config), so two
-        tasks differing only in a method's config never collide.
+        recalibration invalidates) or a table's content digest, the
+        invocation cap, the fault plan and every method request (registry
+        name + full config), so two tasks differing only in a method's
+        config never collide.
 
         Raises :class:`~repro.utils.errors.UnknownMethodError` if any
         requested method is no longer registered.
         """
         for request in self.methods:
             get_method(request.method)  # typed failure before hashing
-        if self.table_ref is not None:
-            # The digest covers every published array byte, so two refs to
-            # identical data share a key while the volatile segment name
-            # stays out of it (republishing must not invalidate).
-            workload_identity: object = ("shared-table", self.table_ref.digest)
+        if self.table is not None:
+            workload_identity: object = ("profile-table", self.table.digest())
         elif self.spec is not None:
             workload_identity = self.spec
         else:
@@ -234,7 +219,7 @@ class EvaluationTask:
         )
 
 
-def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
+def run_task(task: EvaluationTask) -> dict[str, MethodResult | SampleSelection]:
     """Execute one task in the current process.
 
     What the workers run, and :meth:`EvaluationEngine.run` at one lane:
@@ -266,12 +251,8 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
         }
 
     with span("engine.task", workload=task.label):
-        if task.table_ref is not None:
-            # Attach the published segment for exactly the task's
-            # lifetime; results hold their own arrays, so closing the
-            # mapping afterwards is safe (the lifecycle tests pin this).
-            with attached_context(task.table_ref, task.fault_plan) as context:
-                return evaluate(context)
+        if task.table is not None:
+            return _select_from_table(task)
         return evaluate(
             build_context(
                 task.label,
@@ -280,6 +261,26 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult]:
                 spec=task.spec,
             )
         )
+
+
+def _select_from_table(task: EvaluationTask) -> dict[str, SampleSelection]:
+    """A table task's one result: the selection the service's
+    ``protocol.select_inline`` makes. It is looked up on its module at call
+    time, so a wrapper installed there before the workers fork runs in
+    them too."""
+    from repro.service import protocol  # that package imports this module
+
+    [request] = task.methods
+    inline = protocol.EvaluationRequest(
+        kind="select",
+        method=request.method,
+        workload=None,
+        cap=None,
+        config=request.config,
+        fault_plan=None,
+        table=task.table,
+    )
+    return {sys.intern(request.key): protocol.select_inline(inline)}
 
 
 def run_task_with_telemetry(
@@ -479,7 +480,7 @@ class TaskOutcome:
 
     label: str
     status: str
-    results: Mapping[str, MethodResult] | None = None
+    results: Mapping[str, MethodResult | SampleSelection] | None = None
     attempts: int = 0
     from_cache: bool = False
     error: str | None = None
@@ -488,7 +489,7 @@ class TaskOutcome:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def __getitem__(self, method: str) -> MethodResult:
+    def __getitem__(self, method: str) -> MethodResult | SampleSelection:
         if self.results is None:
             raise TaskCrashError(
                 f"no results for failed task {self.label!r}",
@@ -971,11 +972,7 @@ class EvaluationEngine:
             # A partial, not a lambda over self: no reference cycle, so an
             # engine nobody closed is freed (and its workers stopped) at once.
             self.cache.on_invalid = partial(self.quarantine.strike, "cache")
-        self._shm = SharedTablePlane()
         self._closed = False
-        # The plane, not the engine, is what atexit must reap: segments
-        # are kernel objects that outlive a crashed interpreter's heap.
-        register_plane(self._shm)
         self._workers = _WorkerPool(self.config.jobs)
         # Stops the workers when an unclosed engine is collected, and at
         # exit ahead of multiprocessing's terminate of daemon children.
@@ -991,41 +988,17 @@ class EvaluationEngine:
     def closed(self) -> bool:
         return self._closed
 
-    def publish_table(self, table, golden) -> SharedTableRef:
-        """Publish a (table, golden) bundle for shared-memory tasks.
-
-        Returns a :class:`~repro.evaluation.shm.SharedTableRef` to hang
-        off :class:`EvaluationTask`\\ s. Identical bundles are
-        deduplicated and refcounted; everything still published is
-        unlinked by :meth:`close`.
-        """
-        require(not self._closed, "engine is closed", EngineError)
-        return self._shm.publish(table, golden)
-
-    def release_table(self, ref: SharedTableRef) -> bool:
-        """Drop one publication reference; True when the segment unlinked."""
-        return self._shm.release(ref)
-
     def close(self) -> None:
-        """Stop the workers and unlink every published segment.
+        """Stop the workers.
 
-        Idempotent and crash-safe. Each idle worker is sent a stop message
-        and joined; only a stuck one is terminated. Registered per-plane
-        with ``atexit``, and per-engine with multiprocessing's exit
-        finalizers, as a backstop; benches and the service also call it
-        (or use the engine as a context manager) so long-lived processes
-        do not accumulate segments or workers.
+        Idempotent. Each idle worker is sent a stop message and joined;
+        only a stuck one is terminated. Multiprocessing's exit finalizers
+        are the backstop; benches and the service also call it (or use the
+        engine as a context manager) so long-lived processes do not
+        accumulate workers.
         """
-        if self._closed:
-            return
         self._closed = True
-        self._stop_workers()
-        freed = self._shm.close()
-        unregister_plane(self._shm)
-        if freed:
-            diagnostics.emit(
-                "engine.shm", f"engine close unlinked {freed} shared segments"
-            )
+        self._stop_workers()  # a Finalize runs its callback once
 
     def __enter__(self) -> "EvaluationEngine":
         return self

@@ -9,6 +9,7 @@ counts and launch shapes; a PKS profile additionally carries the full
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,28 @@ class ProfileTable:
     @property
     def total_instructions(self) -> int:
         return int(self.insn_count.sum())
+
+    def digest(self) -> str:
+        """Content digest of every column and name: a cache key for results
+        computed from this table.
+
+        It covers every byte, not a prefix, so two tables share a digest
+        only if they hold the same rows under the same names. Names go in
+        as one ``repr``, which no choice of separator characters inside a
+        name can make ambiguous; each column goes in with its dtype and
+        shape.
+        """
+        hasher = hashlib.blake2b(digest_size=20)
+        metric_names = self.metric_names if self.metrics is not None else None
+        hasher.update(repr((self.workload, self.kernel_names, metric_names)).encode())
+        columns = ["kernel_id", "invocation_id", "insn_count", "cta_size", "num_ctas"]
+        if self.metrics is not None:
+            columns.append("metrics")
+        for name in columns:
+            column = np.ascontiguousarray(getattr(self, name))
+            hasher.update(f"\x1f{name}:{column.dtype.str}:{column.shape}\x1f".encode())
+            hasher.update(column)
+        return hasher.hexdigest()
 
     def rows_for_kernel(self, kernel_id: int) -> np.ndarray:
         """Row indices (chronological) of one kernel's invocations."""

@@ -36,6 +36,8 @@ import json
 import pickle
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.runner import MethodResult
@@ -215,6 +217,23 @@ def table_from_csv(text: str) -> ProfileTable:
     return read_profile_csv(handle)
 
 
+def _require_total_fits(table: ProfileTable, source: str) -> None:
+    """Reject a table whose instruction total falls outside int64.
+
+    Each count fits (the reader checks rows), but their int64 sum
+    would wrap and be served as ``total_instructions``. The exact total
+    adds the counts' high and low 32-bit halves separately, sums that
+    cannot overflow for any table a request can carry.
+    """
+    counts = table.insn_count
+    total = (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
+    if not -(2**63) <= total < 2**63:
+        raise BadRequestError(
+            f"{source}: the total insn_count {total} is out of range for int64",
+            field="insn_count",
+        )
+
+
 def parse_request(kind: str, payload: object) -> EvaluationRequest:
     """Validate a decoded JSON body into an :class:`EvaluationRequest`.
 
@@ -290,6 +309,7 @@ def parse_request(kind: str, payload: object) -> EvaluationRequest:
         table = table_from_csv(inline_csv)
     else:
         table = table_from_rows(inline_rows, workload="inline")
+    _require_total_fits(table, "profile_csv" if inline_csv is not None else "profile_rows")
     return EvaluationRequest(
         kind=kind,
         method=method,
@@ -374,12 +394,17 @@ def result_to_dict(result: MethodResult) -> dict:
     }
 
 
-def response_body(request: EvaluationRequest, result: MethodResult) -> dict:
-    """The ``result`` + digest half of a successful response."""
+def response_body(request: EvaluationRequest, result) -> dict:
+    """The ``result`` + digest half of a successful response.
+
+    ``result`` is the task's :class:`MethodResult`, or for an inline
+    request the selection itself (a table task's only result).
+    """
     if request.kind == "select":
+        selection = result if request.inline else result.selection
         return {
-            "result": selection_to_dict(result.selection),
-            "pickle_sha256": pickle_digest(result.selection),
+            "result": selection_to_dict(selection),
+            "pickle_sha256": pickle_digest(selection),
         }
     return {
         "result": result_to_dict(result),

@@ -24,6 +24,7 @@ boots a server on a background thread with its own loop and returns a
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 import threading
@@ -54,9 +55,13 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Catalog results kept encoded for repeated requests, least recently
-#: used first out: (cache key, kind) -> (JSON of ``result``, digest).
+#: Results kept encoded for repeated requests, least recently used first
+#: out: (cache key, kind) -> (JSON of ``result``, digest).
 MEMO_ENTRIES = 256
+
+#: The longest request line or header line read, in bytes: asyncio's
+#: default stream limit, passed explicitly so the 400 can name it.
+LINE_LIMIT = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class SieveService:
         """
         await self.dispatcher.start()
         server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+            self._handle_client, self.config.host, self.config.port, limit=LINE_LIMIT
         )
         sockname = server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -151,9 +156,8 @@ class SieveService:
                 await asyncio.gather(*self._clients, return_exceptions=True)
             await self.dispatcher.close()
             if self._owns_engine:
-                # Release shared-memory segments with the server; an
-                # injected engine stays open for its owner (close is
-                # idempotent either way).
+                # Stop the workers with the server; an injected engine
+                # stays open for its owner (close is idempotent either way).
                 self.engine.close()
 
     # -------------------------------------------------------- connection IO
@@ -166,7 +170,7 @@ class SieveService:
             self._clients.add(task)
         try:
             while True:
-                request_line = await reader.readline()
+                request_line = await _read_line(reader)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").strip().split()
@@ -177,7 +181,7 @@ class SieveService:
                 verb, target, _version = parts
                 headers: dict[str, str] = {}
                 while True:
-                    line = await reader.readline()
+                    line = await _read_line(reader)
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
@@ -211,6 +215,9 @@ class SieveService:
                 await self._respond(writer, status, payload, content_type)
                 if headers.get("connection", "").lower() == "close":
                     break
+        except BadRequestError as exc:  # a line past LINE_LIMIT: answer, then close
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                await self._respond(writer, 400, self._error_body(exc))
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
@@ -344,46 +351,12 @@ class SieveService:
             except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
                 raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
             request = protocol.parse_request(kind, payload)
-            if request.inline:
-                return 200, await self._evaluate_inline(request, request_id, t0)
-            return await self._evaluate_catalog(request, request_id, t0)
+            task = _task_for(request)
+            key = task.cache_key()
+            outcome = await self.dispatcher.submit(task, key)
         except SieveError as exc:
             inc("service.errors", type=type(exc).__name__)
             return protocol.status_for(exc), self._error_body(exc, request_id)
-
-    async def _evaluate_inline(
-        self, request: protocol.EvaluationRequest, request_id: str, t0: float
-    ) -> dict:
-        loop = asyncio.get_running_loop()
-        selection = await loop.run_in_executor(
-            None, protocol.select_inline, request
-        )
-        return {
-            "request_id": request_id,
-            "kind": request.kind,
-            "method": request.method,
-            "workload": selection.workload,
-            "result": protocol.selection_to_dict(selection),
-            "pickle_sha256": protocol.pickle_digest(selection),
-            "telemetry": {
-                "from_cache": False,
-                "attempts": 1,
-                "inline": True,
-                "wall_s": round(time.perf_counter() - t0, 6),
-            },
-        }
-
-    async def _evaluate_catalog(
-        self, request: protocol.EvaluationRequest, request_id: str, t0: float
-    ) -> tuple[int, dict | bytes]:
-        task = EvaluationTask(
-            label=request.workload,
-            max_invocations=request.cap,
-            methods=(request.method_request(),),
-            fault_plan=request.fault_plan,
-        )
-        key = task.cache_key()
-        outcome = await self.dispatcher.submit(task, key)
         if not outcome.ok:
             body = {
                 "request_id": request_id,
@@ -401,10 +374,10 @@ class SieveService:
             "telemetry": {
                 "from_cache": outcome.from_cache,
                 "attempts": outcome.attempts,
-                "inline": False,
+                "inline": request.inline,
                 "wall_s": round(time.perf_counter() - t0, 6),
             },
-            "workload": request.workload,
+            "workload": request.table.workload if request.inline else request.workload,
         }
         # canonical_json sorts keys, and "result" sorts between the head's
         # keys and the tail's: joining the three gives the bytes
@@ -433,6 +406,39 @@ class SieveService:
         if len(self._encoded) > MEMO_ENTRIES:
             self._encoded.popitem(last=False)
         return entry
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line past ``LINE_LIMIT`` is a
+    :class:`BadRequestError` rather than the stream's ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise BadRequestError(
+            f"request line or header line longer than {LINE_LIMIT} bytes",
+            limit_bytes=LINE_LIMIT,
+        ) from exc
+
+
+def _task_for(request: protocol.EvaluationRequest) -> EvaluationTask:
+    """The engine task that answers ``request``.
+
+    An inline profile travels in its task by value. Its label is derived
+    from the table's digest, so a table that keeps crashing its worker
+    quarantines itself and no other upload.
+    """
+    if request.inline:
+        return EvaluationTask(
+            label=f"inline/{request.table.digest()[:16]}",
+            methods=(request.method_request(),),
+            table=request.table,
+        )
+    return EvaluationTask(
+        label=request.workload,
+        max_invocations=request.cap,
+        methods=(request.method_request(),),
+        fault_plan=request.fault_plan,
+    )
 
 
 # ------------------------------------------------------- background thread

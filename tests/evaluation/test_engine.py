@@ -5,7 +5,9 @@ import pickle
 import pytest
 
 from repro.core.config import SieveConfig
+from repro.core.pipeline import SievePipeline
 from repro.evaluation import experiments
+from repro.evaluation.context import build_context
 from repro.evaluation.engine import (
     CACHE_SCHEMA,
     EngineConfig,
@@ -16,6 +18,7 @@ from repro.evaluation.engine import (
     run_task,
     source_fingerprint,
 )
+from repro.methods import MethodRequest
 from repro.robustness.diagnostics import capture_diagnostics
 from repro.robustness.faults import parse_fault_plan
 from repro.utils.errors import EngineError
@@ -26,7 +29,7 @@ LABELS = ["cactus/gru", "cactus/gst"]
 
 def task_for(label="cactus/gru", **overrides):
     fields = dict(label=label, max_invocations=CAP,
-                  sieve_config=SieveConfig(theta=0.4))
+                  methods=(MethodRequest("sieve", SieveConfig(theta=0.4)), "pks"))
     fields.update(overrides)
     return EvaluationTask(**fields)
 
@@ -42,7 +45,7 @@ def test_cache_key_is_stable():
 @pytest.mark.parametrize("overrides", [
     {"label": "cactus/gst"},
     {"max_invocations": CAP + 1},
-    {"sieve_config": SieveConfig(theta=0.7)},
+    {"methods": (MethodRequest("sieve", SieveConfig(theta=0.7)), "pks")},
     {"fault_plan": parse_fault_plan("nan:0.1")},
     {"methods": ("sieve",)},
 ])
@@ -67,6 +70,53 @@ def test_source_fingerprint_is_cached_and_hexlike():
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("SIEVE_REPRO_CACHE_DIR", str(tmp_path / "here"))
     assert default_cache_dir() == tmp_path / "here"
+
+
+# --------------------------------------------------------------------- #
+# Table tasks: a profile shipped by value, select-only
+
+
+@pytest.fixture(scope="module")
+def table():
+    return build_context("cactus/gru", max_invocations=400).sieve_table
+
+
+def table_task(table, method="sieve"):
+    return EvaluationTask(
+        label=f"inline/{table.digest()[:16]}", methods=(method,), table=table
+    )
+
+
+@pytest.mark.parametrize("extra", [
+    {"methods": ("sieve", "periodic")},
+    {"fault_plan": parse_fault_plan("nan:0.1")},
+    {"max_invocations": 10},
+])
+def test_table_task_is_select_only(table, extra):
+    with pytest.raises(EngineError):
+        EvaluationTask(**{"label": "t", "methods": ("sieve",), "table": table, **extra})
+
+
+def test_table_task_key_is_the_table_content(table):
+    key = table_task(table).cache_key()
+    assert table_task(table.slice_rows(0, len(table))).cache_key() == key
+    assert table_task(table.slice_rows(0, len(table) - 1)).cache_key() != key
+    assert table_task(table, "periodic").cache_key() != key
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_table_task_selects_as_the_direct_selection(tmp_path, table, jobs):
+    """In the caller or on the workers, computed or cached, a table task's
+    result pickles as the selection made directly from the table."""
+    tables = [table, table.slice_rows(0, 200), table.slice_rows(0, 300)]
+    with EvaluationEngine(EngineConfig(jobs=jobs, cache_dir=tmp_path)) as engine:
+        cold = engine.run([table_task(t) for t in tables[:2]])
+        warm = engine.run([table_task(t) for t in tables[:2]])
+        isolated = engine.run_isolated([table_task(tables[2])])
+    assert [o.from_cache for o in cold + warm] == [False, False, True, True]
+    for t, a, b in zip(tables, cold + isolated, warm + isolated):
+        direct = pickle.dumps(SievePipeline().select(t))
+        assert pickle.dumps(a["sieve"]) == pickle.dumps(b["sieve"]) == direct
 
 
 # --------------------------------------------------------------------- #

@@ -77,13 +77,11 @@ def test_cache_keys_deterministic_across_processes_inputs(label, cap, theta):
     # is part of the identity.
     from repro.core.config import SieveConfig
     from repro.evaluation.engine import EvaluationTask
+    from repro.methods import MethodRequest
 
-    task = EvaluationTask(
-        label=label, max_invocations=cap, sieve_config=SieveConfig(theta=theta)
-    )
-    again = EvaluationTask(
-        label=label, max_invocations=cap, sieve_config=SieveConfig(theta=theta)
-    )
+    methods = (MethodRequest("sieve", SieveConfig(theta=theta)), "pks")
+    task = EvaluationTask(label=label, max_invocations=cap, methods=methods)
+    again = EvaluationTask(label=label, max_invocations=cap, methods=methods)
     assert task.cache_key() == again.cache_key()
     assert spec_for(label).content_hash() == spec_for(label).content_hash()
     # the spec's own identity feeds the key, and hashing is label-sensitive

@@ -222,6 +222,24 @@ def test_close_stops_every_worker_with_a_clean_exit(tmp_path):
     assert not any(w.proc.is_alive() for w in workers)
 
 
+def test_close_is_idempotent(tmp_path):
+    engine = engine_for(tmp_path)
+    engine.run_isolated([task_for()])
+    [worker] = engine._workers._idle
+    engine.close()
+    assert engine.closed and worker.proc.exitcode == 0
+    engine.close()  # a second close finds nothing left to stop
+    assert engine.closed and engine._workers._idle == []
+
+
+def test_context_manager_closes_the_engine(tmp_path):
+    with engine_for(tmp_path) as engine:
+        engine.run_isolated([task_for()])
+        [worker] = engine._workers._idle
+    assert engine.closed
+    assert worker.proc.exitcode == 0
+
+
 def test_dropped_engine_stops_its_workers(tmp_path):
     engine = engine_for(tmp_path)
     engine.run_isolated([task_for()])

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import SieveConfig
 from repro.evaluation.engine import EngineConfig, EvaluationEngine, EvaluationTask
+from repro.methods import MethodRequest
 from repro.observability import metrics as obs_metrics
 from repro.observability import spans, state
 from repro.observability.export import (
@@ -274,7 +275,7 @@ def engine_spans(jobs: int, tmp_path):
         EvaluationTask(
             label=label,
             max_invocations=500,
-            sieve_config=SieveConfig(theta=0.4),
+            methods=(MethodRequest("sieve", SieveConfig(theta=0.4)), "pks"),
         )
         for label in ("cactus/gru", "cactus/gst", "cactus/lmc")
     ]

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import SieveConfig
 from repro.evaluation.context import _cached_context
 from repro.evaluation.engine import EngineConfig, EvaluationEngine, EvaluationTask
+from repro.methods import MethodRequest
 from repro.observability import metrics, spans, state
 from repro.observability.metrics import Histogram, MetricsRegistry, metric_key
 
@@ -104,7 +105,9 @@ def test_parallel_merge_equals_serial(tmp_path):
     labels = ["cactus/gru", "cactus/gst", "cactus/lmc", "cactus/dcg"]
     tasks = [
         EvaluationTask(
-            label=label, max_invocations=600, sieve_config=SieveConfig(theta=0.4)
+            label=label,
+            max_invocations=600,
+            methods=(MethodRequest("sieve", SieveConfig(theta=0.4)), "pks"),
         )
         for label in labels
     ]

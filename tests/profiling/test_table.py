@@ -74,3 +74,49 @@ def test_rejects_metric_shape_mismatch():
             num_ctas=np.ones(2, dtype=np.int64),
             metrics=np.zeros((2, 3)),
         )
+
+
+def replaced(table, **changes):
+    fields = {name: getattr(table, name) for name in (
+        "workload", "kernel_names", "kernel_id", "invocation_id", "insn_count",
+        "cta_size", "num_ctas", "metrics",
+    )}
+    fields.update(changes)
+    return ProfileTable(**fields)
+
+
+def test_digest_is_content_not_identity():
+    assert make_table().digest() == make_table().digest()
+    assert make_table().digest() != make_table(with_metrics=False).digest()
+
+
+@pytest.mark.parametrize("column", ["kernel_id", "invocation_id", "insn_count", "cta_size", "num_ctas"])
+def test_digest_covers_every_column(column):
+    table = make_table()
+    changed = getattr(table, column).copy()
+    changed[-1] = 1 - changed[-1] if column == "kernel_id" else changed[-1] + 1
+    assert replaced(table, **{column: changed}).digest() != table.digest()
+    metrics = table.metrics.copy()
+    metrics[-1, -1] += 0.5
+    assert replaced(table, metrics=metrics).digest() != table.digest()
+
+
+def test_digest_covers_names_unambiguously():
+    table = make_table(with_metrics=False)
+    digests = {
+        table.digest(),
+        replaced(table, workload="suite/y").digest(),
+        replaced(table, kernel_names=("a", "c")).digest(),
+        # One name holding the separator of two others must not collide.
+        replaced(table, kernel_names=("a\x00b", "b"), kernel_id=np.zeros(6, np.int32)).digest(),
+        replaced(table, kernel_names=("a", "b\x00b"), kernel_id=np.zeros(6, np.int32)).digest(),
+        # Lone surrogates (legal in decoded JSON) hash rather than raise.
+        replaced(table, kernel_names=("a", "\ud800")).digest(),
+    }
+    assert len(digests) == 6
+
+
+def test_digest_covers_dtype_and_shape():
+    table = make_table(with_metrics=False)
+    wide = replaced(table, cta_size=table.cta_size.astype(np.int64))
+    assert wide.digest() != table.digest()

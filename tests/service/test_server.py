@@ -138,14 +138,34 @@ def rows_body(*rows) -> str:
         (rows_body(ROW, {**ROW, "insn_count": 2**70}), "profile_rows[1]"),
         (rows_body(ROW, {**ROW, "cta_size": 3_000_000_000}), "profile_rows[1]"),
         ('{"profile_rows": [{"kernel_name": "k", "insn_count": 1e400}]}', "profile_rows[0]"),
+        # Each count fits int64; their int64 sum would wrap negative.
+        (rows_body(*[{**ROW, "insn_count": 2**62}] * 3), "profile_rows: the total insn_count"),
     ],
-    ids=["insn-2**70", "cta-3e9", "insn-1e400"],
+    ids=["insn-2**70", "cta-3e9", "insn-1e400", "insn-total-2**63"],
 )
 def test_out_of_range_inline_rows_are_typed_400s(client, raw, located):
     status, body = post_raw(client, "/v1/select", raw)
     assert status == 400
     assert body["error"]["type"] == "BadRequestError"
     assert located in body["error"]["message"]
+
+
+def test_inline_csv_instruction_total_beyond_int64_is_a_typed_400(client):
+    csv = (
+        "# workload,w,rows,3\n"
+        "kernel_name,invocation_id,insn_count,cta_size,num_ctas\n"
+        + "".join(f"k,{i},{2**62},128,1\n" for i in range(3))
+    )
+    status, body = post_raw(client, "/v1/select", json.dumps({"profile_csv": csv}))
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
+    assert body["error"]["message"].startswith("profile_csv: the total insn_count")
+    assert body["error"]["context"] == {"field": "insn_count"}
+    # The largest total that fits is served.
+    fits = rows_body({**ROW, "insn_count": 2**62}, {**ROW, "insn_count": 2**62 - 1})
+    status, body = post_raw(client, "/v1/select", fits)
+    assert status == 200
+    assert body["result"]["total_instructions"] == 2**63 - 1
 
 
 def test_out_of_range_inline_csv_is_a_typed_400(client):
@@ -330,6 +350,35 @@ def test_malformed_content_length_is_a_typed_400(service, value):
     assert error["type"] == "BadRequestError"
     assert "Content-Length" in error["message"]
     assert error["context"] == {"header": "Content-Length"}
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET /v1/healthz HTTP/1.1\r\nX-Big: " + b"x" * 70_000 + b"\r\n\r\n",
+        b"GET /v1/healthz?q=" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    ],
+    ids=["header", "query-string"],
+)
+def test_over_long_line_is_a_typed_400(service, client, head):
+    raw = socket.create_connection((service.host, service.port), timeout=30)
+    received = b""
+    try:
+        raw.sendall(head)
+        while chunk := raw.recv(65536):  # the server closes after answering
+            received += chunk
+    except ConnectionResetError:
+        pass  # closed with the rest of the line unread; the answer came first
+    finally:
+        raw.close()
+    response, _, body = received.partition(b"\r\n\r\n")
+    assert response.startswith(b"HTTP/1.1 400 ")
+    error = json.loads(body)["error"]
+    assert error["type"] == "BadRequestError"
+    assert error["context"] == {"limit_bytes": 65536}
+    assert "65536" in error["message"]
+    status, _, _ = client.get("/v1/healthz")
+    assert status == 200
 
 
 def post_bytes(service, route: str, payload: dict) -> tuple[int, bytes]:
