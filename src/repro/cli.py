@@ -39,7 +39,7 @@ from repro.observability import spans as obs_spans
 from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, parse_fault_plan
-from repro.utils.errors import ReproError
+from repro.utils.errors import SieveError
 from repro.workloads.catalog import CHALLENGING_SUITES
 
 #: Commands whose handlers honor --inject-faults.
@@ -1574,7 +1574,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
-    except ReproError as exc:
+    except SieveError as exc:
         # Typed pipeline failures get a clean one-liner, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2

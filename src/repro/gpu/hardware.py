@@ -10,40 +10,23 @@ Like the paper, which profiles the same executions it measures, every
 consumer reads one :class:`ExecutionRecord` per (run, architecture): the
 noiseless cycles and DRAM bytes of every invocation, timed by a single
 :func:`~repro.gpu.timing.invocation_timing` call over the run's
-concatenated invocations (:func:`execution_record`).
+whole-run columns (:func:`execution_record`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.gpu.arch import GpuArchitecture
-from repro.gpu.kernel import InvocationBatch, KernelTraits, TraitColumns
+from repro.gpu.kernel import TraitColumns
 from repro.gpu.timing import invocation_timing
 from repro.utils.seeding import rng_for
 
-
-class KernelLike(Protocol):
-    """What the executor needs from a kernel object."""
-
-    @property
-    def traits(self) -> KernelTraits: ...
-
-    @property
-    def batch(self) -> InvocationBatch: ...
-
-
-class WorkloadLike(Protocol):
-    """What the executor needs from a workload object."""
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def kernels(self) -> Iterable[KernelLike]: ...
+if TYPE_CHECKING:
+    from repro.workloads.generator import WorkloadRun
 
 
 @dataclass(frozen=True)
@@ -111,40 +94,25 @@ class ExecutionRecord:
     dram_bytes: np.ndarray  # float64, DRAM traffic
 
 
-def execution_record(arch: GpuArchitecture, workload: WorkloadLike) -> ExecutionRecord:
-    """The execution record of ``workload`` on ``arch``.
+def execution_record(arch: GpuArchitecture, run: WorkloadRun) -> ExecutionRecord:
+    """The execution record of ``run`` on ``arch``, memoized on the run.
 
-    A :class:`~repro.workloads.generator.WorkloadRun` memoizes its records
-    by architecture; any other workload is timed on every call. Two
-    threads racing on one run may both compute the record, never
+    Two threads racing on one run may both compute the record, never
     differently.
     """
-    records = getattr(workload, "_records", None)
-    record = None if records is None else records.get(arch)
+    record = run._records.get(arch)
     if record is None:
-        record = _time_invocations(arch, tuple(workload.kernels))
-        if records is not None:
-            record = records.setdefault(arch, record)
+        record = run._records.setdefault(arch, _time_invocations(arch, run))
     return record
 
 
-def _time_invocations(
-    arch: GpuArchitecture, kernels: tuple[KernelLike, ...]
-) -> ExecutionRecord:
-    sizes = np.array([len(k.batch) for k in kernels], dtype=np.int64)
-    batch = InvocationBatch(
-        **{
-            f.name: np.concatenate([getattr(k.batch, f.name) for k in kernels])
-            for f in fields(InvocationBatch)
-        }
-    )
-    traits = TraitColumns(
-        [k.traits for k in kernels], np.repeat(np.arange(len(kernels)), sizes)
-    )
-    timing = invocation_timing(arch, traits, batch)
+def _time_invocations(arch: GpuArchitecture, run: WorkloadRun) -> ExecutionRecord:
+    kernel_of_row = np.repeat(np.arange(len(run.kernels)), run.sizes)
+    traits = TraitColumns([k.traits for k in run.kernels], kernel_of_row)
+    timing = invocation_timing(arch, traits, run.batch)
     record = ExecutionRecord(
-        starts=np.cumsum(sizes) - sizes,
-        order=np.argsort(batch.chrono_index, kind="stable"),
+        starts=run.starts,
+        order=np.argsort(run.batch.chrono_index, kind="stable"),
         cycles=timing.total_cycles,
         dram_bytes=timing.dram_bytes,
     )
@@ -165,36 +133,39 @@ class HardwareExecutor:
     def __init__(self, arch: GpuArchitecture):
         self.arch = arch
 
-    def measure(self, workload: WorkloadLike) -> WorkloadMeasurement:
-        """Measure every kernel invocation of ``workload``."""
-        kernels = tuple(workload.kernels)
+    def measure(self, run: WorkloadRun) -> WorkloadMeasurement:
+        """Measure every kernel invocation of ``run``."""
         names: set[str] = set()
-        for kernel in kernels:
+        for kernel in run.kernels:
             name = kernel.traits.name
             if name in names:
                 raise ValueError(f"duplicate kernel name {name!r} in workload")
             names.add(name)
-        record = execution_record(self.arch, workload)
+        record = execution_record(self.arch, run)
         cycles = record.cycles.copy()
-        kernel_rows = [slice(s, s + len(k.batch)) for s, k in zip(record.starts, kernels)]
-        for rows, kernel in zip(kernel_rows, kernels):
+        kernel_rows = [
+            slice(start, start + size)
+            for start, size in zip(run.starts.tolist(), run.sizes.tolist())
+        ]
+        for rows, kernel in zip(kernel_rows, run.kernels):
             sigma = kernel.traits.measurement_noise_cov
             if sigma > 0:
-                rng = rng_for("hardware", self.arch.name, workload.name, kernel.traits.name)
+                rng = rng_for("hardware", self.arch.name, run.name, kernel.traits.name)
                 cycles[rows] *= rng.lognormal(
-                    mean=-0.5 * sigma**2, sigma=sigma, size=len(kernel.batch)
+                    mean=-0.5 * sigma**2, sigma=sigma, size=rows.stop - rows.start
                 )
         cycles = np.maximum(np.rint(cycles), 1.0).astype(np.int64)
+        insn_count = run.batch.insn_count.astype(np.int64)
         return WorkloadMeasurement(
-            workload_name=workload.name,
+            workload_name=run.name,
             architecture=self.arch.name,
             clock_ghz=self.arch.clock_ghz,
             per_kernel={
                 kernel.traits.name: KernelMeasurement(
                     kernel_name=kernel.traits.name,
                     cycles=cycles[rows],
-                    insn_count=kernel.batch.insn_count.astype(np.int64),
+                    insn_count=insn_count[rows],
                 )
-                for rows, kernel in zip(kernel_rows, kernels)
+                for rows, kernel in zip(kernel_rows, run.kernels)
             },
         )

@@ -9,7 +9,8 @@ Two halves live here:
   with identical profiled characteristics run at different speeds, which is
   the central failure mode of PKS the paper identifies.
 * :class:`InvocationBatch` — the vectorized per-invocation descriptors of a
-  kernel: instruction count, launch shape, and the Table II metric columns.
+  kernel, or of a whole workload's kernels in kernel-major rows:
+  instruction count, launch shape, and the Table II metric columns.
 
 :class:`TraitColumns` spreads the traits of many kernels over the rows of
 one batch that holds all their invocations, so the hardware model can
@@ -165,7 +166,11 @@ class InvocationBatch:
     Arrays are aligned: element ``i`` of every array describes the kernel's
     ``i``-th chronological invocation. ``chrono_index`` gives each
     invocation's global (whole-workload) chronological position, which is
-    what "first-chronological" selection policies order by.
+    what "first-chronological" selection policies order by, so it strictly
+    increases within a kernel. A workload's batch holds its kernels' rows
+    one kernel after another; each kernel's batch is a view of its rows
+    (:meth:`rows`). Batches compare by value: equal dtypes and elements in
+    every column.
     """
 
     insn_count: np.ndarray  # int64, thread-level dynamic instructions
@@ -201,31 +206,27 @@ class InvocationBatch:
         )
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (
-            self.insn_count,
-            self.cta_size,
-            self.num_ctas,
-            self.coalesced_global_loads,
-            self.coalesced_global_stores,
-            self.coalesced_local_loads,
-            self.thread_global_loads,
-            self.thread_global_stores,
-            self.thread_local_loads,
-            self.thread_shared_loads,
-            self.thread_shared_stores,
-            self.thread_global_atomics,
-            self.divergence_efficiency,
-            self.chrono_index,
+        return tuple(getattr(self, name) for name in BATCH_COLUMNS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InvocationBatch):
+            return NotImplemented
+        return all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self._columns(), other._columns())
         )
 
     def __len__(self) -> int:
         return len(self.insn_count)
 
     def rows(self, rows: slice) -> "InvocationBatch":
-        """The invocations in ``rows``, as a batch of views."""
-        return InvocationBatch(
-            **{f.name: getattr(self, f.name)[rows] for f in fields(self)}
-        )
+        """The invocations in ``rows``, as a batch of views.
+
+        Not validated again: any rows of a valid batch are a valid batch.
+        """
+        view = object.__new__(InvocationBatch)
+        view.__dict__.update((name, getattr(self, name)[rows]) for name in BATCH_COLUMNS)
+        return view
 
     @property
     def warps_per_cta(self) -> np.ndarray:
@@ -244,3 +245,7 @@ class InvocationBatch:
         return np.column_stack(
             [np.asarray(getattr(self, c), dtype=np.float64) for c in PKS_METRIC_COLUMNS]
         )
+
+
+#: The column names of :class:`InvocationBatch`, in field order.
+BATCH_COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(InvocationBatch))

@@ -28,11 +28,11 @@ def flatten_chronological(
     ``with_metrics`` adds the Table II matrix (what Nsight collects);
     without it the table holds what NVBit collects.
     """
-    sizes = np.array([len(k) for k in run.kernels], dtype=np.int64)
+    sizes = run.sizes
     order = record.order
 
     def column(name: str) -> np.ndarray:
-        return np.concatenate([getattr(k.batch, name) for k in run.kernels])[order]
+        return getattr(run.batch, name)[order]
 
     columns = {name: column(name) for name in ("insn_count", "cta_size", "num_ctas")}
     metrics = None

@@ -109,6 +109,11 @@ def _require(condition: bool, message: str) -> None:
         raise BadRequestError(message)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; ``true``/``false`` decode to ``bool``, an ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_dict(method_name: str, payload: object | None) -> object | None:
     """Build a method's typed config dataclass from a JSON object.
 
@@ -255,14 +260,14 @@ def parse_request(kind: str, payload: object) -> EvaluationRequest:
 
     cap = payload.get("cap")
     if cap is not None:
-        _require(isinstance(cap, int) and cap >= 1, "cap must be a positive integer")
+        _require(_is_int(cap) and cap >= 1, "cap must be a positive integer")
 
     fault_plan = None
+    seed = payload.get("fault_seed", 0)
+    _require(_is_int(seed), "fault_seed must be an integer")
     faults = payload.get("faults")
     if faults is not None:
         _require(isinstance(faults, str), "faults must be a MODE:RATE[,...] string")
-        seed = payload.get("fault_seed", 0)
-        _require(isinstance(seed, int), "fault_seed must be an integer")
         fault_plan = parse_fault_plan(faults, seed=seed)
 
     label = payload.get("workload")
@@ -277,11 +282,19 @@ def parse_request(kind: str, payload: object) -> EvaluationRequest:
     if label is not None:
         _require(isinstance(label, str), "workload must be a string label")
         try:
-            spec_for(label)
+            spec = spec_for(label)
         except (SieveError, KeyError) as exc:
             raise BadRequestError(
                 f"unknown workload {label!r}: {exc}", workload=label
             ) from exc
+        if cap is not None and cap < spec.num_kernels:
+            raise BadRequestError(
+                f"cap {cap} is below one invocation per kernel: "
+                f"{label} has {spec.num_kernels} kernels",
+                field="cap",
+                workload=label,
+                num_kernels=spec.num_kernels,
+            )
         return EvaluationRequest(
             kind=kind,
             method=method,

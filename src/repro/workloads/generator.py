@@ -5,16 +5,23 @@ Turns a :class:`~repro.workloads.spec.WorkloadSpec` into a concrete
 descriptor arrays (instruction counts, launch shapes, the 12 Table II
 metric columns, and a global chronological order). All randomness is seeded
 from the workload label, so generation is bit-reproducible.
+
+The descriptors are whole-run columns, one batch over every invocation
+that the kernels' batches view. Each kernel draws from its own generator,
+in a fixed order; the columns derived from the draws are computed once
+per row, a block of kernels at a time, with the same elementwise
+arithmetic a kernel's rows alone would get.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from repro.gpu.kernel import InvocationBatch, KernelTraits
+from repro.gpu.kernel import BATCH_COLUMNS, InvocationBatch, KernelTraits
 from repro.utils.seeding import rng_for
 from repro.utils.validation import require
 from repro.workloads.allocation import assign_tiers, largest_remainder
@@ -22,6 +29,10 @@ from repro.workloads.spec import Tier, WorkloadSpec
 
 #: Candidate CTA sizes (threads per block) used by generated kernels.
 CTA_SIZE_CHOICES = np.array([64, 128, 192, 256, 384, 512, 1024])
+
+#: Shared memory per CTA (KiB) and registers per thread a kernel draws from.
+SMEM_KIB_CHOICES = (8, 16, 32, 48)
+REGS_PER_THREAD_CHOICES = (32, 40, 48, 56, 64)
 
 #: Probability that a variable-size invocation uses its kernel's dominant
 #: CTA size (launcher heuristics occasionally pick a different block size
@@ -35,6 +46,10 @@ DOMINANT_CTA_PROBABILITY = 0.95
 #: kernels (bit-identical work) use the tighter value.
 METRIC_JITTER_SIGMA = 0.015
 TIER1_METRIC_JITTER_SIGMA = 0.005
+
+#: About how many rows :func:`generate` derives columns for at a time.
+#: Every step is elementwise, so the blocking changes no value.
+BLOCK_ROWS = 16_384
 
 #: Tier-2/Tier-3 kernels are floored at this many CTAs per invocation so
 #: variable-size kernels operate in the steady multi-wave regime (tiny
@@ -59,7 +74,11 @@ class MetricMix:
 
 @dataclass(frozen=True)
 class GeneratedKernel:
-    """One generated kernel: hidden traits + invocation descriptors."""
+    """One generated kernel: hidden traits + invocation descriptors.
+
+    In a :class:`WorkloadRun`, ``batch`` is a view of the kernel's rows
+    of the run's batch.
+    """
 
     traits: KernelTraits
     batch: InvocationBatch
@@ -74,6 +93,13 @@ class GeneratedKernel:
 class WorkloadRun:
     """A generated workload execution ready for profiling/measurement.
 
+    ``batch`` holds every invocation of the run in kernel-major rows:
+    kernel ``k`` owns rows ``starts[k]:starts[k] + len(kernels[k])``,
+    and ``kernels[k].batch`` is a view of them. The execution record, the
+    profilers and the golden measurement read these columns as they are.
+    :func:`generate` writes them in place; :meth:`from_kernels` builds a
+    run from kernels made elsewhere. Runs compare by their kernels.
+
     ``_records`` memoizes the run's execution record per architecture
     (:func:`repro.gpu.hardware.execution_record`), which the golden
     measurement and every profiler of the run read.
@@ -83,19 +109,58 @@ class WorkloadRun:
     suite: str
     spec: WorkloadSpec
     kernels: tuple[GeneratedKernel, ...]
+    batch: InvocationBatch = field(compare=False, repr=False)
+    starts: np.ndarray = field(compare=False, repr=False)  # int64, read-only
     _records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.starts.flags.writeable = False
+        require(len(self.starts) == len(self.kernels), "one start per kernel")
+        rising = np.diff(self.batch.chrono_index) > 0
+        # Row i + 1 may start the next kernel, at any chronological position.
+        inner = (self.starts > 0) & (self.starts < len(self.batch))
+        rising[self.starts[inner] - 1] = True
+        require(bool(rising.all()), "chronology must increase within each kernel")
+
+    @classmethod
+    def from_kernels(
+        cls,
+        name: str,
+        suite: str,
+        spec: WorkloadSpec,
+        kernels: Sequence[GeneratedKernel],
+    ) -> "WorkloadRun":
+        """A run of ``kernels``, their batches concatenated into its rows."""
+        sizes = np.array([len(k) for k in kernels], dtype=np.int64)
+        batch = InvocationBatch(
+            **{
+                column: np.concatenate([getattr(k.batch, column) for k in kernels])
+                for column in BATCH_COLUMNS
+            }
+        )
+        starts = np.cumsum(sizes) - sizes
+        views = tuple(
+            replace(k, batch=batch.rows(slice(start, start + len(k))))
+            for start, k in zip(starts.tolist(), kernels)
+        )
+        return cls(name=name, suite=suite, spec=spec, kernels=views, batch=batch, starts=starts)
 
     @property
     def label(self) -> str:
         return f"{self.suite}/{self.name}"
 
     @property
+    def sizes(self) -> np.ndarray:
+        """Invocations per kernel."""
+        return np.diff(self.starts, append=len(self.batch))
+
+    @property
     def num_invocations(self) -> int:
-        return sum(len(k) for k in self.kernels)
+        return len(self.batch)
 
     @property
     def total_instructions(self) -> int:
-        return int(sum(int(k.batch.insn_count.sum()) for k in self.kernels))
+        return int(self.batch.insn_count.sum())
 
     def kernel_by_name(self, name: str) -> GeneratedKernel:
         for kernel in self.kernels:
@@ -149,18 +214,19 @@ def _lognormal_with_cov(
     return rng.lognormal(math.log(mean) - 0.5 * sigma * sigma, sigma, size)
 
 
-def _insn_counts(
+def _insn_values(
     spec: WorkloadSpec,
     tier: Tier,
     base: float,
     count: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-invocation thread-level instruction counts for one kernel."""
+) -> float | np.ndarray:
+    """Per-invocation thread-level instruction counts for one kernel,
+    before rounding: a Tier-1 kernel's one value, else an array."""
     behavior = spec.behavior
     if tier is Tier.TIER1:
-        values = np.full(count, base)
-    elif tier is Tier.TIER2:
+        return base
+    if tier is Tier.TIER2:
         cov = float(rng.uniform(0.02, behavior.tier2_cov))
         values = _lognormal_with_cov(rng, base, cov, count)
     else:
@@ -182,7 +248,7 @@ def _insn_counts(
                     rng, float(centers[mode]), behavior.tier3_mode_cov, n_members
                 )
 
-    if tier is not Tier.TIER1 and count > 1:
+    if count > 1:
         # Ramp-up: reorder the sequence so launch time correlates with
         # invocation size (index order IS within-kernel chronology).
         correlation = spec.chrono_size_correlation
@@ -196,72 +262,140 @@ def _insn_counts(
         if tier is Tier.TIER3 and spec.drift_fraction > 0:
             drifted = max(1, math.ceil(spec.drift_fraction * count))
             values[:drifted] = values[:drifted] * spec.drift_factor
+    return values
 
-    return np.maximum(np.rint(values), 1024.0).astype(np.int64)
+
+#: The Table II columns a kernel draws as ``rint(insn × rate × jitter)``,
+#: with the :class:`MetricMix` rate behind each, in the kernel's draw
+#: order. Its divergence draw falls between the third and the fourth.
+_RATE_COLUMNS = (
+    ("thread_global_loads", "global_load_rate"),
+    ("thread_global_stores", "global_store_rate"),
+    ("thread_local_loads", "local_rate"),
+    ("thread_shared_loads", "shared_load_rate"),
+    ("thread_shared_stores", "shared_store_rate"),
+    ("thread_global_atomics", "atomic_rate"),
+)
 
 
-def _build_batch(
-    spec: WorkloadSpec,
-    mix: MetricMix,
-    insn: np.ndarray,
-    dominant_cta: int,
-    tier: Tier,
-    rng: np.random.Generator,
-) -> InvocationBatch:
-    """Derive launch shapes and Table II metric columns from insn counts."""
-    count = len(insn)
-    insn_f = insn.astype(np.float64)
+class _RunColumns:
+    """A run's whole-run columns, derived one block of kernels at a time.
 
-    if tier is Tier.TIER1:
-        cta_size = np.full(count, dominant_cta, dtype=np.int32)
-        jitter_sigma = TIER1_METRIC_JITTER_SIGMA
-    else:
-        alt_sizes = CTA_SIZE_CHOICES[CTA_SIZE_CHOICES != dominant_cta]
-        use_dominant = rng.random(count) < DOMINANT_CTA_PROBABILITY
-        cta_size = np.where(
-            use_dominant, dominant_cta, rng.choice(alt_sizes, size=count)
-        ).astype(np.int32)
-        jitter_sigma = METRIC_JITTER_SIGMA
+    Kernel ``k`` owns rows ``starts[k]:starts[k] + counts[k]``. A block
+    is the kernels that start within one :data:`BLOCK_ROWS` window. Each
+    kernel of a block draws its invocations from its own generator into
+    the block's buffers (:meth:`draw`); :meth:`derive` then computes the
+    block's columns while its draws are in cache. Each element sees the
+    arithmetic a kernel's rows alone would: elementwise ``+ - * /``,
+    ``rint``, ``maximum``, ``clip`` and casts, in the same order.
+    """
 
-    threads = np.maximum(insn_f / mix.insn_per_thread, 1.0)
-    num_ctas = np.maximum(np.rint(threads / cta_size), 1.0).astype(np.int64)
+    def __init__(self, counts: np.ndarray):
+        n = int(counts.sum())
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+        firsts = np.flatnonzero(np.diff(self.starts // BLOCK_ROWS, prepend=-1)).tolist()
+        self.blocks = list(zip(firsts, [*firsts[1:], len(counts)]))
+        self.columns = {name: np.empty(n, dtype=np.int64) for name in BATCH_COLUMNS}
+        self.columns["cta_size"] = np.empty(n, dtype=np.int32)
+        self.columns["divergence_efficiency"] = np.empty(n)
+        self.start_times = np.empty(n)
+        # One block's draws, at rows relative to its first (``_offset``).
+        size = max(int(counts[first:stop].sum()) for first, stop in self.blocks)
+        self.insn = np.empty(size)  # before rounding
+        self.use_dominant = np.empty(size)
+        self.alt_size = np.zeros(size, dtype=np.int64)  # among the other sizes
+        self.jitter = np.empty((len(_RATE_COLUMNS), size))
+        self.divergence = np.empty(size)
+        self._offset = 0
 
-    def metric(rate: float) -> np.ndarray:
-        if rate <= 0:
-            return np.zeros(count, dtype=np.int64)
-        jitter = rng.lognormal(0.0, jitter_sigma, count)
-        return np.rint(insn_f * rate * jitter).astype(np.int64)
+    def draw(
+        self,
+        k: int,
+        spec: WorkloadSpec,
+        tier: Tier,
+        mix: MetricMix,
+        base_insn: float,
+        rng: np.random.Generator,
+    ) -> None:
+        """Kernel ``k``'s invocation draws, up to its divergence noise."""
+        count = int(self.counts[k])
+        start = int(self.starts[k]) - self._offset
+        rows = slice(start, start + count)
+        self.insn[rows] = _insn_values(spec, tier, base_insn, count, rng)
+        if tier is Tier.TIER1:
+            self.use_dominant[rows] = 0.0  # no draw: always the dominant size
+            sigma = TIER1_METRIC_JITTER_SIGMA
+        else:
+            rng.random(out=self.use_dominant[rows])
+            self.alt_size[rows] = rng.integers(0, len(CTA_SIZE_CHOICES) - 1, size=count)
+            sigma = METRIC_JITTER_SIGMA
+        for j, (_, rate) in enumerate(_RATE_COLUMNS):
+            if j == 3:  # after thread_local_loads, where kernels draw it
+                self.divergence[rows] = rng.normal(0.0, 0.01, count)
+            if getattr(mix, rate) > 0:
+                self.jitter[j, rows] = rng.lognormal(0.0, sigma, count)
+            else:  # no draw: the column is rint(insn × 0 × 0)
+                self.jitter[j, rows] = 0.0
 
-    thread_gl = metric(mix.global_load_rate)
-    thread_gs = metric(mix.global_store_rate)
-    thread_ll = metric(mix.local_rate)
-    # Transactions per warp-level access: 1 when fully coalesced, up to 32
-    # when fully scattered.
-    txn_per_access = 1.0 + 31.0 * (1.0 - mix.coalescing)
-    coalesced = lambda thread_level: np.rint(  # noqa: E731 - tiny local helper
-        thread_level / 32.0 * txn_per_access
-    ).astype(np.int64)
+    def launch_times(self, k: int, rng: np.random.Generator) -> None:
+        """Kernel ``k``'s launch times: sorted uniforms preserve its
+        chronology (index order) while interleaving kernels globally."""
+        rows = slice(int(self.starts[k]), int(self.starts[k] + self.counts[k]))
+        rng.random(out=self.start_times[rows])
+        self.start_times[rows].sort()
 
-    divergence = np.clip(
-        mix.divergence + rng.normal(0.0, 0.01, count), 0.5, 1.0
-    )
+    def derive(
+        self, first: int, stop: int, mixes: Sequence[MetricMix], dominant_index: np.ndarray
+    ) -> None:
+        """The derived columns of kernels ``first:stop``, the block just drawn.
 
-    return InvocationBatch(
-        insn_count=insn,
-        cta_size=cta_size,
-        num_ctas=num_ctas,
-        coalesced_global_loads=coalesced(thread_gl),
-        coalesced_global_stores=coalesced(thread_gs),
-        coalesced_local_loads=coalesced(thread_ll),
-        thread_global_loads=thread_gl,
-        thread_global_stores=thread_gs,
-        thread_local_loads=thread_ll,
-        thread_shared_loads=metric(mix.shared_load_rate),
-        thread_shared_stores=metric(mix.shared_store_rate),
-        thread_global_atomics=metric(mix.atomic_rate),
-        divergence_efficiency=divergence,
-        chrono_index=np.zeros(count, dtype=np.int64),  # filled in by generate()
-    )
+        Each row gets its kernel's constants; a block of one kernel, often
+        a large one, broadcasts them instead. Assigning a float array to
+        an integer column casts it as ``astype`` would.
+        """
+        counts = self.counts[first:stop]
+        n = int(counts.sum())
+        rows = slice(self._offset, self._offset + n)
+        out = {name: column[rows] for name, column in self.columns.items()}
+
+        def per_row(values) -> np.ndarray:
+            values = np.asarray(values)
+            return values if stop - first == 1 else np.repeat(values, counts, axis=-1)
+
+        out["insn_count"][:] = np.maximum(np.rint(self.insn[:n]), 1024.0)
+        insn_f = out["insn_count"].astype(np.float64)
+        # The other sizes keep their order, so draw j is size j, skipping
+        # the dominant one.
+        dominant = per_row(dominant_index)
+        alt = self.alt_size[:n]
+        size_index = np.where(
+            self.use_dominant[:n] < DOMINANT_CTA_PROBABILITY, dominant, alt + (alt >= dominant)
+        )
+        out["cta_size"][:] = CTA_SIZE_CHOICES[size_index]
+        threads = np.maximum(insn_f / per_row([m.insn_per_thread for m in mixes]), 1.0)
+        out["num_ctas"][:] = np.maximum(np.rint(threads / out["cta_size"]), 1.0)
+        np.clip(
+            per_row([m.divergence for m in mixes]) + self.divergence[:n],
+            0.5,
+            1.0,
+            out=out["divergence_efficiency"],
+        )
+        rates = per_row([[getattr(m, rate) for m in mixes] for _, rate in _RATE_COLUMNS])
+        for j, (column, _) in enumerate(_RATE_COLUMNS):
+            out[column][:] = np.rint(insn_f * rates[j] * self.jitter[j, :n])
+        # Transactions per warp-level access: 1 when fully coalesced, up to
+        # 32 when fully scattered.
+        txn_per_access = per_row([1.0 + 31.0 * (1.0 - m.coalescing) for m in mixes])
+        for kind in ("global_loads", "global_stores", "local_loads"):
+            out[f"coalesced_{kind}"][:] = np.rint(out[f"thread_{kind}"] / 32.0 * txn_per_access)
+        self._offset += n
+
+    def batch(self) -> InvocationBatch:
+        """The run's batch, with each row's global chronological position."""
+        global_order = np.argsort(self.start_times, kind="stable")
+        self.columns["chrono_index"][global_order] = np.arange(len(global_order))
+        return InvocationBatch(**self.columns)
 
 
 def _sample_traits(
@@ -271,13 +405,15 @@ def _sample_traits(
     rng: np.random.Generator,
 ) -> KernelTraits:
     """Draw one kernel's hidden microarchitectural behaviour."""
-    smem = 0 if rng.random() < 0.5 else int(rng.choice([8, 16, 32, 48])) * 1024
+    smem = 0
+    if rng.random() >= 0.5:
+        smem = SMEM_KIB_CHOICES[rng.integers(0, len(SMEM_KIB_CHOICES))] * 1024
     arch_efficiency = {"turing": spec.turing_factor} if turing_biased else {}
     return KernelTraits(
         name=kernel_name,
         # Capped at 64 so any CTA size up to 1024 threads can launch within
         # the 64K-register SM file (as nvcc's launch bounds would enforce).
-        regs_per_thread=int(rng.choice([32, 40, 48, 56, 64])),
+        regs_per_thread=REGS_PER_THREAD_CHOICES[rng.integers(0, len(REGS_PER_THREAD_CHOICES))],
         smem_per_cta=smem,
         ilp=float(rng.uniform(1.2, 3.5)),
         l1_hit_rate=float(rng.uniform(0.2, 0.9)),
@@ -340,52 +476,47 @@ def generate(
     if n_biased:
         biased[rng.choice(spec.num_kernels, size=n_biased, replace=False)] = True
 
-    # --- per-kernel generation ---------------------------------------------
-    kernels: list[GeneratedKernel] = []
-    start_times: list[np.ndarray] = []
-    for k in range(spec.num_kernels):
-        kernel_rng = rng_for("kernel", spec.suite, spec.name, k)
-        kernel_name = f"{spec.name}_k{k:03d}"
-        tier = Tier(tier_indices[k] + 1)
-        mix = _jittered_mix(family_mixes[family_of[k]], kernel_rng, spec.metric_direction_sigma)
-        dominant_cta = int(kernel_rng.choice(CTA_SIZE_CHOICES))
-        base_insn = (
-            spec.insn_scale
-            * float(family_scale[family_of[k]])
-            * float(kernel_rng.lognormal(0.0, 0.3))
-        )
-        if tier is not Tier.TIER1:
-            floor = MIN_VARIABLE_KERNEL_CTAS * mix.insn_per_thread * dominant_cta
-            base_insn = max(base_insn, floor)
-        insn = _insn_counts(spec, tier, base_insn, int(counts[k]), kernel_rng)
-        batch = _build_batch(spec, mix, insn, dominant_cta, tier, kernel_rng)
-        traits = _sample_traits(spec, kernel_name, bool(biased[k]), kernel_rng)
-        kernels.append(
-            GeneratedKernel(
-                traits=traits,
-                batch=batch,
-                intended_tier=tier,
-                dominant_cta_size=dominant_cta,
+    # --- per-kernel draws and whole-run columns, one block at a time -------
+    run_columns = _RunColumns(counts)
+    tiers = [Tier(t + 1) for t in tier_indices.tolist()]
+    mixes: list[MetricMix] = []
+    dominant_index = np.empty(spec.num_kernels, dtype=np.int64)
+    traits: list[KernelTraits] = []
+    for first, stop in run_columns.blocks:
+        for k in range(first, stop):
+            tier = tiers[k]
+            kernel_rng = rng_for("kernel", spec.suite, spec.name, k)
+            mix = _jittered_mix(family_mixes[family_of[k]], kernel_rng, spec.metric_direction_sigma)
+            dominant_index[k] = kernel_rng.integers(0, len(CTA_SIZE_CHOICES))
+            base_insn = (
+                spec.insn_scale
+                * float(family_scale[family_of[k]])
+                * float(kernel_rng.lognormal(0.0, 0.3))
             )
+            if tier is not Tier.TIER1:
+                dominant_cta = int(CTA_SIZE_CHOICES[dominant_index[k]])
+                floor = MIN_VARIABLE_KERNEL_CTAS * mix.insn_per_thread * dominant_cta
+                base_insn = max(base_insn, floor)
+            run_columns.draw(k, spec, tier, mix, base_insn, kernel_rng)
+            traits.append(
+                _sample_traits(spec, f"{spec.name}_k{k:03d}", bool(biased[k]), kernel_rng)
+            )
+            run_columns.launch_times(k, kernel_rng)
+            mixes.append(mix)
+        run_columns.derive(first, stop, mixes[first:stop], dominant_index[first:stop])
+
+    batch = run_columns.batch()
+    starts = run_columns.starts
+    dominant_sizes = CTA_SIZE_CHOICES[dominant_index].tolist()
+    kernels = tuple(
+        GeneratedKernel(
+            traits=traits[k],
+            batch=batch.rows(slice(start, start + count)),
+            intended_tier=tiers[k],
+            dominant_cta_size=dominant_sizes[k],
         )
-        # Per-kernel launch times: sorted uniforms preserve within-kernel
-        # chronology (index order) while interleaving kernels globally.
-        start_times.append(np.sort(kernel_rng.random(int(counts[k]))))
-
-    # --- global chronological order ----------------------------------------
-    all_times = np.concatenate(start_times)
-    owner = np.concatenate(
-        [np.full(int(counts[k]), k, dtype=np.int64) for k in range(spec.num_kernels)]
+        for k, (start, count) in enumerate(zip(starts.tolist(), counts.tolist()))
     )
-    global_order = np.argsort(all_times, kind="stable")
-    chrono_of_flat = np.empty(len(all_times), dtype=np.int64)
-    chrono_of_flat[global_order] = np.arange(len(all_times))
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    for k, kernel in enumerate(kernels):
-        span = slice(int(offsets[k]), int(offsets[k] + counts[k]))
-        kernel.batch.chrono_index[:] = chrono_of_flat[span]
-        require(bool(np.all(owner[span] == k)), "chronology bookkeeping broken")
-
     return WorkloadRun(
-        name=spec.name, suite=spec.suite, spec=spec, kernels=tuple(kernels)
+        name=spec.name, suite=spec.suite, spec=spec, kernels=kernels, batch=batch, starts=starts
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.utils.errors import SieveError
 from repro.utils.validation import require
 
 
@@ -192,7 +193,13 @@ class WorkloadSpec:
         practice of profiling a bounded number of invocations for the
         long-running Cactus/MLPerf workloads (Section IV).
         """
-        require(max_invocations >= self.num_kernels, "cap below one per kernel")
+        if max_invocations < self.num_kernels:
+            raise SieveError(
+                "cap below one per kernel",
+                workload=self.label,
+                cap=max_invocations,
+                num_kernels=self.num_kernels,
+            )
         if self.num_invocations <= max_invocations:
             return self
         return WorkloadSpec(

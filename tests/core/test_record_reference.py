@@ -120,11 +120,11 @@ def runs(draw):
         batch = random_batch(rng, n, choices, np.sort(chrono[start : start + n]))
         start += n
         kernels.append(GeneratedKernel(traits, batch, Tier.TIER3, choices[0]))
-    return WorkloadRun(
+    return WorkloadRun.from_kernels(
         name=f"rec{num_kernels}",
         suite="prop",
         spec=make_spec(name=f"rec{num_kernels}", profiling_complexity=1.4),
-        kernels=tuple(kernels),
+        kernels=kernels,
     )
 
 
@@ -185,7 +185,7 @@ def test_unlaunchable_kernel_raises_the_reference_error(run, culprits):
         kernels[index % len(kernels)] = GeneratedKernel(
             traits, kernel.batch, kernel.intended_tier, kernel.dominant_cta_size
         )
-    run = WorkloadRun(run.name, run.suite, run.spec, tuple(kernels))
+    run = WorkloadRun.from_kernels(run.name, run.suite, run.spec, kernels)
     for arch in ARCHS:
         expected = outcome(ReferenceHardwareExecutor(arch).measure, run)
         assert outcome(HardwareExecutor(arch).measure, run) == expected
@@ -204,7 +204,7 @@ def test_record_is_memoized_read_only_and_outside_equality(toy_run):
     assert execution_record(TURING_RTX2080TI, toy_run) is not record
     for values in (record.starts, record.order, record.cycles, record.dram_bytes):
         assert not values.flags.writeable
-    fresh = WorkloadRun(toy_run.name, toy_run.suite, toy_run.spec, toy_run.kernels)
+    fresh = WorkloadRun.from_kernels(toy_run.name, toy_run.suite, toy_run.spec, toy_run.kernels)
     assert fresh == toy_run and "_records" not in repr(toy_run)
 
 

@@ -138,7 +138,7 @@ def test_tier_fractions_empty_profile_raises_typed_error():
     from types import SimpleNamespace
 
     from repro.profiling.table import ProfileTable
-    from repro.utils.errors import ReproError, SelectionError
+    from repro.utils.errors import SelectionError, SieveError
 
     empty = ProfileTable(
         workload="empty",
@@ -153,5 +153,5 @@ def test_tier_fractions_empty_profile_raises_typed_error():
     with pytest.raises(SelectionError, match="no invocations"):
         sieve_tier_fractions(context, theta=0.4)
     # it participates in the typed hierarchy (and stays a ValueError)
-    assert issubclass(SelectionError, ReproError)
+    assert issubclass(SelectionError, SieveError)
     assert issubclass(SelectionError, ValueError)

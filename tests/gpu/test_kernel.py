@@ -83,3 +83,16 @@ class TestInvocationBatch:
     def test_rejects_divergence_out_of_range(self):
         with pytest.raises(ValueError):
             make_batch(2, divergence_efficiency=np.array([0.9, 1.2]))
+
+    def test_batches_compare_by_dtype_and_value(self):
+        batch = make_batch(4)
+        assert batch == make_batch(4) and batch != make_batch(5)
+        assert batch != make_batch(4, cta_size=np.full(4, 256, dtype=np.int64))
+        assert batch != make_batch(4, divergence_efficiency=np.array([0.9, 0.9, 0.9, 0.8]))
+
+    def test_rows_are_views(self):
+        batch = make_batch(6)
+        rows = batch.rows(slice(2, 5))
+        assert len(rows) == 3 and rows.chrono_index.tolist() == [2, 3, 4]
+        rows.thread_shared_loads[0] = 1
+        assert batch.thread_shared_loads[2] == 1

@@ -51,6 +51,9 @@ def test_parse_request_defaults_to_sieve():
         ({"workload": 7}, "string label"),
         ({"workload": "rodinia/nw", "method": ""}, "non-empty"),
         ({"workload": "rodinia/nw", "faults": 3}, "MODE:RATE"),
+        ({"workload": "rodinia/nw", "cap": True}, "positive integer"),
+        ({"workload": "cactus/lmc", "cap": 57}, "cactus/lmc has 58 kernels"),
+        ({"workload": "rodinia/nw", "fault_seed": True}, "fault_seed"),
     ],
 )
 def test_parse_request_rejects_malformed(payload, match):

@@ -474,3 +474,42 @@ def test_response_memo_never_exceeds_its_bound(tmp_path, monkeypatch):
     finally:
         handle.stop()
     assert sizes == [1, 2, 2, 2]
+
+
+def test_cap_below_the_kernel_count_is_a_400_that_strikes_nothing(tmp_path):
+    # cactus/lmc has 58 kernels; a cap of 57 cannot give each one
+    # invocation. It used to reach a worker, fail there as a 500, and on
+    # the second try quarantine the label for every client.
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    client = Client(handle.host, handle.port)
+    select = {"workload": "cactus/lmc", "method": "periodic"}
+    try:
+        too_small = [client.post("/v1/select", {**select, "cap": 57}) for _ in range(2)]
+        valid = client.post("/v1/select", {**select, "cap": 1000})
+        one_each = client.post("/v1/select", {**select, "cap": 58})
+        strikes = handle.service.engine.quarantine.entries()
+    finally:
+        client.close()
+        handle.stop()
+    for status, body, _ in too_small:
+        assert status == 400
+        assert body["error"]["type"] == "BadRequestError"
+        assert body["error"]["context"] == {
+            "field": "cap", "num_kernels": 58, "workload": "cactus/lmc"
+        }
+    assert valid[0] == 200 and one_each[0] == 200
+    assert strikes == []
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [({"cap": True}, "cap"), ({"faults": "drop:0.1", "fault_seed": True}, "fault_seed")],
+)
+def test_boolean_integers_are_a_400(client, extra, field):
+    status, body, _ = client.post(
+        "/v1/select", {"workload": "rodinia/nw", "method": "periodic", **extra}
+    )
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
+    assert field in body["error"]["message"]
+

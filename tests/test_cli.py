@@ -29,6 +29,14 @@ def test_sample_command_runs(capsys):
     assert "800" in out
 
 
+@pytest.mark.parametrize("command", [["sample", "cactus/lmc"], ["table1"]])
+def test_cap_below_the_kernel_count_is_a_one_line_error(capsys, command):
+    assert main(["--no-cache", "--cap", "10", *command]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cap below one per kernel")
+    assert "cap=10" in err[0]
+
+
 def test_pks_on_a_fully_duplicated_profile_exits():
     # duplicate:1.0 leaves clusters of identical rows, whose bisection
     # used to repeat one split forever; a subprocess bounds the wait.

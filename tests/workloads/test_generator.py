@@ -22,6 +22,16 @@ def test_generation_is_deterministic(toy_spec, toy_run):
         assert np.array_equal(a.batch.chrono_index, b.batch.chrono_index)
 
 
+def test_runs_compare_by_value(toy_spec, toy_run):
+    again = generate(toy_spec)
+    assert again == toy_run and again is not toy_run
+    # A kernel's batch is a view of the run's columns: one changed
+    # element of the run is a changed kernel.
+    again.batch.thread_shared_loads[again.num_invocations // 2] += 1
+    assert again != toy_run
+    assert sum(a != b for a, b in zip(again.kernels, toy_run.kernels)) == 1
+
+
 def test_chronology_is_a_global_permutation(toy_run):
     chrono = np.concatenate([k.batch.chrono_index for k in toy_run.kernels])
     assert sorted(chrono.tolist()) == list(range(toy_run.num_invocations))
