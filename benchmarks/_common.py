@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.evaluation.engine import EngineConfig, EvaluationEngine
-from repro.evaluation.reporting import comparison_row_dict
+from repro.evaluation.reporting import experiment_row_dict
 from repro.observability import manifest as obs_manifest
 from repro.observability import spans as obs_spans
 
@@ -55,8 +55,8 @@ _engine: EvaluationEngine | None = None
 def shared_engine() -> EvaluationEngine:
     """The evaluation engine every comparison bench routes through.
 
-    Closed via ``atexit`` (idempotent) so shared-memory segments a bench
-    publishes never outlive the pytest process.
+    Closed via ``atexit`` (idempotent) so the worker processes it forks
+    never outlive the pytest process.
     """
     global _engine
     if _engine is None:
@@ -118,7 +118,7 @@ def write_bench_manifest(
     """Write ``BENCH_<figure>.json`` to ``SIEVE_BENCH_MANIFEST_DIR``.
 
     No-op (returns None) when the env var is unset, so plain bench runs
-    stay artifact-free. ``rows`` are ComparisonRows; the manifest window
+    stay artifact-free. ``rows`` are ExperimentRows; the manifest window
     is everything recorded since ``mark`` (see :func:`manifest_mark`).
     Alongside the manifest, the bench's span window is exported as a
     ``TRACE_<figure>.json`` Chrome trace and its per-kernel error
@@ -138,7 +138,7 @@ def write_bench_manifest(
         f"bench {figure}",
         config={"cap": SCALE_CAP, "jobs": JOBS},
         engine=shared_engine(),
-        workloads=[comparison_row_dict(row) for row in rows],
+        workloads=[experiment_row_dict(row) for row in rows],
         aggregates={key: float(value) for key, value in aggregates.items()},
         since=since,
         events_since=events_since,

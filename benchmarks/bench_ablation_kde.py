@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.reporting import format_table, percent
-from repro.evaluation.runner import evaluate_sieve
+from repro.evaluation.runner import evaluate_method
 
 from _common import banner, emit
 
@@ -23,8 +23,8 @@ def _sweep():
     rows = []
     for label in WORKLOADS:
         context = build_context(label)
-        full = evaluate_sieve(context, SieveConfig(theta=0.4))
-        kernel_only = evaluate_sieve(context, SieveConfig(theta=50.0))
+        full = evaluate_method("sieve", context, SieveConfig(theta=0.4))
+        kernel_only = evaluate_method("sieve", context, SieveConfig(theta=50.0))
         rows.append(
             {
                 "workload": label,

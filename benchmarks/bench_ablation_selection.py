@@ -10,7 +10,7 @@ import numpy as np
 from repro.core.config import SELECTION_POLICIES, SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.reporting import format_table, percent
-from repro.evaluation.runner import evaluate_sieve
+from repro.evaluation.runner import evaluate_method
 
 from _common import banner, emit
 
@@ -23,8 +23,8 @@ def _sweep():
         context = build_context(label)
         row = {"workload": label}
         for policy in SELECTION_POLICIES:
-            result = evaluate_sieve(
-                context, SieveConfig(selection_policy=policy)
+            result = evaluate_method(
+                "sieve", context, SieveConfig(selection_policy=policy)
             )
             row[policy] = result.error
         rows.append(row)

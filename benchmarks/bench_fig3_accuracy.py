@@ -10,7 +10,6 @@ must never collide with a theta=0.4 one, nor with a PKS task).
 from repro.core.config import SieveConfig
 from repro.evaluation.engine import EvaluationTask
 from repro.evaluation.experiments import (
-    ComparisonRow,
     comparison_spec,
     figure3_accuracy,
     run_experiment,
@@ -36,8 +35,7 @@ def _fig3_spec():
 
 
 def _run_fig3():
-    rows = run_experiment(_fig3_spec(), shared_engine())
-    return [ComparisonRow(row.workload, row["sieve"], row["pks"]) for row in rows]
+    return run_experiment(_fig3_spec(), shared_engine())
 
 
 def _assert_cache_keys_separate():
@@ -67,9 +65,9 @@ def test_fig3_prediction_error(benchmark):
     emit(format_table(
         ["workload", "sieve_error", "pks_error", "sieve_reps", "pks_k"],
         [
-            (r.workload, percent(r.sieve.error), percent(r.pks.error),
-             r.sieve.num_representatives,
-             getattr(r.pks.selection, "chosen_k", 0))
+            (r.workload, percent(r["sieve"].error), percent(r["pks"].error),
+             r["sieve"].num_representatives,
+             getattr(r["pks"].selection, "chosen_k", 0))
             for r in rows
         ],
     ))

@@ -25,7 +25,7 @@ def test_fig4_cycle_dispersion(benchmark):
     emit(engine_summary())
     emit(format_table(
         ["workload", "sieve_cov", "pks_cov"],
-        [(r.workload, f"{r.sieve.cycle_cov:.2f}", f"{r.pks.cycle_cov:.2f}")
+        [(r.workload, f"{r['sieve'].cycle_cov:.2f}", f"{r['pks'].cycle_cov:.2f}")
          for r in rows],
     ))
     aggregate = figure4_dispersion(rows)

@@ -27,8 +27,8 @@ def test_fig6_simulation_speedup(benchmark):
     emit(format_table(
         ["workload", "sieve_speedup", "pks_speedup", "sieve_reps", "pks_reps"],
         [
-            (r.workload, times(r.sieve.speedup), times(r.pks.speedup),
-             r.sieve.num_representatives, r.pks.num_representatives)
+            (r.workload, times(r["sieve"].speedup), times(r["pks"].speedup),
+             r["sieve"].num_representatives, r["pks"].num_representatives)
             for r in rows
         ],
     ))
@@ -39,8 +39,8 @@ def test_fig6_simulation_speedup(benchmark):
     )
     gst = [r for r in rows if r.workload.endswith("/gst")][0]
     emit(
-        f"gst (the paper's outlier): Sieve {times(gst.sieve.speedup)}, "
-        f"PKS {times(gst.pks.speedup)} — dominant highly variable kernel"
+        f"gst (the paper's outlier): Sieve {times(gst['sieve'].speedup)}, "
+        f"PKS {times(gst['pks'].speedup)} — dominant highly variable kernel"
     )
     write_bench_manifest("fig6", rows, aggregate, mark)
     # Shape: both methods land in the 100x-10,000x regime, within ~5x of
@@ -51,5 +51,5 @@ def test_fig6_simulation_speedup(benchmark):
         assert 100 < aggregate["sieve_hmean"] < 20_000
         assert 0.2 < aggregate["sieve_hmean"] / aggregate["pks_hmean"] < 5
     assert aggregate["sieve_hmean"] > 1
-    assert gst.sieve.speedup == min(r.sieve.speedup for r in rows)
-    assert gst.sieve.speedup < 20
+    assert gst["sieve"].speedup == min(r["sieve"].speedup for r in rows)
+    assert gst["sieve"].speedup < 20

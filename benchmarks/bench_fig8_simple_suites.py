@@ -26,7 +26,7 @@ def test_fig8_simple_suites(benchmark):
     emit(engine_summary())
     emit(format_table(
         ["workload", "sieve_error", "pks_error"],
-        [(r.workload, percent(r.sieve.error), percent(r.pks.error)) for r in rows],
+        [(r.workload, percent(r["sieve"].error), percent(r["pks"].error)) for r in rows],
     ))
     aggregate = figure3_accuracy(rows)
     emit(
@@ -38,11 +38,11 @@ def test_fig8_simple_suites(benchmark):
         f"max {percent(aggregate['pks_max'])}   (paper: 1.3% avg, 23% max on cfd)"
     )
     cfd = [r for r in rows if r.workload == "rodinia/cfd"][0]
-    worst_pks = max(rows, key=lambda r: r.pks.error)
+    worst_pks = max(rows, key=lambda r: r["pks"].error)
     emit(f"worst PKS workload: {worst_pks.workload} "
-         f"({percent(worst_pks.pks.error)}); cfd: {percent(cfd.pks.error)}")
+         f"({percent(worst_pks['pks'].error)}); cfd: {percent(cfd['pks'].error)}")
     write_bench_manifest("fig8", rows, aggregate, mark)
     # Shape: both methods accurate on the simple suites; cfd is PKS's worst.
     assert aggregate["sieve_avg"] < 0.02
     assert aggregate["pks_avg"] < 0.10
-    assert cfd.pks.error == aggregate["pks_max"]
+    assert cfd["pks"].error == aggregate["pks_max"]

@@ -52,21 +52,21 @@ def resilience_sweep() -> list[dict]:
                 LABELS, max_invocations=CAP, fault_plan=fault_plan(rate)
             )
         for clean, faulted in zip(baseline, results):
-            assert np.isfinite(faulted.sieve.predicted_cycles)
-            assert np.isfinite(faulted.pks.predicted_cycles)
-            assert np.isfinite(faulted.sieve.error)
-            assert np.isfinite(faulted.pks.error)
+            assert np.isfinite(faulted["sieve"].predicted_cycles)
+            assert np.isfinite(faulted["pks"].predicted_cycles)
+            assert np.isfinite(faulted["sieve"].error)
+            assert np.isfinite(faulted["pks"].error)
             if rate == 0.0:
                 # Rate-0 injection is an identity: errors match exactly.
-                assert faulted.sieve.error == clean.sieve.error
-                assert faulted.pks.error == clean.pks.error
+                assert faulted["sieve"].error == clean["sieve"].error
+                assert faulted["pks"].error == clean["pks"].error
         rows.append(
             {
                 "rate": rate,
-                "sieve_avg_error": float(np.mean([r.sieve.error for r in results])),
-                "pks_avg_error": float(np.mean([r.pks.error for r in results])),
+                "sieve_avg_error": float(np.mean([r["sieve"].error for r in results])),
+                "pks_avg_error": float(np.mean([r["pks"].error for r in results])),
                 "sieve_reps": int(np.mean(
-                    [r.sieve.num_representatives for r in results]
+                    [r["sieve"].num_representatives for r in results]
                 )),
                 "diagnostics": len(caught),
             }

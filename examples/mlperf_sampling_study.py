@@ -13,7 +13,7 @@ Run:  python examples/mlperf_sampling_study.py
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.context import build_context
 from repro.evaluation.reporting import format_table, percent, times
-from repro.evaluation.runner import evaluate_pks, evaluate_sieve
+from repro.evaluation.runner import evaluate_method
 from repro.trace.simtime import estimate_simulation_time
 from repro.workloads.catalog import specs_for_suites
 
@@ -21,8 +21,8 @@ rows = []
 sim_rows = []
 for spec in specs_for_suites(("mlperf",)):
     context = build_context(spec.label)
-    sieve = evaluate_sieve(context)
-    pks = evaluate_pks(context)
+    sieve = evaluate_method("sieve", context)
+    pks = evaluate_method("pks", context)
     rows.append(
         (
             spec.name,

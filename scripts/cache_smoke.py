@@ -70,9 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     for cold, warm in zip(cold_rows, warm_rows):
         for method in ("sieve", "pks"):
-            if pickle.dumps(getattr(cold, method)) != pickle.dumps(
-                getattr(warm, method)
-            ):
+            if pickle.dumps(cold[method]) != pickle.dumps(warm[method]):
                 failures.append(
                     f"{cold.workload} {method}: warm result is not "
                     "byte-identical to cold result"

@@ -26,7 +26,6 @@ from repro.evaluation.engine import (
     default_cache_dir,
 )
 from repro.evaluation.reporting import (
-    comparison_row_dict,
     experiment_row_dict,
     format_table,
     percent,
@@ -52,7 +51,7 @@ ENGINE_AWARE_COMMANDS = frozenset(
 )
 
 #: Artifacts the current command deposited for --trace-out: the engine it
-#: ran through and the comparison rows/aggregates it printed. Reset per
+#: ran through and the experiment rows/aggregates it printed. Reset per
 #: ``main()`` invocation; module-level so handlers stay plain functions.
 _trace_artifacts: dict = {}
 
@@ -90,28 +89,30 @@ def _report_engine(engine: EvaluationEngine) -> None:
         )
 
 
-def _print_comparison(rows, aggregates_of) -> None:
-    aggregates = aggregates_of(rows)
-    _trace_artifacts["workloads"] = [comparison_row_dict(row) for row in rows]
-    _trace_artifacts["aggregates"] = {k: float(v) for k, v in aggregates.items()}
+#: The per-workload table's metric columns: header suffix, cell format.
+_ROW_COLUMNS = (
+    ("err", lambda result: percent(result.error)),
+    ("cov", lambda result: f"{result.cycle_cov:.2f}"),
+    ("speedup", lambda result: times(result.speedup)),
+)
+
+
+def _print_rows(rows) -> None:
+    """Print experiment rows metric-major (every method's error, then
+    every method's CoV, then every speedup), then the Figure 3 error
+    aggregates per method."""
+    keys = experiments.result_keys(rows)
+    aggregates = experiments.figure3_accuracy(rows)
+    _trace_artifacts["workloads"] = [experiment_row_dict(row) for row in rows]
+    _trace_artifacts["aggregates"] = aggregates
     _trace_artifacts["attribution"] = experiments.collect_attributions(rows)
-    table_rows = [
-        (
-            row.workload,
-            percent(row.sieve.error),
-            percent(row.pks.error),
-            f"{row.sieve.cycle_cov:.2f}",
-            f"{row.pks.cycle_cov:.2f}",
-            times(row.sieve.speedup),
-            times(row.pks.speedup),
-        )
-        for row in rows
-    ]
     print(
         format_table(
-            ["workload", "sieve_err", "pks_err", "sieve_cov", "pks_cov",
-             "sieve_speedup", "pks_speedup"],
-            table_rows,
+            ["workload"] + [f"{key}_{name}" for name, _ in _ROW_COLUMNS for key in keys],
+            [
+                [row.workload] + [cell(row[key]) for _, cell in _ROW_COLUMNS for key in keys]
+                for row in rows
+            ],
         )
     )
     for name, value in aggregates.items():
@@ -133,23 +134,6 @@ def _parse_methods(spec: str, theta: float) -> tuple[MethodRequest, ...]:
         config = SieveConfig(theta=theta) if name == "sieve" else None
         requests.append(MethodRequest(name, config))
     return tuple(requests)
-
-
-def _print_experiment(rows, keys) -> None:
-    """Generic per-method table for non-default method comparisons."""
-    _trace_artifacts["workloads"] = [experiment_row_dict(row) for row in rows]
-    _trace_artifacts["attribution"] = experiments.collect_attributions(rows)
-    headers = ["workload"]
-    for key in keys:
-        headers += [f"{key}_err", f"{key}_speedup"]
-    table_rows = []
-    for row in rows:
-        cells: list = [row.workload]
-        for key in keys:
-            result = row[key]
-            cells += [percent(result.error), times(result.speedup)]
-        table_rows.append(cells)
-    print(format_table(headers, table_rows))
 
 
 def _cmd_methods(args) -> None:
@@ -195,7 +179,7 @@ def _cmd_fig3(args) -> None:
     rows = experiments.compare_methods(
         max_invocations=args.cap, fault_plan=_fault_plan(args), engine=engine
     )
-    _print_comparison(rows, experiments.figure3_accuracy)
+    _print_rows(rows)
     _report_engine(engine)
 
 
@@ -228,7 +212,7 @@ def _cmd_fig8(args) -> None:
     rows = experiments.figure8_simple_suites(
         args.cap, fault_plan=_fault_plan(args), engine=engine
     )
-    _print_comparison(rows, experiments.figure3_accuracy)
+    _print_rows(rows)
     _report_engine(engine)
 
 
@@ -405,10 +389,7 @@ def _cmd_sample(args) -> int:
         print("sample: a workload label (or --from FEED) is required",
               file=sys.stderr)
         return 2
-    if args.method:
-        requests = _parse_methods(args.method, args.theta)
-    else:
-        requests = _parse_methods("sieve,pks", args.theta)
+    requests = _parse_methods(args.method or "sieve,pks", args.theta)
     context = build_context(args.workload, args.cap, fault_plan=_fault_plan(args))
     print(f"workload        : {context.label}")
     print(f"invocations     : {len(context.sieve_table)}")
@@ -456,14 +437,12 @@ def _sample_feed(args) -> int:
     if not args.stream:
         print("sample: --from requires --stream", file=sys.stderr)
         return 2
-    method_names = [
-        name.strip() for name in (args.method or "sieve").split(",") if name.strip()
-    ]
-    if len(method_names) != 1:
+    requests = _parse_methods(args.method or "sieve", args.theta)
+    if len(requests) != 1:
         print("sample: feed mode streams exactly one method", file=sys.stderr)
         return 2
-    method = get_method(method_names[0])
-    config = SieveConfig(theta=args.theta) if method.name == "sieve" else None
+    [request] = requests
+    method = get_method(request.method)
     reader = ProfileTableReader(
         args.feed, chunk_rows=args.chunk_rows, fmt=args.format
     )
@@ -473,7 +452,7 @@ def _sample_feed(args) -> int:
             reservoir_rows=args.reservoir,
             collect_events=args.verbose,
         ),
-        config,
+        request.config,
     )
     for chunk in reader:
         for event in stream.observe(chunk):
@@ -542,28 +521,15 @@ def _cmd_validate(args) -> int:
 def _cmd_compare(args) -> None:
     """Method scorecard on chosen workloads (default: Sieve vs PKS, fig3)."""
     engine = _engine(args)
-    requests = _parse_methods(args.methods, args.theta)
-    keys = [request.key for request in requests]
-    if keys == ["sieve", "pks"]:
-        # The paper's headline comparison keeps its richer table.
-        rows = experiments.compare_methods(
-            labels=args.workloads or None,
-            max_invocations=args.cap,
-            theta=args.theta,
-            fault_plan=_fault_plan(args),
-            engine=engine,
-        )
-        _print_comparison(rows, experiments.figure3_accuracy)
-    else:
-        spec = experiments.ExperimentSpec(
-            name="cli-compare",
-            methods=requests,
-            labels=tuple(args.workloads or ()),
-            suites=() if args.workloads else CHALLENGING_SUITES,
-            max_invocations=args.cap,
-            fault_plan=_fault_plan(args),
-        )
-        _print_experiment(experiments.run_experiment(spec, engine), keys)
+    spec = experiments.ExperimentSpec(
+        name="cli-compare",
+        methods=_parse_methods(args.methods, args.theta),
+        labels=tuple(args.workloads or ()),
+        suites=() if args.workloads else CHALLENGING_SUITES,
+        max_invocations=args.cap,
+        fault_plan=_fault_plan(args),
+    )
+    _print_rows(experiments.run_experiment(spec, engine))
     _report_engine(engine)
 
 
@@ -1185,8 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="selection traces and telemetry exports "
-        "('trace <workload>' still writes selection traces)",
+        help="selection traces ('trace selection <workload>') and "
+        "telemetry exports ('trace export')",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     selection = trace_sub.add_parser(
@@ -1492,43 +1458,8 @@ def _write_manifest(args, captured: list[dict]) -> None:
     maybe_record(manifest)
 
 
-#: Global flags that consume the next token; the trace shim must skip
-#: their values when hunting for the subcommand position.
-_VALUE_FLAGS = frozenset(
-    {
-        "--cap", "--jobs", "--cache-dir", "--inject-faults", "--fault-seed",
-        "--trace-out", "--stream-spans",
-    }
-)
-
-
-def _shim_trace_argv(argv: list[str]) -> list[str]:
-    """Keep ``trace <workload>`` working now that trace has subcommands.
-
-    ``trace`` grew ``selection``/``export`` subparsers; historical usage
-    (``sieve-repro trace cactus/gru --out dir``) is rewritten to
-    ``trace selection ...`` before parsing.
-    """
-    index = 0
-    while index < len(argv):
-        token = argv[index]
-        if token in _VALUE_FLAGS:
-            index += 2
-            continue
-        if token.startswith("-"):
-            index += 1
-            continue
-        if token == "trace":
-            following = argv[index + 1] if index + 1 < len(argv) else None
-            if following not in ("selection", "export", "-h", "--help", None):
-                return argv[: index + 1] + ["selection"] + argv[index + 1 :]
-        return argv
-    return argv
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(_shim_trace_argv(argv))
+    args = build_parser().parse_args(argv)
     unsubscribe = None
     if not args.quiet_diagnostics:
         unsubscribe = diagnostics.subscribe(

@@ -44,11 +44,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import repro
 from repro.evaluation.context import build_context
-from repro.evaluation.runner import (
-    MethodResult,
-    evaluate_method,
-    evaluate_method_streaming,
-)
+from repro.evaluation.runner import MethodResult, evaluate_method
 from repro.methods import MethodRequest, get_method
 from repro.observability import manifest as obs_manifest
 from repro.observability import metrics, spans
@@ -65,7 +61,6 @@ from repro.workloads.spec import WorkloadSpec
 if TYPE_CHECKING:  # annotation-only
     from repro.core.types import SampleSelection
     from repro.profiling.table import ProfileTable
-    from repro.streaming.base import StreamingSpec
 
 #: Bump when the cached payload layout changes; old entries become misses.
 #: 3: MethodResult grew ``attribution`` (and PredictionResult
@@ -141,12 +136,6 @@ class EvaluationTask:
     #: table of arrays does not support; callers derive ``label`` from the
     #: digest instead.
     table: ProfileTable | None = field(default=None, compare=False)
-    #: When set, each method consumes the profile through its
-    #: ``begin_stream`` surface in ``chunk_rows`` slices (optionally with
-    #: a bounded per-kernel reservoir) instead of one batch ``select``.
-    #: Folded into the cache key: a streamed result never aliases a batch
-    #: one, even though unbounded streams are byte-identical by contract.
-    streaming: StreamingSpec | None = None
 
     def __post_init__(self) -> None:
         require(len(self.methods) >= 1, "task must request a method", EngineError)
@@ -162,10 +151,9 @@ class EvaluationTask:
                 self.spec is None
                 and self.max_invocations is None
                 and self.fault_plan is None
-                and self.streaming is None
                 and len(self.methods) == 1,
                 "a table task selects with one method, and carries no spec, "
-                "cap, fault plan or streaming spec",
+                "cap or fault plan",
                 EngineError,
             )
         requests = tuple(
@@ -215,7 +203,6 @@ class EvaluationTask:
             self.max_invocations,
             self.fault_plan,
             list(self.methods),
-            self.streaming,
         )
 
 
@@ -231,36 +218,21 @@ def run_task(task: EvaluationTask) -> dict[str, MethodResult | SampleSelection]:
     without interning its results would pickle differently from the same
     results computed in-process.
     """
-    def evaluate(context) -> dict[str, MethodResult]:
-        if task.streaming is not None:
-            return {
-                sys.intern(request.key): evaluate_method_streaming(
-                    request.method,
-                    context,
-                    request.config,
-                    chunk_rows=task.streaming.chunk_rows,
-                    reservoir_rows=task.streaming.reservoir_rows,
-                )
-                for request in task.methods
-            }
+    with span("engine.task", workload=task.label):
+        if task.table is not None:
+            return _select_from_table(task)
+        context = build_context(
+            task.label,
+            task.max_invocations,
+            fault_plan=task.fault_plan,
+            spec=task.spec,
+        )
         return {
             sys.intern(request.key): evaluate_method(
                 request.method, context, request.config
             )
             for request in task.methods
         }
-
-    with span("engine.task", workload=task.label):
-        if task.table is not None:
-            return _select_from_table(task)
-        return evaluate(
-            build_context(
-                task.label,
-                task.max_invocations,
-                fault_plan=task.fault_plan,
-                spec=task.spec,
-            )
-        )
 
 
 def _select_from_table(task: EvaluationTask) -> dict[str, SampleSelection]:

@@ -174,29 +174,26 @@ def run_experiment(
     ]
 
 
-def collect_attributions(rows) -> list[dict]:
-    """Error-attribution dicts from experiment/comparison rows, in order.
+def collect_attributions(rows: list[ExperimentRow]) -> list[dict]:
+    """Error-attribution dicts from experiment rows, in order.
 
-    Accepts :class:`ExperimentRow`\\ s (results keyed by request key) and
-    :class:`ComparisonRow`\\ s alike; results without an attribution
-    (foreign methods, pre-attribution cache entries) are skipped. The
-    output feeds ``RunManifest.attribution`` and the per-figure
-    ``ATTRIBUTION_*.json`` bench artifacts.
+    Results without an attribution (foreign methods, pre-attribution
+    cache entries) are skipped. The output feeds
+    ``RunManifest.attribution`` and the per-figure ``ATTRIBUTION_*.json``
+    bench artifacts.
     """
     collected: list[dict] = []
     for row in rows:
-        if isinstance(row, ComparisonRow):
-            results: Mapping[str, MethodResult] = {
-                "sieve": row.sieve,
-                "pks": row.pks,
-            }
-        else:
-            results = row.results
-        for key in results:
-            attribution = getattr(results[key], "attribution", None)
+        for result in row.results.values():
+            attribution = getattr(result, "attribution", None)
             if attribution is not None:
                 collected.append(attribution.to_dict())
     return collected
+
+
+def result_keys(rows: list[ExperimentRow]) -> list[str]:
+    """The method request keys the rows report, in first-seen order."""
+    return list(dict.fromkeys(key for row in rows for key in row.results))
 
 
 # --------------------------------------------------------------------- #
@@ -263,15 +260,6 @@ def figure2_tiers(
 # Figures 3, 4, 6: accuracy, dispersion, speedup on Cactus + MLPerf
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Sieve-vs-PKS scorecard for one workload."""
-
-    workload: str
-    sieve: MethodResult
-    pks: MethodResult
-
-
 def comparison_spec(
     name: str,
     labels: tuple[str, ...],
@@ -295,11 +283,12 @@ def compare_methods(
     theta: float = 0.4,
     fault_plan=None,
     engine: EvaluationEngine | None = None,
-) -> list[ComparisonRow]:
+) -> list[ExperimentRow]:
     """Evaluate Sieve and PKS on each workload (drives Figures 3, 4, 6).
 
     A thin wrapper over :func:`run_experiment` with
-    :func:`comparison_spec`. ``fault_plan`` (a
+    :func:`comparison_spec`, so each row reports ``row["sieve"]`` and
+    ``row["pks"]``. ``fault_plan`` (a
     :class:`repro.robustness.faults.FaultPlan`) injects deterministic
     profile/measurement corruption first — the resilience study's entry
     point.
@@ -308,42 +297,35 @@ def compare_methods(
     spec = comparison_spec(
         "compare", tuple(labels), max_invocations, theta, fault_plan
     )
-    return [
-        ComparisonRow(workload=row.workload, sieve=row["sieve"], pks=row["pks"])
-        for row in run_experiment(spec, engine)
-    ]
+    return run_experiment(spec, engine)
 
 
-def figure3_accuracy(rows: list[ComparisonRow]) -> dict:
+def _avg_max(rows: list[ExperimentRow], field: str) -> dict:
+    """``<key>_avg`` and ``<key>_max`` of one result field, per method key."""
+    out: dict = {}
+    for key in result_keys(rows):
+        values = [getattr(row[key], field) for row in rows]
+        out[f"{key}_avg"] = float(np.mean(values))
+        out[f"{key}_max"] = float(np.max(values))
+    return out
+
+
+def figure3_accuracy(rows: list[ExperimentRow]) -> dict:
     """Aggregate prediction errors (Figure 3)."""
-    sieve = [r.sieve.error for r in rows]
-    pks = [r.pks.error for r in rows]
-    return {
-        "sieve_avg": float(np.mean(sieve)),
-        "sieve_max": float(np.max(sieve)),
-        "pks_avg": float(np.mean(pks)),
-        "pks_max": float(np.max(pks)),
-    }
+    return _avg_max(rows, "error")
 
 
-def figure4_dispersion(rows: list[ComparisonRow]) -> dict:
+def figure4_dispersion(rows: list[ExperimentRow]) -> dict:
     """Aggregate within-cluster cycle CoV (Figure 4)."""
-    sieve = [r.sieve.cycle_cov for r in rows]
-    pks = [r.pks.cycle_cov for r in rows]
-    return {
-        "sieve_avg": float(np.mean(sieve)),
-        "sieve_max": float(np.max(sieve)),
-        "pks_avg": float(np.mean(pks)),
-        "pks_max": float(np.max(pks)),
-    }
+    return _avg_max(rows, "cycle_cov")
 
 
-def figure6_speedup(rows: list[ComparisonRow]) -> dict:
+def figure6_speedup(rows: list[ExperimentRow]) -> dict:
     """Harmonic-mean simulation speedups, excluding gst (Figure 6)."""
     included = [r for r in rows if not r.workload.endswith("/gst")]
     return {
-        "sieve_hmean": harmonic_mean([r.sieve.speedup for r in included]),
-        "pks_hmean": harmonic_mean([r.pks.speedup for r in included]),
+        f"{key}_hmean": harmonic_mean([row[key].speedup for row in included])
+        for key in result_keys(rows)
     }
 
 
@@ -419,7 +401,7 @@ def figure8_simple_suites(
     max_invocations: int | None = None,
     fault_plan=None,
     engine: EvaluationEngine | None = None,
-) -> list[ComparisonRow]:
+) -> list[ExperimentRow]:
     """Sieve vs PKS on Parboil/Rodinia/CUDA SDK (Figure 8)."""
     return compare_methods(
         _simple_labels(), max_invocations, fault_plan=fault_plan, engine=engine

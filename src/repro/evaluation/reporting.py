@@ -48,8 +48,9 @@ def experiment_row_dict(row) -> dict:
     One column group per method request key — ``<key>_error`` /
     ``<key>_cov`` / ``<key>_speedup`` / ``<key>_reps`` — so manifest
     diffing (which gates on ``*_error`` keys) covers every method an
-    experiment ran, not just the Sieve-vs-PKS pair. Duck-typed for the
-    same reason as :func:`comparison_row_dict`.
+    experiment ran. Duck-typed so this module stays dependency-free (it
+    is imported by :mod:`repro.observability.report`, which must not pull
+    in the experiment drivers).
     """
     out: dict = {"workload": row.workload}
     for key, result in row.results.items():
@@ -59,22 +60,3 @@ def experiment_row_dict(row) -> dict:
         out[f"{key}_reps"] = int(result.num_representatives)
     return out
 
-
-def comparison_row_dict(row) -> dict:
-    """Flatten a ComparisonRow into a JSON-able manifest/baseline row.
-
-    Duck-typed so this module stays dependency-free (it is imported by
-    :mod:`repro.observability.report`, which must not pull in the
-    experiment drivers).
-    """
-    return {
-        "workload": row.workload,
-        "sieve_error": float(row.sieve.error),
-        "pks_error": float(row.pks.error),
-        "sieve_cov": float(row.sieve.cycle_cov),
-        "pks_cov": float(row.pks.cycle_cov),
-        "sieve_speedup": float(row.sieve.speedup),
-        "pks_speedup": float(row.pks.speedup),
-        "sieve_reps": int(row.sieve.num_representatives),
-        "pks_reps": int(row.pks.num_representatives),
-    }

@@ -3,9 +3,7 @@
 ``evaluate_method`` is the one generic scorecard path — it resolves a
 method through :mod:`repro.methods`, runs select + predict, and collects
 the full metric set (accuracy, speedup, dispersion) into a
-:class:`MethodResult`. ``evaluate_sieve``/``evaluate_pks`` survive as
-thin wrappers for historical call sites; they are byte-identical to the
-generic path (the equivalence property tests pin this).
+:class:`MethodResult`.
 """
 
 from __future__ import annotations
@@ -141,16 +139,6 @@ def evaluate_method_streaming(
         result = _score_selection(method, method_name, context, config, selection)
     metrics.inc("evaluate.method.streamed", method=method_name)
     return result
-
-
-def evaluate_sieve(context: WorkloadContext, config=None) -> MethodResult:
-    """Run the Sieve pipeline on a workload context."""
-    return evaluate_method("sieve", context, config)
-
-
-def evaluate_pks(context: WorkloadContext, config=None) -> MethodResult:
-    """Run the PKS pipeline on a workload context."""
-    return evaluate_method("pks", context, config)
 
 
 def predicted_speedup_between(

@@ -34,12 +34,7 @@ import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.evaluation.engine import (
-    EvaluationEngine,
-    EvaluationTask,
-    RetryPolicy,
-    TaskOutcome,
-)
+from repro.evaluation.engine import EvaluationEngine, EvaluationTask, TaskOutcome
 from repro.observability.metrics import inc, observe
 from repro.observability.spans import span
 from repro.utils.errors import ServiceUnavailableError
@@ -87,12 +82,10 @@ class BatchingDispatcher:
         *,
         window_s: float = 0.005,
         max_batch: int = 32,
-        retry: RetryPolicy | None = None,
     ):
         self.engine = engine
         self.window_s = window_s
         self.max_batch = max(1, int(max_batch))
-        self.retry = retry
         self.stats = DispatcherStats()
         self._inflight: dict[str, _Pending] = {}
         self._queue: list[_Pending] = []
@@ -189,7 +182,7 @@ class BatchingDispatcher:
         try:
             with span("service.batch", size=len(batch)):
                 outcomes = await loop.run_in_executor(
-                    self._executor, self._run_isolated, tasks
+                    self._executor, self.engine.run_isolated, tasks
                 )
         except BaseException as exc:  # engine misuse, executor shutdown
             for pending in batch:
@@ -202,9 +195,6 @@ class BatchingDispatcher:
             self._finish(pending)
             if not pending.future.done():
                 pending.future.set_result(outcome)
-
-    def _run_isolated(self, tasks: list[EvaluationTask]) -> list[TaskOutcome]:
-        return self.engine.run_isolated(tasks, self.retry)
 
     def _count(self, outcome: TaskOutcome) -> None:
         if outcome.status != "ok":

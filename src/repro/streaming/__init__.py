@@ -17,7 +17,6 @@ from repro.streaming.base import (
     MethodStream,
     StreamContext,
     StreamEvent,
-    StreamingSpec,
     iter_table_chunks,
     note_resident_rows,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SieveStream",
     "StreamContext",
     "StreamEvent",
-    "StreamingSpec",
     "StreamingStratifier",
     "iter_table_chunks",
     "note_resident_rows",

@@ -30,27 +30,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class StreamingSpec:
-    """How to stream a profile through a method (engine/CLI surface).
-
-    ``chunk_rows`` is the flush granularity; ``reservoir_rows`` bounds the
-    per-kernel retained sample (``None`` retains everything, which keeps
-    the finalized selection byte-identical to the batch path).
-    """
-
-    chunk_rows: int = 4096
-    reservoir_rows: int | None = None
-
-    def __post_init__(self) -> None:
-        require(self.chunk_rows >= 1, "chunk_rows must be >= 1", StreamingError)
-        require(
-            self.reservoir_rows is None or self.reservoir_rows >= 1,
-            "reservoir_rows must be >= 1 when bounded",
-            StreamingError,
-        )
-
-
-@dataclass(frozen=True)
 class StreamEvent:
     """One emit or retract of a representative pick, mid-stream.
 

@@ -25,7 +25,7 @@ from repro.gpu.kernel import BATCH_COLUMNS, InvocationBatch, KernelTraits
 from repro.utils.seeding import rng_for
 from repro.utils.validation import require
 from repro.workloads.allocation import assign_tiers, largest_remainder
-from repro.workloads.spec import Tier, WorkloadSpec
+from repro.workloads.spec import MIN_TIER2_COV, Tier, WorkloadSpec
 
 #: Candidate CTA sizes (threads per block) used by generated kernels.
 CTA_SIZE_CHOICES = np.array([64, 128, 192, 256, 384, 512, 1024])
@@ -227,7 +227,7 @@ def _insn_values(
     if tier is Tier.TIER1:
         return base
     if tier is Tier.TIER2:
-        cov = float(rng.uniform(0.02, behavior.tier2_cov))
+        cov = float(rng.uniform(MIN_TIER2_COV, behavior.tier2_cov))
         values = _lognormal_with_cov(rng, base, cov, count)
     else:
         modes = behavior.tier3_modes

@@ -25,6 +25,10 @@ from repro.utils.errors import SieveError
 from repro.utils.validation import require
 
 
+#: The smallest CoV a Tier-2 kernel draws (see ``KernelBehavior``).
+MIN_TIER2_COV = 0.02
+
+
 class Tier(Enum):
     """Sieve's three-way kernel categorization (Section III-B)."""
 
@@ -37,10 +41,12 @@ class Tier(Enum):
 class KernelBehavior:
     """Per-tier instruction-count behaviour parameters.
 
-    ``tier2_cov`` is the CoV of Tier-2 kernels' lognormal instruction
-    counts. Tier-3 kernels draw from ``tier3_modes`` geometrically spaced
-    modes spanning a factor ``tier3_spread`` between the smallest and
-    largest mode, each mode itself having CoV ``tier3_mode_cov``.
+    ``tier2_cov`` bounds the CoV of Tier-2 kernels' lognormal instruction
+    counts: each Tier-2 kernel draws its CoV uniformly from
+    ``[MIN_TIER2_COV, tier2_cov]``. Tier-3 kernels draw from
+    ``tier3_modes`` geometrically spaced modes spanning a factor
+    ``tier3_spread`` between the smallest and largest mode, each mode
+    itself having CoV ``tier3_mode_cov``.
     """
 
     tier2_cov: float = 0.12
@@ -53,7 +59,11 @@ class KernelBehavior:
     tier3_count_exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        require(0.0 < self.tier2_cov < 1.0, "tier2_cov must be in (0, 1)")
+        require(
+            MIN_TIER2_COV <= self.tier2_cov < 1.0,
+            f"tier2_cov must be in [{MIN_TIER2_COV}, 1): Tier-2 kernels draw "
+            f"their CoV from [{MIN_TIER2_COV}, tier2_cov]",
+        )
         require(self.tier3_modes >= 2, "tier3 needs at least two modes")
         require(self.tier3_spread > 1.0, "tier3_spread must exceed 1.0")
         require(0.0 <= self.tier3_mode_cov < 0.5, "tier3_mode_cov out of range")

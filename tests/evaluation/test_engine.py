@@ -273,5 +273,5 @@ def test_compare_methods_engine_matches_plain(tmp_path):
     )
     for a, b, c in zip(plain, routed, rerouted):
         assert a.workload == b.workload == c.workload
-        assert pickle.dumps(a.sieve) == pickle.dumps(b.sieve) == pickle.dumps(c.sieve)
-        assert pickle.dumps(a.pks) == pickle.dumps(b.pks) == pickle.dumps(c.pks)
+        assert pickle.dumps(a["sieve"]) == pickle.dumps(b["sieve"]) == pickle.dumps(c["sieve"])
+        assert pickle.dumps(a["pks"]) == pickle.dumps(b["pks"]) == pickle.dumps(c["pks"])

@@ -31,7 +31,7 @@ thetas = st.sampled_from((0.2, 0.4, 0.8))
 
 def result_bytes(rows):
     return [
-        (row.workload, pickle.dumps(row.sieve), pickle.dumps(row.pks))
+        (row.workload, pickle.dumps(row["sieve"]), pickle.dumps(row["pks"]))
         for row in rows
     ]
 

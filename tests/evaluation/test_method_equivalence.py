@@ -1,8 +1,8 @@
 """Property tests: the registry path is byte-identical to the old runners.
 
-``evaluate_method("sieve"|"pks", ...)`` replaced hand-written
-``evaluate_sieve``/``evaluate_pks``; the refactor is only safe if the
-generic path produces *pickle-byte-identical* :class:`MethodResult`\\ s.
+``evaluate_method("sieve"|"pks", ...)`` replaced one hand-written runner
+per method; the refactor is only safe if the generic path produces
+*pickle-byte-identical* :class:`MethodResult`\\ s.
 These tests inline the pre-refactor implementations verbatim (modulo
 observability spans, which never reach the result) and compare against
 the registry path across arbitrary workloads, caps and configs — the
@@ -39,7 +39,7 @@ def strip_attribution(result: MethodResult) -> MethodResult:
 
 
 def legacy_evaluate_sieve(context, config=None) -> MethodResult:
-    """The pre-refactor ``evaluate_sieve`` body, inlined verbatim."""
+    """The pre-refactor Sieve runner body, inlined verbatim."""
     pipeline = SievePipeline(config)
     selection = pipeline.select(context.sieve_table)
     prediction = pipeline.predict(selection, context.golden)
@@ -59,7 +59,7 @@ def legacy_evaluate_sieve(context, config=None) -> MethodResult:
 
 
 def legacy_evaluate_pks(context, config=None) -> MethodResult:
-    """The pre-refactor ``evaluate_pks`` body, inlined verbatim."""
+    """The pre-refactor PKS runner body, inlined verbatim."""
     pipeline = PksPipeline(config)
     selection = pipeline.select(context.pks_table, context.golden)
     prediction = pipeline.predict(selection, context.golden)

@@ -132,12 +132,12 @@ def test_full_pipelines_survive_composite_faults(rate):
         ),
         seed=5,
     )
-    from repro.evaluation.runner import evaluate_pks, evaluate_sieve
+    from repro.evaluation.runner import evaluate_method
 
     context = build_context("cactus/gru", max_invocations=1500, fault_plan=plan)
     with diagnostics.capture_diagnostics() as caught:
-        sieve = evaluate_sieve(context)
-        pks = evaluate_pks(context)
+        sieve = evaluate_method("sieve", context)
+        pks = evaluate_method("pks", context)
     for result in (sieve, pks):
         assert np.isfinite(result.predicted_cycles)
         assert result.predicted_cycles > 0
@@ -147,10 +147,10 @@ def test_full_pipelines_survive_composite_faults(rate):
 
 def test_fault_free_plan_reproduces_clean_results():
     """Acceptance: a rate-0 plan reproduces the clean errors exactly."""
-    from repro.evaluation.runner import evaluate_pks, evaluate_sieve
+    from repro.evaluation.runner import evaluate_method
 
     clean = build_context("cactus/gru", max_invocations=1500)
     plan = FaultPlan(specs=(FaultSpec("drop", 0.0), FaultSpec("nan", 0.0)))
     faulted = build_context("cactus/gru", max_invocations=1500, fault_plan=plan)
-    assert evaluate_sieve(faulted).error == evaluate_sieve(clean).error
-    assert evaluate_pks(faulted).error == evaluate_pks(clean).error
+    assert evaluate_method("sieve", faulted).error == evaluate_method("sieve", clean).error
+    assert evaluate_method("pks", faulted).error == evaluate_method("pks", clean).error

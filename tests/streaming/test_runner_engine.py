@@ -1,4 +1,4 @@
-"""Streaming evaluation plumbing: runner parity, engine tasks, metrics."""
+"""Streaming evaluation plumbing: runner parity and metrics."""
 
 from __future__ import annotations
 
@@ -6,12 +6,9 @@ import pickle
 
 import pytest
 
-from repro.evaluation.engine import EvaluationTask, run_task
 from repro.evaluation.runner import evaluate_method, evaluate_method_streaming
 from repro.observability import metrics
 from repro.observability.export import parse_prometheus, prometheus_text
-from repro.streaming.base import StreamingSpec
-from repro.utils.errors import StreamingError
 
 
 @pytest.mark.parametrize("method_name", ["sieve", "periodic", "pks"])
@@ -45,48 +42,6 @@ def test_bounded_reservoir_run_completes_with_smaller_footprint(small_context):
     assert result.selection.num_representatives > 0
     high_water = registry.gauges["streaming.high_water_rows"]
     assert high_water < len(small_context.sieve_table)
-
-
-def test_engine_task_with_streaming_spec_matches_batch_task():
-    base = EvaluationTask(
-        label="cactus/gru", max_invocations=900, methods=("sieve", "periodic")
-    )
-    streaming = EvaluationTask(
-        label="cactus/gru",
-        max_invocations=900,
-        methods=("sieve", "periodic"),
-        streaming=StreamingSpec(chunk_rows=300),
-    )
-    batch_results = run_task(base)
-    stream_results = run_task(streaming)
-    assert set(stream_results) == set(batch_results)
-    for key, result in stream_results.items():
-        assert pickle.dumps(result.selection) == pickle.dumps(
-            batch_results[key].selection
-        )
-        assert result.error == batch_results[key].error
-        assert result.cycle_cov == batch_results[key].cycle_cov
-
-
-def test_streaming_spec_is_part_of_the_cache_key():
-    base = EvaluationTask(label="cactus/gru", methods=("sieve",))
-    streamed = EvaluationTask(
-        label="cactus/gru", methods=("sieve",), streaming=StreamingSpec()
-    )
-    other_chunk = EvaluationTask(
-        label="cactus/gru",
-        methods=("sieve",),
-        streaming=StreamingSpec(chunk_rows=100),
-    )
-    keys = {base.cache_key(), streamed.cache_key(), other_chunk.cache_key()}
-    assert len(keys) == 3
-
-
-def test_streaming_spec_validates_its_fields():
-    with pytest.raises(StreamingError):
-        StreamingSpec(chunk_rows=0)
-    with pytest.raises(StreamingError):
-        StreamingSpec(reservoir_rows=0)
 
 
 def test_streaming_gauges_reach_prometheus_exposition(small_context):

@@ -85,6 +85,13 @@ def test_compare_with_custom_methods(capsys):
     out = capsys.readouterr().out
     assert "periodic_err" in out
     assert "sieve_err" in out
+    # Metric-major columns and per-method aggregates, as fig3 prints them.
+    header = out.splitlines()[0].split()
+    assert header == [
+        "workload", "sieve_err", "periodic_err", "sieve_cov", "periodic_cov",
+        "sieve_speedup", "periodic_speedup",
+    ]
+    assert "periodic_avg:" in out and "sieve_max:" in out
 
 
 def test_compare_unknown_method_fails_cleanly(capsys):

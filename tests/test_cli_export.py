@@ -1,11 +1,10 @@
-"""CLI telemetry exports: ``trace export``, ``attribute`` and the
-backward-compatible ``trace <workload>`` spelling."""
+"""CLI telemetry exports: ``trace export`` and ``attribute``."""
 
 import json
 
 import pytest
 
-from repro.cli import _shim_trace_argv, main
+from repro.cli import main
 from repro.observability import metrics, spans
 from repro.observability.export import read_jsonl_spans
 from repro.observability.manifest import RunManifest
@@ -20,32 +19,6 @@ def _clean_telemetry():
     spans.reset()
     spans.clear_sinks()
     metrics.get_registry().reset()
-
-
-# --------------------------------------------------------------------- #
-# argv shim: the pre-export CLI spelled selection traces "trace <workload>"
-
-
-def test_shim_rewrites_bare_trace_invocation():
-    assert _shim_trace_argv(["trace", "cactus/gru", "--out", "traces"]) == [
-        "trace", "selection", "cactus/gru", "--out", "traces",
-    ]
-    # Global value flags before the subcommand are skipped, not mistaken
-    # for the trace operand.
-    assert _shim_trace_argv(["--cap", "800", "trace", "cactus/gru"]) == [
-        "--cap", "800", "trace", "selection", "cactus/gru",
-    ]
-
-
-@pytest.mark.parametrize("argv", [
-    ["trace", "selection", "w"],
-    ["trace", "export", "w"],
-    ["trace", "--help"],
-    ["trace"],
-    ["compare", "trace"],  # 'trace' as an operand of another command
-])
-def test_shim_leaves_explicit_spellings_alone(argv):
-    assert _shim_trace_argv(argv) == argv
 
 
 # --------------------------------------------------------------------- #

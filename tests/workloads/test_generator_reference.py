@@ -37,7 +37,7 @@ from repro.workloads import generator
 from repro.workloads.adversarial import ADVERSARIAL_ENTRIES
 from repro.workloads.catalog import all_specs, spec_for
 from repro.workloads.generator import WorkloadRun, generate
-from repro.workloads.spec import KernelBehavior, WorkloadSpec
+from repro.workloads.spec import MIN_TIER2_COV, KernelBehavior, WorkloadSpec
 
 CAP = 1200
 
@@ -92,7 +92,7 @@ def synthetic_specs(draw):
         num_invocations=draw(st.integers(min_value=kernels, max_value=4000)),
         tier_fractions=(tier1, max(0.0, 1.0 - tier1 - tier3), tier3),
         behavior=KernelBehavior(
-            tier2_cov=draw(floats(min_value=0.01, max_value=0.9)),
+            tier2_cov=draw(floats(min_value=MIN_TIER2_COV, max_value=0.9)),
             tier3_modes=draw(st.integers(min_value=2, max_value=8)),
             tier3_spread=draw(floats(min_value=1.5, max_value=100.0)),
             tier3_mode_cov=draw(floats(min_value=0.0, max_value=0.45)),

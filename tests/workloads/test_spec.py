@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.spec import KernelBehavior, Tier, WorkloadSpec
+from repro.workloads.spec import MIN_TIER2_COV, KernelBehavior, Tier
 from tests.conftest import make_spec
 
 
@@ -13,6 +13,13 @@ class TestKernelBehavior:
     def test_rejects_bad_tier2_cov(self):
         with pytest.raises(ValueError):
             KernelBehavior(tier2_cov=1.5)
+
+    def test_rejects_tier2_cov_below_the_draw_floor(self):
+        # Below the floor, generation would draw uniform(floor, tier2_cov)
+        # with high < low; the spec refuses it and names the floor.
+        with pytest.raises(ValueError, match=str(MIN_TIER2_COV)):
+            KernelBehavior(tier2_cov=0.015)
+        KernelBehavior(tier2_cov=MIN_TIER2_COV)
 
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):
