@@ -21,9 +21,11 @@ the acceptance bar names:
   committed ``benchmarks/perfstore/`` snapshot, and uploads the
   manifests as artifacts.
 
-A sequential warm-up pass touches every unique (workload, method, cap)
-task first, so the measured burst exercises the dispatcher and cache
-under concurrency rather than timing first-time evaluation cost.
+A warm-up pass sends every unique (workload, method, cap) task first,
+from ``WARM_CLIENTS`` concurrent clients, so at ``--jobs 2`` misses run
+in both dispatcher lanes at once; any non-200 fails the smoke. The
+measured burst then exercises the dispatcher and cache under concurrency
+rather than timing first-time evaluation cost.
 
 Usage::
 
@@ -38,6 +40,7 @@ import json
 import multiprocessing
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.observability.export import parse_prometheus
@@ -53,6 +56,8 @@ CLIENTS = 32
 CAP = 400
 WORKLOADS = ("rodinia/nw", "rodinia/lud", "rodinia/srad", "parboil/histo")
 METHODS = ("sieve", "pks", "periodic", "random")
+#: Concurrent clients of the warm-up, each with its own connection.
+WARM_CLIENTS = 8
 
 
 def build_schedule() -> tuple[loadgen.ScheduledRequest, ...]:
@@ -65,30 +70,39 @@ def build_schedule() -> tuple[loadgen.ScheduledRequest, ...]:
 
 
 def warm_up(host: str, port: int, schedule) -> int:
-    """Evaluate every unique task once, serially; returns the count."""
+    """Evaluate every unique task once, from ``WARM_CLIENTS`` concurrent
+    clients; returns the count. Any non-200 fails the smoke."""
     unique = {}
     for request in schedule:
         key = (request.payload["workload"], request.payload["method"])
         unique.setdefault(key, request)
-    connection = http.client.HTTPConnection(host, port, timeout=300)
-    try:
-        for request in unique.values():
-            body = json.dumps(request.payload).encode()
-            connection.request(
-                "POST",
-                loadgen.protocol.PREDICT_ROUTE,
-                body=body,
-                headers={"Content-Length": str(len(body))},
-            )
-            response = connection.getresponse()
-            response.read()
-            if response.status != 200:
-                raise SystemExit(
-                    f"warm-up request failed with HTTP {response.status} "
-                    f"for {request.payload}"
+
+    def send(requests) -> list[tuple[int, dict]]:
+        connection = http.client.HTTPConnection(host, port, timeout=300)
+        statuses = []
+        try:
+            for request in requests:
+                body = json.dumps(request.payload).encode()
+                connection.request(
+                    "POST",
+                    loadgen.protocol.PREDICT_ROUTE,
+                    body=body,
+                    headers={"Content-Length": str(len(body))},
                 )
-    finally:
-        connection.close()
+                response = connection.getresponse()
+                response.read()
+                statuses.append((response.status, request.payload))
+        finally:
+            connection.close()
+        return statuses
+
+    requests = list(unique.values())
+    with ThreadPoolExecutor(max_workers=WARM_CLIENTS) as clients:
+        shares = [requests[i::WARM_CLIENTS] for i in range(WARM_CLIENTS)]
+        replies = [reply for statuses in clients.map(send, shares) for reply in statuses]
+    for status, payload in replies:
+        if status != 200:
+            raise SystemExit(f"warm-up request failed with HTTP {status} for {payload}")
     return len(unique)
 
 

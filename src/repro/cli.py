@@ -798,8 +798,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        window_s=args.window_s,
-        max_batch=args.max_batch,
         jobs=args.jobs,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
@@ -815,7 +813,7 @@ def _cmd_serve(args) -> int:
         if service.port is not None:
             print(
                 f"[serve] listening on http://{service.host}:{service.port} "
-                f"(jobs={config.jobs}, window={config.window_s * 1000:.1f}ms)",
+                f"(jobs={config.jobs})",
                 file=sys.stderr,
             )
         await server
@@ -1320,20 +1318,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the sampling-as-a-service HTTP server "
         "(POST /v1/select, /v1/predict; GET /v1/methods, /v1/healthz, "
-        "/v1/metrics)",
+        "/v1/metrics); a result already known is answered from a memo "
+        "before any queue, and misses run in up to --jobs worker "
+        "processes at once, each starting as soon as one is free",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8712,
         help="listen port (default 8712; 0 = ephemeral)",
-    )
-    serve.add_argument(
-        "--window-s", type=float, default=0.005, dest="window_s",
-        help="micro-batching window in seconds (default 0.005)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="max engine tasks per batch (default 32)",
     )
     serve.add_argument(
         "--deadline-s", type=float, default=120.0, dest="deadline_s",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.utils.validation import require
@@ -16,6 +17,10 @@ DEFAULT_THETA = 0.4
 #: "first", "random" and "centroid" exist for ablation studies.
 SELECTION_POLICIES = ("dominant_cta", "max_cta", "first", "random", "centroid")
 
+#: The finest KDE grid a config may ask for: 8x the paper's 512. A
+#: density evaluation holds grid x (at most 4,096 fit samples) temporaries.
+MAX_KDE_GRID_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class SieveConfig:
@@ -28,10 +33,18 @@ class SieveConfig:
     kde_bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        require(self.theta > 0, "theta must be positive")
+        require(
+            self.theta > 0 and math.isfinite(self.theta), "theta must be positive and finite"
+        )
         require(
             self.selection_policy in SELECTION_POLICIES,
             f"selection_policy must be one of {SELECTION_POLICIES}",
         )
-        require(self.kde_grid_points >= 16, "kde_grid_points must be >= 16")
-        require(self.kde_bandwidth_scale > 0, "bandwidth scale must be positive")
+        require(
+            16 <= self.kde_grid_points <= MAX_KDE_GRID_POINTS,
+            f"kde_grid_points must be in [16, {MAX_KDE_GRID_POINTS}]",
+        )
+        require(
+            self.kde_bandwidth_scale > 0 and math.isfinite(self.kde_bandwidth_scale),
+            "bandwidth scale must be positive and finite",
+        )

@@ -31,7 +31,7 @@ from repro.observability import state
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(4.0**i for i in range(16))
 
 #: Serializes registry updates: a server counts on its event loop and on
-#: its batch thread at once. A forked child gets a fresh lock, since its
+#: its lane threads at once. A forked child gets a fresh lock, since its
 #: copy may have been taken while another thread held it.
 _lock = threading.Lock()
 os.register_at_fork(after_in_child=_lock._at_fork_reinit)

@@ -8,10 +8,11 @@ predictions back. This package is that service, stdlib-only:
 * :mod:`repro.service.protocol` — the request/response contract: typed
   request parsing, canonical (byte-stable) result serialization, and the
   error-to-HTTP mapping;
-* :mod:`repro.service.batching` — the micro-batching dispatcher that
-  coalesces concurrent requests into
-  :class:`~repro.evaluation.engine.EvaluationTask`\\ s fanned through one
-  shared :class:`~repro.evaluation.engine.EvaluationEngine`, so the
+* :mod:`repro.service.batching` — the lane dispatcher that coalesces
+  concurrent requests into
+  :class:`~repro.evaluation.engine.EvaluationTask`\\ s and runs them on
+  ``jobs`` lanes of one shared
+  :class:`~repro.evaluation.engine.EvaluationEngine`, so the
   content-addressed cache, quarantine, retries and crash isolation are
   reused across tenants;
 * :mod:`repro.service.server` — the asyncio-streams HTTP/1.1 server
@@ -25,7 +26,7 @@ predictions back. This package is that service, stdlib-only:
 The serving contract is pinned by tests: a served selection/prediction
 is byte-identical to a direct
 :func:`~repro.evaluation.runner.evaluate_method` call for every
-registered method, under concurrency, batching and cache-warm/cold
+registered method, under concurrency, worker count and cache-warm/cold
 permutations (``tests/service/test_service_equivalence.py``).
 """
 

@@ -1,41 +1,40 @@
-"""Micro-batching dispatcher: many concurrent requests, one engine.
+"""Lane dispatcher: many concurrent requests, one engine.
 
-The server handles each HTTP request on its own asyncio task, but the
-:class:`~repro.evaluation.engine.EvaluationEngine` wants *batches* — its
-cache probe, process fan-out and quarantine bookkeeping amortize over a
-task list. The dispatcher bridges the two worlds:
+The server handles each HTTP request on its own asyncio task, and a
+request whose result is not known must run in one of the
+:class:`~repro.evaluation.engine.EvaluationEngine`'s worker processes.
+The dispatcher bridges the two worlds:
 
 * :meth:`BatchingDispatcher.submit` answers a task the engine can
   answer without running it — a result-cache hit or a quarantined label,
   via :meth:`~repro.evaluation.engine.EvaluationEngine.probe` — at once;
-  any other :class:`~repro.evaluation.engine.EvaluationTask` is enqueued
+  any other :class:`~repro.evaluation.engine.EvaluationTask` is queued
   and its :class:`~repro.evaluation.engine.TaskOutcome` awaited;
-* a single flusher coroutine sleeps for the batching window
-  (``window_s``) after the first arrival, then drains everything queued
-  into one ``engine.run_isolated`` call on a worker thread — the engine
-  parallelizes *inside* the batch via its worker processes, so exactly
-  one batch runs at a time and batches never contend for the workers;
+* at most ``jobs`` lanes (the engine's worker count) run queued tasks,
+  each one ``engine.run_isolated`` call of one task at a time on a
+  thread of its own, and a lane that finishes a task takes the next
+  queued one at once: no task waits for a window or for a batch to fill;
 * requests whose tasks share a cache key **coalesce**: the first one
-  enqueues the engine task, later arrivals await the same future. With
+  queues the engine task, later arrivals await the same future. With
   ``asyncio.shield`` around the shared future, one client cancelling
   (disconnecting) never cancels the underlying work or poisons the
   siblings awaiting the same result.
 
 ``run_isolated`` reports per-task failures as outcome statuses instead
 of raising, so a crashing task fails *its* requests with a structured
-error while the rest of the batch completes normally — the crash
-isolation, retries and quarantine from the hardened engine apply
-per-request for free.
+error while the other lanes carry on — the crash isolation, retries
+and quarantine from the hardened engine apply per-request for free.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.evaluation.engine import EvaluationEngine, EvaluationTask, TaskOutcome
-from repro.observability.metrics import inc, observe
+from repro.observability.metrics import inc
 from repro.observability.spans import span
 from repro.utils.errors import ServiceUnavailableError
 
@@ -46,7 +45,7 @@ class DispatcherStats:
 
     requests: int = 0  # submit() calls
     coalesced: int = 0  # submits served by an already-inflight task
-    batches: int = 0  # engine.run_isolated invocations
+    batches: int = 0  # engine.run_isolated invocations, one task each
     tasks: int = 0  # unique engine tasks dispatched
     failures: int = 0  # outcomes with a non-ok status
 
@@ -62,7 +61,7 @@ class DispatcherStats:
 
 @dataclass
 class _Pending:
-    """One unique engine task waiting for (or in) a batch."""
+    """One unique engine task, queued or running in a lane."""
 
     task: EvaluationTask
     key: str
@@ -70,39 +69,31 @@ class _Pending:
 
 
 class BatchingDispatcher:
-    """Coalesce concurrent evaluation requests into engine batches.
+    """Run concurrent evaluation requests on the engine's lanes.
 
     Must be started (and closed) on the event loop it serves:
-    ``await dispatcher.start()`` / ``await dispatcher.close()``.
+    ``await dispatcher.start()`` / ``await dispatcher.close()``. Tasks
+    submitted before ``start`` wait in the queue.
     """
 
-    def __init__(
-        self,
-        engine: EvaluationEngine,
-        *,
-        window_s: float = 0.005,
-        max_batch: int = 32,
-    ):
+    def __init__(self, engine: EvaluationEngine):
         self.engine = engine
-        self.window_s = window_s
-        self.max_batch = max(1, int(max_batch))
+        self.lanes = engine.config.jobs
         self.stats = DispatcherStats()
-        self._inflight: dict[str, _Pending] = {}
-        self._queue: list[_Pending] = []
-        self._wakeup = asyncio.Event()
-        self._flusher: asyncio.Task | None = None
+        self._inflight: dict[str, _Pending] = {}  # queued or running, by key
+        self._queue: deque[_Pending] = deque()
+        self._running: set[asyncio.Task] = set()
+        self._started = False
         self._closed = False
-        # One worker thread: batches are serialized; the engine's worker
-        # processes provide the parallelism within a batch.
+        # One thread per lane: it blocks in run_isolated while the task
+        # runs in a worker process.
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="sieve-service-batch"
+            max_workers=self.lanes, thread_name_prefix="sieve-service-lane"
         )
 
     async def start(self) -> None:
-        if self._flusher is None:
-            self._flusher = asyncio.create_task(
-                self._flush_loop(), name="sieve-service-flusher"
-            )
+        self._started = True
+        self._open_lanes()
 
     async def submit(self, task: EvaluationTask, key: str | None = None) -> TaskOutcome:
         """Answer ``task`` from the engine's probe, or queue it and await it.
@@ -111,8 +102,8 @@ class BatchingDispatcher:
         Identical concurrent tasks (same content-addressed cache key)
         share one engine execution; a task that is not in flight and that
         the engine answers without running (a cache hit, a quarantined
-        label) returns at once, without waiting for the window or a batch.
-        A miss is probed again inside its batch. Cancellation of this
+        label) returns at once, without taking a lane. A miss is probed
+        again by ``run_isolated`` in its lane. Cancellation of this
         coroutine abandons *this* waiter only — the shared work keeps
         running for the siblings.
         """
@@ -133,24 +124,21 @@ class BatchingDispatcher:
             pending = _Pending(task=task, key=key)
             self._inflight[key] = pending
             self._queue.append(pending)
-            self._wakeup.set()
+            self._open_lanes()
         return await asyncio.shield(pending.future)
 
     async def close(self) -> None:
-        """Stop the flusher and fail anything still queued."""
+        """Stop the lanes and fail every request still waiting."""
         self._closed = True
-        if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            self._flusher = None
-        for pending in self._queue:
+        lanes = list(self._running)
+        for lane in lanes:
+            lane.cancel()
+        await asyncio.gather(*lanes, return_exceptions=True)
+        for pending in self._inflight.values():
             if not pending.future.done():
                 pending.future.set_exception(
                     ServiceUnavailableError(
-                        "service shut down before the task ran",
+                        "service shut down before the task finished",
                         workload=pending.task.label,
                     )
                 )
@@ -160,41 +148,45 @@ class BatchingDispatcher:
 
     # ------------------------------------------------------------ internals
 
-    async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await self._wakeup.wait()
-            # Batching window: let concurrent arrivals pile up before
-            # the engine round-trip.
-            if self.window_s > 0:
-                await asyncio.sleep(self.window_s)
-            self._wakeup.clear()
-            while self._queue:
-                batch = self._queue[: self.max_batch]
-                del self._queue[: len(batch)]
-                await self._run_batch(loop, batch)
-
-    async def _run_batch(self, loop: asyncio.AbstractEventLoop, batch: list[_Pending]) -> None:
-        tasks = [pending.task for pending in batch]
-        self.stats.batches += 1
-        self.stats.tasks += len(batch)
-        observe("service.batch_size", float(len(batch)))
-        try:
-            with span("service.batch", size=len(batch)):
-                outcomes = await loop.run_in_executor(
-                    self._executor, self.engine.run_isolated, tasks
-                )
-        except BaseException as exc:  # engine misuse, executor shutdown
-            for pending in batch:
-                self._finish(pending)
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+    def _open_lanes(self) -> None:
+        """Start a lane for each queued task while fewer than ``lanes`` run."""
+        if not self._started or self._closed:
             return
-        for pending, outcome in zip(batch, outcomes):
-            self._count(outcome)
+        for _ in range(min(len(self._queue), self.lanes - len(self._running))):
+            self._running.add(asyncio.create_task(self._lane()))
+
+    async def _lane(self) -> None:
+        """Run queued tasks one at a time until the queue is empty."""
+        loop = asyncio.get_running_loop()
+        try:
+            while self._queue:
+                await self._run(loop, self._queue.popleft())
+        finally:
+            self._running.discard(asyncio.current_task())
+
+    async def _run(self, loop: asyncio.AbstractEventLoop, pending: _Pending) -> None:
+        self.stats.batches += 1
+        self.stats.tasks += 1
+        try:
+            outcome = await loop.run_in_executor(
+                self._executor, self._run_isolated, pending.task
+            )
+        except Exception as exc:  # engine misuse, executor shutdown
             self._finish(pending)
             if not pending.future.done():
-                pending.future.set_result(outcome)
+                pending.future.set_exception(exc)
+            return
+        self._count(outcome)
+        self._finish(pending)
+        if not pending.future.done():
+            pending.future.set_result(outcome)
+
+    def _run_isolated(self, task: EvaluationTask) -> TaskOutcome:
+        # On the lane's own thread, so its span nests the engine's spans
+        # and never interleaves with another lane's on the event loop.
+        with span("service.batch", workload=task.label):
+            [outcome] = self.engine.run_isolated([task])
+        return outcome
 
     def _count(self, outcome: TaskOutcome) -> None:
         if outcome.status != "ok":

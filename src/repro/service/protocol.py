@@ -33,7 +33,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import pickle
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,19 +140,14 @@ def config_from_dict(method_name: str, payload: object | None) -> object | None:
 
 
 def _build_dataclass(schema: type, payload: dict, where: str) -> object:
-    fields = {f.name: f for f in dataclasses.fields(schema)}
-    unknown = sorted(set(payload) - set(fields))
+    hints = typing.get_type_hints(schema)
+    fields = {f.name for f in dataclasses.fields(schema)}
+    unknown = sorted(set(payload) - fields)
     _require(not unknown, f"unknown {where} field(s): {', '.join(unknown)}")
-    kwargs = {}
-    for name, value in payload.items():
-        field_type = fields[name].type
-        nested = _nested_dataclass(schema, name)
-        if nested is not None and isinstance(value, dict):
-            value = _build_dataclass(nested, value, f"{where}.{name}")
-        elif isinstance(value, list):
-            value = tuple(value)  # frozen configs use tuples, JSON has lists
-        del field_type
-        kwargs[name] = value
+    kwargs = {
+        name: _typed_value(hints[name], value, where, name)
+        for name, value in payload.items()
+    }
     try:
         return schema(**kwargs)
     except SieveError:
@@ -158,25 +156,54 @@ def _build_dataclass(schema: type, payload: dict, where: str) -> object:
         raise BadRequestError(f"invalid {where}: {exc}") from exc
 
 
-def _nested_dataclass(schema: type, field_name: str) -> type | None:
-    """The dataclass type of ``schema.field_name``, if it has one.
+#: How a config field's type reads in an error; anything else is a
+#: nested config, which arrives as a JSON object.
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string", type(None): "null"}
 
-    Annotations may be strings (``from __future__ import annotations``),
-    so resolve through the default value's type when possible.
+
+def _typed_value(annotation: object, value: object, where: str, name: str) -> object:
+    """``value`` if it is what the field annotated ``annotation`` takes.
+
+    A number never arrives as a JSON ``true``/``false``; an ``int`` field
+    takes integers only, and a ``float`` field finite numbers only, since
+    an infinity cannot be hashed into a cache key and a float that is no
+    integer cannot size an array in a worker. ``null`` is accepted only
+    for ``X | None``; a nested config dataclass arrives as an object.
     """
-    for f in dataclasses.fields(schema):
-        if f.name != field_name:
-            continue
-        if isinstance(f.type, type) and dataclasses.is_dataclass(f.type):
-            return f.type
-        default = (
-            f.default
-            if f.default is not dataclasses.MISSING
-            else (f.default_factory() if f.default_factory is not dataclasses.MISSING else None)
-        )
-        if default is not None and dataclasses.is_dataclass(type(default)):
-            return type(default)
-    return None
+    options = (annotation,)
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        options = typing.get_args(annotation)
+    for option in options:
+        if dataclasses.is_dataclass(option):
+            if isinstance(value, dict):
+                return _build_dataclass(option, value, f"{where}.{name}")
+        elif option is float:
+            if (isinstance(value, float) or _is_int(value)) and _finite(value):
+                return value
+        elif option is int:
+            if _is_int(value):
+                return value
+        elif isinstance(option, type) and isinstance(value, option):
+            return value
+    expected = " or ".join(_EXPECTED.get(option, "an object") for option in options)
+    raise BadRequestError(
+        f"invalid {where}: {name} must be {expected}, got {_json_text(value)}", field=name
+    )
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond any float
+        return False
+
+
+def _json_text(value: object) -> str:
+    """How ``value`` read in the request body, shortened for a message."""
+    if isinstance(value, (list, dict)):
+        return "an array" if isinstance(value, list) else "an object"
+    text = json.dumps(value)
+    return text if len(text) <= 40 else f"{text[:37]}..."
 
 
 def table_from_rows(rows: object, workload: str) -> ProfileTable:

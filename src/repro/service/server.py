@@ -56,7 +56,8 @@ _REASONS = {
 }
 
 #: Results kept encoded for repeated requests, least recently used first
-#: out: (cache key, kind) -> (JSON of ``result``, digest).
+#: out: (cache key, kind) -> (JSON of ``result``, digest). With a result
+#: cache, a memoized request is answered before it reaches the dispatcher.
 MEMO_ENTRIES = 256
 
 #: The longest request line or header line read, in bytes: asyncio's
@@ -66,13 +67,11 @@ LINE_LIMIT = 64 * 1024
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Everything the server needs: socket, batching and engine knobs."""
+    """Everything the server needs: socket and engine knobs."""
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port lands on the handle
-    window_s: float = 0.005  # micro-batching window
-    max_batch: int = 32
-    jobs: int = 1  # isolated worker processes (the parallelism within a batch)
+    jobs: int = 1  # isolated worker processes, one dispatcher lane each
     use_cache: bool = True
     cache_dir: str | None = None
     quarantine_threshold: int = 2
@@ -108,11 +107,7 @@ class SieveService:
         _register_perfstore()
         self._owns_engine = engine is None
         self.engine = engine or EvaluationEngine(self.config.engine_config())
-        self.dispatcher = BatchingDispatcher(
-            self.engine,
-            window_s=self.config.window_s,
-            max_batch=self.config.max_batch,
-        )
+        self.dispatcher = BatchingDispatcher(self.engine)
         self.host: str | None = None
         self.port: int | None = None
         self._requests_served = 0
@@ -353,17 +348,23 @@ class SieveService:
             request = protocol.parse_request(kind, payload)
             task = _task_for(request)
             key = task.cache_key()
-            outcome = await self.dispatcher.submit(task, key)
+            known = self._known(request, task, key)
+            if known is None:
+                outcome = await self.dispatcher.submit(task, key)
         except SieveError as exc:
             inc("service.errors", type=type(exc).__name__)
             return protocol.status_for(exc), self._error_body(exc, request_id)
-        if not outcome.ok:
+        if known is not None:
+            (result_json, digest), from_cache, attempts = known, True, 0
+        elif not outcome.ok:
             body = {
                 "request_id": request_id,
                 "error": protocol.outcome_error_payload(outcome),
             }
             return protocol.outcome_status(outcome), body
-        result_json, digest = self._encode(request, key, outcome[request.method])
+        else:
+            result_json, digest = self._encode(request, key, outcome[request.method])
+            from_cache, attempts = outcome.from_cache, outcome.attempts
         head = {
             "kind": request.kind,
             "method": request.method,
@@ -372,8 +373,8 @@ class SieveService:
         }
         tail = {
             "telemetry": {
-                "from_cache": outcome.from_cache,
-                "attempts": outcome.attempts,
+                "from_cache": from_cache,
+                "attempts": attempts,
                 "inline": request.inline,
                 "wall_s": round(time.perf_counter() - t0, 6),
             },
@@ -389,6 +390,29 @@ class SieveService:
             + ","
             + protocol.canonical_json(tail)[1:]
         ).encode("utf-8")
+
+    def _known(
+        self, request: protocol.EvaluationRequest, task: EvaluationTask, key: str
+    ) -> tuple[str, str] | None:
+        """The memoized result JSON and digest of a request whose result is
+        already known, else ``None``: the request goes to the dispatcher.
+
+        A result is known when the engine keeps a result cache, the task's
+        label is not quarantined and (cache key, kind) is memoized. It is
+        answered as the cache hit it is, without reading the cache entry.
+        A quarantined label goes on to the dispatcher, whose probe answers
+        it; without a cache every request runs, so nothing is known.
+        """
+        if self.engine.cache is None or self.engine.quarantine.is_quarantined(
+            "task", task.label
+        ):
+            return None
+        memo_key = (key, request.kind)
+        entry = self._encoded.get(memo_key)
+        if entry is not None:
+            self._encoded.move_to_end(memo_key)
+            inc("engine.cache.hit")
+        return entry
 
     def _encode(
         self, request: protocol.EvaluationRequest, key: str, result

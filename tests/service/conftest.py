@@ -46,7 +46,7 @@ class Client:
 def service(tmp_path_factory):
     cache = tmp_path_factory.mktemp("service-cache")
     handle = start_in_thread(
-        ServiceConfig(cache_dir=str(cache), window_s=0.002, deadline_s=120.0)
+        ServiceConfig(cache_dir=str(cache), deadline_s=120.0)
     )
     yield handle
     handle.stop()

@@ -1,7 +1,7 @@
-"""Dispatcher concurrency: coalescing, crash isolation, cancellation.
+"""Dispatcher concurrency: lanes, coalescing, crash isolation, cancellation.
 
 These run against a stub engine (instant, scripted outcomes) so the
-batching semantics are tested without evaluation cost; the live-engine
+dispatch semantics are tested without evaluation cost; the live-engine
 end of the same contract is covered in ``test_server.py``.
 """
 
@@ -25,7 +25,10 @@ from repro.utils.errors import ServiceUnavailableError
 class StubEngine:
     """Scripted engine: records batches, optionally blocks, never raises."""
 
-    def __init__(self, fail_labels=(), release: threading.Event | None = None):
+    def __init__(
+        self, fail_labels=(), release: threading.Event | None = None, jobs: int = 1
+    ):
+        self.config = EngineConfig(jobs=jobs)
         self.batches: list[list[EvaluationTask]] = []
         self.fail_labels = set(fail_labels)
         self.release = release
@@ -60,7 +63,7 @@ def run(coroutine):
 def test_identical_requests_coalesce_to_one_engine_task():
     async def main():
         engine = StubEngine()
-        dispatcher = BatchingDispatcher(engine, window_s=0.02)
+        dispatcher = BatchingDispatcher(engine)
         await dispatcher.start()
         outcomes = await asyncio.gather(
             *[dispatcher.submit(task_for("rodinia/nw")) for _ in range(6)]
@@ -76,48 +79,55 @@ def test_identical_requests_coalesce_to_one_engine_task():
     assert all(outcome is outcomes[0] for outcome in outcomes)
 
 
-def test_distinct_requests_share_one_batch():
+def test_distinct_requests_each_run_as_one_engine_task():
     async def main():
         engine = StubEngine()
-        dispatcher = BatchingDispatcher(engine, window_s=0.02)
+        dispatcher = BatchingDispatcher(engine)
         await dispatcher.start()
         labels = ["rodinia/nw", "rodinia/lud", "rodinia/srad"]
         outcomes = await asyncio.gather(
             *[dispatcher.submit(task_for(label)) for label in labels]
         )
         await dispatcher.close()
-        return engine, outcomes, labels
+        return engine, dispatcher, outcomes, labels
 
-    engine, outcomes, labels = run(main())
-    assert len(engine.batches) == 1
-    assert sorted(task.label for task in engine.batches[0]) == sorted(labels)
+    engine, dispatcher, outcomes, labels = run(main())
+    # One lane takes the queue in arrival order, one task per call.
+    assert [[task.label for task in batch] for batch in engine.batches] == [
+        [label] for label in labels
+    ]
     assert [outcome.label for outcome in outcomes] == labels
+    assert dispatcher.stats.batches == dispatcher.stats.tasks == 3
 
 
-def test_max_batch_splits_oversized_flushes():
+def test_each_unique_key_runs_once_across_lanes():
     async def main():
-        engine = StubEngine()
-        dispatcher = BatchingDispatcher(engine, window_s=0.02, max_batch=2)
+        engine = StubEngine(jobs=2)
+        dispatcher = BatchingDispatcher(engine)
         await dispatcher.start()
-        # Distinct caps give every task a distinct cache key.
-        labels = ["rodinia/nw", "rodinia/lud", "rodinia/srad",
-                  "rodinia/cfd", "rodinia/nw"]
+        # Five requests, three keys: a label and cap make one key.
+        requests = [("rodinia/nw", 50), ("rodinia/lud", 51), ("rodinia/nw", 50),
+                    ("rodinia/srad", 52), ("rodinia/lud", 51)]
         outcomes = await asyncio.gather(
-            *[dispatcher.submit(task_for(label, cap=50 + i))
-              for i, label in enumerate(labels)]
+            *[dispatcher.submit(task_for(label, cap=cap)) for label, cap in requests]
         )
         await dispatcher.close()
-        return engine, outcomes
+        return engine, dispatcher, outcomes
 
-    engine, outcomes = run(main())
-    assert [len(batch) for batch in engine.batches] == [2, 2, 1]
-    assert len(outcomes) == 5
+    engine, dispatcher, outcomes = run(main())
+    assert all(len(batch) == 1 for batch in engine.batches)
+    assert sorted((b[0].label, b[0].max_invocations) for b in engine.batches) == [
+        ("rodinia/lud", 51), ("rodinia/nw", 50), ("rodinia/srad", 52),
+    ]
+    assert outcomes[2] is outcomes[0] and outcomes[4] is outcomes[1]
+    assert (dispatcher.stats.requests, dispatcher.stats.coalesced) == (5, 2)
+    assert dispatcher.stats.tasks == 3
 
 
 def test_crashing_task_fails_only_its_own_requests():
     async def main():
         engine = StubEngine(fail_labels={"rodinia/lud"})
-        dispatcher = BatchingDispatcher(engine, window_s=0.02)
+        dispatcher = BatchingDispatcher(engine)
         await dispatcher.start()
         crash, ok = await asyncio.gather(
             dispatcher.submit(task_for("rodinia/lud")),
@@ -136,7 +146,7 @@ def test_cancelled_waiter_does_not_poison_siblings():
     async def main():
         release = threading.Event()
         engine = StubEngine(release=release)
-        dispatcher = BatchingDispatcher(engine, window_s=0.005)
+        dispatcher = BatchingDispatcher(engine)
         await dispatcher.start()
         first = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
         second = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
@@ -159,8 +169,8 @@ def test_cancelled_waiter_does_not_poison_siblings():
 
 def test_close_fails_queued_requests_and_rejects_new_ones():
     async def main():
-        # Never start the flusher: submissions stay queued.
-        dispatcher = BatchingDispatcher(StubEngine(), window_s=0.02)
+        # Never start the lanes: submissions stay queued.
+        dispatcher = BatchingDispatcher(StubEngine())
         waiter = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
         await asyncio.sleep(0.01)
         await dispatcher.close()
@@ -170,6 +180,64 @@ def test_close_fails_queued_requests_and_rejects_new_ones():
             await dispatcher.submit(task_for("rodinia/lud"))
 
     run(main())
+
+
+class GatedEngine(StubEngine):
+    """Each task waits inside ``run_isolated`` until its label is opened."""
+
+    def __init__(self, jobs: int):
+        super().__init__(jobs=jobs)
+        self.entered: list[str] = []
+        self.gates: dict[str, threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def gate(self, label: str) -> threading.Event:
+        with self._lock:
+            return self.gates.setdefault(label, threading.Event())
+
+    def run_isolated(self, tasks, policy=None):
+        [task] = tasks
+        with self._lock:
+            self.entered.append(task.label)
+        assert self.gate(task.label).wait(timeout=30)
+        return super().run_isolated(tasks, policy)
+
+
+async def until(condition, timeout_s: float = 10.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+def test_two_lanes_run_two_misses_at_once_and_a_third_when_one_frees():
+    labels = ["rodinia/nw", "rodinia/lud", "rodinia/srad"]
+
+    async def main():
+        engine = GatedEngine(jobs=2)
+        dispatcher = BatchingDispatcher(engine)
+        await dispatcher.start()
+        waiters = [asyncio.create_task(dispatcher.submit(task_for(label))) for label in labels]
+        try:
+            # Both lanes are inside run_isolated, neither released yet.
+            await until(lambda: len(engine.entered) == 2)
+            await asyncio.sleep(0.1)  # time for a third lane to show, were there one
+            both = sorted(engine.entered)
+            engine.gate("rodinia/lud").set()
+            await waiters[1]
+            await until(lambda: len(engine.entered) == 3)
+            third = engine.entered[2]
+        finally:
+            for label in labels:
+                engine.gate(label).set()
+            outcomes = await asyncio.gather(*waiters)
+            await dispatcher.close()
+        return both, third, outcomes
+
+    both, third, outcomes = run(main())
+    assert both == ["rodinia/lud", "rodinia/nw"]
+    assert third == "rodinia/srad"
+    assert [outcome.label for outcome in outcomes] == labels
 
 
 # --------------------------------------------------------------------- #
@@ -198,7 +266,7 @@ def test_cache_hit_returns_without_waiting_for_the_window(tmp_path):
 
     async def main():
         stub = ProbedEngine(engine)
-        dispatcher = BatchingDispatcher(stub, window_s=30.0)
+        dispatcher = BatchingDispatcher(stub)
         await dispatcher.start()
         outcome = await asyncio.wait_for(dispatcher.submit(hit), timeout=5.0)
         await dispatcher.close()
@@ -221,7 +289,7 @@ def test_quarantined_label_returns_its_outcome_at_once(tmp_path):
 
     async def main():
         stub = ProbedEngine(engine)
-        dispatcher = BatchingDispatcher(stub, window_s=30.0)
+        dispatcher = BatchingDispatcher(stub)
         await dispatcher.start()
         outcome = await asyncio.wait_for(
             dispatcher.submit(task_for("rodinia/lud")), timeout=5.0
@@ -236,14 +304,14 @@ def test_quarantined_label_returns_its_outcome_at_once(tmp_path):
     assert dispatcher.stats.failures == 1
 
 
-def test_misses_beside_a_hit_still_coalesce_into_one_batch(tmp_path):
+def test_hits_beside_misses_take_no_lane(tmp_path):
     engine = cached_engine(tmp_path)
     hit = task_for("rodinia/nw")
     engine.cache.put(hit.cache_key(), {"periodic": "cached"})
 
     async def main():
         stub = ProbedEngine(engine)
-        dispatcher = BatchingDispatcher(stub, window_s=0.02)
+        dispatcher = BatchingDispatcher(stub)
         await dispatcher.start()
         outcomes = await asyncio.gather(
             dispatcher.submit(hit),
@@ -257,6 +325,8 @@ def test_misses_beside_a_hit_still_coalesce_into_one_batch(tmp_path):
     engine.close()
     assert outcomes[0].from_cache
     assert [o.from_cache for o in outcomes[1:]] == [False] * 4
-    assert len(stub.batches) == 1
-    assert sorted(task.label for task in stub.batches[0]) == ["rodinia/lud", "rodinia/srad"]
+    # Only the two misses ran, each once; the repeated one coalesced.
+    assert [[task.label for task in batch] for batch in stub.batches] == [
+        ["rodinia/lud"], ["rodinia/srad"],
+    ]
     assert dispatcher.stats.coalesced == 2 and dispatcher.stats.tasks == 2

@@ -12,6 +12,7 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +51,7 @@ def label_of(payload: dict) -> str:
 
 
 def serve(tmp_path, **overrides):
-    fields = dict(cache_dir=str(tmp_path), window_s=0.002)
+    fields = dict(cache_dir=str(tmp_path))
     fields.update(overrides)
     return start_in_thread(ServiceConfig(**fields))
 
@@ -82,10 +83,35 @@ def test_served_inline_selection_equals_select_inline(
     assert (telemetry["from_cache"], telemetry["attempts"]) == ((True, 0) if warm else (False, 1))
 
 
-def test_identical_concurrent_uploads_coalesce_into_one_task(tmp_path):
+def held(entered: Path, release: Path):
+    """``select_inline`` that creates ``entered`` and then waits (up to
+    30 s) for ``release`` to exist: the task stays in its worker."""
+    real = protocol.select_inline
+
+    def select_inline(request):
+        entered.touch()
+        deadline = time.monotonic() + 30.0
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return real(request)
+
+    return select_inline
+
+
+def wait_for(condition, timeout_s: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_identical_concurrent_uploads_coalesce_into_one_task(tmp_path, monkeypatch):
     payload = rows_payload(rows=90)
-    # A window long enough that both uploads arrive before the batch runs.
-    handle = serve(tmp_path, window_s=0.5)
+    entered, release = tmp_path / "entered", tmp_path / "release"
+    # Patched before the server starts, so the workers it forks run it:
+    # the first upload is held in its worker until the second has arrived.
+    monkeypatch.setattr(protocol, "select_inline", held(entered, release))
+    handle = serve(tmp_path / "cache")
     bodies: list = [None, None]
 
     def upload(slot: int) -> None:
@@ -95,16 +121,21 @@ def test_identical_concurrent_uploads_coalesce_into_one_task(tmp_path):
         finally:
             client.close()
 
+    threads = [threading.Thread(target=upload, args=(slot,)) for slot in (0, 1)]
+    stats = handle.service.dispatcher.stats
     try:
-        threads = [threading.Thread(target=upload, args=(slot,)) for slot in (0, 1)]
+        threads[0].start()
+        wait_for(entered.exists)
+        threads[1].start()
+        wait_for(lambda: stats.coalesced == 1)
+        release.touch()
         for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        stats = handle.service.dispatcher.stats.to_dict()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
     finally:
+        release.touch()
         handle.stop()
-    assert (stats["requests"], stats["coalesced"], stats["tasks"]) == (2, 1, 1)
+    assert (stats.requests, stats.coalesced, stats.tasks) == (2, 1, 1)
     digest = protocol.pickle_digest(direct(payload))
     assert [body["pickle_sha256"] for body in bodies] == [digest, digest]
 

@@ -21,6 +21,8 @@ from repro.utils.errors import (
 )
 
 VALID = {"workload": "rodinia/nw", "method": "periodic", "cap": 200}
+GRU = {"workload": "cactus/gru", "cap": 1000}
+GRU_PKS = {**GRU, "method": "pks"}
 
 
 def test_parse_request_catalog_happy_path():
@@ -54,6 +56,16 @@ def test_parse_request_defaults_to_sieve():
         ({"workload": "rodinia/nw", "cap": True}, "positive integer"),
         ({"workload": "cactus/lmc", "cap": 57}, "cactus/lmc has 58 kernels"),
         ({"workload": "rodinia/nw", "fault_seed": True}, "fault_seed"),
+        # Config values must be what their fields' annotations say.
+        ({**GRU, "config": {"theta": float("inf")}}, "theta must be a finite number"),
+        ({**GRU, "config": {"theta": 10**400}}, "theta must be a finite number"),
+        ({**GRU, "config": {"kde_bandwidth_scale": float("inf")}}, "kde_bandwidth_scale"),
+        ({**GRU_PKS, "config": {"kmeans_fit_sample": float("inf")}}, "kmeans_fit_sample"),
+        ({**GRU, "config": {"kde_grid_points": 512.5}}, "kde_grid_points must be an integer"),
+        ({**GRU, "config": {"kde_grid_points": 100_000_000}}, "kde_grid_points must be in"),
+        ({**GRU, "config": {"theta": True}}, "theta must be a finite number, got true"),
+        ({**GRU_PKS, "config": {"max_k": 2.5}}, "max_k must be an integer"),
+        ({**GRU_PKS, "config": {"variance_target": True}}, "variance_target"),
     ],
 )
 def test_parse_request_rejects_malformed(payload, match):
@@ -104,6 +116,15 @@ def test_config_from_dict_rejects_unusable_kmeans_settings(body):
         with pytest.raises(BadRequestError, match="kmeans_") as caught:
             protocol.config_from_dict(method, payload)
         assert caught.value.http_status == 400
+
+
+def test_config_from_dict_accepts_what_the_annotations_allow():
+    pks = protocol.config_from_dict("pks", {"kmeans_fit_sample": None, "variance_target": 1})
+    assert pks.kmeans_fit_sample is None and pks.variance_target == 1
+    sieve = protocol.config_from_dict("sieve", {"theta": 2, "kde_grid_points": 4096})
+    assert (sieve.theta, sieve.kde_grid_points) == (2, 4096)
+    with pytest.raises(BadRequestError, match="theta must be a finite number, got null"):
+        protocol.config_from_dict("sieve", {"theta": None})
 
 
 def test_config_from_dict_rejects_unknown_fields():

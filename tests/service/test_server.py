@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
+from repro.evaluation.engine import ResultCache
 from repro.evaluation.runner import evaluate_method
 from repro.observability.export import parse_prometheus
 from repro.profiling.csv_io import read_profile_csv, write_profile_csv
@@ -259,9 +260,7 @@ def test_pks_on_duplicated_rows_returns_before_the_deadline(tmp_path):
     # used to repeat one split forever and hold the dispatcher's batch
     # thread until the task deadline; a short one bounds the wait here.
     handle = start_in_thread(
-        ServiceConfig(
-            cache_dir=str(tmp_path), window_s=0.002, deadline_s=30.0, max_attempts=1
-        )
+        ServiceConfig(cache_dir=str(tmp_path), deadline_s=30.0, max_attempts=1)
     )
     client = Client(handle.host, handle.port)
     try:
@@ -406,14 +405,22 @@ def test_repeated_hits_return_the_canonical_bytes_of_the_full_body(
     else:
         kind, expected = "predict", protocol.result_to_dict(direct)
         digest = protocol.pickle_digest(direct)
-    encodings = []
+    encodings, reads = [], []
     real_response_body = protocol.response_body
     monkeypatch.setattr(
         protocol,
         "response_body",
         lambda request, result: encodings.append(1) or real_response_body(request, result),
     )
-    replies = [post_bytes(service, route, payload) for _ in range(3)]
+    real_get = ResultCache.get
+    monkeypatch.setattr(
+        ResultCache, "get", lambda cache, key: reads.append(key) or real_get(cache, key)
+    )
+    replies, reads_per_reply = [], []
+    for _ in range(3):
+        before = len(reads)
+        replies.append(post_bytes(service, route, payload))
+        reads_per_reply.append(len(reads) - before)
     for status, raw in replies:
         assert status == 200
         body = json.loads(raw)
@@ -431,6 +438,44 @@ def test_repeated_hits_return_the_canonical_bytes_of_the_full_body(
         assert set(body["telemetry"]) == {"from_cache", "attempts", "inline", "wall_s"}
     assert [json.loads(raw)["telemetry"]["from_cache"] for _, raw in replies[1:]] == [True, True]
     assert len(encodings) == 1  # encoded once, then served from the memo
+    assert reads_per_reply[1:] == [0, 0]  # and answered without reading the cache
+
+
+def test_a_label_struck_out_after_its_result_was_memoized_is_quarantined(tmp_path):
+    payload = {"workload": "rodinia/nw", "method": "periodic", "cap": 120}
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
+    client = Client(handle.host, handle.port)
+    try:
+        first = client.post("/v1/select", payload)
+        memoized = client.post("/v1/select", payload)
+        quarantine = handle.service.engine.quarantine
+        for _ in range(quarantine.threshold):
+            quarantine.strike("task", "rodinia/nw")
+        struck = client.post("/v1/select", payload)
+    finally:
+        client.close()
+        handle.stop()
+    assert first[0] == memoized[0] == 200
+    assert memoized[1]["telemetry"]["from_cache"] is True
+    status, body, _ = struck
+    assert status == 503
+    assert body["error"]["type"] == "QuarantinedTaskError"
+    assert body["error"]["context"]["workload"] == "rodinia/nw"
+
+
+def test_a_server_without_a_cache_runs_every_request(tmp_path):
+    payload = {"workload": "rodinia/nw", "method": "periodic", "cap": 130}
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), use_cache=False))
+    client = Client(handle.host, handle.port)
+    try:
+        bodies = [client.post("/v1/predict", payload)[1] for _ in range(3)]
+    finally:
+        client.close()
+        handle.stop()
+    assert [(b["telemetry"]["from_cache"], b["telemetry"]["attempts"]) for b in bodies] == [
+        (False, 1)
+    ] * 3
+    assert len({b["pickle_sha256"] for b in bodies}) == 1
 
 
 def test_theta_sweep_on_a_warm_worker_matches_direct(tmp_path):
@@ -438,7 +483,7 @@ def test_theta_sweep_on_a_warm_worker_matches_direct(tmp_path):
     its first request built; every digest is the in-process one."""
     thetas = (0.3, 0.55, 0.8)
     payload = {"workload": "rodinia/lud", "method": "sieve", "cap": 260}
-    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
     try:
         client = Client(handle.host, handle.port)
         try:
@@ -464,7 +509,7 @@ def test_theta_sweep_on_a_warm_worker_matches_direct(tmp_path):
 
 def test_response_memo_never_exceeds_its_bound(tmp_path, monkeypatch):
     monkeypatch.setattr(server_mod, "MEMO_ENTRIES", 2)
-    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
     try:
         sizes = []
         for cap in (101, 102, 103, 101):
@@ -480,7 +525,7 @@ def test_cap_below_the_kernel_count_is_a_400_that_strikes_nothing(tmp_path):
     # cactus/lmc has 58 kernels; a cap of 57 cannot give each one
     # invocation. It used to reach a worker, fail there as a 500, and on
     # the second try quarantine the label for every client.
-    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path), window_s=0.002))
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
     client = Client(handle.host, handle.port)
     select = {"workload": "cactus/lmc", "method": "periodic"}
     try:
@@ -498,6 +543,25 @@ def test_cap_below_the_kernel_count_is_a_400_that_strikes_nothing(tmp_path):
             "field": "cap", "num_kernels": 58, "workload": "cactus/lmc"
         }
     assert valid[0] == 200 and one_each[0] == 200
+    assert strikes == []
+
+
+def test_a_non_integer_grid_is_a_400_that_strikes_nothing(tmp_path):
+    # kde_grid_points 512.5 used to reach a worker, fail there twice as a
+    # 500, and on the second request quarantine cactus/gru for everyone.
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
+    client = Client(handle.host, handle.port)
+    payload = {"workload": "cactus/gru", "cap": 1000, "config": {"kde_grid_points": 512.5}}
+    try:
+        replies = [client.post("/v1/select", payload) for _ in range(2)]
+        strikes = handle.service.engine.quarantine.entries()
+    finally:
+        client.close()
+        handle.stop()
+    for status, body, _ in replies:
+        assert status == 400
+        assert body["error"]["type"] == "BadRequestError"
+        assert body["error"]["context"] == {"field": "kde_grid_points"}
     assert strikes == []
 
 

@@ -14,10 +14,12 @@ the digest comparison.
 from __future__ import annotations
 
 import tempfile
+import threading
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.runner import evaluate_method
 from repro.methods import list_methods
@@ -52,9 +54,7 @@ def test_served_results_byte_identical_to_direct(method, workload, jobs, warm):
 
     payload = {"workload": workload, "method": method, "cap": CAP}
     with tempfile.TemporaryDirectory(prefix="service-equiv-") as cache:
-        handle = start_in_thread(
-            ServiceConfig(cache_dir=cache, jobs=jobs, window_s=0.002)
-        )
+        handle = start_in_thread(ServiceConfig(cache_dir=cache, jobs=jobs))
         try:
             client = Client(handle.host, handle.port)
             try:
@@ -81,3 +81,42 @@ def test_served_results_byte_identical_to_direct(method, workload, jobs, warm):
     # The select response is served from the same cached task the
     # predict populated, warm or cold.
     assert selected["telemetry"]["from_cache"] is True
+
+
+def test_concurrent_sweeps_on_two_lanes_equal_direct():
+    """Distinct θ sweeps from several clients at once run as concurrent
+    ``run_isolated`` calls on one engine; each returns the in-process digest."""
+    requests = [(workload, theta) for workload in WORKLOADS[1:] for theta in (0.25, 0.5, 0.75)]
+    bodies: dict = {}
+    start = threading.Barrier(len(requests))
+
+    def sweep(workload: str, theta: float) -> None:
+        client = Client(handle.host, handle.port)
+        try:
+            start.wait(timeout=30)
+            payload = {"workload": workload, "method": "sieve", "cap": CAP}
+            payload["config"] = {"theta": theta}
+            bodies[workload, theta] = client.post("/v1/predict", payload)
+        finally:
+            client.close()
+
+    with tempfile.TemporaryDirectory(prefix="service-equiv-") as cache:
+        handle = start_in_thread(ServiceConfig(cache_dir=cache, jobs=2))
+        try:
+            threads = [threading.Thread(target=sweep, args=request) for request in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+            workers = len(handle.service.engine._workers._idle)
+        finally:
+            handle.stop()
+
+    assert workers == 2  # both lanes had a task in a worker at once
+    for workload, theta in requests:
+        status, body, _ = bodies[workload, theta]
+        assert status == 200, body
+        assert (body["telemetry"]["from_cache"], body["telemetry"]["attempts"]) == (False, 1)
+        direct = evaluate_method("sieve", build_context(workload, CAP), SieveConfig(theta=theta))
+        assert body["pickle_sha256"] == protocol.pickle_digest(direct)
