@@ -6,8 +6,8 @@ import numpy as np
 
 from repro.baselines import PCA
 from repro.baselines.kmeans import BisectingKMeans
-from repro.baselines.pks import cycles_in_table_order
 from repro.evaluation.context import build_context
+from repro.evaluation.imputation import cycles_in_table_order
 
 for label in sys.argv[1:]:
     ctx = build_context(label)

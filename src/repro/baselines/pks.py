@@ -27,10 +27,6 @@ from repro.baselines.kmeans import BisectingKMeans
 from repro.baselines.pca import PCA
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
-
-# Shared imputation ladder (see repro.evaluation.imputation);
-# cycles_in_table_order is re-exported because callers historically
-# imported it from this module.
 from repro.evaluation.imputation import (
     cycles_in_table_order,
     kernel_mean_cycles,
@@ -52,7 +48,6 @@ __all__ = [
     "PksConfig",
     "PksPipeline",
     "PksSelection",
-    "cycles_in_table_order",
 ]
 
 

@@ -3,7 +3,7 @@
 Examples::
 
     sieve-repro table1
-    sieve-repro fig3 --cap 50000
+    sieve-repro --cap 50000 fig3
     sieve-repro fig9
     sieve-repro sample cactus/lmc --theta 0.4
     sieve-repro validate profile.csv --repair fixed.csv
@@ -15,16 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.core.config import SieveConfig
 from repro.evaluation import experiments
 from repro.evaluation.context import build_context
-from repro.evaluation.engine import (
-    EngineConfig,
-    EvaluationEngine,
-    ResultCache,
-    default_cache_dir,
-)
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, ResultCache
 from repro.evaluation.reporting import (
     experiment_row_dict,
     format_table,
@@ -39,16 +35,16 @@ from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, parse_fault_plan
 from repro.utils.errors import SieveError
-from repro.workloads.catalog import CHALLENGING_SUITES
+from repro.workloads.catalog import CHALLENGING_SUITES, SIMPLE_SUITES
 
-#: Commands whose handlers honor --inject-faults.
-FAULT_AWARE_COMMANDS = frozenset({"fig3", "fig8", "compare", "sample", "attribute"})
+#: Flags every command accepts but only some honour (argparse dests). A
+#: command honours one by reading it through _fault_plan or _engine_flags;
+#: main() warns about each one the user set that the command never read.
+_SHARED_FLAGS = ("jobs", "no_cache", "cache_dir", "inject_faults", "fault_seed")
 
-#: Commands whose handlers route work through the evaluation engine
-#: (and therefore honor --jobs / --no-cache / --cache-dir).
-ENGINE_AWARE_COMMANDS = frozenset(
-    {"fig3", "fig8", "compare", "fuzz", "serve", "loadgen"}
-)
+#: The shared flags the current command read; reset per ``main()``
+#: invocation.
+_flags_read: set[str] = set()
 
 #: Artifacts the current command deposited for --trace-out: the engine it
 #: ran through and the experiment rows/aggregates it printed. Reset per
@@ -57,30 +53,35 @@ _trace_artifacts: dict = {}
 
 
 def _fault_plan(args) -> FaultPlan | None:
-    # main() warns when the command is not fault-aware; here the flag is
-    # simply absent or already vetted.
-    if not getattr(args, "inject_faults", None):
+    """The --inject-faults plan, seeded by --fault-seed; None without one."""
+    _flags_read.update(("inject_faults", "fault_seed"))
+    if not args.inject_faults:
         return None
     return parse_fault_plan(args.inject_faults, seed=args.fault_seed)
 
 
-def _engine(args) -> EvaluationEngine:
-    """Build the evaluation engine an engine-aware command will use."""
-    from pathlib import Path
+def _engine_flags(args) -> dict:
+    """--jobs, --no-cache and --cache-dir as engine config fields."""
+    _flags_read.update(("jobs", "no_cache", "cache_dir"))
+    return {
+        "jobs": args.jobs,
+        "use_cache": not args.no_cache,
+        "cache_dir": Path(args.cache_dir) if args.cache_dir else None,
+    }
 
-    engine = EvaluationEngine(
-        EngineConfig(
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-        )
-    )
+
+def _engine(args, **overrides) -> EvaluationEngine:
+    """The evaluation engine an engine-backed command runs through: the
+    engine flags plus the command's own ``EngineConfig`` overrides. main()
+    reports its cache statistics once the command returns."""
+    engine = EvaluationEngine(EngineConfig(**_engine_flags(args), **overrides))
     _trace_artifacts["engine"] = engine
     return engine
 
 
-def _report_engine(engine: EvaluationEngine) -> None:
-    stats = engine.cache_stats
+def _report_engine() -> None:
+    engine = _trace_artifacts.get("engine")
+    stats = engine.cache_stats if engine is not None else None
     if stats is not None:
         print(
             f"[engine] jobs={engine.config.jobs} cache {stats.summary()} "
@@ -174,17 +175,10 @@ def _cmd_fig2(args) -> None:
     ))
 
 
-def _cmd_fig3(args) -> None:
-    engine = _engine(args)
-    rows = experiments.compare_methods(
-        max_invocations=args.cap, fault_plan=_fault_plan(args), engine=engine
-    )
-    _print_rows(rows)
-    _report_engine(engine)
-
-
 def _cmd_fig5(args) -> None:
-    rows = experiments.figure5_selection_policies(max_invocations=args.cap)
+    rows = experiments.figure5_selection_policies(
+        max_invocations=args.cap, engine=_engine(args)
+    )
     print(format_table(
         ["workload", "pks_first", "pks_random", "pks_centroid", "sieve"],
         [
@@ -207,17 +201,8 @@ def _cmd_fig7(args) -> None:
     ))
 
 
-def _cmd_fig8(args) -> None:
-    engine = _engine(args)
-    rows = experiments.figure8_simple_suites(
-        args.cap, fault_plan=_fault_plan(args), engine=engine
-    )
-    _print_rows(rows)
-    _report_engine(engine)
-
-
 def _cmd_fig9(args) -> None:
-    rows = experiments.figure9_relative(max_invocations=args.cap)
+    rows = experiments.figure9_relative(max_invocations=args.cap, engine=_engine(args))
     print(format_table(
         ["workload", "hardware", "sieve", "pks", "sieve_err", "pks_err"],
         [
@@ -229,7 +214,9 @@ def _cmd_fig9(args) -> None:
 
 
 def _cmd_fig10(args) -> None:
-    rows = experiments.figure10_theta_sweep(max_invocations=args.cap)
+    rows = experiments.figure10_theta_sweep(
+        max_invocations=args.cap, engine=_engine(args)
+    )
     print(format_table(
         ["theta", "avg_error", "max_error", "hmean_speedup"],
         [
@@ -242,8 +229,6 @@ def _cmd_fig10(args) -> None:
 
 def _cmd_trace(args) -> None:
     """Emit plain-text traces for a workload's Sieve selection (§V-G)."""
-    from pathlib import Path
-
     from repro.core.pipeline import SievePipeline
     from repro.trace.tracer import SelectionTracer, TracerConfig
 
@@ -271,8 +256,6 @@ def _cmd_trace_export(args) -> int:
     Prometheus). With a workload, runs the requested methods first so the
     exported trace covers a real evaluation; with --from-manifest, reuses
     the spans a previous ``--trace-out`` manifest embedded."""
-    from pathlib import Path
-
     from repro.observability import export as obs_export
     from repro.observability import metrics as obs_metrics
 
@@ -320,9 +303,6 @@ def _cmd_trace_export(args) -> int:
 
 def _cmd_attribute(args) -> int:
     """Explain a prediction: signed per-kernel/per-stratum error shares."""
-    import json as json_module
-    from pathlib import Path
-
     from repro.observability.report import render_attribution
 
     if args.from_manifest:
@@ -352,16 +332,13 @@ def _cmd_attribute(args) -> int:
     if args.json:
         path = Path(args.json)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json_module.dumps(entries, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
         print(f"[attribute] JSON written to {path}", file=sys.stderr)
     return 0
 
 
 def _cmd_simulate(args) -> None:
     """Simulate previously written trace files cycle by cycle (§V-G)."""
-    from pathlib import Path
-
-    from repro.evaluation.reporting import format_table
     from repro.trace.encoding import parse_trace
     from repro.trace.simulator import SimulatorConfig, TraceSimulator
 
@@ -519,18 +496,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> None:
-    """Method scorecard on chosen workloads (default: Sieve vs PKS, fig3)."""
-    engine = _engine(args)
+    """Method scorecard on chosen workloads, else on the command's preset
+    suites (``fig3`` and ``fig8`` are the default Sieve-vs-PKS one)."""
     spec = experiments.ExperimentSpec(
-        name="cli-compare",
+        name=f"cli-{args.command}",
         methods=_parse_methods(args.methods, args.theta),
-        labels=tuple(args.workloads or ()),
-        suites=() if args.workloads else CHALLENGING_SUITES,
+        labels=tuple(args.workloads),
+        suites=() if args.workloads else args.suites,
         max_invocations=args.cap,
         fault_plan=_fault_plan(args),
     )
-    _print_rows(experiments.run_experiment(spec, engine))
-    _report_engine(engine)
+    _print_rows(experiments.run_experiment(spec, _engine(args)))
 
 
 def _cmd_report(args) -> int:
@@ -698,8 +674,6 @@ def _cmd_fuzz_promote(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     """Run (or resume) a fuzzing campaign; or verify the committed suite."""
-    from pathlib import Path
-
     from repro.evaluation.engine import RetryPolicy
     from repro.fuzz import FuzzConfig, run_campaign
     from repro.fuzz.campaign import load_findings
@@ -728,20 +702,15 @@ def _cmd_fuzz(args) -> int:
         return 0
 
     out = Path(args.out)
-    engine = EvaluationEngine(
-        EngineConfig(
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=Path(args.cache_dir) if args.cache_dir else None,
-            quarantine_path=out / "quarantine.json",
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts,
-                deadline_s=args.deadline,
-                backoff_base_s=0.01,
-            ),
-        )
+    engine = _engine(
+        args,
+        quarantine_path=out / "quarantine.json",
+        retry=RetryPolicy(
+            max_attempts=args.max_attempts,
+            deadline_s=args.deadline,
+            backoff_base_s=0.01,
+        ),
     )
-    _trace_artifacts["engine"] = engine
     config = FuzzConfig(
         seed=args.seed,
         budget=args.budget,
@@ -751,7 +720,7 @@ def _cmd_fuzz(args) -> int:
         fault_rate=args.fault_rate,
         chaos=args.chaos,
         shrink_steps=args.shrink_steps,
-        jobs=args.jobs,
+        jobs=engine.config.jobs,
         deadline_s=args.deadline,
         max_attempts=args.max_attempts,
         out_dir=out,
@@ -764,26 +733,21 @@ def _cmd_fuzz(args) -> int:
             f"scored (checkpoint: {result.checkpoint_path}); continue with "
             "--resume"
         )
-        _report_engine(engine)
         return 0
     print(render_findings(load_findings(result.findings_path)))
     print(f"findings written to {result.findings_path}")
-    _report_engine(engine)
     return 0
 
 
 def _cmd_cache(args) -> int:
     """Inspect or clear the on-disk evaluation result cache."""
-    from pathlib import Path
-
-    directory = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    cache = ResultCache(directory)
+    cache = ResultCache(_engine_flags(args)["cache_dir"])
     if args.cache_command == "clear":
         removed = cache.clear()
-        print(f"removed {removed} cached results from {directory}")
+        print(f"removed {removed} cached results from {cache.directory}")
         return 0
     entries = cache.entries()
-    print(f"cache directory : {directory}")
+    print(f"cache directory : {cache.directory}")
     print(f"entries         : {len(entries)}")
     print(f"size            : {cache.size_bytes() / 1e6:.2f} MB")
     return 0
@@ -798,10 +762,8 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
         deadline_s=args.deadline_s,
+        **_engine_flags(args),
     )
     service = SieveService(config)
     _trace_artifacts["engine"] = service.engine
@@ -863,13 +825,7 @@ def _cmd_loadgen(args) -> int:
 
     handle = None
     if args.spawn:
-        handle = start_in_thread(
-            ServiceConfig(
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-            )
-        )
+        handle = start_in_thread(ServiceConfig(**_engine_flags(args)))
         host, port = handle.host, handle.port
         print(f"[loadgen] spawned service at {handle.url}", file=sys.stderr)
     else:
@@ -913,8 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for engine-aware commands (fig3, fig8); "
-        "1 = serial (default)",
+        help="worker processes for commands that run through the "
+        "evaluation engine; 1 = serial (default)",
     )
     parser.add_argument(
         "--no-cache",
@@ -933,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="corrupt profiles/golden reference before sampling "
         "(modes: drop, truncate, duplicate, nan, negative, cycle_noise, "
-        "clock_drift, zero_cycles); honored by fig3, fig8 and sample",
+        "clock_drift, zero_cycles); a command that cannot inject them "
+        "warns that the flag was ignored",
     )
     parser.add_argument(
         "--fault-seed",
@@ -966,10 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
         "table1": _cmd_table1,
         "table2": _cmd_table2,
         "fig2": _cmd_fig2,
-        "fig3": _cmd_fig3,
         "fig5": _cmd_fig5,
         "fig7": _cmd_fig7,
-        "fig8": _cmd_fig8,
         "fig9": _cmd_fig9,
         "fig10": _cmd_fig10,
     }
@@ -1030,7 +985,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated registered method names to compare "
         "(default: sieve,pks; see 'sieve-repro methods list')",
     )
-    compare.set_defaults(handler=_cmd_compare)
+    compare.set_defaults(handler=_cmd_compare, suites=CHALLENGING_SUITES)
+    # fig3 and fig8 are compare's defaults on preset suites.
+    for name, suites in (("fig3", CHALLENGING_SUITES), ("fig8", SIMPLE_SUITES)):
+        sub.add_parser(name).set_defaults(
+            **{**vars(compare.parse_args([])), "suites": suites}
+        )
 
     methods = sub.add_parser(
         "methods", help="inspect the sampling-method registry"
@@ -1451,7 +1411,8 @@ def _write_manifest(args, captured: list[dict]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     unsubscribe = None
     if not args.quiet_diagnostics:
         unsubscribe = diagnostics.subscribe(
@@ -1467,6 +1428,7 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
     )
+    _flags_read.clear()
     _trace_artifacts.clear()
     _trace_artifacts["spans_mark"] = obs_spans.mark()
     _trace_artifacts["events_mark"] = obs_manifest.events_mark()
@@ -1477,20 +1439,13 @@ def main(argv: list[str] | None = None) -> int:
         stream_sink = JsonlStreamSink(args.stream_spans)
         obs_spans.add_sink(stream_sink)
     try:
-        if args.inject_faults and args.command not in FAULT_AWARE_COMMANDS:
-            diagnostics.emit(
-                "cli",
-                f"--inject-faults is not supported by {args.command!r} and was "
-                f"ignored (supported: {', '.join(sorted(FAULT_AWARE_COMMANDS))})",
-            )
-        if args.jobs != 1 and args.command not in ENGINE_AWARE_COMMANDS:
-            diagnostics.emit(
-                "cli",
-                f"--jobs is not supported by {args.command!r} and was ignored "
-                f"(supported: {', '.join(sorted(ENGINE_AWARE_COMMANDS))})",
-            )
         with span(f"cli.{args.command}"):
             exit_code = args.handler(args) or 0
+        _report_engine()
+        for dest in _SHARED_FLAGS:
+            if dest not in _flags_read and getattr(args, dest) != parser.get_default(dest):
+                option = "--" + dest.replace("_", "-")
+                diagnostics.emit("cli", f"{option} was ignored by {args.command!r}")
         if args.trace_out:
             _write_manifest(args, captured)
         return exit_code

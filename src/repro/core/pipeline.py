@@ -25,22 +25,14 @@ from repro.core.selection import select_representative_row
 from repro.core.stratify import Stratum, stratify_table
 from repro.core.types import Representative, SampleSelection
 from repro.core.weights import stratum_weights
-
-# Shared imputation ladder (see repro.evaluation.imputation); re-exported
-# here because these names predate the shared module.
-from repro.evaluation.imputation import kernel_mean_ipc, measured_ipc_or_none
+from repro.evaluation.imputation import kernel_mean_ipc
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.observability import metrics, span
 from repro.profiling.table import ProfileTable
 from repro.utils.errors import PredictionError, SelectionError
 from repro.utils.validation import require
 
-__all__ = [
-    "SievePipeline",
-    "SieveSelection",
-    "kernel_mean_ipc",
-    "measured_ipc_or_none",
-]
+__all__ = ["SievePipeline", "SieveSelection"]
 
 METHOD_NAME = "sieve"
 

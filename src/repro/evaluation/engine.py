@@ -257,28 +257,33 @@ def _select_from_table(task: EvaluationTask) -> dict[str, SampleSelection]:
 
 def run_task_with_telemetry(
     task: EvaluationTask,
-) -> tuple[dict[str, MethodResult], tuple, dict, tuple]:
+) -> tuple[dict[str, MethodResult], tuple, dict, tuple, tuple]:
     """Worker: run a task and ship its telemetry back to the parent.
 
-    The worker's span records, metrics registry and event list are reset
-    at task start (the fork inherited the parent's — counting that twice
-    would corrupt the merge), so the returned snapshot is exactly this
-    task's delta. Live sinks are also dropped: they wrap parent-owned
-    file handles, and a forked worker emitting into them would interleave
-    with the parent's stream. The parent adopts spans under its fan-out
-    span and merges metric snapshots and events in task input order,
-    which keeps the merged telemetry byte-equal to a one-lane run's.
+    The worker's span records, metrics registry, event list and
+    diagnostics are reset at task start (the fork inherited the parent's —
+    counting that twice would corrupt the merge), so the returned snapshot
+    is exactly this task's delta. Live span and diagnostic sinks are also
+    dropped: they wrap parent-owned file handles and lists, and a forked
+    worker emitting into them would interleave with the parent's stream or
+    write into a copy the parent never reads. The parent adopts spans under
+    its fan-out span, and merges metric snapshots and events and re-emits
+    diagnostics in task input order, which keeps the merged telemetry
+    byte-equal to a one-lane run's.
     """
     spans.reset()
     spans.clear_sinks()
     metrics.get_registry().reset()
     obs_manifest.reset_events()
+    diagnostics.clear()
+    diagnostics.clear_sinks()
     results = run_task(task)
     return (
         results,
         spans.records(),
         metrics.get_registry().snapshot(),
         obs_manifest.events(),
+        diagnostics.records(),
     )
 
 
@@ -885,10 +890,14 @@ def _run_with_retries(
 
 
 def _adopt(telemetry: tuple, parent_id: int) -> None:
-    """Merge one worker task's telemetry under the fan-out span."""
+    """Merge one worker task's telemetry under the fan-out span. Its
+    diagnostics are re-emitted here even with observability off: they
+    report degraded results, not timings."""
+    _, worker_spans, snapshot, worker_events, worker_diagnostics = telemetry
+    for record in worker_diagnostics:
+        diagnostics.emit(record.source, record.message, record.severity)
     if not obs_state.enabled():
         return
-    _, worker_spans, snapshot, worker_events = telemetry
     spans.adopt(worker_spans, parent_id=parent_id, proc="worker")
     metrics.get_registry().merge(snapshot)
     obs_manifest.extend_events(worker_events)

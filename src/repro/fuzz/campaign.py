@@ -22,7 +22,6 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 from repro.evaluation.engine import (
     EngineConfig,
@@ -30,7 +29,7 @@ from repro.evaluation.engine import (
     EvaluationTask,
     RetryPolicy,
 )
-from repro.fuzz.mutation import Candidate, make_candidate, plan_to_dict
+from repro.fuzz.mutation import Candidate, make_candidate
 from repro.fuzz.scoring import CandidateScore, ScoreWeights, score_results
 from repro.fuzz.shrink import shrink_candidate
 from repro.observability import manifest as obs_manifest
@@ -434,18 +433,3 @@ def load_findings(path: Path | str) -> dict:
         FuzzError,
     )
     return payload
-
-
-def candidate_results(
-    engine: EvaluationEngine, candidate: Candidate, config: FuzzConfig
-) -> Mapping[str, object] | None:
-    """Convenience: evaluate one candidate, returning method results."""
-    outcome = engine.run_isolated(
-        [_task_for(candidate, config)],
-        RetryPolicy(
-            max_attempts=config.max_attempts,
-            deadline_s=config.deadline_s,
-            backoff_base_s=0.01,
-        ),
-    )[0]
-    return outcome.results if outcome.ok else None

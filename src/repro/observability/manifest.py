@@ -21,8 +21,12 @@ sum to the instrumented total even with worker-shipped spans grafted in.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -50,7 +54,24 @@ def package_version() -> str:
 
 # ------------------------------------------------------------------ events
 
-_events: list[dict] = []
+#: Upper bound on retained events; older events are dropped FIFO (with a
+#: count kept, so marks stay valid), as span records are.
+MAX_EVENTS = 100_000
+
+#: A forked child gets a fresh lock, as the span list's does.
+_events_lock = threading.Lock()
+os.register_at_fork(after_in_child=_events_lock._at_fork_reinit)
+_events: deque[dict] = deque()
+_events_dropped = 0
+
+
+def _append_events(new: Iterable[dict]) -> None:
+    global _events_dropped
+    with _events_lock:
+        _events.extend(new)
+        while len(_events) > MAX_EVENTS:
+            _events.popleft()
+            _events_dropped += 1
 
 
 def record_event(kind: str, **fields) -> dict:
@@ -58,25 +79,32 @@ def record_event(kind: str, **fields) -> dict:
     rare and load-bearing — a task failure must reach the manifest even
     when tracing is disabled)."""
     event = {"kind": kind, **fields}
-    _events.append(event)
+    _append_events((event,))
     return event
 
 
 def events(since: int = 0) -> tuple[dict, ...]:
-    return tuple(_events[since:])
+    """Retained events, optionally from a mark on (a mark whose events
+    were dropped clamps to the oldest retained one)."""
+    with _events_lock:
+        return tuple(islice(_events, max(0, since - _events_dropped), None))
 
 
 def events_mark() -> int:
-    return len(_events)
+    with _events_lock:
+        return len(_events) + _events_dropped
 
 
 def reset_events() -> None:
-    _events.clear()
+    global _events_dropped
+    with _events_lock:
+        _events.clear()
+        _events_dropped = 0
 
 
 def extend_events(shipped: Iterable[Mapping]) -> None:
     """Merge events shipped from a worker process (engine fan-out merge)."""
-    _events.extend(dict(event) for event in shipped)
+    _append_events(dict(event) for event in shipped)
 
 
 # ------------------------------------------------------------------ stages

@@ -65,10 +65,6 @@ class DistributionSummary:
     def from_dict(cls, payload: Mapping) -> "DistributionSummary":
         return cls(**{k: payload[k] for k in cls.__dataclass_fields__ if k in payload})
 
-    def overlaps(self, other: "DistributionSummary") -> bool:
-        """Whether the two bootstrap CIs intersect."""
-        return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
-
 
 def bootstrap_ci(
     values: Sequence[float],

@@ -64,6 +64,11 @@ def clear() -> None:
     _records.clear()
 
 
+def clear_sinks() -> None:
+    """Drop every subscribed sink (workers after fork)."""
+    _sinks.clear()
+
+
 def subscribe(sink: Callable[[Diagnostic], None]) -> Callable[[], None]:
     """Add a sink called on every future emit; returns an unsubscriber."""
     _sinks.append(sink)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines.pks import PksConfig, PksPipeline, cycles_in_table_order
+from repro.baselines.pks import PksConfig, PksPipeline
+from repro.evaluation.imputation import cycles_in_table_order
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.nvbit import NVBitProfiler
 

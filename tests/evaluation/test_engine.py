@@ -186,6 +186,20 @@ def test_worker_exception_propagates(tmp_path):
             engine.run([task_for("no-such-suite/no-such-workload"), task_for()])
 
 
+def test_worker_diagnostics_reach_the_caller_in_task_order():
+    """A task's diagnostics are re-emitted in the caller, in task input
+    order, so two lanes report exactly what one lane reports."""
+    plan = parse_fault_plan("nan:0.05,zero_cycles:0.05")
+    tasks = [task_for(label, fault_plan=plan) for label in ["cactus/lmc", *LABELS]]
+    reported = []
+    for jobs in (2, 1):
+        with EvaluationEngine(EngineConfig(jobs=jobs, use_cache=False)) as engine:
+            with capture_diagnostics() as caught:
+                engine.run(tasks)
+        reported.append([(record.source, record.message) for record in caught])
+    assert reported[0] and reported[0] == reported[1]
+
+
 # --------------------------------------------------------------------- #
 # Cache robustness
 

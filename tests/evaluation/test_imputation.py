@@ -114,13 +114,3 @@ def test_cycles_in_table_order_workload_mean_last_resort():
         cycles = imputation.cycles_in_table_order(table, measurement)
     assert cycles.tolist() == [100.0, 300.0, 200.0]
     assert any(record.source == "pks.golden" for record in caught)
-
-
-def test_legacy_reexports_are_the_shared_functions():
-    """The historical import sites keep working and share one definition."""
-    from repro.baselines import pks
-    from repro.core import pipeline
-
-    assert pipeline.kernel_mean_ipc is imputation.kernel_mean_ipc
-    assert pipeline.measured_ipc_or_none is imputation.measured_ipc_or_none
-    assert pks.cycles_in_table_order is imputation.cycles_in_table_order

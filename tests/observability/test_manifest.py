@@ -101,6 +101,23 @@ def test_save_load_file_round_trip(tmp_path):
     assert RunManifest.load(path) == manifest
 
 
+def test_event_list_is_bounded_and_marks_survive_eviction(monkeypatch):
+    monkeypatch.setattr(obs_manifest, "MAX_EVENTS", 3)
+    obs_manifest.reset_events()
+    obs_manifest.record_event("e", n=0)
+    mark = obs_manifest.events_mark()
+    for n in range(1, 6):
+        obs_manifest.record_event("e", n=n)
+    # Events 0-2 were dropped FIFO, the mark's first one among them: the
+    # mark clamps to the oldest retained event.
+    assert [event["n"] for event in obs_manifest.events(since=mark)] == [3, 4, 5]
+    later = obs_manifest.events_mark()
+    obs_manifest.extend_events([{"kind": "e", "n": 6}])
+    assert [event["n"] for event in obs_manifest.events(since=later)] == [6]
+    assert [event["n"] for event in obs_manifest.events(since=later - 1)] == [5, 6]
+    assert [event["n"] for event in obs_manifest.events()] == [4, 5, 6]
+
+
 def test_events_recorded_even_when_disabled():
     state.set_enabled(False)
     mark = obs_manifest.events_mark()

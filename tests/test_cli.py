@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.robustness.diagnostics import capture_diagnostics
 
 
 def test_parser_knows_all_experiments():
@@ -35,6 +36,46 @@ def test_cap_below_the_kernel_count_is_a_one_line_error(capsys, command):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: cap below one per kernel")
     assert "cap=10" in err[0]
+
+
+def cli_warnings(caught) -> list[str]:
+    return [record.message for record in caught if record.source == "cli"]
+
+
+def test_trace_export_applies_faults_without_a_warning(tmp_path, capsys):
+    argv = ["--inject-faults", "nan:0.2,zero_cycles:0.2", "--cap", "1200",
+            "trace", "export", "cactus/lmc", "--methods", "sieve",
+            "--format", "jsonl", "--out", str(tmp_path / "trace.jsonl")]
+    with capture_diagnostics() as caught:
+        assert main(argv) == 0
+    assert cli_warnings(caught) == []
+    # The faults reached the pipeline: its degraded paths reported them.
+    assert any(record.source == "sieve.predict" for record in caught)
+
+
+def test_each_shared_flag_a_command_never_read_draws_one_warning(capsys):
+    with capture_diagnostics() as caught:
+        assert main(["--jobs", "2", "--no-cache", "--cap", "600", "fig2"]) == 0
+    assert cli_warnings(caught) == [
+        "--jobs was ignored by 'fig2'",
+        "--no-cache was ignored by 'fig2'",
+    ]
+
+
+def test_fig3_prints_what_compare_prints(capsys):
+    assert main(["--cap", "800", "--no-cache", "fig3"]) == 0
+    fig3 = capsys.readouterr().out
+    assert main(["--cap", "800", "--no-cache", "compare"]) == 0
+    assert capsys.readouterr().out == fig3
+
+
+def test_fig10_prints_the_same_table_at_two_jobs(capsys):
+    assert main(["--jobs", "1", "--no-cache", "--cap", "600", "fig10"]) == 0
+    serial = capsys.readouterr().out
+    with capture_diagnostics() as caught:
+        assert main(["--jobs", "2", "--no-cache", "--cap", "600", "fig10"]) == 0
+    assert capsys.readouterr().out == serial
+    assert cli_warnings(caught) == []
 
 
 def test_pks_on_a_fully_duplicated_profile_exits():
