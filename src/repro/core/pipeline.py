@@ -21,7 +21,7 @@ import numpy as np
 import repro.robustness.diagnostics as diagnostics
 from repro.core.config import SieveConfig
 from repro.core.prediction import PredictionResult, predict_cycles, predict_ipc
-from repro.core.selection import select_representative_row
+from repro.core.selection import select_representative_rows
 from repro.core.stratify import Stratum, stratify_table
 from repro.core.types import Representative, SampleSelection
 from repro.core.weights import stratum_weights
@@ -107,23 +107,29 @@ class SievePipeline:
             len(strata) > 0, "stratification produced no strata", SelectionError
         )
         weights = stratum_weights(strata)
-        representatives = []
+        labels = [stratum.label for stratum in strata]
         with span("sieve.selection", workload=table.workload, strata=len(strata)):
-            for stratum, weight in zip(strata, weights):
-                row = select_representative_row(
-                    table, stratum, self.config.selection_policy
+            rows = select_representative_rows(
+                table, strata, self.config.selection_policy, labels
+            )
+            representatives = [
+                Representative(
+                    kernel_name=stratum.kernel_name,
+                    kernel_id=stratum.kernel_id,
+                    invocation_id=invocation_id,
+                    row=row,
+                    weight=weight,
+                    group=label,
+                    group_size=stratum.size,
                 )
-                representatives.append(
-                    Representative(
-                        kernel_name=stratum.kernel_name,
-                        kernel_id=stratum.kernel_id,
-                        invocation_id=int(table.invocation_id[row]),
-                        row=row,
-                        weight=float(weight),
-                        group=stratum.label,
-                        group_size=stratum.size,
-                    )
+                for stratum, label, row, invocation_id, weight in zip(
+                    strata,
+                    labels,
+                    rows.tolist(),
+                    table.invocation_id[rows].tolist(),
+                    weights.tolist(),
                 )
+            ]
         metrics.inc("sieve.representatives", len(representatives))
         return SieveSelection(
             workload=table.workload,

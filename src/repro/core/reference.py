@@ -39,6 +39,15 @@ which the reference GPU and profiler paths above read as they read a
 ``tests/workloads/test_generator_reference.py`` pins
 :func:`~repro.workloads.generator.generate` to it bit for bit.
 
+Scoring a selection keeps its per-row originals the same way:
+:func:`select_representative_row_scalar` (one stratum's pick at a time,
+:func:`representative_position_scalar` per policy),
+:func:`weighted_cycle_cov_scalar` (one ``coefficient_of_variation`` per
+group) and :func:`attribute_error_scalar` (one dataclass per kernel,
+group and stratum, returned in ``to_dict()`` form).
+``tests/evaluation/test_scoring_reference.py`` pins the grouped passes
+to them bit for bit, the attribution's JSON byte for byte.
+
 Nothing in the production pipeline calls this module.
 """
 
@@ -258,6 +267,188 @@ def pks_representative_rows_scalar(
         rows.append(row)
         members.append(cluster_rows)
     return rows, members
+
+
+def representative_position_scalar(
+    tier: Tier,
+    policy: str,
+    *,
+    workload: str,
+    label: str,
+    member_insn: np.ndarray,
+    member_cta: np.ndarray,
+) -> int:
+    """Per-stratum representative pick: one stratum's member position."""
+    if tier is Tier.TIER1 or policy == "first":
+        return 0
+
+    def first_position(cta: int) -> int:
+        matches = np.flatnonzero(member_cta == cta)
+        require(len(matches) > 0, "no invocation with the requested CTA size")
+        return int(matches[0])
+
+    if policy == "dominant_cta":
+        sizes, counts = np.unique(member_cta, return_counts=True)
+        return first_position(int(sizes[np.argmax(counts)]))
+    if policy == "max_cta":
+        return first_position(int(member_cta.max()))
+    if policy == "random":
+        rng = rng_for("sieve-select", workload, label)
+        return int(rng.integers(len(member_cta)))
+    if policy == "centroid":
+        values = np.asarray(member_insn, dtype=np.float64)
+        distance = np.abs(values - values.mean())
+        return int(np.argmin(distance))
+    raise ValueError(f"unknown selection policy {policy!r}")
+
+
+def select_representative_row_scalar(
+    table: ProfileTable, stratum: Stratum, policy: str
+) -> int:
+    """Per-stratum representative selection, one stratum at a time."""
+    if stratum.tier is Tier.TIER1 or policy == "first":
+        return int(stratum.rows[0])
+    position = representative_position_scalar(
+        stratum.tier,
+        policy,
+        workload=table.workload,
+        label=stratum.label,
+        member_insn=table.insn_count[stratum.rows],
+        member_cta=table.cta_size[stratum.rows],
+    )
+    return int(stratum.rows[position])
+
+
+def weighted_cycle_cov_scalar(groups, cycles_by_row: np.ndarray) -> float:
+    """Figure 4 dispersion with one ``coefficient_of_variation`` per group."""
+    covs: list[float] = []
+    weights: list[int] = []
+    for rows in groups:
+        if len(rows) == 0:
+            continue
+        covs.append(coefficient_of_variation(cycles_by_row[rows]))
+        weights.append(len(rows))
+    require(len(covs) > 0, "no non-empty groups")
+    return float(np.average(covs, weights=weights))
+
+
+def attribute_error_scalar(
+    method, selection, prediction, context, config: object | None = None
+) -> dict:
+    """Error attribution built row by row, in its ``to_dict()`` form.
+
+    One frozen dataclass per kernel, group and stratum, each turned into
+    a dict by ``dataclasses.asdict``.
+    """
+    from dataclasses import asdict
+
+    from repro.observability.attribution import (
+        GroupAttribution,
+        KernelAttribution,
+        StratumHealth,
+    )
+
+    truth = context.truth
+    measured_total = float(truth.total_cycles)
+    signed_error = (prediction.predicted_cycles - measured_total) / measured_total
+    contributions = prediction.contributions
+    if len(contributions) != len(selection.representatives):
+        contributions = ()
+
+    per_kernel = []
+    per_group = []
+    partitions = False
+    if contributions:
+        predicted: dict[str, float] = {}
+        rep_counts: dict[str, int] = {}
+        for rep, term in zip(selection.representatives, contributions):
+            predicted[rep.kernel_name] = predicted.get(rep.kernel_name, 0.0) + term
+            rep_counts[rep.kernel_name] = rep_counts.get(rep.kernel_name, 0) + 1
+        names = list(truth.per_kernel)
+        names += sorted(k for k in predicted if k not in truth.per_kernel)
+        for name in names:
+            kernel = truth.per_kernel.get(name)
+            meas = float(int(kernel.cycles.sum())) if kernel is not None else 0.0
+            pred = predicted.get(name, 0.0)
+            per_kernel.append(
+                KernelAttribution(
+                    kernel_name=name,
+                    predicted_cycles=pred,
+                    measured_cycles=meas,
+                    contribution=(pred - meas) / measured_total,
+                    num_representatives=rep_counts.get(name, 0),
+                )
+            )
+
+        table = method.profile_table(context)
+        row_cycles = cycles_in_table_order_scalar(table, context.truth)
+        groups = [np.asarray(g) for g in method.group_rows(selection)]
+        if len(groups) == len(selection.representatives):
+            for rep, term, group in zip(
+                selection.representatives, contributions, groups
+            ):
+                meas = float(row_cycles[group].sum()) if len(group) else 0.0
+                per_group.append(
+                    GroupAttribution(
+                        group=rep.group,
+                        kernel_name=rep.kernel_name,
+                        size=int(len(group)),
+                        weight=float(rep.weight),
+                        predicted_cycles=float(term),
+                        measured_cycles=meas,
+                        contribution=(term - meas) / measured_total,
+                    )
+                )
+            covered = (
+                np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
+            )
+            partitions = len(covered) == len(table) and len(
+                np.unique(covered)
+            ) == len(table)
+
+    health = []
+    strata = getattr(selection, "strata", None)
+    if strata:
+        theta = float(getattr(config, "theta", 0.0) or 0.0)
+        insn = context.sieve_table.insn_count
+        largest_sibling: dict[int, int] = {}
+        for stratum in strata:
+            largest_sibling[stratum.kernel_id] = max(
+                largest_sibling.get(stratum.kernel_id, 0), stratum.size
+            )
+        rep_by_group = {rep.group: rep for rep in selection.representatives}
+        for stratum in strata:
+            mean_insn = float(insn[stratum.rows].mean()) if stratum.size else 0.0
+            rep = rep_by_group.get(stratum.label)
+            if rep is not None and mean_insn > 0:
+                rep_distance = abs(float(insn[rep.row]) - mean_insn) / mean_insn
+            else:
+                rep_distance = 0.0
+            health.append(
+                StratumHealth(
+                    group=stratum.label,
+                    kernel_name=stratum.kernel_name,
+                    tier=stratum.tier.name,
+                    size=stratum.size,
+                    occupancy=stratum.size / max(selection.num_invocations, 1),
+                    insn_cov=float(stratum.insn_cov),
+                    cov_drift=float(stratum.insn_cov) - theta,
+                    rep_distance=rep_distance,
+                    split_balance=stratum.size
+                    / max(largest_sibling[stratum.kernel_id], 1),
+                )
+            )
+    return {
+        "workload": selection.workload,
+        "method": selection.method,
+        "predicted_cycles": float(prediction.predicted_cycles),
+        "measured_cycles": measured_total,
+        "signed_error": float(signed_error),
+        "per_kernel": [asdict(k) for k in per_kernel],
+        "per_group": [asdict(g) for g in per_group],
+        "groups_partition": bool(partitions),
+        "health": [asdict(h) for h in health],
+    }
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

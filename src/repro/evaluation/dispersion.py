@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.utils.stats import coefficient_of_variation
+from repro.utils.segments import reduce_groups
 from repro.utils.validation import require
 
 
@@ -22,13 +22,12 @@ def weighted_cycle_cov(
 
     ``groups`` yields row-index arrays (a Sieve stratification or a PKS
     clustering); ``cycles_by_row`` is the golden cycle count per profile row.
+    Every group's CoV is :func:`~repro.utils.stats.coefficient_of_variation`
+    bit for bit (:func:`~repro.utils.segments.reduce_groups`); the per-group
+    loop survives as :func:`repro.core.reference.weighted_cycle_cov_scalar`.
     """
-    covs: list[float] = []
-    weights: list[int] = []
-    for rows in groups:
-        if len(rows) == 0:
-            continue
-        covs.append(coefficient_of_variation(cycles_by_row[rows]))
-        weights.append(len(rows))
-    require(len(covs) > 0, "no non-empty groups")
-    return float(np.average(covs, weights=weights))
+    groups = [rows for rows in groups if len(rows)]
+    require(len(groups) > 0, "no non-empty groups")
+    (covs,) = reduce_groups(cycles_by_row, groups, "cov")
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    return float(np.average(covs, weights=sizes))

@@ -65,7 +65,8 @@ if TYPE_CHECKING:  # annotation-only
 #: Bump when the cached payload layout changes; old entries become misses.
 #: 3: MethodResult grew ``attribution`` (and PredictionResult
 #: ``contributions``), changing the pickled payload shape.
-CACHE_SCHEMA = 3
+#: 4: the attribution's tables became columns (``attribution.Columns``).
+CACHE_SCHEMA = 4
 
 #: The default method comparison (the paper's headline Sieve-vs-PKS).
 KNOWN_METHODS = ("sieve", "pks")

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import repro.robustness.diagnostics as diagnostics
+from repro.utils.segments import Segments
 
 if TYPE_CHECKING:  # annotation-only imports; this module must stay a leaf
     from repro.core.types import Representative
@@ -140,14 +141,16 @@ def cycles_in_table_order(
 
     bad = ~np.isfinite(cycles)
     if bad.any():
-        kernel_id_column = np.asarray(table.kernel_id, dtype=np.int64)
-        for kernel_id in np.unique(kernel_id_column[bad]):
-            kernel_bad = np.flatnonzero(bad & (kernel_id_column == kernel_id))
+        bad_rows = np.flatnonzero(bad)
+        by_kernel = Segments.group_by(
+            np.asarray(table.kernel_id, dtype=np.int64)[bad_rows]
+        )
+        for segment, kernel_id in enumerate(by_kernel.keys.tolist()):
             fallback = kernel_mean_cycles(
                 table.kernel_names[kernel_id], measurement
             )
             if fallback is not None:
-                cycles[kernel_bad] = fallback
+                cycles[bad_rows[by_kernel.rows(segment)]] = fallback
         still_bad = ~np.isfinite(cycles)
         if still_bad.any():
             finite = cycles[~still_bad]

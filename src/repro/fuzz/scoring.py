@@ -66,23 +66,26 @@ class ScoreWeights:
 
 
 def gauge_violations(attribution: ErrorAttribution | None) -> GaugeViolations:
-    """Collapse an attribution's per-stratum health into violation totals."""
+    """Collapse an attribution's per-stratum health into violation totals.
+
+    Each gauge column is read once, as Python floats, and reduced in
+    stratum order.
+    """
     if attribution is None or not attribution.health:
         return GaugeViolations()
-    cov_drift = sum(max(0.0, h.cov_drift) for h in attribution.health)
-    rep_distance = max(h.rep_distance for h in attribution.health)
-    split_imbalance = max(
-        0.0, 1.0 - min(h.split_balance for h in attribution.health)
-    )
+    health = attribution.health
+    cov_drift = health.column("cov_drift").tolist()
+    rep_distance = health.column("rep_distance").tolist()
+    split_balance = health.column("split_balance").tolist()
     strata = sum(
         1
-        for h in attribution.health
-        if h.cov_drift > 0.0 or h.rep_distance > 0.5 or h.split_balance < 0.1
+        for drift, distance, balance in zip(cov_drift, rep_distance, split_balance)
+        if drift > 0.0 or distance > 0.5 or balance < 0.1
     )
     return GaugeViolations(
-        cov_drift=float(cov_drift),
-        rep_distance=float(rep_distance),
-        split_imbalance=float(split_imbalance),
+        cov_drift=float(sum(max(0.0, drift) for drift in cov_drift)),
+        rep_distance=float(max(rep_distance)),
+        split_imbalance=float(max(0.0, 1.0 - min(split_balance))),
         strata=strata,
     )
 

@@ -16,6 +16,7 @@ whole-run columns (:func:`execution_record`).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,8 +43,9 @@ class KernelMeasurement:
         """Instructions per cycle, per invocation."""
         return self.insn_count.astype(np.float64) / self.cycles.astype(np.float64)
 
-    @property
+    @cached_property
     def total_cycles(self) -> int:
+        """Summed once; a changed measurement is a new one (``replace``)."""
         return int(self.cycles.sum())
 
 
@@ -56,9 +58,12 @@ class WorkloadMeasurement:
     clock_ghz: float
     per_kernel: dict[str, KernelMeasurement]
 
-    @property
+    @cached_property
     def total_cycles(self) -> int:
-        """Golden-reference application cycle count (sum over invocations)."""
+        """Golden-reference application cycle count (sum over invocations).
+
+        Summed once, like each kernel's total.
+        """
         return sum(m.total_cycles for m in self.per_kernel.values())
 
     @property

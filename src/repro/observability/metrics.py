@@ -18,11 +18,13 @@ wall-clock durations; durations live in spans).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.observability import state
 
@@ -67,16 +69,31 @@ class Histogram:
             self.counts = [0] * (len(self.bounds) + 1)
 
     def observe(self, value: float) -> None:
-        bucket = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                bucket = i
-                break
-        self.counts[bucket] += 1
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Count each value in turn, in one call.
+
+        The state equals one :meth:`observe` per value: the total adds in
+        order, and ``min``/``max`` keep the first extreme value with its
+        Python type.
+        """
+        values = list(values)
+        total = self.total
+        for value in values:
+            # The first bound >= value (bounds ascend); NaN compares false
+            # to every bound.
+            bucket = (
+                bisect.bisect_left(self.bounds, value)
+                if value == value
+                else len(self.bounds)
+            )
+            self.counts[bucket] += 1
+            total += value
+        self.total = total
+        self.count += len(values)
+        self.min = min(itertools.chain((self.min,), values))
+        self.max = max(itertools.chain((self.max,), values))
 
     def merge(self, other: "Histogram") -> None:
         if tuple(other.bounds) != tuple(self.bounds):
@@ -132,12 +149,19 @@ class MetricsRegistry:
         self._gauges[metric_key(name, labels)] = float(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
+        self.observe_many(name, (value,), **labels)
+
+    def observe_many(self, name: str, values: Iterable[float], **labels) -> None:
+        """:meth:`observe` each value; no values leave no histogram."""
+        values = list(values)
+        if not values:
+            return
         key = metric_key(name, labels)
         with _lock:
             histogram = self._histograms.get(key)
             if histogram is None:
                 histogram = self._histograms[key] = Histogram()
-            histogram.observe(value)
+            histogram.observe_many(values)
 
     # -------------------------------------------------------------- read
 
@@ -220,3 +244,8 @@ def set_gauge(name: str, value: float, **labels) -> None:
 def observe(name: str, value: float, **labels) -> None:
     if state.enabled():
         _registry.observe(name, value, **labels)
+
+
+def observe_many(name: str, values: Iterable[float], **labels) -> None:
+    if state.enabled():
+        _registry.observe_many(name, values, **labels)

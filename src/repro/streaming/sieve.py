@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.config import SieveConfig
 from repro.core.pipeline import METHOD_NAME, SieveSelection
-from repro.core.selection import representative_position
+from repro.core.selection import representative_positions
 from repro.core.stratify import Stratum
 from repro.core.types import Representative
 from repro.core.weights import stratum_weights
@@ -63,8 +63,8 @@ class SieveStream(MethodStream):
         finalized = self.stratifier.strata_for_slots(slots)
         grand_total = float(self.stratifier.accumulators.clamped_total())
         new_picks: dict[str, tuple[str, int, int, float]] = {}
-        for stratum, member in zip(finalized.strata, finalized.members):
-            row, invocation_id = self._pick(stratum, member, record_metrics=False)
+        picks = self._pick_rows(finalized.strata, finalized.members)
+        for stratum, (row, invocation_id) in zip(finalized.strata, picks):
             weight = (
                 stratum.insn_total / grand_total if grand_total > 0 else 0.0
             )
@@ -122,35 +122,42 @@ class SieveStream(MethodStream):
     # ------------------------------------------------------------------ #
     # Picks
 
-    def _pick(
-        self, stratum: Stratum, member: StratumMembers, *, record_metrics: bool
-    ) -> tuple[int, int]:
-        """(row, invocation_id) for one stratum under the config policy."""
+    def _pick_rows(
+        self, strata: list[Stratum], members: list[StratumMembers]
+    ) -> list[tuple[int, int]]:
+        """(row, invocation_id) per stratum under the config policy."""
         policy = self.config.selection_policy
-        if not member.complete and stratum.tier is not Tier.TIER3:
-            # Eviction-proof trackers: exact "first invocation" /
-            # per-CTA-size picks even though early rows left the
-            # reservoir. Tier-1 strata always select first-chronological.
-            key = (
-                "first"
-                if stratum.tier is Tier.TIER1 or policy == "first"
-                else policy
+        picks: list[tuple[int, int] | None] = []
+        for stratum, member in zip(strata, members):
+            exact = None
+            if not member.complete and stratum.tier is not Tier.TIER3:
+                # Eviction-proof trackers: exact "first invocation" /
+                # per-CTA-size picks even though early rows left the
+                # reservoir. Tier-1 strata always select first-chronological.
+                key = (
+                    "first"
+                    if stratum.tier is Tier.TIER1 or policy == "first"
+                    else policy
+                )
+                exact = self.stratifier.exact_pick(member.slot, key)
+            picks.append(exact)
+        pending = [g for g, pick in enumerate(picks) if pick is None]
+        if pending:
+            positions = representative_positions(
+                policy,
+                workload=self._workload,
+                labels=[strata[g].label for g in pending],
+                tier1=np.array([strata[g].tier is Tier.TIER1 for g in pending]),
+                member_insn=np.concatenate([members[g].insn_raw for g in pending]),
+                member_cta=np.concatenate([members[g].cta for g in pending]),
+                counts=[len(members[g].cta) for g in pending],
             )
-            exact = self.stratifier.exact_pick(member.slot, key)
-            if exact is not None:
-                if record_metrics:
-                    metrics.inc("sieve.selection.rows", policy=policy)
-                return exact
-        position = representative_position(
-            stratum.tier,
-            policy,
-            workload=self._workload,
-            label=stratum.label,
-            member_insn=member.insn_raw,
-            member_cta=member.cta,
-            record_metrics=record_metrics,
-        )
-        return int(stratum.rows[position]), int(member.invocation_id[position])
+            for g, position in zip(pending, positions.tolist()):
+                picks[g] = (
+                    int(strata[g].rows[position]),
+                    int(members[g].invocation_id[position]),
+                )
+        return picks
 
     def _group_size(self, stratum: Stratum, member: StratumMembers) -> int:
         if member.complete:
@@ -181,12 +188,10 @@ class SieveStream(MethodStream):
             workload=self._workload,
             strata=len(finalized.strata),
         ):
-            for stratum, member, weight in zip(
-                finalized.strata, finalized.members, weights
+            picks = self._pick_rows(finalized.strata, finalized.members)
+            for stratum, member, weight, (row, invocation_id) in zip(
+                finalized.strata, finalized.members, weights, picks
             ):
-                row, invocation_id = self._pick(
-                    stratum, member, record_metrics=True
-                )
                 representatives.append(
                     Representative(
                         kernel_name=stratum.kernel_name,
@@ -201,6 +206,11 @@ class SieveStream(MethodStream):
                 final_picks[stratum.label] = (
                     stratum.kernel_name, row, invocation_id, float(weight)
                 )
+        metrics.inc(
+            "sieve.selection.rows",
+            len(representatives),
+            policy=self.config.selection_policy,
+        )
         metrics.inc("sieve.representatives", len(representatives))
         if self.context.collect_events:
             self._apply_picks(

@@ -406,8 +406,6 @@ class StreamingStratifier:
                 # instruction total comes from the exact full-stream
                 # accumulator (identical to the retained segment sum when
                 # the reservoir is complete).
-                if emit_metrics:
-                    metrics.observe("sieve.stratify.stratum_size", len(rows))
                 strata.append(
                     Stratum(
                         kernel_id=kernel_id,
@@ -451,10 +449,6 @@ class StreamingStratifier:
                     insn_total = int(
                         kernel_total * int(member_insn.sum()) // retained_total
                     )
-                if emit_metrics:
-                    metrics.observe(
-                        "sieve.stratify.stratum_size", len(member_rows)
-                    )
                 strata.append(
                     Stratum(
                         kernel_id=kernel_id,
@@ -476,4 +470,8 @@ class StreamingStratifier:
                         population=population,
                     )
                 )
+        if emit_metrics:
+            metrics.observe_many(
+                "sieve.stratify.stratum_size", [s.size for s in strata]
+            )
         return FinalizedStrata(strata=strata, members=members)

@@ -21,14 +21,29 @@ coefficient of variation by an ulp; the golden suites tolerate this
 ``tests/core/test_vectorized_reference.py`` pin the structural outputs
 (group membership, tiers, representative rows) exactly against the
 retained scalar references in :mod:`repro.core.reference`.
+
+Where a pinned float depends on numpy's own per-group reduction (the
+Figure 4 dispersion, attribution sums), :func:`reduce_groups` gives that
+reduction exactly: groups of one length form a 2-D block, and numpy
+reduces each row of a C-contiguous block along its last axis with the
+same pairwise loop it runs on the group alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
+
+#: numpy sums integer input for ``mean``/``std`` by casting it to float64
+#: in buffers of this many elements and adding the buffers' pairwise sums
+#: in sequence. Up to this length a group is one buffer, the same sum as
+#: its float64 cast; a longer integer group is reduced on its own.
+CAST_BUFFER = 8192
+
+REDUCTIONS = ("sum", "mean", "std", "cov")
 
 
 @dataclass(frozen=True)
@@ -137,3 +152,81 @@ class Segments:
         candidates = np.flatnonzero(mask_sorted)
         picks = np.searchsorted(candidates, self.starts)
         return candidates[picks]
+
+
+def reduce_groups(
+    values: np.ndarray, groups: Sequence[np.ndarray], *reductions: str
+) -> tuple[np.ndarray, ...]:
+    """Per-group reductions of ``values``, each bit-identical to numpy's.
+
+    ``groups`` is a sequence of row-index arrays into ``values`` (an
+    integer or float64 column); they may be empty, overlap or repeat
+    rows. For each name in ``reductions`` the result holds, per group:
+
+    * ``"sum"``, ``"mean"``, ``"std"``: ``values[rows].sum()`` (and so
+      on) exactly. The mean and std of an empty group are NaN.
+    * ``"cov"``: :func:`repro.utils.stats.coefficient_of_variation` of
+      ``values[rows]`` exactly, raising its ``ValueError`` for a zero
+      mean with non-zero spread.
+
+    Groups are bucketed by length, every row is gathered once in bucket
+    order, and each bucket is viewed as one C-contiguous ``(groups,
+    length)`` block reduced along its rows, which numpy does with the
+    pairwise loop it runs on one group. Integer
+    ``mean``/``std`` reduce the block's float64 cast, the same sum up to
+    :data:`CAST_BUFFER` rows; longer integer groups are reduced one by
+    one.
+    """
+    for name in reductions:
+        if name not in REDUCTIONS:
+            raise ValueError(f"unknown group reduction {name!r}")
+    values = np.asarray(values)
+    is_int = values.dtype.kind in "iub"
+    cast = is_int and any(name != "sum" for name in reductions)
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    sum_dtype = np.int64 if is_int else np.float64
+    results = [
+        np.empty(len(groups), dtype=sum_dtype if name == "sum" else np.float64)
+        for name in reductions
+    ]
+    # Every row, gathered once with the groups ordered by length: each
+    # bucket is then one contiguous run, viewed as its block.
+    by_length = Segments.group_by(sizes)
+    nonempty = [groups[i] for i in by_length.order.tolist() if len(groups[i])]
+    gathered = values[np.concatenate(nonempty)] if nonempty else values[:0]
+    floats = gathered.astype(np.float64) if cast else gathered
+    offset = 0
+    for bucket, length in enumerate(by_length.keys.tolist()):
+        members = by_length.rows(bucket)
+        if length == 0:
+            for name, out in zip(reductions, results):
+                out[members] = {"sum": 0, "cov": 0.0}.get(name, np.nan)
+            continue
+        span = slice(offset, offset + len(members) * length)
+        offset = span.stop
+        block = gathered[span].reshape(len(members), length)
+        for name, out in zip(reductions, results):
+            if name == "sum":
+                out[members] = block.sum(axis=1)
+            elif name == "cov":
+                out[members] = _block_covs(floats[span].reshape(block.shape))
+            elif is_int and length > CAST_BUFFER:
+                out[members] = [getattr(row, name)() for row in block]
+            else:
+                out[members] = getattr(floats[span].reshape(block.shape), name)(axis=1)
+    return tuple(results)
+
+
+def _block_covs(block: np.ndarray) -> np.ndarray:
+    """``coefficient_of_variation`` of each row of a float64 block."""
+    if block.shape[1] <= 1:
+        return np.zeros(len(block))
+    means = block.mean(axis=1)
+    stds = block.std(axis=1)
+    zero = means == 0.0
+    if np.any(zero & (stds != 0.0)):
+        raise ValueError("CoV undefined: zero mean with non-zero dispersion")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        covs = stds / np.abs(means)
+    covs[zero] = 0.0
+    return covs

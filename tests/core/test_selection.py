@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import SieveConfig
-from repro.core.selection import select_representative_row
+from repro.core.selection import select_representative_rows
 from repro.core.stratify import stratify_table
 from repro.profiling.nvbit import NVBitProfiler
 from repro.workloads.spec import Tier
+
+
+def select_representative_row(table, stratum, policy):
+    """One stratum's pick, through the grouped pass over every stratum."""
+    return int(select_representative_rows(table, [stratum], policy)[0])
 
 
 @pytest.fixture(scope="module")

@@ -20,20 +20,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.pks import PksConfig, PksPipeline
-from repro.core.config import SieveConfig
+from repro.core.config import SELECTION_POLICIES, SieveConfig
 from repro.core.kde import _split_by_boundaries
 from repro.core.pipeline import SievePipeline
 from repro.core.reference import (
     cycles_in_table_order_scalar,
     pks_representative_rows_scalar,
+    select_representative_row_scalar,
     sieve_predict_scalar,
     split_by_boundaries_scalar,
     stratify_table_scalar,
 )
+from repro.core.selection import select_representative_rows
 from repro.core.stratify import stratify_table
 from repro.evaluation.imputation import cycles_in_table_order
 from repro.gpu import AMPERE_RTX3080, HardwareExecutor
 from repro.profiling.nvbit import NVBitProfiler
+from repro.robustness.faults import inject_measurement_faults, parse_fault_plan
 from repro.workloads.generator import generate
 from tests.conftest import make_spec
 
@@ -128,6 +131,52 @@ def test_cycles_alignment_matches_scalar(
     vec = cycles_in_table_order(table, golden)
     ref = cycles_in_table_order_scalar(table, golden)
     assert np.array_equal(vec, ref)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    kernels=st.integers(min_value=1, max_value=10),
+    invocations=st.integers(min_value=40, max_value=600),
+    tier1=st.floats(min_value=0.0, max_value=1.0),
+    tier3=st.floats(min_value=0.0, max_value=1.0),
+    rate=st.sampled_from((0.02, 0.2, 1.0)),
+    seed=st.integers(min_value=0, max_value=4),
+)
+def test_cycles_alignment_matches_scalar_on_faulted_golden(
+    kernels, invocations, tier1, tier3, rate, seed
+):
+    """Zeroed golden counters take the imputation ladder kernel by kernel;
+    at rate 1.0 no kernel has a clean invocation left to average."""
+    table, golden = _fixture(kernels, invocations, tier1, tier3, seed)
+    golden, _ = inject_measurement_faults(
+        golden, parse_fault_plan(f"zero_cycles:{rate}", seed=seed)
+    )
+    vec = cycles_in_table_order(table, golden)
+    ref = cycles_in_table_order_scalar(table, golden)
+    assert np.array_equal(vec, ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kernels=st.integers(min_value=1, max_value=10),
+    invocations=st.integers(min_value=40, max_value=600),
+    tier1=st.floats(min_value=0.0, max_value=1.0),
+    tier3=st.floats(min_value=0.0, max_value=1.0),
+    theta=thetas,
+    policy=st.sampled_from(SELECTION_POLICIES),
+    seed=st.integers(min_value=0, max_value=4),
+)
+def test_representative_rows_match_scalar(
+    kernels, invocations, tier1, tier3, theta, policy, seed
+):
+    table, _ = _fixture(kernels, invocations, tier1, tier3, seed)
+    strata = stratify_table(table, SieveConfig(theta=theta))
+    rows = select_representative_rows(table, strata, policy).tolist()
+    expected = [
+        select_representative_row_scalar(table, stratum, policy)
+        for stratum in strata
+    ]
+    assert rows == expected
 
 
 @settings(max_examples=10, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import AMPERE_RTX3080, TURING_RTX2080TI, HardwareExecutor
+from repro.robustness.faults import inject_measurement_faults, parse_fault_plan
 from repro.workloads.generator import generate
 from tests.conftest import make_spec
 
@@ -20,6 +21,31 @@ def test_total_cycles_sums_kernels(toy_measurement):
     assert toy_measurement.total_cycles == sum(
         m.total_cycles for m in toy_measurement.per_kernel.values()
     )
+
+
+def fresh_total(measurement) -> int:
+    return sum(int(k.cycles.sum()) for k in measurement.per_kernel.values())
+
+
+@pytest.mark.parametrize(
+    "plan", (None, "zero_cycles:0.2", "cycle_noise:0.5,clock_drift:0.3")
+)
+def test_cached_totals_equal_fresh_sums(toy_run, plan):
+    """Totals are summed once per measurement; fault injection builds new
+    measurements, whose totals are summed from their own cycles."""
+    measurement = HardwareExecutor(AMPERE_RTX3080).measure(toy_run)
+    assert measurement.total_cycles == fresh_total(measurement)
+    if plan is not None:
+        faulted, records = inject_measurement_faults(
+            measurement, parse_fault_plan(plan, seed=5)
+        )
+        assert records
+        assert faulted.total_cycles == fresh_total(faulted)
+        assert faulted.total_cycles != measurement.total_cycles
+        measurement = faulted
+    for kernel in measurement.per_kernel.values():
+        assert kernel.total_cycles == int(kernel.cycles.sum())
+    assert measurement.total_cycles == fresh_total(measurement)
 
 
 def test_total_instructions_matches_run(toy_run, toy_measurement):

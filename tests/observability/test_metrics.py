@@ -1,6 +1,10 @@
 """Registry semantics and the jobs=4 == serial determinism contract."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SieveConfig
 from repro.evaluation.context import _cached_context
@@ -59,6 +63,58 @@ def test_histogram_merge_and_round_trip():
     assert a.max == 1000
     restored = Histogram.from_dict(a.to_dict())
     assert restored.to_dict() == a.to_dict()
+
+
+def observe_one_by_one(histogram, value):
+    """A histogram observation as a linear scan over the bounds."""
+    bucket = len(histogram.bounds)
+    for i, bound in enumerate(histogram.bounds):
+        if value <= bound:
+            bucket = i
+            break
+    histogram.counts[bucket] += 1
+    histogram.count += 1
+    histogram.total += value
+    histogram.min = min(histogram.min, value)
+    histogram.max = max(histogram.max, value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeded=st.booleans(),
+    values=st.lists(
+        st.one_of(
+            st.integers(min_value=-(2**62), max_value=2**62),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from((0, 1, 4, 4.0, 16, 2**53 + 1, 4.0**15)),
+        ),
+        max_size=40,
+    ),
+)
+def test_observe_many_equals_the_per_value_loop(seeded, values):
+    looped, batched = Histogram(), Histogram()
+    if seeded:  # an existing histogram, as a second stratification finds
+        for histogram in (looped, batched):
+            histogram.observe_many([3, 0.5])
+    for value in values:
+        observe_one_by_one(looped, value)
+    batched.observe_many(values)
+    a, b = looped.to_dict(), batched.to_dict()
+    assert json.dumps(a) == json.dumps(b)
+    for key in ("min", "max"):
+        assert type(a[key]) is type(b[key])
+
+
+def test_registry_observe_many_matches_observe():
+    looped, batched = MetricsRegistry(), MetricsRegistry()
+    for value in (5, 2, 9):
+        looped.observe("sizes", value)
+    batched.observe_many("sizes", [5, 2, 9])
+    batched.observe_many("empty", [])  # no values, no histogram
+    assert json.dumps(looped.snapshot()) == json.dumps(batched.snapshot())
+    histogram = batched.snapshot()["histograms"]["sizes"]
+    assert (histogram["min"], histogram["max"]) == (2, 9)
+    assert type(histogram["min"]) is int and type(histogram["max"]) is int
 
 
 def test_histogram_merge_rejects_mismatched_bounds():
