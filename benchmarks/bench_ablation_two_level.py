@@ -29,7 +29,7 @@ def _sweep():
 
         profile = TwoLevelProfiler(DETAILED_BUDGET).profile(context.run)
         pipeline = TwoLevelPksPipeline()
-        selection = pipeline.select(profile, context.golden)
+        selection = pipeline.select(profile.detailed, profile.light, context.golden)
         error = prediction_error(
             pipeline.predict(selection, context.golden).predicted_cycles,
             context.golden.total_cycles,

@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """CI contract check: every registered sampling method actually works.
 
-Imports the registry, instantiates every registered method on one tiny
-synthetic workload, and asserts the select/predict round-trip invariants
-the evaluation layer depends on:
+Imports the registry, runs every registered method on one small catalog
+workload, once clean and once with row-losing and row-duplicating
+profile faults, and asserts the select/predict round-trip invariants the
+evaluation layer depends on:
 
 * ``select`` returns a :class:`~repro.core.types.SampleSelection` with at
   least one representative, weights summing to ~1, and rows that index
-  the method's profile table;
+  the method's profile table, each naming the kernel and invocation id
+  at its row of that table;
 * ``predict`` on the context's golden measurement returns finite,
   positive predicted cycles;
 * ``evaluate_method`` (the generic engine path) agrees exactly with the
@@ -34,11 +36,15 @@ from repro.core.types import SampleSelection
 from repro.evaluation.context import build_context
 from repro.evaluation.runner import evaluate_method
 from repro.methods import get_method, list_methods, method_entries
+from repro.robustness.faults import parse_fault_plan
 
-#: Small but non-trivial: enough invocations for PKS to cluster and for
-#: the two-level profiler to have a detailed prefix + remainder.
+#: Small but non-trivial: enough invocations for PKS to cluster.
 DEFAULT_CAP = 600
 WORKLOAD = "cactus/gru"
+#: Profile faults that remove, cut and repeat rows, so a method that
+#: selects from any table but the one it is scored on indexes wrong rows.
+FAULTS = "drop:0.1,truncate:0.1,duplicate:0.05"
+FAULT_SEED = 7
 
 
 def fail(message: str) -> None:
@@ -59,10 +65,17 @@ def check_method(name: str, context) -> None:
         fail(f"{name}: select returned {type(selection).__name__}")
     if selection.num_representatives < 1:
         fail(f"{name}: select produced no representatives")
-    table_len = len(method.profile_table(context))
+    table = method.profile_table(context)
     for rep in selection.representatives:
-        if not 0 <= rep.row < table_len:
+        if not 0 <= rep.row < len(table):
             fail(f"{name}: representative row {rep.row} outside profile table")
+        at_row = (table.kernel_name_of_row(rep.row), int(table.invocation_id[rep.row]))
+        if at_row != (rep.kernel_name, rep.invocation_id):
+            fail(
+                f"{name}: representative {rep.group} names "
+                f"{rep.kernel_name}#{rep.invocation_id}, but row {rep.row} of "
+                f"its profile table is {at_row[0]}#{at_row[1]}"
+            )
     weight = sum(rep.weight for rep in selection.representatives)
     if not math.isclose(weight, 1.0, rel_tol=1e-6):
         fail(f"{name}: representative weights sum to {weight}, not 1")
@@ -101,10 +114,19 @@ def main() -> int:
     if missing:
         fail(f"built-in methods missing from registry: {sorted(missing)}")
 
-    context = build_context(WORKLOAD, args.cap)
-    print(f"contract check on {WORKLOAD} (cap={args.cap}): {', '.join(names)}")
-    for name in names:
-        check_method(name, context)
+    contexts = {
+        "clean": build_context(WORKLOAD, args.cap),
+        FAULTS: build_context(
+            WORKLOAD, args.cap, fault_plan=parse_fault_plan(FAULTS, seed=FAULT_SEED)
+        ),
+    }
+    for faults, context in contexts.items():
+        print(
+            f"contract check on {WORKLOAD} (cap={args.cap}, {faults}): "
+            f"{', '.join(names)}"
+        )
+        for name in names:
+            check_method(name, context)
     print(f"all {len(names)} registered methods honor the contract")
     return 0
 

@@ -30,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.evaluation.engine import EngineConfig, EvaluationEngine
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, RetryPolicy
 from repro.fuzz import FuzzConfig, run_campaign
 from repro.workloads.adversarial import verify_suite
 
@@ -38,13 +38,16 @@ SEED = "ci-smoke"
 CHAOS = "crash:0.25,task_error:0.25"
 
 
-def engine_for(cache: Path, out: Path) -> EvaluationEngine:
+def engine_for(cache: Path, out: Path, max_attempts: int = 2) -> EvaluationEngine:
     return EvaluationEngine(
         EngineConfig(
             jobs=1,
             use_cache=True,
             cache_dir=cache,
             quarantine_path=out / "quarantine.json",
+            retry=RetryPolicy(
+                max_attempts=max_attempts, deadline_s=120.0, backoff_base_s=0.01
+            ),
         )
     )
 
@@ -58,8 +61,6 @@ def config_for(out: Path, budget: int, cap: int, **overrides) -> FuzzConfig:
         threshold=0.05,
         top_k=2,
         shrink_steps=6,
-        deadline_s=120.0,
-        max_attempts=2,
         out_dir=out,
     )
     fields.update(overrides)
@@ -117,10 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         # --- chaos survival ----------------------------------------------
         chaos_out = out / "chaos"
         chaotic = run_campaign(
-            config_for(
-                chaos_out, args.budget, args.cap, chaos=CHAOS, max_attempts=1
-            ),
-            engine=engine_for(Path(tmp) / "chaos-cache", chaos_out),
+            config_for(chaos_out, args.budget, args.cap, chaos=CHAOS),
+            engine=engine_for(Path(tmp) / "chaos-cache", chaos_out, max_attempts=1),
         )
         print(
             f"chaos: scored {chaotic.scored}, failed {chaotic.failed} "

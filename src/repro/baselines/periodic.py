@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.random_sampling import horvitz_thompson
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
 from repro.gpu.hardware import WorkloadMeasurement
@@ -53,14 +54,4 @@ class PeriodicSampler:
     def predict(
         self, selection: SampleSelection, measurement: WorkloadMeasurement
     ) -> PredictionResult:
-        sampled = [r.measured_cycles(measurement) for r in selection.representatives]
-        scale = selection.num_invocations / len(sampled)
-        predicted = sum(sampled) / len(sampled) * selection.num_invocations
-        return PredictionResult(
-            workload=selection.workload,
-            method=selection.method,
-            predicted_cycles=predicted,
-            predicted_ipc=selection.total_instructions / predicted,
-            num_representatives=selection.num_representatives,
-            contributions=tuple(cycles * scale for cycles in sampled),
-        )
+        return horvitz_thompson(selection, measurement)

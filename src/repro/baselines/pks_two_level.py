@@ -4,20 +4,22 @@ Clusters are formed from the detailed batch only; the light remainder —
 for which only kernel names and launch shapes were collected — is folded
 into the clusters by (kernel, CTA size) majority vote over the detailed
 batch, mirroring how PKA extrapolates from its first profiling level.
+The two tables are the levels of one chronological profile
+(:func:`repro.profiling.two_level.split_two_level`), so cluster rows
+index that profile as well as the detailed batch.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import numpy as np
-
-from dataclasses import dataclass
 
 from repro.baselines.pks import PksConfig, PksPipeline, PksSelection
 from repro.core.types import Representative
 from repro.gpu.hardware import WorkloadMeasurement
-from repro.profiling.two_level import TwoLevelProfile
+from repro.profiling.table import ProfileTable
 from repro.utils.validation import require
 
 
@@ -44,15 +46,17 @@ class TwoLevelPksPipeline:
         self._pks = PksPipeline(config)
 
     def select(
-        self, profile: TwoLevelProfile, golden: WorkloadMeasurement
+        self,
+        detailed: ProfileTable,
+        light: ProfileTable,
+        golden: WorkloadMeasurement,
     ) -> PksSelection:
         """Cluster the detailed batch, then fold in the light remainder."""
-        require(len(profile.detailed) > 0, "detailed batch is empty")
-        base = self._pks.select(profile.detailed, golden)
+        require(len(detailed) > 0, "detailed batch is empty")
+        base = self._pks.select(detailed, golden)
 
         # Majority cluster per (kernel, CTA size) signature in the batch.
         signature_votes: dict[tuple[int, int], Counter] = defaultdict(Counter)
-        detailed = profile.detailed
         for cluster_index, rows in enumerate(base.cluster_rows):
             for row in rows:
                 key = (int(detailed.kernel_id[row]), int(detailed.cta_size[row]))
@@ -61,7 +65,6 @@ class TwoLevelPksPipeline:
         for (kernel_id, _), votes in signature_votes.items():
             kernel_votes[kernel_id].update(votes)
 
-        light = profile.light
         extra_counts = np.zeros(len(base.representatives), dtype=np.int64)
         for row in range(len(light)):
             key = (int(light.kernel_id[row]), int(light.cta_size[row]))
@@ -75,7 +78,7 @@ class TwoLevelPksPipeline:
                 cluster = int(np.argmax([r.group_size for r in base.representatives]))
             extra_counts[cluster] += 1
 
-        total = profile.num_invocations
+        total = len(detailed) + len(light)
         representatives = tuple(
             Representative(
                 kernel_name=rep.kernel_name,

@@ -56,15 +56,26 @@ class RandomSampler:
     def predict(
         self, selection: SampleSelection, measurement: WorkloadMeasurement
     ) -> PredictionResult:
-        """Horvitz-Thompson estimate: population mean times population size."""
-        sampled = [r.measured_cycles(measurement) for r in selection.representatives]
-        scale = selection.num_invocations / len(sampled)
-        predicted = sum(sampled) / len(sampled) * selection.num_invocations
-        return PredictionResult(
-            workload=selection.workload,
-            method=selection.method,
-            predicted_cycles=predicted,
-            predicted_ipc=selection.total_instructions / predicted,
-            num_representatives=selection.num_representatives,
-            contributions=tuple(cycles * scale for cycles in sampled),
-        )
+        return horvitz_thompson(selection, measurement)
+
+
+def horvitz_thompson(
+    selection: SampleSelection, measurement: WorkloadMeasurement
+) -> PredictionResult:
+    """Horvitz-Thompson estimate: sample mean times population size.
+
+    The predictor of both equal-probability baselines (random and
+    periodic): every sampled invocation stands for
+    ``num_invocations / len(sample)`` invocations.
+    """
+    sampled = [r.measured_cycles(measurement) for r in selection.representatives]
+    scale = selection.num_invocations / len(sampled)
+    predicted = sum(sampled) / len(sampled) * selection.num_invocations
+    return PredictionResult(
+        workload=selection.workload,
+        method=selection.method,
+        predicted_cycles=predicted,
+        predicted_ipc=selection.total_instructions / predicted,
+        num_representatives=selection.num_representatives,
+        contributions=tuple(cycles * scale for cycles in sampled),
+    )

@@ -720,9 +720,6 @@ def _cmd_fuzz(args) -> int:
         fault_rate=args.fault_rate,
         chaos=args.chaos,
         shrink_steps=args.shrink_steps,
-        jobs=engine.config.jobs,
-        deadline_s=args.deadline,
-        max_attempts=args.max_attempts,
         out_dir=out,
         stop_after=args.stop_after,
     )

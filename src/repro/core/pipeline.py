@@ -15,6 +15,7 @@ fallback through :mod:`repro.robustness.diagnostics` — instead of letting
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +33,7 @@ from repro.profiling.table import ProfileTable
 from repro.utils.errors import PredictionError, SelectionError
 from repro.utils.validation import require
 
-__all__ = ["SievePipeline", "SieveSelection"]
-
-METHOD_NAME = "sieve"
+__all__ = ["SievePipeline", "SieveSelection", "build_selection"]
 
 
 def _gather_measured_ipc(
@@ -93,6 +92,51 @@ class SieveSelection(SampleSelection):
     strata: tuple[Stratum, ...] = ()
 
 
+def build_selection(
+    workload: str,
+    strata: Sequence[Stratum],
+    picks: Iterable[tuple[int, int]],
+    group_sizes: Iterable[int],
+    *,
+    total_instructions: int,
+    num_invocations: int,
+    policy: str,
+) -> SieveSelection:
+    """Sieve's selection from its strata and each stratum's pick.
+
+    ``picks`` holds each stratum's representative as (row, invocation
+    id) and ``group_sizes`` the invocations it stands for; its weight is
+    the stratum's instruction share. :meth:`SievePipeline.select` and
+    the streaming operator both end here, so a batch and a streamed
+    selection are built alike.
+    """
+    weights = stratum_weights(strata)
+    representatives = tuple(
+        Representative(
+            kernel_name=stratum.kernel_name,
+            kernel_id=stratum.kernel_id,
+            invocation_id=invocation_id,
+            row=row,
+            weight=weight,
+            group=stratum.label,
+            group_size=size,
+        )
+        for stratum, (row, invocation_id), weight, size in zip(
+            strata, picks, weights.tolist(), group_sizes
+        )
+    )
+    metrics.inc("sieve.selection.rows", len(representatives), policy=policy)
+    metrics.inc("sieve.representatives", len(representatives))
+    return SieveSelection(
+        workload=workload,
+        method="sieve",
+        representatives=representatives,
+        total_instructions=total_instructions,
+        num_invocations=num_invocations,
+        strata=tuple(strata),
+    )
+
+
 class SievePipeline:
     """Profile table -> strata -> representatives -> prediction."""
 
@@ -103,42 +147,18 @@ class SievePipeline:
         """Stratify ``table`` and pick one representative per stratum."""
         require(len(table) > 0, "profile table is empty", SelectionError)
         strata = stratify_table(table, self.config)
-        require(
-            len(strata) > 0, "stratification produced no strata", SelectionError
-        )
-        weights = stratum_weights(strata)
-        labels = [stratum.label for stratum in strata]
+        policy = self.config.selection_policy
         with span("sieve.selection", workload=table.workload, strata=len(strata)):
-            rows = select_representative_rows(
-                table, strata, self.config.selection_policy, labels
+            rows = select_representative_rows(table, strata, policy)
+            return build_selection(
+                table.workload,
+                strata,
+                zip(rows.tolist(), table.invocation_id[rows].tolist()),
+                [stratum.size for stratum in strata],
+                total_instructions=table.total_instructions,
+                num_invocations=len(table),
+                policy=policy,
             )
-            representatives = [
-                Representative(
-                    kernel_name=stratum.kernel_name,
-                    kernel_id=stratum.kernel_id,
-                    invocation_id=invocation_id,
-                    row=row,
-                    weight=weight,
-                    group=label,
-                    group_size=stratum.size,
-                )
-                for stratum, label, row, invocation_id, weight in zip(
-                    strata,
-                    labels,
-                    rows.tolist(),
-                    table.invocation_id[rows].tolist(),
-                    weights.tolist(),
-                )
-            ]
-        metrics.inc("sieve.representatives", len(representatives))
-        return SieveSelection(
-            workload=table.workload,
-            method=METHOD_NAME,
-            representatives=tuple(representatives),
-            total_instructions=table.total_instructions,
-            num_invocations=len(table),
-            strata=tuple(strata),
-        )
 
     def predict(
         self, selection: SieveSelection, measurement: WorkloadMeasurement

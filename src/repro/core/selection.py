@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.config import SELECTION_POLICIES
 from repro.core.stratify import Stratum
-from repro.observability import metrics
 from repro.profiling.table import ProfileTable
 from repro.utils.errors import SelectionError
 from repro.utils.seeding import rng_for
@@ -116,19 +115,13 @@ def _dominant_cta(groups: Segments, cta: np.ndarray) -> np.ndarray:
 
 
 def select_representative_rows(
-    table: ProfileTable,
-    strata: Sequence[Stratum],
-    policy: str,
-    labels: Sequence[str] | None = None,
+    table: ProfileTable, strata: Sequence[Stratum], policy: str
 ) -> np.ndarray:
     """Every stratum's representative row under ``policy``, in one pass.
 
     Rows within a stratum are stored chronologically, so a stratum's
-    first member is its first invocation. ``labels`` are the strata's
-    labels when the caller already has them.
+    first member is its first invocation.
     """
-    if labels is None:
-        labels = [stratum.label for stratum in strata]
     counts = np.fromiter(
         (len(stratum.rows) for stratum in strata), dtype=np.int64, count=len(strata)
     )
@@ -136,11 +129,10 @@ def select_representative_rows(
     positions = representative_positions(
         policy,
         workload=table.workload,
-        labels=labels,
+        labels=[stratum.label for stratum in strata],
         tier1=np.array([stratum.tier is Tier.TIER1 for stratum in strata]),
         member_insn=table.insn_count[rows],
         member_cta=table.cta_size[rows],
         counts=counts,
     )
-    metrics.inc("sieve.selection.rows", len(strata), policy=policy)
     return rows[np.cumsum(counts) - counts + positions]

@@ -55,7 +55,12 @@ def _score_selection(
     prediction = method.predict(selection, context.golden, config)
     cycles = cycles_in_table_order(method.profile_table(context), context.golden)
     cov = weighted_cycle_cov(method.group_rows(selection), cycles)
-    attribution = attribute_error(method, selection, prediction, context, config)
+    # Attribution aligns the clean truth; unless a fault touched the
+    # golden reference, that is the alignment just made.
+    truth_cycles = cycles if context.truth is context.golden else None
+    attribution = attribute_error(
+        method, selection, prediction, context, config, truth_cycles=truth_cycles
+    )
     # Accuracy is judged against the *clean* reference (context.truth);
     # under fault injection it differs from the corrupted context.golden
     # the method consumed.

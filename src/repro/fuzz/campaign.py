@@ -63,9 +63,6 @@ class FuzzConfig:
     #: candidate — exercises the engine's isolation, never the data.
     chaos: str | None = None
     shrink_steps: int = 24
-    jobs: int = 1
-    deadline_s: float | None = 120.0
-    max_attempts: int = 3
     weights: ScoreWeights = ScoreWeights()
     out_dir: Path = field(default_factory=lambda: Path("fuzz-out"))
     #: Stop (checkpointing) after scoring this many new candidates —
@@ -78,7 +75,6 @@ class FuzzConfig:
         require(self.threshold >= 0, "threshold must be >= 0", FuzzError)
         require(self.top_k >= 0, "top_k must be >= 0", FuzzError)
         require(0 <= self.fault_rate <= 1, "fault_rate in [0, 1]", FuzzError)
-        require(self.jobs >= 1, "jobs must be >= 1", FuzzError)
 
     def fingerprint(self) -> str:
         """Identity of the campaign's *candidate stream* and scoring.
@@ -205,11 +201,10 @@ def _score_outcomes(
     engine: EvaluationEngine,
     candidates: list[Candidate],
     config: FuzzConfig,
-    policy: RetryPolicy,
 ) -> list[dict]:
     """Evaluate a batch of candidates; one scored record per candidate."""
     tasks = [_task_for(candidate, config) for candidate in candidates]
-    outcomes = engine.run_isolated(tasks, policy)
+    outcomes = engine.run_isolated(tasks)
     records = []
     for candidate, outcome in zip(candidates, outcomes):
         record = {
@@ -237,7 +232,10 @@ def run_campaign(
 
     Writes ``checkpoint.json`` after every batch and, on completion,
     ``findings.json`` (byte-deterministic for a fixed config) under
-    ``config.out_dir``.
+    ``config.out_dir``. Candidates run on ``engine``'s workers under its
+    retry policy (``engine.config.retry``); the default engine has one
+    worker, three attempts of up to 120 s each and its quarantine list
+    in ``config.out_dir``.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -246,15 +244,12 @@ def run_campaign(
     if engine is None:
         engine = EvaluationEngine(
             EngineConfig(
-                jobs=config.jobs,
                 quarantine_path=out_dir / "quarantine.json",
+                retry=RetryPolicy(
+                    max_attempts=3, deadline_s=120.0, backoff_base_s=0.01
+                ),
             )
         )
-    policy = RetryPolicy(
-        max_attempts=config.max_attempts,
-        deadline_s=config.deadline_s,
-        backoff_base_s=0.01,
-    )
     scored = _load_checkpoint(checkpoint_path, config) if resume else {}
     if not resume and checkpoint_path.exists():
         diagnostics.emit(
@@ -286,7 +281,7 @@ def run_campaign(
                     make_candidate(config.seed, i, config.fault_rate)
                     for i in batch_indices
                 ]
-                for record in _score_outcomes(engine, candidates, config, policy):
+                for record in _score_outcomes(engine, candidates, config):
                     scored[record["index"]] = record
                     new_scores += 1
                 _save_checkpoint(checkpoint_path, config, scored)
@@ -338,9 +333,7 @@ def run_campaign(
                 original = CandidateScore.from_dict(record["score"])
 
                 def evaluate(proposal: Candidate) -> CandidateScore | None:
-                    outcome = engine.run_isolated(
-                        [_task_for(proposal, config)], policy
-                    )[0]
+                    outcome = engine.run_isolated([_task_for(proposal, config)])[0]
                     if not outcome.ok:
                         return None
                     return score_results(outcome.results, config.weights)

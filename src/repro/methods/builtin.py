@@ -21,7 +21,7 @@ from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.methods.base import SamplingMethod
 from repro.methods.registry import register_method
-from repro.profiling.two_level import TwoLevelProfiler
+from repro.profiling.two_level import split_two_level
 
 if TYPE_CHECKING:
     from repro.core.prediction import PredictionResult
@@ -90,9 +90,10 @@ class PksMethod(SamplingMethod):
 class PksTwoLevelMethod(SamplingMethod):
     """PKS on a two-level profile (the PKA cost mitigation).
 
-    Re-profiles the context's run with the two-level scheme (detailed
-    prefix + light remainder); cluster rows index the detailed prefix,
-    which is chronologically aligned with the full Nsight table.
+    Splits the context's Nsight table at ``detailed_budget`` into a
+    detailed prefix and a light remainder, so it selects from the table
+    it is scored on, faults included; cluster rows index the prefix,
+    which is the table's first rows.
     """
 
     name = "pks-two-level"
@@ -102,8 +103,8 @@ class PksTwoLevelMethod(SamplingMethod):
     def select(
         self, context: WorkloadContext, config: TwoLevelPksConfig
     ) -> SampleSelection:
-        profile = TwoLevelProfiler(config.detailed_budget).profile(context.run)
-        return TwoLevelPksPipeline(config.pks).select(profile, context.golden)
+        detailed, light = split_two_level(context.pks_table, config.detailed_budget)
+        return TwoLevelPksPipeline(config.pks).select(detailed, light, context.golden)
 
     def predict(
         self,

@@ -267,6 +267,8 @@ def attribute_error(
     prediction: PredictionResult,
     context: WorkloadContext,
     config: object | None = None,
+    *,
+    truth_cycles: np.ndarray | None = None,
 ) -> ErrorAttribution:
     """Decompose ``prediction``'s error against the context's clean truth.
 
@@ -274,7 +276,10 @@ def attribute_error(
     ``selection.representatives`` (every built-in predictor guarantees
     this); a predictor that provides no decomposition yields empty
     ``per_kernel``/``per_group`` tables but still reports the signed
-    total. Every value equals the per-row construction kept as
+    total. ``truth_cycles``, when given, is
+    ``cycles_in_table_order(method.profile_table(context), context.truth)``
+    already computed by the caller. Every value equals the per-row
+    construction kept as
     :func:`repro.core.reference.attribute_error_scalar`, bit for bit.
     """
     truth = context.truth
@@ -288,7 +293,7 @@ def attribute_error(
 
     per_kernel = _per_kernel(selection, terms, truth, measured_total)
     per_group, partitions = _per_group(
-        method, selection, terms, context, measured_total
+        method, selection, terms, context, measured_total, truth_cycles
     )
     return ErrorAttribution(
         workload=selection.workload,
@@ -351,12 +356,14 @@ def _per_group(
     terms: np.ndarray,
     context: WorkloadContext,
     measured_total: float,
+    row_cycles: np.ndarray | None,
 ) -> tuple[Columns[GroupAttribution], bool]:
     empty = Columns.from_rows(GroupAttribution, ())
     if not len(terms):
         return empty, False
     table = method.profile_table(context)
-    row_cycles = cycles_in_table_order(table, context.truth)
+    if row_cycles is None:
+        row_cycles = cycles_in_table_order(table, context.truth)
     groups = [np.asarray(g) for g in method.group_rows(selection)]
     reps = selection.representatives
     if len(groups) != len(reps):

@@ -5,16 +5,17 @@ perform detailed profiling collecting the 12 characteristics for a first
 batch of kernels, followed by low-overhead profiling to collect the kernel
 names and grid dimensions for the remaining kernels in the workload."
 
-:class:`TwoLevelProfiler` emits a detailed (12-metric) table for the first
-``detailed_budget`` chronological invocations and a light (name + launch
-shape) table for the remainder, with the modeled cost of each phase.
+:func:`split_two_level` cuts one Nsight profile into a detailed
+(12-metric) table for the first ``detailed_budget`` chronological
+invocations and a light (name + launch shape) table for the remainder;
+the ``pks-two-level`` method splits the context's Nsight table this way.
+:class:`TwoLevelProfiler` profiles a run with the same split and models
+the cost of each phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.gpu.arch import AMPERE_RTX3080, GpuArchitecture
 from repro.gpu.hardware import execution_record
@@ -45,17 +46,20 @@ class TwoLevelProfile:
         return len(self.detailed) + len(self.light)
 
 
-def _slice_table(table: ProfileTable, rows: np.ndarray) -> ProfileTable:
-    return ProfileTable(
-        workload=table.workload,
-        kernel_names=table.kernel_names,
-        kernel_id=table.kernel_id[rows],
-        invocation_id=table.invocation_id[rows],
-        insn_count=table.insn_count[rows],
-        cta_size=table.cta_size[rows],
-        num_ctas=table.num_ctas[rows],
-        metrics=None if table.metrics is None else table.metrics[rows],
-    )
+def split_two_level(
+    table: ProfileTable, detailed_budget: int
+) -> tuple[ProfileTable, ProfileTable]:
+    """Split a chronological Nsight profile into its two levels.
+
+    The detailed prefix is the first ``detailed_budget`` rows with their
+    12-metric matrix; the light remainder is every later row without it.
+    Both are views of ``table``, so row ``i`` of the prefix is row ``i``
+    of ``table``.
+    """
+    budget = min(detailed_budget, len(table))
+    detailed = table.slice_rows(0, budget)
+    light = table.slice_rows(budget, len(table)).without_metrics()
+    return detailed, light
 
 
 class TwoLevelProfiler:
@@ -76,25 +80,21 @@ class TwoLevelProfiler:
         with span("profiling.two_level", workload=run.label):
             record = execution_record(self.arch, run)
             full = flatten_chronological(run, record, with_metrics=True)
+            detailed, light = split_two_level(full, self.detailed_budget)
             seconds = native_seconds(record, self.arch)
             footprint = footprints(record, self.arch)
-            budget = min(self.detailed_budget, len(full))
-            head = np.arange(budget)
-            tail = np.arange(budget, len(full))
+            budget = len(detailed)
 
-            detailed = _slice_table(full, head)
-            light = _slice_table(full, tail).without_metrics()
-
-            metrics.inc("profiling.two_level.detailed", int(budget))
-            metrics.inc("profiling.two_level.light", int(len(full) - budget))
+            metrics.inc("profiling.two_level.detailed", budget)
+            metrics.inc("profiling.two_level.light", len(light))
             detailed_cost = self._cost_model.nsight_cost(
                 run.label,
-                seconds[head],
-                footprint[head],
+                seconds[:budget],
+                footprint[:budget],
                 num_metrics=len(PKS_METRICS),
                 complexity=run.spec.profiling_complexity,
             )
-            light_cost = self._cost_model.nvbit_cost(run.label, seconds[tail])
+            light_cost = self._cost_model.nvbit_cost(run.label, seconds[budget:])
             return TwoLevelProfile(
                 detailed=detailed,
                 light=light,

@@ -41,8 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SieveConfig
-from repro.core.pipeline import SievePipeline
 from repro.evaluation.runner import MethodResult
 from repro.methods import MethodRequest, get_method
 from repro.profiling.csv_io import (
@@ -364,18 +362,17 @@ def parse_request(kind: str, payload: object) -> EvaluationRequest:
 def select_inline(request: EvaluationRequest):
     """Run a table-only selection for an inline-profile request.
 
-    Byte-identical to driving the method's core pipeline directly: sieve
-    goes through :class:`~repro.core.pipeline.SievePipeline`, the
-    periodic/random baselines select straight off their config objects.
+    The request's method selects through the registry, as for a catalog
+    workload, on a context that holds only the uploaded table
+    (:class:`~repro.streaming.base.AssembledContext`).
     """
-    table = request.table
-    if request.method == "sieve":
-        config = request.config if request.config is not None else SieveConfig()
-        return SievePipeline(config).select(table)
-    sampler = request.config
-    if sampler is None:
-        sampler = get_method(request.method).default_config()
-    return sampler.select(table)
+    # Imported here: the server only parses requests and its workers
+    # select, so the server process need not load the streaming package.
+    from repro.streaming.base import AssembledContext
+
+    method = get_method(request.method)
+    context = AssembledContext(request.table.workload, request.table)
+    return method.select(context, method.resolve_config(request.config))
 
 
 # ---------------------------------------------------------- serialization

@@ -13,6 +13,7 @@ pinned byte-identical to its historical output.
 
 from repro.streaming.accumulators import KernelAccumulators, ReservoirStore
 from repro.streaming.base import (
+    AssembledContext,
     BufferingStream,
     MethodStream,
     StreamContext,
@@ -25,6 +26,7 @@ from repro.streaming.sieve import SieveStream
 from repro.streaming.stratify import StreamingStratifier
 
 __all__ = [
+    "AssembledContext",
     "BufferingStream",
     "KernelAccumulators",
     "MethodStream",

@@ -174,20 +174,23 @@ class MethodStream(ABC):
         return event
 
 
-class _AssembledContext:
-    """Duck-typed workload context built from buffered chunks.
+class AssembledContext:
+    """Duck-typed workload context that holds only a profile table.
 
-    Stands in for :class:`~repro.evaluation.context.WorkloadContext` when
-    a buffering fallback must call ``select`` on a feed-driven stream.
-    Only the profile tables and the golden measurement exist; anything
-    else a method asks for raises a typed :class:`StreamingError`.
+    Stands in for :class:`~repro.evaluation.context.WorkloadContext`
+    when a method's ``select`` runs on a table alone: a buffering
+    fallback over a feed-driven stream, or an uploaded profile the
+    service selects from (:func:`repro.service.protocol.select_inline`).
+    Only the profile tables and, when given, the golden measurement
+    exist; anything else a method asks for raises a typed
+    :class:`StreamingError`.
     """
 
     def __init__(
         self,
         label: str,
         table: ProfileTable,
-        golden: WorkloadMeasurement | None,
+        golden: WorkloadMeasurement | None = None,
     ):
         self.label = label
         self._table = table
@@ -203,8 +206,8 @@ class _AssembledContext:
     def pks_table(self) -> ProfileTable:
         require(
             self._table.metrics is not None,
-            "feed carries no metric columns; PKS-style methods need the "
-            "12-metric profile",
+            "the profile carries no metric columns; PKS-style methods need "
+            "the 12-metric profile",
             StreamingError,
         )
         return self._table
@@ -213,14 +216,14 @@ class _AssembledContext:
     def golden(self) -> WorkloadMeasurement:
         require(
             self._golden is not None,
-            "feed-driven stream has no golden measurement",
+            "a table-only context has no golden measurement",
             StreamingError,
         )
         return self._golden
 
     def __getattr__(self, name: str):
         raise StreamingError(
-            f"buffered stream context cannot supply {name!r}; "
+            f"a table-only context cannot supply {name!r}; "
             "this method needs a full workload context",
             workload=self.label,
         )
@@ -262,7 +265,7 @@ class BufferingStream(MethodStream):
         if self.context.batch is not None:
             context = self.context.batch
         else:
-            context = _AssembledContext(
+            context = AssembledContext(
                 self.context.workload,
                 concat_profile_tables(self._chunks),
                 self.context.golden,

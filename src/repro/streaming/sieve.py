@@ -15,15 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SieveConfig
-from repro.core.pipeline import METHOD_NAME, SieveSelection
+from repro.core.pipeline import SieveSelection, build_selection
 from repro.core.selection import representative_positions
 from repro.core.stratify import Stratum
-from repro.core.types import Representative
-from repro.core.weights import stratum_weights
-from repro.observability import metrics, span
+from repro.observability import span
 from repro.streaming.base import MethodStream, StreamContext
 from repro.streaming.stratify import StratumMembers, StreamingStratifier
-from repro.utils.errors import SelectionError, StreamingError
+from repro.utils.errors import StreamingError
 from repro.utils.validation import require
 from repro.workloads.spec import Tier
 
@@ -175,52 +173,23 @@ class SieveStream(MethodStream):
             self.rows_seen > 0, "stream observed no invocations", StreamingError
         )
         finalized = self.stratifier.finalize()
-        require(
-            len(finalized.strata) > 0,
-            "stratification produced no strata",
-            SelectionError,
-        )
-        weights = stratum_weights(finalized.strata)
-        representatives = []
-        final_picks: dict[str, tuple[str, int, int, float]] = {}
-        with span(
-            "sieve.selection",
-            workload=self._workload,
-            strata=len(finalized.strata),
-        ):
-            picks = self._pick_rows(finalized.strata, finalized.members)
-            for stratum, member, weight, (row, invocation_id) in zip(
-                finalized.strata, finalized.members, weights, picks
-            ):
-                representatives.append(
-                    Representative(
-                        kernel_name=stratum.kernel_name,
-                        kernel_id=stratum.kernel_id,
-                        invocation_id=invocation_id,
-                        row=row,
-                        weight=float(weight),
-                        group=stratum.label,
-                        group_size=self._group_size(stratum, member),
-                    )
-                )
-                final_picks[stratum.label] = (
-                    stratum.kernel_name, row, invocation_id, float(weight)
-                )
-        metrics.inc(
-            "sieve.selection.rows",
-            len(representatives),
-            policy=self.config.selection_policy,
-        )
-        metrics.inc("sieve.representatives", len(representatives))
+        strata, members = finalized.strata, finalized.members
+        with span("sieve.selection", workload=self._workload, strata=len(strata)):
+            selection = build_selection(
+                self._workload,
+                strata,
+                self._pick_rows(strata, members),
+                [self._group_size(s, m) for s, m in zip(strata, members)],
+                total_instructions=self.stratifier.accumulators.total_instructions(),
+                num_invocations=self.rows_seen,
+                policy=self.config.selection_policy,
+            )
         if self.context.collect_events:
             self._apply_picks(
-                set(self.stratifier.accumulators.names), final_picks
+                set(self.stratifier.accumulators.names),
+                {
+                    rep.group: (rep.kernel_name, rep.row, rep.invocation_id, rep.weight)
+                    for rep in selection.representatives
+                },
             )
-        return SieveSelection(
-            workload=self._workload,
-            method=METHOD_NAME,
-            representatives=tuple(representatives),
-            total_instructions=self.stratifier.accumulators.total_instructions(),
-            num_invocations=self.rows_seen,
-            strata=tuple(finalized.strata),
-        )
+        return selection

@@ -1,11 +1,19 @@
 """Tests for PKS on two-level profiles."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.baselines.pks import PksPipeline
-from repro.baselines.pks_two_level import TwoLevelPksPipeline
+from repro.baselines.pks_two_level import TwoLevelPksConfig, TwoLevelPksPipeline
+from repro.evaluation.context import build_context
+from repro.evaluation.runner import evaluate_method
+from repro.methods import get_method
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.two_level import TwoLevelProfiler
+from repro.robustness.faults import parse_fault_plan
+from repro.streaming.base import AssembledContext
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +23,9 @@ def two_level_profile(toy_run):
 
 @pytest.fixture(scope="module")
 def two_level_selection(two_level_profile, toy_measurement):
-    return TwoLevelPksPipeline().select(two_level_profile, toy_measurement)
+    return TwoLevelPksPipeline().select(
+        two_level_profile.detailed, two_level_profile.light, toy_measurement
+    )
 
 
 def test_weights_cover_the_whole_workload(two_level_selection, toy_run):
@@ -64,8 +74,48 @@ def test_comparable_to_full_pks(toy_run, toy_measurement):
         toy_measurement.total_cycles
     )
     profile = TwoLevelProfiler(detailed_budget=400).profile(toy_run)
-    two_level = TwoLevelPksPipeline().select(profile, toy_measurement)
+    two_level = TwoLevelPksPipeline().select(
+        profile.detailed, profile.light, toy_measurement
+    )
     two_level_error = TwoLevelPksPipeline().predict(
         two_level, toy_measurement
     ).error_against(toy_measurement.total_cycles)
     assert two_level_error < max(4 * full_error, 0.5)
+
+
+def test_method_selects_what_the_profiler_path_selects(
+    toy_run, toy_measurement, two_level_selection
+):
+    """On a clean profile, splitting the Nsight table selects exactly what
+    clustering the two-level profiler's tables does."""
+    table, _ = NsightComputeProfiler().profile(toy_run)
+    context = AssembledContext(toy_run.label, table, toy_measurement)
+    selection = get_method("pks-two-level").select(
+        context, TwoLevelPksConfig(detailed_budget=400)
+    )
+    assert pickle.dumps(selection) == pickle.dumps(two_level_selection)
+
+
+def faulted_gru(plan: str):
+    return build_context(
+        "cactus/gru", max_invocations=1500, fault_plan=parse_fault_plan(plan, seed=7)
+    )
+
+
+def test_method_scores_a_table_that_lost_rows():
+    """``drop`` removes Nsight rows; the method selects from that table, so
+    its cluster rows index the table it is scored on."""
+    result = evaluate_method("pks-two-level", faulted_gru("drop:0.1"))
+    assert result.num_representatives >= 1
+    assert np.isfinite(result.error)
+
+
+def test_representatives_name_their_row_of_the_faulted_table():
+    context = faulted_gru("duplicate:0.05")
+    selection = evaluate_method("pks-two-level", context).selection
+    table = context.pks_table
+    for rep in selection.representatives:
+        assert (rep.kernel_name, rep.invocation_id) == (
+            table.kernel_name_of_row(rep.row),
+            int(table.invocation_id[rep.row]),
+        )

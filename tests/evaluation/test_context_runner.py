@@ -154,3 +154,34 @@ def test_tier_fractions_empty_profile_raises_typed_error():
     # it participates in the typed hierarchy (and stays a ValueError)
     assert issubclass(SelectionError, SieveError)
     assert issubclass(SelectionError, ValueError)
+
+
+@pytest.mark.parametrize(
+    ("plan", "alignments"),
+    ((None, 1), ("drop:0.1", 1), ("zero_cycles:0.05", 2)),
+)
+def test_golden_cycles_are_aligned_once_unless_faults_split_them(
+    monkeypatch, plan, alignments
+):
+    """Scoring aligns the golden cycles with the profile table once, and
+    the attribution reuses them; only a fault in the golden reference
+    makes the clean truth a second measurement to align."""
+    from repro.evaluation import imputation, runner
+    from repro.observability import attribution
+    from repro.robustness.faults import parse_fault_plan
+
+    calls = []
+
+    def counted(table, measurement):
+        calls.append(measurement)
+        return imputation.cycles_in_table_order(table, measurement)
+
+    monkeypatch.setattr(runner, "cycles_in_table_order", counted)
+    monkeypatch.setattr(attribution, "cycles_in_table_order", counted)
+    context = build_context(
+        "cactus/gru",
+        max_invocations=1500,
+        fault_plan=None if plan is None else parse_fault_plan(plan, seed=7),
+    )
+    evaluate_method("sieve", context)
+    assert len(calls) == alignments

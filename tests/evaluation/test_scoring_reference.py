@@ -77,20 +77,13 @@ def test_fig3_scoring_matches_oracle(label, cap):
     assert_picks_match_oracle(table, stratify_table(table, SieveConfig()))
 
 
-#: ``pks-two-level`` re-profiles the clean run, so its cluster rows do
-#: not index a profile that lost rows to ``drop``/``truncate``; it fails
-#: there with an IndexError before and after columnar scoring alike.
-ROW_KEEPING = METHODS
-ROW_LOSING = tuple(m for m in METHODS if m != "pks-two-level")
-
-
 @pytest.mark.parametrize(
     ("plan", "methods"),
     (
-        ("zero_cycles:0.05", ROW_KEEPING),
-        ("cycle_noise:0.2,clock_drift:0.1", ROW_KEEPING),
-        ("nan:0.1,negative:0.05,duplicate:0.05", ROW_KEEPING),
-        ("drop:0.1,truncate:0.1", ROW_LOSING),
+        ("zero_cycles:0.05", METHODS),
+        ("cycle_noise:0.2,clock_drift:0.1", METHODS),
+        ("nan:0.1,negative:0.05,duplicate:0.05", METHODS),
+        ("drop:0.1,truncate:0.1", METHODS),
     ),
 )
 def test_faulted_scoring_matches_oracle(plan, methods):

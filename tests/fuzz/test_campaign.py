@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.evaluation.engine import EngineConfig, EvaluationEngine
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, RetryPolicy
 from repro.fuzz.campaign import (
     CHECKPOINT_SCHEMA,
     FuzzConfig,
@@ -31,20 +31,20 @@ def config_for(out_dir, **overrides):
         threshold=0.0,  # every scored candidate is a finding
         top_k=1,
         shrink_steps=3,
-        deadline_s=120.0,
-        max_attempts=2,
         out_dir=out_dir,
     )
     fields.update(overrides)
     return FuzzConfig(**fields)
 
 
-def engine_for(tmp_path, jobs=1):
+def engine_for(tmp_path, max_attempts=2):
     return EvaluationEngine(
         EngineConfig(
-            jobs=jobs,
             cache_dir=tmp_path / "cache",
             quarantine_path=tmp_path / "quarantine.json",
+            retry=RetryPolicy(
+                max_attempts=max_attempts, deadline_s=120.0, backoff_base_s=0.01
+            ),
         )
     )
 
@@ -124,13 +124,9 @@ def test_chaos_changes_statuses_but_never_surviving_findings(tmp_path):
     engine = engine_for(tmp_path)
     clean = run_campaign(config_for(tmp_path / "clean", budget=4), engine=engine)
     chaotic = run_campaign(
-        config_for(
-            tmp_path / "chaos",
-            budget=4,
-            chaos="task_error:0.4",
-            max_attempts=1,  # one strike: failures stay failed
-        ),
-        engine=engine_for(tmp_path / "chaos-engine"),
+        config_for(tmp_path / "chaos", budget=4, chaos="task_error:0.4"),
+        # One attempt: failures stay failed.
+        engine=engine_for(tmp_path / "chaos-engine", max_attempts=1),
     )
     clean_scores = {
         record["index"]: record["score"]["score"]

@@ -7,7 +7,7 @@ re-promotion and the dynamically loaded suite.
 
 import pytest
 
-from repro.evaluation.engine import EngineConfig, EvaluationEngine
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, RetryPolicy
 from repro.fuzz.campaign import FuzzConfig, run_campaign
 from repro.perfstore.promote import promote_findings, render_promotion
 from repro.perfstore.store import STORE_DIR_ENV, VERSION_ENV, PerfStore
@@ -22,6 +22,7 @@ def engine(tmp_path_factory):
             jobs=1,
             cache_dir=tmp / "cache",
             quarantine_path=tmp / "quarantine.json",
+            retry=RetryPolicy(max_attempts=3, deadline_s=120.0, backoff_base_s=0.01),
         )
     )
     yield engine
