@@ -47,6 +47,19 @@ group) and :func:`attribute_error_scalar` (one dataclass per kernel,
 group and stratum, returned in ``to_dict()`` form).
 ``tests/evaluation/test_scoring_reference.py`` pins the grouped passes
 to them bit for bit, the attribution's JSON byte for byte.
+:func:`light_cluster_counts_scalar` is two-level PKS's light-row vote
+with one ``Counter.most_common`` per row;
+``tests/baselines/test_pks_two_level.py`` pins the grouped vote to it.
+
+The streaming stratifier's per-kernel chunk fold is kept the same way:
+:class:`ReferenceReservoirStore` appends one kernel's segment at a time
+(one Algorithm-R draw call, one last-writer ``np.unique`` and one arrival
+argsort per kernel), and :class:`ReferenceStreamingStratifier` keeps the
+dict-based exact-pick trackers and the finalize that concatenates one
+``retained()`` per kernel and takes an overflowed kernel's CoV from
+:func:`welford_cov_scalar`. ``tests/streaming/test_fold_reference.py``
+pins the grouped fold's retained rows, counts, trackers, eviction
+counter and finalized selections to them.
 
 Nothing in the production pipeline calls this module.
 """
@@ -54,7 +67,8 @@ Nothing in the production pipeline calls this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,10 +98,14 @@ from repro.gpu.timing import (
     WAVE_TAIL_PENALTY,
     TimingBreakdown,
 )
+from repro.observability import metrics
 from repro.profiling.cost import ProfilingCost, ProfilingCostModel
 from repro.profiling.metrics import PKS_METRICS
 from repro.profiling.table import ProfileTable
+from repro.streaming.stratify import StreamingStratifier
+from repro.utils.errors import StreamingError
 from repro.utils.seeding import rng_for
+from repro.utils.segments import Segments
 from repro.utils.stats import coefficient_of_variation
 from repro.utils.validation import require
 from repro.workloads.allocation import assign_tiers, largest_remainder
@@ -267,6 +285,38 @@ def pks_representative_rows_scalar(
         rows.append(row)
         members.append(cluster_rows)
     return rows, members
+
+
+def light_cluster_counts_scalar(
+    detailed: ProfileTable,
+    light: ProfileTable,
+    cluster_rows,
+    group_sizes,
+) -> np.ndarray:
+    """Two-level PKS's light-row vote, one ``Counter.most_common`` per row."""
+    # Majority cluster per (kernel, CTA size) signature in the batch.
+    signature_votes: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    for cluster_index, rows in enumerate(cluster_rows):
+        for row in rows:
+            key = (int(detailed.kernel_id[row]), int(detailed.cta_size[row]))
+            signature_votes[key][cluster_index] += 1
+    kernel_votes: dict[int, Counter] = defaultdict(Counter)
+    for (kernel_id, _), votes in signature_votes.items():
+        kernel_votes[kernel_id].update(votes)
+
+    extra_counts = np.zeros(len(group_sizes), dtype=np.int64)
+    for row in range(len(light)):
+        key = (int(light.kernel_id[row]), int(light.cta_size[row]))
+        if key in signature_votes:
+            cluster = signature_votes[key].most_common(1)[0][0]
+        elif key[0] in kernel_votes:
+            cluster = kernel_votes[key[0]].most_common(1)[0][0]
+        else:
+            # Kernel never seen in the detailed batch: attribute to the
+            # most populous cluster (PKA has no better information).
+            cluster = int(np.argmax(group_sizes))
+        extra_counts[cluster] += 1
+    return extra_counts
 
 
 def representative_position_scalar(
@@ -1142,3 +1192,293 @@ def reference_generate(
     return ReferenceRun(
         name=spec.name, suite=spec.suite, spec=spec, kernels=tuple(kernels)
     )
+
+
+@dataclass
+class ReferenceReservoir:
+    """One kernel's retained invocations."""
+
+    capacity: int | None
+    # Unbounded mode: chunk pieces appended per observe.
+    pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=list
+    )
+    # Bounded mode: fixed-size columns plus the arrival index per slot.
+    row: np.ndarray | None = None
+    invocation_id: np.ndarray | None = None
+    insn_raw: np.ndarray | None = None
+    cta: np.ndarray | None = None
+    arrival: np.ndarray | None = None
+    filled: int = 0
+    seen: int = 0
+    replaced: int = 0
+    rng: np.random.Generator | None = None
+
+
+class ReferenceReservoirStore:
+    """Per-kernel retained samples (everything, or an Algorithm-R sketch)."""
+
+    def __init__(self, workload: str, capacity: int | None = None):
+        self.workload = workload
+        self.capacity = capacity
+        self._reservoirs: dict[int, ReferenceReservoir] = {}
+
+    @property
+    def bounded(self) -> bool:
+        return self.capacity is not None
+
+    def _get(self, slot: int) -> ReferenceReservoir:
+        reservoir = self._reservoirs.get(slot)
+        if reservoir is None:
+            reservoir = self._reservoirs[slot] = ReferenceReservoir(self.capacity)
+            if self.bounded:
+                cap = self.capacity
+                reservoir.row = np.zeros(cap, dtype=np.int64)
+                reservoir.invocation_id = np.zeros(cap, dtype=np.int64)
+                reservoir.insn_raw = np.zeros(cap, dtype=np.int64)
+                reservoir.cta = np.zeros(cap, dtype=np.int64)
+                reservoir.arrival = np.zeros(cap, dtype=np.int64)
+        return reservoir
+
+    def append(
+        self,
+        slot: int,
+        kernel_name: str,
+        rows: np.ndarray,
+        invocation_id: np.ndarray,
+        insn_raw: np.ndarray,
+        cta: np.ndarray,
+    ) -> None:
+        """Fold one kernel's chunk segment in (arrival order)."""
+        reservoir = self._get(slot)
+        m = len(rows)
+        if not self.bounded:
+            reservoir.pieces.append((rows, invocation_id, insn_raw, cta))
+            reservoir.seen += m
+            reservoir.filled += m
+            return
+        cap = self.capacity
+        start = reservoir.seen
+        fill = max(0, min(cap - start, m))
+        if fill:
+            end = start + fill
+            reservoir.row[start:end] = rows[:fill]
+            reservoir.invocation_id[start:end] = invocation_id[:fill]
+            reservoir.insn_raw[start:end] = insn_raw[:fill]
+            reservoir.cta[start:end] = cta[:fill]
+            reservoir.arrival[start:end] = np.arange(start, end)
+            reservoir.filled = end
+        if fill < m:
+            if reservoir.rng is None:
+                reservoir.rng = rng_for(
+                    "streaming-reservoir", self.workload, kernel_name
+                )
+            arrivals = np.arange(start + fill, start + m, dtype=np.int64)
+            j = reservoir.rng.integers(0, arrivals + 1)
+            keep = j < cap
+            if np.any(keep):
+                targets = j[keep]
+                source = fill + np.flatnonzero(keep)
+                reversed_targets = targets[::-1]
+                unique, first = np.unique(reversed_targets, return_index=True)
+                last = len(targets) - 1 - first
+                reservoir.row[unique] = rows[source[last]]
+                reservoir.invocation_id[unique] = invocation_id[source[last]]
+                reservoir.insn_raw[unique] = insn_raw[source[last]]
+                reservoir.cta[unique] = cta[source[last]]
+                reservoir.arrival[unique] = arrivals[keep][last]
+                reservoir.replaced += int(np.count_nonzero(keep))
+                metrics.inc("streaming.evictions", int(np.count_nonzero(keep)))
+        reservoir.seen += m
+
+    def complete(self, slot: int) -> bool:
+        """True when every observed invocation of the kernel is retained."""
+        reservoir = self._reservoirs.get(slot)
+        if reservoir is None:
+            return True
+        return not self.bounded or reservoir.seen <= self.capacity
+
+    def retained(
+        self, slot: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Retained (rows, invocation ids, raw insn, cta), chronological."""
+        reservoir = self._reservoirs[slot]
+        if not self.bounded:
+            pieces = reservoir.pieces
+            if len(pieces) == 1:
+                return pieces[0]
+            return tuple(
+                np.concatenate([piece[i] for piece in pieces]) for i in range(4)
+            )
+        n = reservoir.filled
+        order = np.argsort(reservoir.arrival[:n], kind="stable")
+        return (
+            reservoir.row[:n][order],
+            reservoir.invocation_id[:n][order],
+            reservoir.insn_raw[:n][order],
+            reservoir.cta[:n][order],
+        )
+
+    def retained_count(self, slot: int) -> int:
+        reservoir = self._reservoirs.get(slot)
+        return 0 if reservoir is None else reservoir.filled
+
+    def resident_rows(self) -> int:
+        """Rows currently retained across all kernels."""
+        return sum(r.filled for r in self._reservoirs.values())
+
+
+def welford_cov_scalar(accumulators, slot: int) -> float:
+    """One kernel's population CoV from its running mean and M2."""
+    count = int(accumulators.count[slot])
+    if count <= 1:
+        return 0.0
+    std = float(np.sqrt(accumulators.m2[slot] / count))
+    mean = float(accumulators.mean[slot])
+    if mean == 0.0:
+        return 0.0 if std == 0.0 else float("inf")
+    return std / abs(mean)
+
+
+class ReferenceStreamingStratifier(StreamingStratifier):
+    """The streaming stratifier with its per-kernel chunk fold and gather.
+
+    Each chunk is appended kernel by kernel to a
+    :class:`ReferenceReservoirStore`, the exact-pick trackers are dicts
+    updated kernel by kernel, and finalize reads one ``retained()`` per
+    kernel. Everything else (observe's reductions, ``_build``) is the
+    production stratifier's.
+    """
+
+    def __init__(
+        self,
+        workload: str,
+        config: SieveConfig,
+        reservoir_rows: int | None = None,
+    ):
+        super().__init__(workload, config, reservoir_rows)
+        self.reservoirs = ReferenceReservoirStore(workload, reservoir_rows)
+        self._first: dict[int, tuple[int, int]] = {}  # slot -> (row, inv)
+        self._cta: dict[int, dict[int, list[int]]] = {}  # cta -> [n, row, inv]
+
+    def _append_chunk(
+        self, segments, slots, rows_sorted, inv_sorted, insn_sorted, cta_sorted
+    ) -> None:
+        bounded = self.reservoirs.bounded
+        starts = segments.starts.tolist()
+        ends = segments.ends.tolist()
+        for g, slot in enumerate(slots):
+            slot = int(slot)
+            lo, hi = starts[g], ends[g]
+            if bounded:
+                self._track_exact_picks(
+                    slot,
+                    rows_sorted[lo:hi],
+                    inv_sorted[lo:hi],
+                    cta_sorted[lo:hi],
+                )
+            self.reservoirs.append(
+                slot,
+                self.accumulators.names[slot],
+                rows_sorted[lo:hi],
+                inv_sorted[lo:hi],
+                insn_sorted[lo:hi],
+                cta_sorted[lo:hi],
+            )
+
+    def _track_exact_picks(
+        self,
+        slot: int,
+        rows: np.ndarray,
+        invocation_id: np.ndarray,
+        cta: np.ndarray,
+    ) -> None:
+        if slot not in self._first:
+            self._first[slot] = (int(rows[0]), int(invocation_id[0]))
+        table = self._cta.setdefault(slot, {})
+        sizes, first, counts = np.unique(
+            cta, return_index=True, return_counts=True
+        )
+        for size, pos, count in zip(sizes, first, counts):
+            entry = table.get(int(size))
+            if entry is None:
+                table[int(size)] = [
+                    int(count), int(rows[pos]), int(invocation_id[pos])
+                ]
+            else:
+                entry[0] += int(count)
+
+    def exact_pick(self, slot: int, policy: str) -> tuple[int, int] | None:
+        if policy == "first":
+            return self._first.get(slot)
+        table = self._cta.get(slot)
+        if not table:
+            return None
+        if policy == "dominant_cta":
+            best = max(sorted(table), key=lambda size: table[size][0])
+            return table[best][1], table[best][2]
+        if policy == "max_cta":
+            entry = table[max(table)]
+            return entry[1], entry[2]
+        return None
+
+    def _general_layout(self, slots) -> tuple:
+        self._flush_deferred()
+        accumulators = self.accumulators
+        ordered = sorted(
+            (int(s) for s in slots),
+            key=lambda s: (accumulators.kernel_id[s], s),
+        )
+        retained = [self.reservoirs.retained(s) for s in ordered]
+        counts = np.array([len(r[0]) for r in retained], dtype=np.int64)
+        require(
+            bool(np.all(counts > 0)) or len(ordered) == 0,
+            "stratifier finalized a kernel with no retained invocations",
+            StreamingError,
+        )
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[: len(ordered)] \
+            if len(ordered) else np.empty(0, dtype=np.int64)
+        total = int(counts.sum())
+        rows_cat = np.empty(total, dtype=np.int64)
+        inv_cat = np.empty(total, dtype=np.int64)
+        raw_cat = np.empty(total, dtype=np.int64)
+        cta_cat = np.empty(total, dtype=np.int64)
+        for g, (rows, inv, raw, cta) in enumerate(retained):
+            lo = int(starts[g])
+            hi = lo + int(counts[g])
+            rows_cat[lo:hi] = rows
+            inv_cat[lo:hi] = inv
+            raw_cat[lo:hi] = raw
+            cta_cat[lo:hi] = cta
+        segments = Segments(
+            order=np.arange(total, dtype=np.int64),
+            starts=starts.astype(np.int64),
+            counts=counts,
+            keys=np.array(
+                [accumulators.kernel_id[s] for s in ordered], dtype=np.int64
+            ),
+        )
+        bad_cat = raw_cat <= 0
+        clamped_cat = np.where(bad_cat, 1, raw_cat)
+        tier1_retained = segments.mins(clamped_cat) == segments.maxs(clamped_cat)
+        covs_retained = segments.covs(clamped_cat)
+        sums_retained = segments.sums(clamped_cat)
+        complete = np.array(
+            [self.reservoirs.complete(s) for s in ordered], dtype=bool
+        )
+
+        tier1 = np.empty(len(ordered), dtype=bool)
+        covs = np.empty(len(ordered), dtype=np.float64)
+        for g, slot in enumerate(ordered):
+            if complete[g]:
+                tier1[g] = tier1_retained[g]
+                covs[g] = covs_retained[g]
+            else:
+                tier1[g] = bool(
+                    accumulators.min_insn[slot] == accumulators.max_insn[slot]
+                )
+                covs[g] = welford_cov_scalar(accumulators, slot)
+        return (
+            ordered, starts, counts, rows_cat, inv_cat, raw_cat, clamped_cat,
+            cta_cat, tier1, covs, sums_retained, complete,
+        )

@@ -8,9 +8,12 @@ byte-identical.
 
 Per chunk, the work is the same grouped-array shape as the batch pass:
 one stable argsort of the chunk's kernel ids, segment reductions into
-the per-kernel accumulators, and an append of each kernel's segment to
-its reservoir. At finalize, kernels whose reservoir is complete (always
-true unbounded) replay the exact batch math — the same
+the per-kernel accumulators, and one fold of the whole kernel-sorted
+chunk into the :class:`~repro.streaming.accumulators.ReservoirStore`
+(reservoirs and exact-pick trackers; no loop over the chunk's kernels).
+At finalize, one gather reads every requested kernel's retained rows in
+arrival order. Kernels whose reservoir is complete (always true
+unbounded) replay the exact batch math — the same
 :class:`~repro.utils.segments.Segments` reduceat reductions over the
 same per-kernel-contiguous layout, which per-segment are independent of
 every other segment, hence bit-identical to the one-shot pass. Kernels
@@ -82,12 +85,6 @@ class StreamingStratifier:
         self.accumulators = KernelAccumulators()
         self.reservoirs = ReservoirStore(workload, reservoir_rows)
         self.rows_seen = 0
-        # Exact pick trackers, maintained only in bounded mode: the first
-        # invocation overall and per CTA size survive eviction, so the
-        # paper's default policies stay exact even when the reservoir
-        # cannot hold the kernel.
-        self._first: dict[int, tuple[int, int]] = {}  # slot -> (row, inv)
-        self._cta: dict[int, dict[int, list[int]]] = {}  # cta -> [n, row, inv]
         # Single-shot fast path (the batch driver): when exactly one
         # unbounded observe covered the whole stream, its sorted layout
         # and segment reductions are already what finalize would rebuild
@@ -155,57 +152,18 @@ class StreamingStratifier:
     def _append_chunk(
         self, segments, slots, rows_sorted, inv_sorted, insn_sorted, cta_sorted
     ) -> None:
-        bounded = self.reservoirs.bounded
-        starts = segments.starts.tolist()
-        ends = segments.ends.tolist()
-        for g, slot in enumerate(slots):
-            slot = int(slot)
-            lo, hi = starts[g], ends[g]
-            if bounded:
-                self._track_exact_picks(
-                    slot,
-                    rows_sorted[lo:hi],
-                    inv_sorted[lo:hi],
-                    cta_sorted[lo:hi],
-                )
-            self.reservoirs.append(
-                slot,
-                self.accumulators.names[slot],
-                rows_sorted[lo:hi],
-                inv_sorted[lo:hi],
-                insn_sorted[lo:hi],
-                cta_sorted[lo:hi],
-            )
+        self.reservoirs.fold(
+            slots, segments.counts, self.accumulators.names,
+            rows_sorted, inv_sorted, insn_sorted, cta_sorted,
+        )
 
     def _flush_deferred(self) -> None:
-        """Materialize the deferred first chunk's reservoir appends."""
+        """Fold the deferred first chunk into the reservoirs."""
         if self._snapshot is None:
             return
         segments, slots, _, _, rows, inv, insn, cta = self._snapshot
         self._append_chunk(segments, slots, rows, inv, insn, cta)
         self._snapshot = None
-
-    def _track_exact_picks(
-        self,
-        slot: int,
-        rows: np.ndarray,
-        invocation_id: np.ndarray,
-        cta: np.ndarray,
-    ) -> None:
-        if slot not in self._first:
-            self._first[slot] = (int(rows[0]), int(invocation_id[0]))
-        table = self._cta.setdefault(slot, {})
-        sizes, first, counts = np.unique(
-            cta, return_index=True, return_counts=True
-        )
-        for size, pos, count in zip(sizes, first, counts):
-            entry = table.get(int(size))
-            if entry is None:
-                table[int(size)] = [
-                    int(count), int(rows[pos]), int(invocation_id[pos])
-                ]
-            else:
-                entry[0] += int(count)
 
     # ------------------------------------------------------------------ #
     # Finalize
@@ -238,20 +196,7 @@ class StreamingStratifier:
         exactly as the stream flows, so single-stratum kernels keep
         batch-exact picks even after their reservoir overflowed.
         """
-        if policy == "first":
-            return self._first.get(slot)
-        table = self._cta.get(slot)
-        if not table:
-            return None
-        if policy == "dominant_cta":
-            # Modal CTA size, ties toward the smaller size (batch order:
-            # np.unique ascending + first argmax).
-            best = max(sorted(table), key=lambda size: table[size][0])
-            return table[best][1], table[best][2]
-        if policy == "max_cta":
-            entry = table[max(table)]
-            return entry[1], entry[2]
-        return None
+        return self.reservoirs.exact_pick(slot, policy)
 
     def _single_shot_layout(self, slots) -> tuple | None:
         """The saved first-chunk layout, when it still covers the request.
@@ -290,60 +235,41 @@ class StreamingStratifier:
             (int(s) for s in slots),
             key=lambda s: (accumulators.kernel_id[s], s),
         )
-        retained = [self.reservoirs.retained(s) for s in ordered]
-        counts = np.array([len(r[0]) for r in retained], dtype=np.int64)
+        counts, (rows_cat, inv_cat, raw_cat, cta_cat) = self.reservoirs.gather(
+            ordered
+        )
         require(
-            bool(np.all(counts > 0)) or len(ordered) == 0,
+            bool(np.all(counts > 0)),
             "stratifier finalized a kernel with no retained invocations",
             StreamingError,
         )
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[: len(ordered)] \
-            if len(ordered) else np.empty(0, dtype=np.int64)
-        total = int(counts.sum())
-        rows_cat = np.empty(total, dtype=np.int64)
-        inv_cat = np.empty(total, dtype=np.int64)
-        raw_cat = np.empty(total, dtype=np.int64)
-        cta_cat = np.empty(total, dtype=np.int64)
-        for g, (rows, inv, raw, cta) in enumerate(retained):
-            lo = int(starts[g])
-            hi = lo + int(counts[g])
-            rows_cat[lo:hi] = rows
-            inv_cat[lo:hi] = inv
-            raw_cat[lo:hi] = raw
-            cta_cat[lo:hi] = cta
-        # The concatenated layout is per-kernel contiguous in kernel-id
-        # order with chronological rows inside each kernel — exactly the
-        # batch pass's stable argsort layout — so the reduceat reductions
-        # below are bit-identical to stratify_table's historical ones
-        # (reduceat segments reduce independently of one another).
+        starts = np.cumsum(counts) - counts
+        # The gathered layout is per-kernel contiguous in kernel-id order
+        # with chronological rows inside each kernel — exactly the batch
+        # pass's stable argsort layout — so the reduceat reductions below
+        # are bit-identical to stratify_table's historical ones (reduceat
+        # segments reduce independently of one another).
         segments = Segments(
-            order=np.arange(total, dtype=np.int64),
-            starts=starts.astype(np.int64),
+            order=np.arange(len(rows_cat), dtype=np.int64),
+            starts=starts,
             counts=counts,
             keys=np.array(
                 [accumulators.kernel_id[s] for s in ordered], dtype=np.int64
             ),
         )
-        bad_cat = raw_cat <= 0
-        clamped_cat = np.where(bad_cat, 1, raw_cat)
-        tier1_retained = segments.mins(clamped_cat) == segments.maxs(clamped_cat)
-        covs_retained = segments.covs(clamped_cat)
+        clamped_cat = np.where(raw_cat <= 0, 1, raw_cat)
         sums_retained = segments.sums(clamped_cat)
-        complete = np.array(
-            [self.reservoirs.complete(s) for s in ordered], dtype=bool
+        # Overflowed kernels take tier and CoV from the full-stream
+        # accumulators instead of the retained sample.
+        complete = self.reservoirs.complete(ordered)
+        tier1 = np.where(
+            complete,
+            segments.mins(clamped_cat) == segments.maxs(clamped_cat),
+            accumulators.min_insn[ordered] == accumulators.max_insn[ordered],
         )
-
-        tier1 = np.empty(len(ordered), dtype=bool)
-        covs = np.empty(len(ordered), dtype=np.float64)
-        for g, slot in enumerate(ordered):
-            if complete[g]:
-                tier1[g] = tier1_retained[g]
-                covs[g] = covs_retained[g]
-            else:
-                tier1[g] = bool(
-                    accumulators.min_insn[slot] == accumulators.max_insn[slot]
-                )
-                covs[g] = accumulators.welford_cov(slot)
+        covs = np.where(
+            complete, segments.covs(clamped_cat), accumulators.welford_covs(ordered)
+        )
         return (
             ordered, starts, counts, rows_cat, inv_cat, raw_cat, clamped_cat,
             cta_cat, tier1, covs, sums_retained, complete,

@@ -4,13 +4,21 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.pks import PksPipeline
-from repro.baselines.pks_two_level import TwoLevelPksConfig, TwoLevelPksPipeline
+from repro.baselines.pks_two_level import (
+    TwoLevelPksConfig,
+    TwoLevelPksPipeline,
+    light_cluster_counts,
+)
+from repro.core.reference import light_cluster_counts_scalar
 from repro.evaluation.context import build_context
 from repro.evaluation.runner import evaluate_method
 from repro.methods import get_method
 from repro.profiling.nsight import NsightComputeProfiler
+from repro.profiling.table import ProfileTable
 from repro.profiling.two_level import TwoLevelProfiler
 from repro.robustness.faults import parse_fault_plan
 from repro.streaming.base import AssembledContext
@@ -119,3 +127,59 @@ def test_representatives_name_their_row_of_the_faulted_table():
             table.kernel_name_of_row(rep.row),
             int(table.invocation_id[rep.row]),
         )
+
+
+def _table(kernel_id, cta_size) -> ProfileTable:
+    n = len(kernel_id)
+    return ProfileTable(
+        workload="votes",
+        kernel_names=tuple(f"k{k}" for k in range(8)),
+        kernel_id=np.asarray(kernel_id, dtype=np.int32),
+        invocation_id=np.arange(n, dtype=np.int64),
+        insn_count=np.ones(n, dtype=np.int64),
+        cta_size=np.asarray(cta_size, dtype=np.int32),
+        num_ctas=np.ones(n, dtype=np.int64),
+    )
+
+
+def test_tied_votes_go_to_the_cluster_that_entered_first():
+    """Ties resolve as ``Counter.most_common(1)``: the first-inserted
+    maximum, which for a kernel is not the smallest cluster index."""
+    # Detailed rows: kernel 0 at CTA 128 votes once for clusters 0 and 2;
+    # kernel 1 at CTA 64 votes {1: 1, 3: 2}, at CTA 256 votes {2: 2}.
+    detailed = _table([0, 1, 0, 1, 1, 1, 1, 5], [128, 64, 128, 64, 64, 256, 256, 32])
+    cluster_rows = [
+        np.array([0]), np.array([1]), np.array([2, 5, 6]), np.array([3, 4]),
+        np.array([7]),
+    ]
+    group_sizes = [1, 1, 3, 2, 1]
+    light = _table(
+        [0, 1, 1, 1, 7, 5],
+        # tie 0/2 -> 0; signature majority -> 3; unseen CTA: kernel tally
+        # {1: 1, 3: 2, 2: 2} ties 3 and 2, and 3 entered first; unseen
+        # kernel -> most populous cluster 2; kernel 5's only cluster 4.
+        [128, 64, 512, 256, 32, 999],
+    )
+    want = light_cluster_counts_scalar(detailed, light, cluster_rows, group_sizes)
+    assert want.tolist() == [1, 0, 2, 2, 1]
+    got = light_cluster_counts(detailed, light, cluster_rows, group_sizes)
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    detailed=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((-(2**31), 1, 64, 2**31 - 1)),
+                                st.integers(0, 5)), min_size=1, max_size=60),
+    light=st.lists(st.tuples(st.integers(0, 6), st.sampled_from((-(2**31), 1, 64, 128, 2**31 - 1))),
+                   max_size=60),
+)
+def test_light_votes_match_the_counter_oracle(detailed, light):
+    kernels, sizes, clusters = (np.array(column) for column in zip(*detailed))
+    present = np.unique(clusters)
+    cluster_rows = [np.flatnonzero(clusters == c) for c in present]
+    group_sizes = [len(rows) for rows in cluster_rows]
+    detailed_table = _table(kernels, sizes)
+    light_table = _table([k for k, _ in light], [c for _, c in light])
+    want = light_cluster_counts_scalar(detailed_table, light_table, cluster_rows, group_sizes)
+    got = light_cluster_counts(detailed_table, light_table, cluster_rows, group_sizes)
+    assert got.tolist() == want.tolist()

@@ -19,9 +19,9 @@ def test_context_respects_cap(small_context):
     assert small_context.run.num_invocations == 1500
 
 
-def test_context_is_cached(small_context):
-    again = build_context("cactus/gru", max_invocations=1500)
-    assert again is small_context
+def test_context_is_cached():
+    first = build_context("cactus/gru", max_invocations=1500)
+    assert build_context("cactus/gru", max_invocations=1500) is first
 
 
 def test_context_tables_consistent(small_context):
