@@ -9,7 +9,13 @@ tier-3 kernels of ~1000 invocations each), then:
   resident high-water mark stays a small fraction of the feed (the
   O(kernels + reservoir) memory claim, read off the
   ``streaming.high_water_rows`` gauge) and the process RSS growth during
-  the pass stays bounded;
+  the pass stays bounded. The high-water mark is the memory measure.
+  The RSS growth (of ``ru_maxrss``) is deterministic for one build but
+  moves with code placement: one check placed inside
+  ``ReservoirStore.fold`` read 15.0 MiB, the same check elsewhere
+  8.9-9.1 MiB, while perfbench's peak RSS did not move. Its 512 MiB
+  bound is a ceiling against gross leaks, and a difference of a few
+  MiB between builds is code placement, not memory;
 * runs the classic batch ``SievePipeline.select`` on the same table and
   **fails** unless the streamed selection's representatives are
   *identical* (every field of every pick) — the rare kernels fit the
@@ -212,7 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--max-rss-delta-mb", type=float, default=512.0,
         help="fail when process peak RSS grows more than this during the "
-        "streaming pass",
+        "streaming pass: a ceiling against gross leaks; builds differ by a "
+        "few MiB with code placement alone, and streaming.high_water_rows "
+        "is the memory measure",
     )
     args = parser.parse_args(argv)
 

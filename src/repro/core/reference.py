@@ -1423,7 +1423,6 @@ class ReferenceStreamingStratifier(StreamingStratifier):
         return None
 
     def _general_layout(self, slots) -> tuple:
-        self._flush_deferred()
         accumulators = self.accumulators
         ordered = sorted(
             (int(s) for s in slots),

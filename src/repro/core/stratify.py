@@ -15,7 +15,6 @@ import numpy as np
 from repro.core.config import SieveConfig
 from repro.observability import metrics, span
 from repro.profiling.table import ProfileTable
-from repro.utils.validation import require
 from repro.workloads.spec import Tier
 
 
@@ -46,17 +45,18 @@ def stratify_table(table: ProfileTable, config: SieveConfig) -> list[Stratum]:
     Returns strata grouped per kernel (kernels in id order, strata ordered
     by ascending instruction count within a kernel).
 
-    The batch path is literally the streaming operator driven once: one
-    ``observe`` of the whole table (grouped segment reductions into the
-    per-kernel accumulators, everything retained) followed by
-    ``finalize`` — which, with a complete reservoir, replays the exact
-    batch reduceat math, so the output is bit-identical to the historical
-    one-shot pass (pinned by the fig3/4/6 goldens). Non-positive
-    instruction counts are clamped to 1 with a per-kernel diagnostic, as
-    before; :func:`repro.core.reference.stratify_table_scalar` remains
-    the scalar oracle.
+    The batch path is literally the streaming operator driven once, on
+    the one path every stream takes: one ``observe`` of the whole table
+    (grouped segment reductions into the per-kernel accumulators, the
+    sorted columns folded into an unbounded reservoir store) followed by
+    ``finalize``. Tier 1 comes from the accumulators' exact clamped
+    min/max; with every row retained, the CoV and the KDE split replay
+    the exact batch reduceat math, so the output is bit-identical to the
+    historical one-shot pass (pinned by the fig3/4/6 goldens).
+    Non-positive instruction counts are clamped to 1 with a per-kernel
+    diagnostic, as before; :func:`repro.core.reference.stratify_table_scalar`
+    remains the scalar oracle.
     """
-    require(config.theta > 0, "theta must be positive")
     from repro.streaming.stratify import StreamingStratifier
 
     with span("sieve.stratify", workload=table.workload, kernels=table.num_kernels):

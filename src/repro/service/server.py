@@ -189,12 +189,17 @@ class SieveService:
                             header="Content-Length",
                         )))
                     break
-                length = int(length_text)
-                if length > self.config.max_body_bytes:
+                # The number the digits spell, leading zeros allowed; one
+                # with more digits than the limit is over it, and never
+                # reaches int(), which refuses past 4,300 digits.
+                digits = length_text.lstrip("0") or "0"
+                limit = self.config.max_body_bytes
+                length = int(digits) if len(digits) <= len(str(limit)) else limit + 1
+                if length > limit:
                     await self._respond(writer, 413, self._error_body(
                         BadRequestError(
                             "request body too large",
-                            limit_bytes=self.config.max_body_bytes,
+                            limit_bytes=limit,
                         )))
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -342,8 +347,10 @@ class SieveService:
         t0 = time.perf_counter()
         try:
             try:
+                # ValueError covers both decode errors and an integer
+                # literal past Python's 4,300-digit conversion limit.
                 payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise BadRequestError(f"request body is not valid JSON: {exc}") from exc
             request = protocol.parse_request(kind, payload)
             task = _task_for(request)

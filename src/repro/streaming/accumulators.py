@@ -4,7 +4,8 @@
 stratifier: exact integer count/sum/min/max per kernel plus a Welford
 (Chan parallel-merge) mean/M2 pair for the incremental coefficient of
 variation. Integer fields are exact over the whole stream regardless of
-chunking; the Welford CoV is exact up to float rounding and is only
+chunking (the clamped min/max answer every kernel's Tier-1 test at
+finalize); the Welford CoV is exact up to float rounding and is only
 consulted for kernels whose reservoir overflowed — kernels retained in
 full have their CoV recomputed at finalize with the same two-pass
 segment reductions the batch path uses, which is what keeps the batch
@@ -55,7 +56,6 @@ class ChunkStats:
     max_insn: np.ndarray  # int64, clamped
     mean: np.ndarray  # float64, clamped
     m2: np.ndarray  # float64, clamped sum of squared deviations
-    max_cta: np.ndarray  # int64
 
 
 class KernelAccumulators:
@@ -79,7 +79,6 @@ class KernelAccumulators:
         self.max_insn = np.zeros(n, dtype=np.int64)
         self.mean = np.zeros(n, dtype=np.float64)
         self.m2 = np.zeros(n, dtype=np.float64)
-        self.max_cta = np.zeros(n, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -103,7 +102,6 @@ class KernelAccumulators:
         self.max_insn = grown(self.max_insn, _INT64_MIN)
         self.mean = grown(self.mean, 0.0)
         self.m2 = grown(self.m2, 0.0)
-        self.max_cta = grown(self.max_cta, _INT64_MIN)
 
     def slots_for(
         self, kernel_names: tuple[str, ...], chunk_kernel_ids: np.ndarray
@@ -146,7 +144,6 @@ class KernelAccumulators:
         self.bad[slots] += stats.bad
         self.min_insn[slots] = np.minimum(self.min_insn[slots], stats.min_insn)
         self.max_insn[slots] = np.maximum(self.max_insn[slots], stats.max_insn)
-        self.max_cta[slots] = np.maximum(self.max_cta[slots], stats.max_cta)
 
     def welford_cov(self, slot: int) -> float:
         """Population CoV from the running mean/M2 (full-stream, online).

@@ -6,20 +6,21 @@ historically produced — the batch path now *is* one ``observe`` of the
 whole table followed by ``finalize``, and the fig3/4/6 goldens pin that
 byte-identical.
 
-Per chunk, the work is the same grouped-array shape as the batch pass:
-one stable argsort of the chunk's kernel ids, segment reductions into
-the per-kernel accumulators, and one fold of the whole kernel-sorted
-chunk into the :class:`~repro.streaming.accumulators.ReservoirStore`
-(reservoirs and exact-pick trackers; no loop over the chunk's kernels).
-At finalize, one gather reads every requested kernel's retained rows in
-arrival order. Kernels whose reservoir is complete (always true
-unbounded) replay the exact batch math — the same
+There is one path, however the profile arrives. Per chunk, ``observe``
+does the same grouped-array work: one stable argsort of the chunk's
+kernel ids, segment reductions into the per-kernel accumulators, and
+one fold of the whole kernel-sorted chunk into the
+:class:`~repro.streaming.accumulators.ReservoirStore` (reservoirs and
+exact-pick trackers; no loop over the chunk's kernels). At finalize,
+one gather reads every requested kernel's retained rows in arrival
+order. Every kernel's Tier-1 test reads the accumulators' exact clamped
+min/max. Kernels whose reservoir is complete (always true unbounded)
+take their CoV and KDE split from the exact batch math — the same
 :class:`~repro.utils.segments.Segments` reduceat reductions over the
 same per-kernel-contiguous layout, which per-segment are independent of
 every other segment, hence bit-identical to the one-shot pass. Kernels
-whose reservoir overflowed fall back to the full-stream accumulators for
-tier assignment (exact integer min/max, Welford CoV) and run the KDE
-split over the retained sample.
+whose reservoir overflowed take their CoV from the accumulators'
+Welford pair and run the KDE split over the retained sample.
 """
 
 from __future__ import annotations
@@ -79,18 +80,11 @@ class StreamingStratifier:
         config: SieveConfig,
         reservoir_rows: int | None = None,
     ):
-        require(config.theta > 0, "theta must be positive")
         self.workload = workload
         self.config = config
         self.accumulators = KernelAccumulators()
         self.reservoirs = ReservoirStore(workload, reservoir_rows)
         self.rows_seen = 0
-        # Single-shot fast path (the batch driver): when exactly one
-        # unbounded observe covered the whole stream, its sorted layout
-        # and segment reductions are already what finalize would rebuild
-        # from the reservoirs, bit for bit. Kept only until a second
-        # chunk arrives.
-        self._snapshot: tuple | None = None
 
     # ------------------------------------------------------------------ #
     # Observe
@@ -109,9 +103,6 @@ class StreamingStratifier:
         insn_sorted = segments.gather(chunk.insn_count)
         bad_sorted = insn_sorted <= 0
         clamped = np.where(bad_sorted, 1, insn_sorted)
-        cta_sorted = segments.gather(chunk.cta_size)
-        rows_sorted = global_rows[segments.order]
-        inv_sorted = segments.gather(chunk.invocation_id)
 
         counts = segments.counts.astype(np.int64)
         means = segments.means(clamped)
@@ -125,26 +116,13 @@ class StreamingStratifier:
             max_insn=segments.maxs(clamped),
             mean=means,
             m2=segments.sums(deviations * deviations),
-            max_cta=segments.maxs(cta_sorted).astype(np.int64),
         )
         slots = self.accumulators.slots_for(chunk.kernel_names, segments.keys)
         self.accumulators.merge(slots, stats)
-
-        bounded = self.reservoirs.bounded
-        if self.rows_seen == 0 and not bounded:
-            # Single-shot fast path: defer the per-kernel reservoir
-            # appends — if this stays the only chunk (the batch driver),
-            # finalize never needs the reservoirs at all.
-            self._snapshot = (
-                segments, slots, stats, clamped,
-                rows_sorted, inv_sorted, insn_sorted, cta_sorted,
-            )
-            self.rows_seen += n
-            return [int(s) for s in slots]
-        self._flush_deferred()
-        self._snapshot = None
         self._append_chunk(
-            segments, slots, rows_sorted, inv_sorted, insn_sorted, cta_sorted
+            segments, slots, global_rows[segments.order],
+            segments.gather(chunk.invocation_id), insn_sorted,
+            segments.gather(chunk.cta_size),
         )
         self.rows_seen += n
         return [int(s) for s in slots]
@@ -157,21 +135,12 @@ class StreamingStratifier:
             rows_sorted, inv_sorted, insn_sorted, cta_sorted,
         )
 
-    def _flush_deferred(self) -> None:
-        """Fold the deferred first chunk into the reservoirs."""
-        if self._snapshot is None:
-            return
-        segments, slots, _, _, rows, inv, insn, cta = self._snapshot
-        self._append_chunk(segments, slots, rows, inv, insn, cta)
-        self._snapshot = None
-
     # ------------------------------------------------------------------ #
     # Finalize
 
     @property
     def resident_rows(self) -> int:
-        deferred = 0 if self._snapshot is None else len(self._snapshot[4])
-        return self.reservoirs.resident_rows() + deferred
+        return self.reservoirs.resident_rows()
 
     def finalize(self) -> FinalizedStrata:
         """All kernels' strata in batch order, with the legacy metrics."""
@@ -198,38 +167,7 @@ class StreamingStratifier:
         """
         return self.reservoirs.exact_pick(slot, policy)
 
-    def _single_shot_layout(self, slots) -> tuple | None:
-        """The saved first-chunk layout, when it still covers the request.
-
-        Valid only while exactly one unbounded observe has happened and
-        the request asks for every slot in natural order — then the
-        chunk's sorted arrays ARE the per-kernel-contiguous layout the
-        general path would rebuild from the reservoirs, and its
-        :class:`ChunkStats` reductions were computed by the very same
-        two-pass segment math, so reusing both is bit-identical.
-        """
-        if self._snapshot is None:
-            return None
-        ordered = [int(s) for s in slots]
-        if ordered != list(range(len(self.accumulators))):
-            return None
-        segments, _, stats, clamped, rows, inv, raw, cta = self._snapshot
-        counts = segments.counts.astype(np.int64)
-        tier1 = stats.min_insn == stats.max_insn
-        variances = stats.m2 / counts
-        stds = np.sqrt(variances)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            covs = stds / np.abs(stats.mean)
-        covs = np.where(counts <= 1, 0.0, covs)
-        covs = np.where((stats.mean == 0.0) & (stds == 0.0), 0.0, covs)
-        complete = np.ones(len(ordered), dtype=bool)
-        return (
-            ordered, segments.starts, counts, rows, inv, raw, clamped, cta,
-            tier1, covs, stats.insn_sum, complete,
-        )
-
     def _general_layout(self, slots) -> tuple:
-        self._flush_deferred()
         accumulators = self.accumulators
         ordered = sorted(
             (int(s) for s in slots),
@@ -259,14 +197,12 @@ class StreamingStratifier:
         )
         clamped_cat = np.where(raw_cat <= 0, 1, raw_cat)
         sums_retained = segments.sums(clamped_cat)
-        # Overflowed kernels take tier and CoV from the full-stream
-        # accumulators instead of the retained sample.
+        # Tier 1 is an exact integer test, so the full-stream clamped
+        # min/max answer it for every kernel (for a complete kernel they
+        # are its retained rows' min/max). Overflowed kernels also take
+        # their CoV from the accumulators instead of the retained sample.
         complete = self.reservoirs.complete(ordered)
-        tier1 = np.where(
-            complete,
-            segments.mins(clamped_cat) == segments.maxs(clamped_cat),
-            accumulators.min_insn[ordered] == accumulators.max_insn[ordered],
-        )
+        tier1 = accumulators.min_insn[ordered] == accumulators.max_insn[ordered]
         covs = np.where(
             complete, segments.covs(clamped_cat), accumulators.welford_covs(ordered)
         )
@@ -278,24 +214,21 @@ class StreamingStratifier:
     def _build(self, slots, emit_metrics: bool) -> FinalizedStrata:
         accumulators = self.accumulators
         config = self.config
-        layout = self._single_shot_layout(slots)
-        if layout is None:
-            layout = self._general_layout(slots)
         (
             ordered, starts, counts, rows_cat, inv_cat, raw_cat, clamped_cat,
             cta_cat, tier1, covs, sums_retained, complete,
-        ) = layout
+        ) = self._general_layout(slots)
         tier3 = ~tier1 & (covs > config.theta)
 
         # Scalarize the per-kernel columns once: the 2k+-iteration loop
         # below on numpy scalar indexing costs more than the reductions.
-        starts_l = np.asarray(starts).tolist()
-        ends_l = (np.asarray(starts) + counts).tolist()
-        tier1_l = np.asarray(tier1).tolist()
+        starts_l = starts.tolist()
+        ends_l = (starts + counts).tolist()
+        tier1_l = tier1.tolist()
         tier3_l = tier3.tolist()
-        covs_l = np.asarray(covs, dtype=np.float64).tolist()
-        sums_l = np.asarray(sums_retained).tolist()
-        complete_l = np.asarray(complete).tolist()
+        covs_l = covs.tolist()
+        sums_l = sums_retained.tolist()
+        complete_l = complete.tolist()
         insn_sum_l = accumulators.insn_sum[ordered].tolist()
         bad_l = accumulators.bad[ordered].tolist()
         population_l = accumulators.count[ordered].tolist()

@@ -151,6 +151,25 @@ def test_out_of_range_inline_rows_are_typed_400s(client, raw, located):
     assert located in body["error"]["message"]
 
 
+#: An integer literal past Python's 4,300-digit conversion limit.
+HUGE_LITERAL = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        '{"workload": "cactus/gru", "cap": %s}' % HUGE_LITERAL,
+        '{"profile_rows": [{"kernel_name": "k", "insn_count": %s}]}' % HUGE_LITERAL,
+    ],
+    ids=["cap", "insn_count"],
+)
+def test_integer_literals_past_the_digit_limit_are_typed_400s(client, raw):
+    status, body = post_raw(client, "/v1/select", raw)
+    assert status == 400
+    assert body["error"]["type"] == "BadRequestError"
+    assert body["error"]["message"].startswith("request body is not valid JSON")
+
+
 def test_inline_csv_instruction_total_beyond_int64_is_a_typed_400(client):
     csv = (
         "# workload,w,rows,3\n"
@@ -349,6 +368,35 @@ def test_malformed_content_length_is_a_typed_400(service, value):
     assert error["type"] == "BadRequestError"
     assert "Content-Length" in error["message"]
     assert error["context"] == {"header": "Content-Length"}
+
+
+@pytest.mark.parametrize(
+    "value, status",
+    [("1" * 5000, 413), ("0" * 5000 + "2", 400)],
+    ids=["5000-digits", "leading-zeros"],
+)
+def test_content_length_is_read_as_its_number_however_long(service, caplog, value, status):
+    """Past 4,300 digits ``int()`` refuses a string; the header is still
+    the number it spells: over the limit is a 413, and ``00…02`` reads
+    the two-byte body (whose missing workload is a 400)."""
+    raw = socket.create_connection((service.host, service.port), timeout=30)
+    try:
+        raw.sendall(
+            f"POST /v1/select HTTP/1.1\r\nContent-Length: {value}\r\n"
+            "Connection: close\r\n\r\n{}".encode()
+        )
+        received = b""
+        while chunk := raw.recv(65536):  # the server closes after answering
+            received += chunk
+    finally:
+        raw.close()
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode())
+    error = json.loads(body)["error"]
+    assert error["type"] == "BadRequestError"
+    if status == 413:
+        assert error["context"] == {"limit_bytes": ServiceConfig().max_body_bytes}
+    assert not [record for record in caplog.records if record.name == "asyncio"]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ def _stats_for(values: np.ndarray) -> ChunkStats:
         max_insn=np.array([values.max()], dtype=np.int64),
         mean=np.array([mean]),
         m2=np.array([float((deviations * deviations).sum())]),
-        max_cta=np.array([128], dtype=np.int64),
     )
 
 

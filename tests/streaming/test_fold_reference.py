@@ -9,7 +9,9 @@ fold it replaced survives in :mod:`repro.core.reference`
 (:class:`~repro.core.reference.ReferenceStreamingStratifier`). Both see
 the same generated chunks; after every chunk the retained rows, the
 per-slot counts, the trackers and the eviction counter must match, and
-the finalized selections (and event ledgers) must match by pickle.
+the finalized selections (and event ledgers) must match by pickle. A
+deterministic case does the same for catalog tables fed whole, as the
+batch driver feeds them, and in chunks.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from hypothesis import strategies as st
 from repro.core.config import SELECTION_POLICIES, SieveConfig
 from repro.core.reference import ReferenceStreamingStratifier
 from repro.core.stratify import stratify_table
+from repro.evaluation.context import build_context
 from repro.observability import metrics
 from repro.profiling.table import ProfileTable
 from repro.streaming.base import StreamContext
 from repro.streaming.sieve import SieveStream
 from repro.utils.errors import StreamingError
+from repro.workloads.spec import Tier
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 CTA_SIZES = (INT32_MIN, -1, 0, 1, 32, 128, 1024, INT32_MAX)
@@ -89,8 +93,6 @@ def trackers(store) -> tuple[dict, dict]:
 
 
 def assert_state_matches(got, want) -> None:
-    for stratifier in (got, want):
-        stratifier._flush_deferred()  # an unbounded first chunk waits for a second
     store, oracle = got.reservoirs, want.reservoirs
     assert got.resident_rows == want.resident_rows
     for slot in range(len(got.accumulators)):
@@ -144,6 +146,28 @@ def test_grouped_fold_matches_per_kernel_fold(feed, capacity, policy, collect_ev
         assert_state_matches(stream.stratifier, oracle.stratifier)
     assert digest(stream.finalize()) == digest(oracle.finalize())
     assert digest(stream.events) == digest(oracle.events)
+
+
+@pytest.mark.parametrize("label", ["cactus/gru", "cactus/lmc", "mlperf/bert"])
+def test_whole_tables_match_the_per_kernel_fold(label):
+    """Catalog tables at cap 20,000, whose Tier-3 kernels take KDE
+    splits, fed as one whole-table chunk (the batch driver's feed) and
+    in 4,096-row chunks, unbounded and with a 4,096-row reservoir."""
+    table = build_context(label, 20_000).sieve_table
+    config = SieveConfig()
+    for chunk_rows in (len(table), 4096):
+        for capacity in (None, 4096):
+            context = StreamContext(workload=table.workload, reservoir_rows=capacity)
+            stream, oracle = SieveStream(context, config), SieveStream(context, config)
+            oracle.stratifier = ReferenceStreamingStratifier(table.workload, config, capacity)
+            for start in range(0, len(table), chunk_rows):
+                chunk = table.slice_rows(start, start + chunk_rows)
+                stream.observe(chunk)
+                oracle.observe(chunk)
+                assert_state_matches(stream.stratifier, oracle.stratifier)
+            selection = stream.finalize()
+            assert any(stratum.tier is Tier.TIER3 for stratum in selection.strata)
+            assert digest(selection) == digest(oracle.finalize())
 
 
 def test_a_chunk_naming_one_kernel_twice_fails_typed():
