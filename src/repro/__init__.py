@@ -21,6 +21,8 @@ table and figure of the paper, and the ``benchmarks/`` directory for the
 runnable harness.
 """
 
+# First, before anything loads numpy: one BLAS thread per process.
+from repro import _blas  # noqa: F401
 from repro.baselines import PksConfig, PksPipeline
 from repro.core import SieveConfig, SievePipeline
 from repro.gpu import (

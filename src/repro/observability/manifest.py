@@ -30,6 +30,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro import _blas
 from repro.observability import metrics, spans
 from repro.observability.export import record_to_dict as _span_dict
 
@@ -298,6 +299,10 @@ def collect_manifest(
         stats = engine.cache_stats
         cache = {
             "jobs": engine.config.jobs,
+            # The BLAS thread budget of each of those processes, and
+            # whether it came too late for this one (repro._blas).
+            "blas_threads": dict(_blas.THREADS),
+            "numpy_before_repro": _blas.NUMPY_FIRST,
             "enabled": stats is not None,
             "hits": stats.hits if stats else 0,
             "misses": stats.misses if stats else 0,

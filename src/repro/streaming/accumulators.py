@@ -403,13 +403,20 @@ class ReservoirStore:
         if len(slots) == 0:
             return counts, tuple(np.zeros((_ARRIVAL, 0), dtype=np.int64))
         if not self.bounded:
-            # A stable sort by requested position keeps each slot's rows
-            # in chunk order, which is their arrival order.
+            # Each (chunk, kernel) run of the log is one slot's next
+            # rows. A stable sort of the runs by requested position keeps
+            # each slot's runs in chunk order, which is their arrival
+            # order; one repeat expands the runs into row indices.
             position = np.full(len(self.seen), -1)
             position[slots] = np.arange(len(slots))
-            key = np.concatenate([np.repeat(position[s], c) for s, c, _ in self._log])
-            wanted = np.flatnonzero(key >= 0)
-            order = wanted[np.argsort(key[wanted], kind="stable")]
+            run_counts = np.concatenate([c for _, c, _ in self._log])
+            run_starts = np.cumsum(run_counts) - run_counts
+            run_position = position[np.concatenate([s for s, _, _ in self._log])]
+            wanted = np.flatnonzero(run_position >= 0)
+            runs = wanted[np.argsort(run_position[wanted], kind="stable")]
+            sizes = run_counts[runs]
+            shift = run_starts[runs] - (np.cumsum(sizes) - sizes)
+            order = np.arange(int(sizes.sum())) + np.repeat(shift, sizes)
             return counts, tuple(
                 np.concatenate([chunk[column] for *_, chunk in self._log])[order]
                 .astype(np.int64, copy=False)

@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro import _blas
+from repro.evaluation.engine import EngineConfig, EvaluationEngine
 from repro.observability import manifest as obs_manifest
 from repro.observability import metrics, spans, state
 from repro.observability.manifest import (
@@ -12,6 +14,7 @@ from repro.observability.manifest import (
     collect_manifest,
 )
 from repro.observability.spans import span
+from repro.perfstore.store import PerfStore
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +94,24 @@ def test_collect_manifest_and_round_trip():
 
     restored = RunManifest.from_json(manifest.to_json())
     assert restored == manifest  # lossless round-trip
+
+
+def test_engine_block_records_the_blas_thread_budget(tmp_path):
+    engine = EvaluationEngine(EngineConfig(jobs=2, use_cache=False))
+    manifest = collect_manifest("fig3", config={"cap": 100}, engine=engine)
+    assert manifest.cache["jobs"] == 2
+    assert manifest.cache["blas_threads"] == _blas.THREADS
+    assert set(manifest.cache["blas_threads"]) == set(_blas.VARIABLES)
+    assert manifest.cache["numpy_before_repro"] is _blas.NUMPY_FIRST
+    assert RunManifest.from_json(manifest.to_json()) == manifest
+
+    # The budget is run context, not experiment shape: a run with and
+    # one without the engine block land under one config fingerprint.
+    store = PerfStore(tmp_path / "store")
+    bare = collect_manifest("fig3", config={"cap": 100})
+    assert bare.cache is None
+    receipts = [store.ingest(m, figure="fig3", version="v1") for m in (manifest, bare)]
+    assert receipts[0].fingerprint == receipts[1].fingerprint
 
 
 def test_save_load_file_round_trip(tmp_path):
