@@ -2,9 +2,9 @@
 """CI contract check: every registered sampling method actually works.
 
 Imports the registry, runs every registered method on one small catalog
-workload, once clean and once with row-losing and row-duplicating
-profile faults, and asserts the select/predict round-trip invariants the
-evaluation layer depends on:
+workload, clean, with row-losing and row-duplicating profile faults, and
+with zeroed, noised and drifting golden counters, and asserts the
+select/predict round-trip invariants the evaluation layer depends on:
 
 * ``select`` returns a :class:`~repro.core.types.SampleSelection` with at
   least one representative, weights summing to ~1, and rows that index
@@ -16,6 +16,10 @@ evaluation layer depends on:
   raw select/predict round-trip;
 * the method's config schema round-trips through
   ``resolve_config(None)`` / ``resolve_config(default)``.
+
+On a golden reference with every counter zeroed, every method must fail
+with a :class:`~repro.utils.errors.SieveError` subclass rather than an
+untyped exception or a prediction.
 
 A partially migrated method — registered but with a broken adapter —
 fails here long before it corrupts a figure. Exits non-zero on the first
@@ -37,6 +41,7 @@ from repro.evaluation.context import build_context
 from repro.evaluation.runner import evaluate_method
 from repro.methods import get_method, list_methods, method_entries
 from repro.robustness.faults import parse_fault_plan
+from repro.utils.errors import SieveError
 
 #: Small but non-trivial: enough invocations for PKS to cluster.
 DEFAULT_CAP = 600
@@ -44,6 +49,10 @@ WORKLOAD = "cactus/gru"
 #: Profile faults that remove, cut and repeat rows, so a method that
 #: selects from any table but the one it is scored on indexes wrong rows.
 FAULTS = "drop:0.1,truncate:0.1,duplicate:0.05"
+#: Golden-counter faults every method must impute around.
+MEASUREMENT_FAULTS = "zero_cycles:0.3,cycle_noise:0.1,clock_drift:0.05"
+#: A golden reference with no usable counter: every method fails typed.
+NO_GOLDEN = "zero_cycles:1.0"
 FAULT_SEED = 7
 
 
@@ -98,6 +107,17 @@ def check_method(name: str, context) -> None:
     )
 
 
+def check_fails_typed(name: str, context) -> None:
+    try:
+        evaluate_method(name, context)
+    except SieveError as exc:
+        print(f"ok   {name:14s} {type(exc).__name__}: {exc}")
+        return
+    except Exception as exc:
+        fail(f"{name}: raised {type(exc).__name__} ({exc}), not a SieveError")
+    fail(f"{name}: predicted from a golden reference with no usable counter")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -114,19 +134,22 @@ def main() -> int:
     if missing:
         fail(f"built-in methods missing from registry: {sorted(missing)}")
 
-    contexts = {
-        "clean": build_context(WORKLOAD, args.cap),
-        FAULTS: build_context(
-            WORKLOAD, args.cap, fault_plan=parse_fault_plan(FAULTS, seed=FAULT_SEED)
-        ),
-    }
-    for faults, context in contexts.items():
+    def context(faults: str | None):
+        plan = parse_fault_plan(faults, seed=FAULT_SEED) if faults else None
+        return build_context(WORKLOAD, args.cap, fault_plan=plan)
+
+    for faults, check in (
+        (None, check_method),
+        (FAULTS, check_method),
+        (MEASUREMENT_FAULTS, check_method),
+        (NO_GOLDEN, check_fails_typed),
+    ):
         print(
-            f"contract check on {WORKLOAD} (cap={args.cap}, {faults}): "
+            f"contract check on {WORKLOAD} (cap={args.cap}, {faults or 'clean'}): "
             f"{', '.join(names)}"
         )
         for name in names:
-            check_method(name, context)
+            check(name, context(faults))
     print(f"all {len(names)} registered methods honor the contract")
     return 0
 

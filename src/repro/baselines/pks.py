@@ -27,11 +27,7 @@ from repro.baselines.kmeans import BisectingKMeans
 from repro.baselines.pca import PCA
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
-from repro.evaluation.imputation import (
-    cycles_in_table_order,
-    kernel_mean_cycles,
-    measured_cycles_or_none,
-)
+from repro.evaluation.imputation import cycles_in_table_order, representative_cycles
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.observability import metrics as obs_metrics
 from repro.observability import span
@@ -254,36 +250,18 @@ class PksPipeline:
         cycle count imputed — each with a diagnostic — so one corrupted
         counter degrades the prediction instead of zeroing or crashing it.
         """
-        predicted = 0.0
-        usable = 0
-        contributions: list[float] = []
         with span("pks.predict", workload=selection.workload):
-            for r in selection.representatives:
-                cycles = measured_cycles_or_none(r, measurement)
-                if cycles is None:
-                    cycles = kernel_mean_cycles(r.kernel_name, measurement)
-                    if cycles is None:
-                        obs_metrics.inc("pks.predict.imputed", reason="unusable")
-                        diagnostics.emit(
-                            "pks.predict",
-                            f"representative {r.group} (kernel "
-                            f"{r.kernel_name!r}) has no measurements at all; "
-                            "its cluster contributes nothing",
-                        )
-                        contributions.append(0.0)
-                        continue
-                    obs_metrics.inc("pks.predict.imputed", reason="kernel_mean")
-                    diagnostics.emit(
-                        "pks.predict",
-                        f"representative {r.group} (kernel {r.kernel_name!r}, "
-                        f"invocation {r.invocation_id}) has no usable "
-                        f"measurement; imputed kernel-mean cycles {cycles:.4g}",
-                    )
-                contributions.append(r.group_size * cycles)
-                predicted += r.group_size * cycles
-                usable += 1
+            cycles = representative_cycles(
+                selection, measurement, "pks.predict", "its cluster contributes nothing"
+            )
+            sizes = [r.group_size for r in selection.representatives]
+            usable = ~np.isnan(cycles)
+            contributions = np.where(usable, np.multiply(sizes, cycles), 0.0).tolist()
+            predicted = 0.0
+            for term in contributions:  # left to right, as the pinned sums were taken
+                predicted += term
         require(
-            usable > 0 and predicted > 0,
+            usable.any() and predicted > 0,
             f"workload {selection.workload!r}: no representative has a "
             "usable measurement to predict from",
             PredictionError,

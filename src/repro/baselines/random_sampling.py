@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.prediction import PredictionResult
 from repro.core.types import Representative, SampleSelection
+from repro.evaluation.imputation import representative_cycles
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.profiling.table import ProfileTable
+from repro.utils.errors import PredictionError
 from repro.utils.seeding import rng_for
 from repro.utils.validation import require
 
@@ -66,16 +70,32 @@ def horvitz_thompson(
 
     The predictor of both equal-probability baselines (random and
     periodic): every sampled invocation stands for
-    ``num_invocations / len(sample)`` invocations.
+    ``num_invocations / len(sample)`` invocations. A zeroed or missing
+    counter takes its kernel's mean cycles, with a diagnostic; a
+    representative with neither is left out of the sample, and a sample
+    left empty raises :class:`PredictionError`.
     """
-    sampled = [r.measured_cycles(measurement) for r in selection.representatives]
-    scale = selection.num_invocations / len(sampled)
-    predicted = sum(sampled) / len(sampled) * selection.num_invocations
+    cycles = representative_cycles(
+        selection,
+        measurement,
+        f"{selection.method}.predict",
+        "it is left out of the sample mean",
+    )
+    sampled = ~np.isnan(cycles)
+    count = int(sampled.sum())
+    require(
+        count > 0,
+        f"workload {selection.workload!r}: no representative has a "
+        "usable measurement to predict from",
+        PredictionError,
+    )
+    scale = selection.num_invocations / count
+    predicted = float(cycles[sampled].sum()) / count * selection.num_invocations
     return PredictionResult(
         workload=selection.workload,
         method=selection.method,
         predicted_cycles=predicted,
         predicted_ipc=selection.total_instructions / predicted,
         num_representatives=selection.num_representatives,
-        contributions=tuple(cycles * scale for cycles in sampled),
+        contributions=tuple(np.where(sampled, cycles * scale, 0.0).tolist()),
     )

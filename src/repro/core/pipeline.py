@@ -26,7 +26,7 @@ from repro.core.selection import select_representative_rows
 from repro.core.stratify import Stratum, stratify_table
 from repro.core.types import Representative, SampleSelection
 from repro.core.weights import stratum_weights
-from repro.evaluation.imputation import kernel_mean_ipc
+from repro.evaluation.imputation import impute
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.observability import metrics, span
 from repro.profiling.table import ProfileTable
@@ -34,55 +34,6 @@ from repro.utils.errors import PredictionError, SelectionError
 from repro.utils.validation import require
 
 __all__ = ["SievePipeline", "SieveSelection", "build_selection"]
-
-
-def _gather_measured_ipc(
-    reps: tuple[Representative, ...], measurement: WorkloadMeasurement
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measured IPC per representative, vectorized per kernel.
-
-    Returns ``(ipc, usable)`` where ``usable[i]`` is False for
-    representatives whose measurement is absent or degenerate — the same
-    predicate as :func:`repro.evaluation.imputation.measured_ipc_or_none`
-    (which survives as the scalar reference path), evaluated as one
-    gather through the concatenated per-kernel counter arrays instead of
-    one dict lookup + two scalar reads per representative.
-    """
-    n = len(reps)
-    ipc = np.empty(n, dtype=np.float64)
-    usable = np.zeros(n, dtype=bool)
-    offsets: dict[str, tuple[int, int]] = {}
-    insn_parts: list[np.ndarray] = []
-    cycle_parts: list[np.ndarray] = []
-    position = 0
-    for kernel_name, kernel in measurement.per_kernel.items():
-        offsets[kernel_name] = (position, len(kernel.cycles))
-        position += len(kernel.cycles)
-        insn_parts.append(kernel.insn_count)
-        cycle_parts.append(kernel.cycles)
-    if not insn_parts or n == 0:
-        return ipc, usable
-    insn_all = np.concatenate(insn_parts)
-    cycles_all = np.concatenate(cycle_parts)
-    absent = (-1, 0)
-    located = [offsets.get(rep.kernel_name, absent) for rep in reps]
-    offset = np.array([o for o, _ in located], dtype=np.int64)
-    size = np.array([s for _, s in located], dtype=np.int64)
-    ids = np.array([rep.invocation_id for rep in reps], dtype=np.int64)
-    # Match numpy indexing semantics (negative ids wrap) so the
-    # vectorized gather is usable for exactly the rows the scalar
-    # per-representative lookups were.
-    in_range = (offset >= 0) & (ids >= -size) & (ids < size)
-    flat = (offset + np.where(ids < 0, ids + size, ids))[in_range]
-    insn = insn_all[flat].astype(np.float64)
-    cycles = cycles_all[flat].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = insn / cycles
-    good = (cycles > 0) & (insn > 0) & np.isfinite(values)
-    idx = np.flatnonzero(in_range)
-    ipc[idx[good]] = values[good]
-    usable[idx[good]] = True
-    return ipc, usable
 
 
 @dataclass(frozen=True)
@@ -175,33 +126,26 @@ class SievePipeline:
         """
         with span("sieve.predict", workload=selection.workload):
             reps = selection.representatives
-            ipc, usable = _gather_measured_ipc(reps, measurement)
-            missing: list[int] = []
-            for i in np.flatnonzero(~usable):
+            ipc, imputed = impute(measurement, *selection.locate(measurement), ipc=True)
+            missing = np.isnan(ipc)
+            for i in np.flatnonzero(imputed & ~missing).tolist():
                 rep = reps[i]
-                value = kernel_mean_ipc(rep.kernel_name, measurement)
-                if value is not None:
-                    metrics.inc("sieve.predict.imputed", reason="kernel_mean")
-                    diagnostics.emit(
-                        "sieve.predict",
-                        f"representative {rep.group} (kernel "
-                        f"{rep.kernel_name!r}, invocation "
-                        f"{rep.invocation_id}) has no usable measurement; "
-                        f"imputed kernel-mean IPC {value:.4g}",
-                    )
-                    ipc[i] = value
-                else:
-                    missing.append(int(i))
-
-            if missing:
-                usable = [i for i in range(len(reps)) if i not in set(missing)]
-                if not usable:
+                metrics.inc("sieve.predict.imputed", reason="kernel_mean")
+                diagnostics.emit(
+                    "sieve.predict",
+                    f"representative {rep.group} (kernel "
+                    f"{rep.kernel_name!r}, invocation "
+                    f"{rep.invocation_id}) has no usable measurement; "
+                    f"imputed kernel-mean IPC {ipc[i]:.4g}",
+                )
+            if missing.any():
+                if missing.all():
                     raise PredictionError(
                         f"workload {selection.workload!r}: no representative has "
                         "a usable measurement to predict from"
                     )
-                fallback = float(ipc[usable].mean())
-                for i in missing:
+                fallback = float(ipc[~missing].mean())
+                for i in np.flatnonzero(missing).tolist():
                     ipc[i] = fallback
                     metrics.inc("sieve.predict.imputed", reason="workload_mean")
                     diagnostics.emit(

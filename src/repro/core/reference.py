@@ -61,6 +61,18 @@ dict-based exact-pick trackers and the finalize that concatenates one
 pins the grouped fold's retained rows, counts, trackers, eviction
 counter and finalized selections to them.
 
+The golden-measurement reads are kept one lookup at a time:
+:func:`measured_ipc_or_none`, :func:`measured_cycles_or_none`,
+:func:`kernel_mean_ipc` and :func:`kernel_mean_cycles` are the scalar
+imputation ladder that :func:`sieve_predict_scalar` and
+:func:`cycles_in_table_order_scalar` climb, reading one kernel's rows
+through :func:`kernel_columns` under the production rule: an absent
+kernel or an invocation id outside ``[0, count)`` is missing.
+``tests/core/test_vectorized_reference.py`` pins the columnar lookup and
+ladder of :mod:`repro.evaluation.imputation` to them, faulted goldens
+included. :class:`ReferenceHardwareExecutor` times and measures kernel
+by kernel and assembles the same whole-run columns at the end.
+
 Nothing in the production pipeline calls this module.
 """
 
@@ -78,14 +90,9 @@ from repro.core.kde import kde_strata
 from repro.core.prediction import PredictionResult, predict_cycles, predict_ipc
 from repro.core.stratify import Stratum
 from repro.core.tiers import classify_invocations
-from repro.core.types import SampleSelection
-from repro.evaluation.imputation import (
-    kernel_mean_cycles,
-    kernel_mean_ipc,
-    measured_ipc_or_none,
-)
+from repro.core.types import Representative, SampleSelection
 from repro.gpu.arch import SECTOR_BYTES, WARP_SIZE, GpuArchitecture
-from repro.gpu.hardware import KernelMeasurement, WorkloadMeasurement
+from repro.gpu.hardware import WorkloadMeasurement
 from repro.gpu.kernel import InvocationBatch, KernelTraits
 from repro.gpu.memory import MemoryTraffic
 from repro.gpu.occupancy import occupancy_for
@@ -103,7 +110,7 @@ from repro.profiling.cost import ProfilingCost, ProfilingCostModel
 from repro.profiling.metrics import PKS_METRICS
 from repro.profiling.table import ProfileTable
 from repro.streaming.stratify import StreamingStratifier
-from repro.utils.errors import StreamingError
+from repro.utils.errors import PredictionError, StreamingError
 from repro.utils.seeding import rng_for
 from repro.utils.segments import Segments
 from repro.utils.stats import coefficient_of_variation
@@ -180,6 +187,91 @@ def split_by_boundaries_scalar(
     return [np.flatnonzero(bins == b) for b in np.unique(bins)]
 
 
+def kernel_columns(
+    kernel_name: str, measurement: WorkloadMeasurement
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """One kernel's (cycles, insn_count) rows, or ``None`` when absent."""
+    [k] = measurement.kernel_index((kernel_name,)).tolist()
+    if k < 0:
+        return None
+    starts = measurement.starts
+    rows = slice(starts[k], starts[k + 1] if k + 1 < len(starts) else len(measurement.cycles))
+    return measurement.cycles[rows], measurement.insn_count[rows]
+
+
+def measured_counters(
+    rep: Representative, measurement: WorkloadMeasurement
+) -> tuple[int, int]:
+    """The representative's (cycles, insn) counters, one lookup at a time.
+
+    Raises ``KeyError`` for an absent kernel and ``IndexError`` for an
+    invocation id outside ``[0, count)``.
+    """
+    kernel = kernel_columns(rep.kernel_name, measurement)
+    if kernel is None:
+        raise KeyError(rep.kernel_name)
+    cycles, insn = kernel
+    if not 0 <= rep.invocation_id < len(cycles):
+        raise IndexError(rep.invocation_id)
+    return int(cycles[rep.invocation_id]), int(insn[rep.invocation_id])
+
+
+def measured_ipc_or_none(
+    rep: Representative, measurement: WorkloadMeasurement
+) -> float | None:
+    """The representative's measured IPC, or ``None`` if unusable.
+
+    Unusable means: its kernel is absent from the measurement, its
+    invocation index is out of range (dropped invocation), or either
+    counter is non-positive/non-finite.
+    """
+    try:
+        cycles, insn = measured_counters(rep, measurement)
+    except (KeyError, IndexError):
+        return None
+    if cycles <= 0 or insn <= 0:
+        return None
+    ipc = insn / cycles
+    return ipc if np.isfinite(ipc) else None
+
+
+def kernel_mean_ipc(
+    kernel_name: str, measurement: WorkloadMeasurement
+) -> float | None:
+    """Mean IPC over a kernel's cleanly measured invocations, if any."""
+    kernel = kernel_columns(kernel_name, measurement)
+    if kernel is None:
+        return None
+    cycles = kernel[0].astype(np.float64)
+    insn = kernel[1].astype(np.float64)
+    clean = (cycles > 0) & (insn > 0)
+    if not clean.any():
+        return None
+    return float((insn[clean] / cycles[clean]).mean())
+
+
+def measured_cycles_or_none(
+    rep: Representative, measurement: WorkloadMeasurement
+) -> float | None:
+    """The representative's measured cycles, or ``None`` if unusable."""
+    try:
+        cycles, _ = measured_counters(rep, measurement)
+    except (KeyError, IndexError):
+        return None
+    return float(cycles) if cycles > 0 else None
+
+
+def kernel_mean_cycles(
+    kernel_name: str, measurement: WorkloadMeasurement
+) -> float | None:
+    """Mean cycles over a kernel's cleanly measured invocations, if any."""
+    kernel = kernel_columns(kernel_name, measurement)
+    if kernel is None:
+        return None
+    clean = kernel[0][kernel[0] > 0]
+    return float(clean.mean()) if len(clean) else None
+
+
 def cycles_in_table_order_scalar(
     table: ProfileTable, measurement: WorkloadMeasurement
 ) -> np.ndarray:
@@ -189,13 +281,13 @@ def cycles_in_table_order_scalar(
         rows = table.rows_for_kernel(kernel_id)
         if len(rows) == 0:
             continue
-        per_kernel = measurement.per_kernel.get(kernel_name)
-        if per_kernel is None:
+        kernel = kernel_columns(kernel_name, measurement)
+        if kernel is None:
             continue
         ids = table.invocation_id[rows]
-        valid = (ids >= 0) & (ids < len(per_kernel.cycles))
+        valid = (ids >= 0) & (ids < len(kernel[0]))
         values = np.full(len(rows), np.nan)
-        values[valid] = per_kernel.cycles[ids[valid]].astype(np.float64)
+        values[valid] = kernel[0][ids[valid]].astype(np.float64)
         values[values <= 0] = np.nan
         cycles[rows] = values
 
@@ -235,7 +327,10 @@ def sieve_predict_scalar(
     if missing:
         usable = [i for i in range(len(reps)) if i not in set(missing)]
         if not usable:
-            raise ValueError("no representative has a usable measurement")
+            raise PredictionError(
+                f"workload {selection.workload!r}: no representative has "
+                "a usable measurement to predict from"
+            )
         fallback = float(ipc[usable].mean())
         for i in missing:
             ipc[i] = fallback
@@ -414,11 +509,11 @@ def attribute_error_scalar(
         for rep, term in zip(selection.representatives, contributions):
             predicted[rep.kernel_name] = predicted.get(rep.kernel_name, 0.0) + term
             rep_counts[rep.kernel_name] = rep_counts.get(rep.kernel_name, 0) + 1
-        names = list(truth.per_kernel)
-        names += sorted(k for k in predicted if k not in truth.per_kernel)
+        names = list(truth.kernel_names)
+        names += sorted(set(predicted).difference(truth.kernel_names))
         for name in names:
-            kernel = truth.per_kernel.get(name)
-            meas = float(int(kernel.cycles.sum())) if kernel is not None else 0.0
+            kernel = kernel_columns(name, truth)
+            meas = float(int(kernel[0].sum())) if kernel is not None else 0.0
             pred = predicted.get(name, 0.0)
             per_kernel.append(
                 KernelAttribution(
@@ -818,7 +913,7 @@ class ReferenceHardwareExecutor:
     def measure_kernel(
         self, workload_name: str, kernel_name: str, traits: KernelTraits,
         batch: InvocationBatch,
-    ) -> KernelMeasurement:
+    ) -> tuple[np.ndarray, np.ndarray]:
         timing = reference_invocation_timing(self.arch, traits, batch)
         cycles = timing.total_cycles
         if traits.measurement_noise_cov > 0:
@@ -826,14 +921,13 @@ class ReferenceHardwareExecutor:
             sigma = traits.measurement_noise_cov
             noise = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=len(batch))
             cycles = cycles * noise
-        return KernelMeasurement(
-            kernel_name=kernel_name,
-            cycles=np.maximum(np.rint(cycles), 1.0).astype(np.int64),
-            insn_count=batch.insn_count.astype(np.int64),
+        return (
+            np.maximum(np.rint(cycles), 1.0).astype(np.int64),
+            batch.insn_count.astype(np.int64),
         )
 
     def measure(self, workload: WorkloadRun | ReferenceRun) -> WorkloadMeasurement:
-        per_kernel: dict[str, KernelMeasurement] = {}
+        per_kernel: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for kernel in workload.kernels:
             name = kernel.traits.name
             if name in per_kernel:
@@ -841,11 +935,15 @@ class ReferenceHardwareExecutor:
             per_kernel[name] = self.measure_kernel(
                 workload.name, name, kernel.traits, kernel.batch
             )
+        sizes = np.array([len(cycles) for cycles, _ in per_kernel.values()], dtype=np.int64)
         return WorkloadMeasurement(
             workload_name=workload.name,
             architecture=self.arch.name,
             clock_ghz=self.arch.clock_ghz,
-            per_kernel=per_kernel,
+            kernel_names=tuple(per_kernel),
+            starts=np.cumsum(sizes) - sizes,
+            cycles=np.concatenate([cycles for cycles, _ in per_kernel.values()]),
+            insn_count=np.concatenate([insn for _, insn in per_kernel.values()]),
         )
 
 

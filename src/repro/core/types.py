@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.utils.validation import require
 
@@ -37,15 +39,6 @@ class Representative:
         require(self.weight >= 0, "weights must be non-negative")
         require(self.group_size >= 1, "a representative stands for >= 1")
 
-    def measured_cycles(self, measurement: WorkloadMeasurement) -> int:
-        """This invocation's golden-reference cycle count."""
-        kernel = measurement.per_kernel[self.kernel_name]
-        return int(kernel.cycles[self.invocation_id])
-
-    def measured_insn(self, measurement: WorkloadMeasurement) -> int:
-        kernel = measurement.per_kernel[self.kernel_name]
-        return int(kernel.insn_count[self.invocation_id])
-
 
 @dataclass(frozen=True)
 class SampleSelection:
@@ -66,6 +59,21 @@ class SampleSelection:
     def num_representatives(self) -> int:
         return len(self.representatives)
 
+    def locate(self, measurement: WorkloadMeasurement) -> tuple[np.ndarray, np.ndarray]:
+        """Each representative as (kernel, invocation id) in ``measurement``.
+
+        The pair :meth:`WorkloadMeasurement.lookup` and the imputation
+        ladder take; an absent kernel is -1.
+        """
+        reps = self.representatives
+        kernel = measurement.kernel_index(rep.kernel_name for rep in reps)
+        ids = np.fromiter((rep.invocation_id for rep in reps), dtype=np.int64, count=len(reps))
+        return kernel, ids
+
     def sample_cycles(self, measurement: WorkloadMeasurement) -> int:
-        """Cycles spent executing (or simulating) just the representatives."""
-        return sum(r.measured_cycles(measurement) for r in self.representatives)
+        """Cycles spent executing (or simulating) just the representatives.
+
+        A representative the measurement lacks costs nothing here.
+        """
+        cycles, _, _ = measurement.lookup(*self.locate(measurement))
+        return int(cycles.sum())

@@ -1,14 +1,15 @@
-"""Shared measurement-imputation helpers for sampling-method predictors.
+"""The golden-measurement imputation ladder, shared by every predictor.
 
 Every predictor faces the same dirty-input problem: a representative's
 golden measurement can be missing (dropped invocation, absent kernel) or
-degenerate (zero/negative/non-finite counters). Sieve predicts in the
-IPC domain and PKS in the cycle domain, but the fallback ladder is
-identical — per-invocation value, then kernel mean over cleanly measured
-invocations, then a caller-chosen last resort. This module is that
-ladder, deduplicated out of :mod:`repro.core.pipeline` and
-:mod:`repro.baselines.pks`; the callers keep emitting their own
-diagnostics so degraded-path reporting stays per-method.
+degenerate (a zeroed counter). Sieve predicts in the IPC domain, PKS and
+the Horvitz-Thompson baselines in the cycle domain, but the ladder is
+one: the invocation's own value, then the mean over its kernel's usable
+invocations, then a caller-chosen last resort. An invocation is found
+through :meth:`~repro.gpu.hardware.WorkloadMeasurement.lookup`; a found
+counter is usable when it is positive, and for IPC the instruction count
+must be positive too. Callers emit their own diagnostics, so
+degraded-path reporting stays per method.
 
 The module is a leaf by design: it may be imported from core, baselines
 and evaluation alike without creating an import cycle.
@@ -21,77 +22,96 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import repro.robustness.diagnostics as diagnostics
-from repro.utils.segments import Segments
+from repro.observability import metrics
 
 if TYPE_CHECKING:  # annotation-only imports; this module must stay a leaf
-    from repro.core.types import Representative
+    from repro.core.types import SampleSelection
     from repro.gpu.hardware import WorkloadMeasurement
     from repro.profiling.table import ProfileTable
 
 
-# --------------------------------------------------------------------- #
-# IPC domain (Sieve predicts application IPC)
+def impute(
+    measurement: WorkloadMeasurement,
+    kernel: np.ndarray,
+    invocation_id: np.ndarray,
+    *,
+    ipc: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder's first two rungs for invocations given as (kernel, id).
 
-
-def measured_ipc_or_none(
-    rep: Representative, measurement: WorkloadMeasurement
-) -> float | None:
-    """The representative's measured IPC, or ``None`` if unusable.
-
-    Unusable means: its kernel is absent from the measurement, its
-    invocation index is out of range (dropped invocation), or either
-    counter is non-positive/non-finite.
+    ``kernel`` holds :meth:`~repro.gpu.hardware.WorkloadMeasurement.
+    kernel_index` values. Returns ``(values, imputed)``: each
+    invocation's golden cycles (its IPC when ``ipc``) if usable, else
+    its kernel's mean over usable invocations, with the bits of numpy's
+    ``mean`` of them, else NaN, left to the caller's last resort.
+    ``imputed`` marks the values that are not the invocation's own.
     """
-    try:
-        insn = rep.measured_insn(measurement)
-        cycles = rep.measured_cycles(measurement)
-    except (KeyError, IndexError):
-        return None
-    if cycles <= 0 or insn <= 0:
-        return None
-    ipc = insn / cycles
-    return ipc if np.isfinite(ipc) else None
+    kernel = np.asarray(kernel, dtype=np.int64)
+    cycles, insn, _ = measurement.lookup(kernel, invocation_id)
+    # A missing invocation reads zero counters, so it is never usable.
+    usable = cycles > 0
+    if ipc:
+        usable &= insn > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(usable, insn / cycles, np.nan)
+    else:
+        values = np.where(usable, cycles, np.nan)
+    imputed = ~usable
+    if imputed.any():
+        kernels, slot = np.unique(kernel[imputed], return_inverse=True)
+        ends = measurement.starts + measurement.counts
+        means = [
+            _kernel_mean(measurement, slice(measurement.starts[k], ends[k]), ipc)
+            if k >= 0
+            else np.nan
+            for k in kernels.tolist()
+        ]
+        values[imputed] = np.array(means)[slot]
+    return values, imputed
 
 
-def kernel_mean_ipc(
-    kernel_name: str, measurement: WorkloadMeasurement
-) -> float | None:
-    """Mean IPC over a kernel's cleanly measured invocations, if any."""
-    kernel = measurement.per_kernel.get(kernel_name)
-    if kernel is None:
-        return None
-    cycles = kernel.cycles.astype(np.float64)
-    insn = kernel.insn_count.astype(np.float64)
-    clean = (cycles > 0) & (insn > 0)
-    if not clean.any():
-        return None
-    return float((insn[clean] / cycles[clean]).mean())
+def _kernel_mean(measurement: WorkloadMeasurement, rows: slice, ipc: bool) -> float:
+    """Mean golden value over one kernel's usable invocations, else NaN."""
+    cycles = measurement.cycles[rows]
+    insn = measurement.insn_count[rows]
+    clean = (cycles > 0) & (insn > 0) if ipc else cycles > 0
+    values = insn[clean] / cycles[clean] if ipc else cycles[clean]
+    return float(values.mean()) if len(values) else np.nan
 
 
-# --------------------------------------------------------------------- #
-# Cycle domain (PKS and the statistical baselines predict cycles)
+def representative_cycles(
+    selection: SampleSelection,
+    measurement: WorkloadMeasurement,
+    source: str,
+    dropped: str,
+) -> np.ndarray:
+    """Each representative's golden cycles through the ladder, else NaN.
 
-
-def measured_cycles_or_none(
-    rep: Representative, measurement: WorkloadMeasurement
-) -> float | None:
-    """The representative's measured cycles, or ``None`` if unusable."""
-    try:
-        cycles = rep.measured_cycles(measurement)
-    except (KeyError, IndexError):
-        return None
-    return float(cycles) if cycles > 0 else None
-
-
-def kernel_mean_cycles(
-    kernel_name: str, measurement: WorkloadMeasurement
-) -> float | None:
-    """Mean cycles over a kernel's cleanly measured invocations, if any."""
-    kernel = measurement.per_kernel.get(kernel_name)
-    if kernel is None:
-        return None
-    clean = kernel.cycles[kernel.cycles > 0]
-    return float(clean.mean()) if len(clean) else None
+    The cycle-domain predictors' shared rungs: every representative
+    imputed with its kernel mean, and every one left without a value,
+    gets a diagnostic from ``source`` and a ``<source>.imputed`` count;
+    ``dropped`` says what the caller does with the latter.
+    """
+    cycles, imputed = impute(measurement, *selection.locate(measurement))
+    reps = selection.representatives
+    for i in np.flatnonzero(imputed).tolist():
+        rep = reps[i]
+        if np.isnan(cycles[i]):
+            metrics.inc(f"{source}.imputed", reason="unusable")
+            diagnostics.emit(
+                source,
+                f"representative {rep.group} (kernel {rep.kernel_name!r}) "
+                f"has no measurements at all; {dropped}",
+            )
+        else:
+            metrics.inc(f"{source}.imputed", reason="kernel_mean")
+            diagnostics.emit(
+                source,
+                f"representative {rep.group} (kernel {rep.kernel_name!r}, "
+                f"invocation {rep.invocation_id}) has no usable "
+                f"measurement; imputed kernel-mean cycles {cycles[i]:.4g}",
+            )
+    return cycles
 
 
 def cycles_in_table_order(
@@ -105,59 +125,16 @@ def cycles_in_table_order(
     partially corrupted golden reference still yields usable per-row
     cycles for k selection and dispersion statistics.
     """
-    cycles = np.full(len(table), np.nan, dtype=np.float64)
-    # One gather through the concatenated per-kernel cycle arrays replaces
-    # the historical per-kernel row scans (O(rows x kernels)): row r of
-    # kernel k reads ``concatenated[offset[k] + invocation_id[r]]``. The
-    # scalar original survives as
-    # :func:`repro.core.reference.cycles_in_table_order_scalar`.
-    num_kernels = len(table.kernel_names)
-    offsets = np.full(num_kernels, -1, dtype=np.int64)
-    sizes = np.zeros(num_kernels, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    position = 0
-    for kernel_id, kernel_name in enumerate(table.kernel_names):
-        per_kernel = measurement.per_kernel.get(kernel_name)
-        if per_kernel is None:
-            continue
-        offsets[kernel_id] = position
-        sizes[kernel_id] = len(per_kernel.cycles)
-        position += len(per_kernel.cycles)
-        parts.append(per_kernel.cycles)
-    if parts:
-        concatenated = np.concatenate(parts)
-        kernel_id_column = np.asarray(table.kernel_id, dtype=np.int64)
-        ids = np.asarray(table.invocation_id, dtype=np.int64)
-        valid = (
-            (offsets[kernel_id_column] >= 0)
-            & (ids >= 0)
-            & (ids < sizes[kernel_id_column])
-        )
-        values = concatenated[offsets[kernel_id_column[valid]] + ids[valid]].astype(
-            np.float64
-        )
-        values[values <= 0] = np.nan
-        cycles[valid] = values
-
-    bad = ~np.isfinite(cycles)
-    if bad.any():
-        bad_rows = np.flatnonzero(bad)
-        by_kernel = Segments.group_by(
-            np.asarray(table.kernel_id, dtype=np.int64)[bad_rows]
-        )
-        for segment, kernel_id in enumerate(by_kernel.keys.tolist()):
-            fallback = kernel_mean_cycles(
-                table.kernel_names[kernel_id], measurement
-            )
-            if fallback is not None:
-                cycles[bad_rows[by_kernel.rows(segment)]] = fallback
-        still_bad = ~np.isfinite(cycles)
+    kernel = measurement.kernel_index(table.kernel_names)[table.kernel_id]
+    cycles, imputed = impute(measurement, kernel, table.invocation_id)
+    if imputed.any():
+        still_bad = np.isnan(cycles)
         if still_bad.any():
             finite = cycles[~still_bad]
             cycles[still_bad] = float(finite.mean()) if len(finite) else 0.0
         diagnostics.emit(
             "pks.golden",
-            f"workload {table.workload!r}: imputed {int(bad.sum())} "
+            f"workload {table.workload!r}: imputed {int(imputed.sum())} "
             "missing/zero golden cycle counts with kernel means",
         )
     return cycles

@@ -12,7 +12,7 @@ paper's scripts only consume profiler and hardware-counter output.
 """
 
 from repro.gpu.arch import AMPERE_RTX3080, TURING_RTX2080TI, GpuArchitecture
-from repro.gpu.hardware import HardwareExecutor, KernelMeasurement, WorkloadMeasurement
+from repro.gpu.hardware import HardwareExecutor, WorkloadMeasurement
 from repro.gpu.kernel import InvocationBatch, KernelTraits
 from repro.gpu.occupancy import OccupancyResult, occupancy_for
 
@@ -25,6 +25,5 @@ __all__ = [
     "OccupancyResult",
     "occupancy_for",
     "HardwareExecutor",
-    "KernelMeasurement",
     "WorkloadMeasurement",
 ]

@@ -15,9 +15,9 @@ whole-run columns (:func:`execution_record`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -31,53 +31,79 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class KernelMeasurement:
-    """Measured execution of all invocations of one kernel."""
-
-    kernel_name: str
-    cycles: np.ndarray  # int64, per invocation
-    insn_count: np.ndarray  # int64, per invocation (copied for convenience)
-
-    @property
-    def ipc(self) -> np.ndarray:
-        """Instructions per cycle, per invocation."""
-        return self.insn_count.astype(np.float64) / self.cycles.astype(np.float64)
-
-    @cached_property
-    def total_cycles(self) -> int:
-        """Summed once; a changed measurement is a new one (``replace``)."""
-        return int(self.cycles.sum())
-
-
-@dataclass(frozen=True)
 class WorkloadMeasurement:
-    """Measured execution of a whole workload on one architecture."""
+    """Measured execution of a whole workload on one architecture.
+
+    Kernel-major whole-run columns: kernel ``k`` (``kernel_names[k]``)
+    owns rows ``starts[k]:starts[k] + counts[k]`` of ``cycles`` and
+    ``insn_count``, row ``starts[k] + i`` being its invocation ``i``.
+    Every reader finds an invocation through :meth:`lookup`.
+    """
 
     workload_name: str
     architecture: str
     clock_ghz: float
-    per_kernel: dict[str, KernelMeasurement]
+    kernel_names: tuple[str, ...]
+    starts: np.ndarray  # int64, first row of each kernel
+    cycles: np.ndarray  # int64, per invocation
+    insn_count: np.ndarray  # int64, per invocation
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        positions = {name: k for k, name in enumerate(self.kernel_names)}
+        object.__setattr__(self, "_positions", positions)
 
     @cached_property
     def total_cycles(self) -> int:
-        """Golden-reference application cycle count (sum over invocations).
+        """Golden-reference application cycle count, summed once.
 
-        Summed once, like each kernel's total.
+        A changed measurement is a new one (``replace``).
         """
-        return sum(m.total_cycles for m in self.per_kernel.values())
+        return int(self.cycles.sum())
 
     @property
     def total_instructions(self) -> int:
-        return int(sum(int(m.insn_count.sum()) for m in self.per_kernel.values()))
+        return int(self.insn_count.sum())
 
     @property
     def wall_time_seconds(self) -> float:
         """End-to-end GPU time at the architecture's core clock."""
         return self.total_cycles / (self.clock_ghz * 1e9)
 
-    def ipc(self) -> float:
-        """Application IPC: total instructions over total cycles."""
-        return self.total_instructions / self.total_cycles
+    @property
+    def counts(self) -> np.ndarray:
+        """Invocations measured per kernel."""
+        return np.diff(self.starts, append=len(self.cycles))
+
+    def kernel_cycles(self) -> np.ndarray:
+        """Each kernel's summed cycles (int64), in ``kernel_names`` order."""
+        summed = np.concatenate(([0], np.cumsum(self.cycles)))
+        return summed[self.starts + self.counts] - summed[self.starts]
+
+    def kernel_index(self, names: Iterable[str]) -> np.ndarray:
+        """Each name's kernel in this measurement, -1 for one it lacks."""
+        return np.fromiter((self._positions.get(name, -1) for name in names), dtype=np.int64)
+
+    def lookup(
+        self, kernel: np.ndarray, invocation_id: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Golden counters of invocations given as (kernel, invocation id).
+
+        ``kernel`` holds :meth:`kernel_index` values. Returns the int64
+        ``cycles`` and ``insn_count`` of each invocation and a ``found``
+        mask: an invocation is missing when its kernel is absent (-1) or
+        its id lies outside ``[0, count)``, and its counters read 0.
+        Whether a found counter is usable is the reader's rule
+        (:mod:`repro.evaluation.imputation`).
+        """
+        kernel = np.asarray(kernel, dtype=np.int64)
+        ids = np.asarray(invocation_id, dtype=np.int64)
+        # Kernel -1 reads an appended empty kernel, and a missing
+        # invocation an appended row of zeros.
+        end = len(self.cycles)
+        found = (ids >= 0) & (ids < np.append(self.counts, 0)[kernel])
+        rows = np.where(found, np.append(self.starts, end)[kernel] + ids, end)
+        return np.append(self.cycles, 0)[rows], np.append(self.insn_count, 0)[rows], found
 
 
 @dataclass(frozen=True)
@@ -148,29 +174,19 @@ class HardwareExecutor:
             names.add(name)
         record = execution_record(self.arch, run)
         cycles = record.cycles.copy()
-        kernel_rows = [
-            slice(start, start + size)
-            for start, size in zip(run.starts.tolist(), run.sizes.tolist())
-        ]
-        for rows, kernel in zip(kernel_rows, run.kernels):
+        for start, size, kernel in zip(run.starts.tolist(), run.sizes.tolist(), run.kernels):
             sigma = kernel.traits.measurement_noise_cov
             if sigma > 0:
                 rng = rng_for("hardware", self.arch.name, run.name, kernel.traits.name)
-                cycles[rows] *= rng.lognormal(
-                    mean=-0.5 * sigma**2, sigma=sigma, size=rows.stop - rows.start
+                cycles[start : start + size] *= rng.lognormal(
+                    mean=-0.5 * sigma**2, sigma=sigma, size=size
                 )
-        cycles = np.maximum(np.rint(cycles), 1.0).astype(np.int64)
-        insn_count = run.batch.insn_count.astype(np.int64)
         return WorkloadMeasurement(
             workload_name=run.name,
             architecture=self.arch.name,
             clock_ghz=self.arch.clock_ghz,
-            per_kernel={
-                kernel.traits.name: KernelMeasurement(
-                    kernel_name=kernel.traits.name,
-                    cycles=cycles[rows],
-                    insn_count=insn_count[rows],
-                )
-                for rows, kernel in zip(kernel_rows, run.kernels)
-            },
+            kernel_names=tuple(kernel.traits.name for kernel in run.kernels),
+            starts=run.starts.copy(),
+            cycles=np.maximum(np.rint(cycles), 1.0).astype(np.int64),
+            insn_count=run.batch.insn_count.astype(np.int64),
         )

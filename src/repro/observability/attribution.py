@@ -39,8 +39,8 @@ data, not telemetry). The tables are :class:`Columns`, built by grouped
 array operations with one Python pass over the representatives and one
 over the strata. On a 2,048-kernel, 100,000-invocation fixture it takes
 about 13 ms in-process on a 2-vCPU Xeon VM, against about 100 ms when it
-built one dataclass per kernel, group and stratum; the first call in a
-process takes about 29 ms, since it also sums the golden totals once.
+built one dataclass per kernel, group and stratum. The golden per-kernel
+totals are one cumulative sum over the measurement's cycle column.
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def _per_kernel(
     rep_kernels = [rep.kernel_name for rep in selection.representatives]
     # Measurement-declaration order first (it partitions C_meas), then any
     # kernels the method predicted for that the truth never measured.
-    index = {name: i for i, name in enumerate(truth.per_kernel)}
-    measured = [float(kernel.total_cycles) for kernel in truth.per_kernel.values()]
+    index = {name: i for i, name in enumerate(truth.kernel_names)}
+    measured = truth.kernel_cycles().astype(np.float64).tolist()
     for name in sorted(set(rep_kernels).difference(index)):
         index[name] = len(index)
         measured.append(0.0)

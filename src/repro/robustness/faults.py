@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.gpu.hardware import KernelMeasurement, WorkloadMeasurement
+from repro.gpu.hardware import WorkloadMeasurement
 from repro.profiling.table import ProfileTable
 from repro.utils.errors import FaultInjectionError
 from repro.utils.seeding import rng_for
@@ -428,9 +428,12 @@ def inject_measurement_faults(
         return measurement, []
 
     records: list[FaultRecord] = []
-    per_kernel: dict[str, KernelMeasurement] = {}
-    for name, kernel in measurement.per_kernel.items():
-        cycles = kernel.cycles.astype(np.float64)
+    column = measurement.cycles.astype(np.float64)
+    ends = measurement.starts + measurement.counts
+    for name, start, end in zip(
+        measurement.kernel_names, measurement.starts.tolist(), ends.tolist()
+    ):
+        cycles = column[start:end]  # a view: each fault edits the column
         for spec in specs:
             rng = rng_for(
                 "faults", plan.seed, spec.mode,
@@ -464,11 +467,4 @@ def inject_measurement_faults(
                             "zero_cycles", f"kernel {name} inv {int(i)}",
                             "cycle count zeroed",
                         ))
-        if np.array_equal(cycles, kernel.cycles.astype(np.float64)):
-            per_kernel[name] = kernel
-        else:
-            per_kernel[name] = replace(
-                kernel, cycles=np.rint(cycles).astype(np.int64)
-            )
-
-    return replace(measurement, per_kernel=per_kernel), records
+    return replace(measurement, cycles=np.rint(column).astype(np.int64)), records

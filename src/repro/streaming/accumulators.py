@@ -145,17 +145,13 @@ class KernelAccumulators:
         self.min_insn[slots] = np.minimum(self.min_insn[slots], stats.min_insn)
         self.max_insn[slots] = np.maximum(self.max_insn[slots], stats.max_insn)
 
-    def welford_cov(self, slot: int) -> float:
-        """Population CoV from the running mean/M2 (full-stream, online).
+    def welford_covs(self, slots) -> np.ndarray:
+        """Each slot's population CoV from the running mean/M2 (online).
 
         Matches :func:`repro.utils.stats.coefficient_of_variation`
         semantics on degenerate inputs: <= 1 observation or an all-zero
         kernel reduce to 0.
         """
-        return float(self.welford_covs([slot])[0])
-
-    def welford_covs(self, slots) -> np.ndarray:
-        """:meth:`welford_cov` of each slot, by the same float operations."""
         count = self.count[slots]
         mean = self.mean[slots]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -209,21 +205,6 @@ class ReservoirStore:
     @property
     def bounded(self) -> bool:
         return self.capacity is not None
-
-    def append(
-        self,
-        slot: int,
-        kernel_name: str,
-        rows: np.ndarray,
-        invocation_id: np.ndarray,
-        insn_raw: np.ndarray,
-        cta: np.ndarray,
-    ) -> None:
-        """Fold one kernel's chunk segment in (arrival order)."""
-        self.fold(
-            [slot], [len(rows)], {slot: kernel_name},
-            rows, invocation_id, insn_raw, cta,
-        )
 
     def fold(
         self,
@@ -440,12 +421,6 @@ class ReservoirStore:
         if self.capacity is None:
             return np.ones(np.shape(slots), dtype=bool)
         return self.seen[slots] <= self.capacity
-
-    def retained(
-        self, slot: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Retained (rows, invocation ids, raw insn, cta), chronological."""
-        return self.gather([slot])[1]
 
     def retained_count(self, slot: int) -> int:
         return int(self._retained(self.seen[slot])) if slot < len(self.seen) else 0

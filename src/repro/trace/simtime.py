@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.types import SampleSelection
 from repro.gpu.hardware import WorkloadMeasurement
+from repro.utils.errors import PredictionError
 from repro.utils.validation import require
 
 #: The paper's quoted simulation speed for Accel-sim (thread-level
@@ -54,9 +55,15 @@ def estimate_simulation_time(
     core, unlimited cores) is determined by the longest-running trace.
     """
     require(simulation_rate_ips > 0, "simulation rate must be positive")
-    insn = [rep.measured_insn(measurement) for rep in selection.representatives]
-    total = int(sum(insn))
-    longest = int(max(insn))
+    _, insn, found = measurement.lookup(*selection.locate(measurement))
+    require(
+        bool(found.all()),
+        f"workload {selection.workload!r}: a representative has no golden "
+        "measurement to size its trace",
+        PredictionError,
+    )
+    total = int(insn.sum())
+    longest = int(insn.max())
     return SimulationTimeEstimate(
         workload=selection.workload,
         method=selection.method,

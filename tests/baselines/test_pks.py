@@ -7,6 +7,7 @@ from repro.baselines.pks import PksConfig, PksPipeline
 from repro.evaluation.imputation import cycles_in_table_order
 from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.nvbit import NVBitProfiler
+from tests.conftest import kernel_rows
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +122,7 @@ def test_cycles_in_table_order_alignment(pks_inputs, toy_run):
     row = 17
     kernel_name = table.kernel_name_of_row(row)
     invocation = int(table.invocation_id[row])
-    assert cycles[row] == golden.per_kernel[kernel_name].cycles[invocation]
+    assert cycles[row] == golden.cycles[kernel_rows(golden, kernel_name)][invocation]
 
 
 def test_clusters_partition_table(pks_inputs, pks_selection):

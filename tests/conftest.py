@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.evaluation.context import WorkloadContext, build_context
-from repro.gpu import AMPERE_RTX3080, HardwareExecutor
+from repro.gpu import AMPERE_RTX3080, HardwareExecutor, WorkloadMeasurement
 from repro.workloads.generator import WorkloadRun, generate
 from repro.workloads.spec import KernelBehavior, WorkloadSpec
 
@@ -55,6 +56,28 @@ def make_spec(**overrides) -> WorkloadSpec:
     )
     defaults.update(overrides)
     return WorkloadSpec(**defaults)
+
+
+def make_measurement(kernels: dict[str, tuple[list[int], list[int]]]) -> WorkloadMeasurement:
+    """``{name: (cycles, insns)}`` -> a WorkloadMeasurement, kernels in order."""
+    sizes = np.array([len(cycles) for cycles, _ in kernels.values()], dtype=np.int64)
+    return WorkloadMeasurement(
+        workload_name="toy",
+        architecture="test-arch",
+        clock_ghz=1.0,
+        kernel_names=tuple(kernels),
+        starts=np.cumsum(sizes) - sizes,
+        cycles=np.array([c for cycles, _ in kernels.values() for c in cycles], dtype=np.int64),
+        insn_count=np.array([i for _, insns in kernels.values() for i in insns], dtype=np.int64),
+    )
+
+
+def kernel_rows(measurement: WorkloadMeasurement, kernel_name: str) -> slice:
+    """One kernel's rows of a measurement's whole-run columns."""
+    [k] = measurement.kernel_index([kernel_name])
+    assert k >= 0, f"{kernel_name!r} is not measured"
+    start = int(measurement.starts[k])
+    return slice(start, start + int(measurement.counts[k]))
 
 
 @pytest.fixture(scope="session")

@@ -30,11 +30,10 @@ def test_weights_sum_to_one(selection):
 
 
 def test_representative_ids_resolve_in_measurement(selection, toy_measurement):
-    for rep in selection.representatives:
-        cycles = rep.measured_cycles(toy_measurement)
-        insn = rep.measured_insn(toy_measurement)
-        assert cycles > 0
-        assert insn > 0
+    cycles, insn, found = toy_measurement.lookup(*selection.locate(toy_measurement))
+    assert found.all()
+    assert np.all(cycles > 0)
+    assert np.all(insn > 0)
 
 
 def test_prediction_accuracy_on_toy_workload(selection, toy_measurement):

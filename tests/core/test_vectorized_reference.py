@@ -13,6 +13,7 @@ reductions may reassociate, so CoV and predictions compare with a
 tolerance far tighter than the goldens' 1e-6 contract.
 """
 
+import dataclasses
 import types
 
 import numpy as np
@@ -20,11 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.pks import PksConfig, PksPipeline
+from repro.baselines.random_sampling import RandomSampler
 from repro.core.config import SELECTION_POLICIES, SieveConfig
 from repro.core.kde import _split_by_boundaries
 from repro.core.pipeline import SievePipeline
 from repro.core.reference import (
     cycles_in_table_order_scalar,
+    kernel_mean_cycles,
+    measured_cycles_or_none,
     pks_representative_rows_scalar,
     select_representative_row_scalar,
     sieve_predict_scalar,
@@ -33,7 +37,7 @@ from repro.core.reference import (
 )
 from repro.core.selection import select_representative_rows
 from repro.core.stratify import stratify_table
-from repro.evaluation.imputation import cycles_in_table_order
+from repro.evaluation.imputation import cycles_in_table_order, representative_cycles
 from repro.gpu import AMPERE_RTX3080, HardwareExecutor
 from repro.profiling.nvbit import NVBitProfiler
 from repro.robustness.faults import inject_measurement_faults, parse_fault_plan
@@ -117,8 +121,6 @@ def test_split_by_boundaries_matches_scalar(n, num_boundaries, seed):
 def test_cycles_alignment_matches_scalar(
     kernels, invocations, tier1, tier3, dirty, seed
 ):
-    import dataclasses
-
     table, golden = _fixture(kernels, invocations, tier1, tier3, seed)
     if dirty:
         # Knock some invocation ids out of range (both signs) so the
@@ -179,6 +181,14 @@ def test_representative_rows_match_scalar(
     assert rows == expected
 
 
+def outcome(fn, *args):
+    """``("ok", result)`` or ``("error", (type, message))`` of ``fn(*args)``."""
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "error", (type(exc), str(exc))
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     kernels=st.integers(min_value=1, max_value=10),
@@ -186,20 +196,72 @@ def test_representative_rows_match_scalar(
     tier1=st.floats(min_value=0.0, max_value=1.0),
     tier3=st.floats(min_value=0.0, max_value=1.0),
     theta=thetas,
+    rate=st.sampled_from((0.0, 0.02, 0.2, 1.0)),
     seed=st.integers(min_value=0, max_value=4),
 )
 def test_predict_matches_scalar(
-    kernels, invocations, tier1, tier3, theta, seed
+    kernels, invocations, tier1, tier3, theta, rate, seed
 ):
+    """Zeroed golden counters take the IPC ladder; at rate 1.0 no kernel
+    has a usable invocation and both raise the same typed error."""
     table, golden = _fixture(kernels, invocations, tier1, tier3, seed)
+    golden, _ = inject_measurement_faults(
+        golden, parse_fault_plan(f"zero_cycles:{rate}", seed=seed)
+    )
     pipe = SievePipeline(SieveConfig(theta=theta))
     selection = pipe.select(table)
-    vec = pipe.predict(selection, golden)
-    ref = sieve_predict_scalar(selection, golden)
+    (status, vec), (ref_status, ref) = (
+        outcome(pipe.predict, selection, golden),
+        outcome(sieve_predict_scalar, selection, golden),
+    )
+    assert status == ref_status
+    if status == "error":
+        assert vec == ref
+        return
     assert np.isclose(vec.predicted_cycles, ref.predicted_cycles, rtol=1e-12)
     assert np.isclose(vec.predicted_ipc, ref.predicted_ipc, rtol=1e-12)
     assert np.allclose(vec.contributions, ref.contributions, rtol=1e-12)
     assert vec.num_representatives == ref.num_representatives
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    kernels=st.integers(min_value=1, max_value=10),
+    invocations=st.integers(min_value=40, max_value=600),
+    tier1=st.floats(min_value=0.0, max_value=1.0),
+    tier3=st.floats(min_value=0.0, max_value=1.0),
+    rate=st.sampled_from((0.0, 0.02, 0.2, 1.0)),
+    seed=st.integers(min_value=0, max_value=4),
+)
+def test_cycle_ladder_matches_scalar(
+    kernels, invocations, tier1, tier3, rate, seed
+):
+    """PKS's and the Horvitz-Thompson predictors' per-representative
+    cycles equal the one-lookup-at-a-time ladder, ids out of range (both
+    signs) and unknown kernels included."""
+    table, golden = _fixture(kernels, invocations, tier1, tier3, seed)
+    golden, _ = inject_measurement_faults(
+        golden, parse_fault_plan(f"zero_cycles:{rate}", seed=seed)
+    )
+    selection = RandomSampler(sample_size=60).select(table)
+    rng = np.random.default_rng(seed)
+    reps = []
+    for rep in selection.representatives:
+        draw = rng.random()
+        if draw < 0.15:
+            rep = dataclasses.replace(rep, invocation_id=int(rng.choice((-1, -7, 10**6))))
+        elif draw < 0.2:
+            rep = dataclasses.replace(rep, kernel_name="ghost")
+        reps.append(rep)
+    selection = dataclasses.replace(selection, representatives=tuple(reps))
+    cycles = representative_cycles(selection, golden, "test.predict", "dropped")
+    expected = []
+    for rep in selection.representatives:
+        value = measured_cycles_or_none(rep, golden)
+        if value is None:
+            value = kernel_mean_cycles(rep.kernel_name, golden)
+        expected.append(np.nan if value is None else value)
+    assert np.array_equal(cycles, np.array(expected), equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None)

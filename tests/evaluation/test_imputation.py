@@ -3,41 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.types import Representative
 from repro.evaluation import imputation
-from repro.gpu.hardware import KernelMeasurement, WorkloadMeasurement
 from repro.profiling.table import ProfileTable
 from repro.robustness import diagnostics
-
-
-def make_measurement(kernels: dict[str, tuple[list[int], list[int]]]):
-    """``{name: (cycles, insns)}`` -> a WorkloadMeasurement."""
-    return WorkloadMeasurement(
-        workload_name="toy",
-        architecture="test-arch",
-        clock_ghz=1.0,
-        per_kernel={
-            name: KernelMeasurement(
-                kernel_name=name,
-                cycles=np.array(cycles, dtype=np.int64),
-                insn_count=np.array(insns, dtype=np.int64),
-            )
-            for name, (cycles, insns) in kernels.items()
-        },
-    )
-
-
-def make_rep(kernel_name: str, invocation_id: int) -> Representative:
-    return Representative(
-        kernel_name=kernel_name,
-        kernel_id=0,
-        invocation_id=invocation_id,
-        row=0,
-        weight=1.0,
-        group="g0",
-        group_size=1,
-    )
-
+from tests.conftest import make_measurement
 
 MEASUREMENT = make_measurement(
     {
@@ -47,31 +16,39 @@ MEASUREMENT = make_measurement(
 )
 
 
+def ladder(kernel_name: str, invocation_id: int, ipc: bool) -> tuple[float, bool]:
+    """One invocation's (value, imputed) through the ladder's two rungs."""
+    values, imputed = imputation.impute(
+        MEASUREMENT, MEASUREMENT.kernel_index([kernel_name]), [invocation_id], ipc=ipc
+    )
+    return float(values[0]), bool(imputed[0])
+
+
 def test_measured_ipc_clean_and_unusable_cases():
-    assert imputation.measured_ipc_or_none(make_rep("k0", 0), MEASUREMENT) == 10.0
+    assert ladder("k0", 0, ipc=True) == (10.0, False)
     # zero cycles, absent kernel, out-of-range invocation: all unusable
-    assert imputation.measured_ipc_or_none(make_rep("k0", 2), MEASUREMENT) is None
-    assert imputation.measured_ipc_or_none(make_rep("nope", 0), MEASUREMENT) is None
-    assert imputation.measured_ipc_or_none(make_rep("k0", 99), MEASUREMENT) is None
+    assert ladder("k0", 2, ipc=True)[1]
+    assert ladder("nope", 0, ipc=True)[1]
+    assert ladder("k0", 99, ipc=True)[1]
 
 
 def test_kernel_mean_ipc_uses_only_clean_invocations():
     # invocation 2 has zero cycles and is excluded: mean(10.0, 5.0)
-    assert imputation.kernel_mean_ipc("k0", MEASUREMENT) == pytest.approx(7.5)
-    assert imputation.kernel_mean_ipc("k1", MEASUREMENT) is None
-    assert imputation.kernel_mean_ipc("nope", MEASUREMENT) is None
+    assert ladder("k0", 2, ipc=True)[0] == pytest.approx(7.5)
+    assert np.isnan(ladder("k1", 0, ipc=True)[0])
+    assert np.isnan(ladder("nope", 0, ipc=True)[0])
 
 
 def test_measured_cycles_clean_and_unusable_cases():
-    assert imputation.measured_cycles_or_none(make_rep("k0", 1), MEASUREMENT) == 200.0
-    assert imputation.measured_cycles_or_none(make_rep("k0", 2), MEASUREMENT) is None
-    assert imputation.measured_cycles_or_none(make_rep("nope", 0), MEASUREMENT) is None
+    assert ladder("k0", 1, ipc=False) == (200.0, False)
+    assert ladder("k0", 2, ipc=False)[1]
+    assert ladder("nope", 0, ipc=False)[1]
 
 
 def test_kernel_mean_cycles_excludes_zeros():
-    assert imputation.kernel_mean_cycles("k0", MEASUREMENT) == pytest.approx(150.0)
-    assert imputation.kernel_mean_cycles("k1", MEASUREMENT) is None
-    assert imputation.kernel_mean_cycles("nope", MEASUREMENT) is None
+    assert ladder("k0", 2, ipc=False)[0] == pytest.approx(150.0)
+    assert np.isnan(ladder("k1", 0, ipc=False)[0])
+    assert np.isnan(ladder("nope", 0, ipc=False)[0])
 
 
 def make_table(kernel_names, kernel_id, invocation_id) -> ProfileTable:

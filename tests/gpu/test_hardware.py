@@ -3,28 +3,35 @@
 import numpy as np
 import pytest
 
+from repro.evaluation.imputation import impute
 from repro.gpu import AMPERE_RTX3080, TURING_RTX2080TI, HardwareExecutor
 from repro.robustness.faults import inject_measurement_faults, parse_fault_plan
 from repro.workloads.generator import generate
-from tests.conftest import make_spec
+from tests.conftest import kernel_rows, make_spec
 
 
 def test_measurement_is_deterministic(toy_run):
     a = HardwareExecutor(AMPERE_RTX3080).measure(toy_run)
     b = HardwareExecutor(AMPERE_RTX3080).measure(toy_run)
     assert a.total_cycles == b.total_cycles
-    for name in a.per_kernel:
-        assert np.array_equal(a.per_kernel[name].cycles, b.per_kernel[name].cycles)
+    assert a.kernel_names == b.kernel_names
+    assert np.array_equal(a.starts, b.starts)
+    assert np.array_equal(a.cycles, b.cycles)
 
 
 def test_total_cycles_sums_kernels(toy_measurement):
-    assert toy_measurement.total_cycles == sum(
-        m.total_cycles for m in toy_measurement.per_kernel.values()
-    )
+    assert toy_measurement.total_cycles == sum(toy_measurement.kernel_cycles().tolist())
+
+
+def kernel_sums(measurement) -> list[int]:
+    return [
+        int(measurement.cycles[kernel_rows(measurement, name)].sum())
+        for name in measurement.kernel_names
+    ]
 
 
 def fresh_total(measurement) -> int:
-    return sum(int(k.cycles.sum()) for k in measurement.per_kernel.values())
+    return sum(kernel_sums(measurement))
 
 
 @pytest.mark.parametrize(
@@ -43,8 +50,7 @@ def test_cached_totals_equal_fresh_sums(toy_run, plan):
         assert faulted.total_cycles == fresh_total(faulted)
         assert faulted.total_cycles != measurement.total_cycles
         measurement = faulted
-    for kernel in measurement.per_kernel.values():
-        assert kernel.total_cycles == int(kernel.cycles.sum())
+    assert measurement.kernel_cycles().tolist() == kernel_sums(measurement)
     assert measurement.total_cycles == fresh_total(measurement)
 
 
@@ -53,7 +59,7 @@ def test_total_instructions_matches_run(toy_run, toy_measurement):
 
 
 def test_ipc_consistency(toy_measurement):
-    assert toy_measurement.ipc() == pytest.approx(
+    assert toy_measurement.insn_count.sum() / toy_measurement.cycles.sum() == pytest.approx(
         toy_measurement.total_instructions / toy_measurement.total_cycles
     )
 
@@ -64,12 +70,12 @@ def test_wall_time_uses_clock(toy_measurement):
 
 
 def test_per_kernel_measurement_covers_every_kernel(toy_run, toy_measurement):
-    assert set(toy_measurement.per_kernel) == {
+    assert set(toy_measurement.kernel_names) == {
         k.traits.name for k in toy_run.kernels
     }
     for kernel in toy_run.kernels:
-        measured = toy_measurement.per_kernel[kernel.traits.name]
-        assert len(measured.cycles) == len(kernel)
+        measured = toy_measurement.cycles[kernel_rows(toy_measurement, kernel.traits.name)]
+        assert len(measured) == len(kernel)
 
 
 def test_measurement_noise_has_configured_scale():
@@ -80,7 +86,7 @@ def test_measurement_noise_has_configured_scale():
     # Tier-1 kernels execute identical work, so per-kernel cycle CoV is
     # (almost) exactly the measurement noise.
     kernel = max(run.kernels, key=len)
-    cycles = measurement.per_kernel[kernel.traits.name].cycles.astype(float)
+    cycles = measurement.cycles[kernel_rows(measurement, kernel.traits.name)].astype(float)
     cov = cycles.std() / cycles.mean()
     assert 0.02 < cov < 0.10
 
@@ -94,7 +100,10 @@ def test_architectures_measure_differently(toy_run):
 
 
 def test_kernel_ipc_vector(toy_measurement):
-    for measured in toy_measurement.per_kernel.values():
-        ipc = measured.ipc
+    for k, count in enumerate(toy_measurement.counts.tolist()):
+        ipc, imputed = impute(
+            toy_measurement, np.full(count, k), np.arange(count), ipc=True
+        )
         assert np.all(ipc > 0)
-        assert len(ipc) == len(measured.cycles)
+        assert not imputed.any()
+        assert len(ipc) == count

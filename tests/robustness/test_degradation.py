@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.baselines.periodic import PeriodicSampler
 from repro.baselines.pks import PksPipeline
+from repro.baselines.random_sampling import RandomSampler
 from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.core.stratify import stratify_table
@@ -15,24 +17,18 @@ from repro.profiling.nvbit import NVBitProfiler
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, FaultSpec
 from repro.utils.errors import PredictionError
+from tests.conftest import kernel_rows
 
 
 def zeroed_measurement(measurement, kernel_name, invocation):
     """A copy of ``measurement`` with one invocation's cycles zeroed."""
-    kernel = measurement.per_kernel[kernel_name]
-    cycles = kernel.cycles.copy()
-    cycles[invocation] = 0
-    per_kernel = dict(measurement.per_kernel)
-    per_kernel[kernel_name] = dataclasses.replace(kernel, cycles=cycles)
-    return dataclasses.replace(measurement, per_kernel=per_kernel)
+    cycles = measurement.cycles.copy()
+    cycles[kernel_rows(measurement, kernel_name)][invocation] = 0
+    return dataclasses.replace(measurement, cycles=cycles)
 
 
 def all_zero_measurement(measurement):
-    per_kernel = {
-        name: dataclasses.replace(k, cycles=np.zeros_like(k.cycles))
-        for name, k in measurement.per_kernel.items()
-    }
-    return dataclasses.replace(measurement, per_kernel=per_kernel)
+    return dataclasses.replace(measurement, cycles=np.zeros_like(measurement.cycles))
 
 
 def test_sieve_predict_imputes_zero_cycle_representative(
@@ -92,6 +88,71 @@ def test_pks_predict_all_unusable_raises_prediction_error(
     selection = pipeline.select(table, toy_measurement)
     with pytest.raises(PredictionError, match="no representative"):
         pipeline.predict(selection, all_zero_measurement(toy_measurement))
+
+
+HT_SAMPLERS = pytest.mark.parametrize(
+    "sampler", [RandomSampler(), PeriodicSampler()], ids=["random", "periodic"]
+)
+
+
+@HT_SAMPLERS
+def test_horvitz_thompson_imputes_zero_cycle_representative(
+    sampler, toy_run, toy_measurement
+):
+    table, _ = NVBitProfiler().profile(toy_run)
+    selection = sampler.select(table)
+    rep = selection.representatives[0]
+    dirty = zeroed_measurement(
+        toy_measurement, rep.kernel_name, rep.invocation_id
+    )
+    with diagnostics.capture_diagnostics() as caught:
+        prediction = sampler.predict(selection, dirty)
+    assert np.isfinite(prediction.predicted_cycles)
+    assert prediction.predicted_cycles > 0
+    assert any("imputed kernel-mean cycles" in c.message for c in caught)
+    # The zeroed counter stands in as its kernel's mean over the rest.
+    kernel = dirty.cycles[kernel_rows(dirty, rep.kernel_name)]
+    scale = selection.num_invocations / selection.num_representatives
+    assert prediction.contributions[0] == pytest.approx(
+        kernel[kernel > 0].mean() * scale, rel=1e-12
+    )
+    clean = sampler.predict(selection, toy_measurement)
+    assert prediction.contributions[1:] == clean.contributions[1:]
+
+
+@HT_SAMPLERS
+def test_horvitz_thompson_leaves_out_an_unmeasured_kernel(
+    sampler, toy_run, toy_measurement
+):
+    table, _ = NVBitProfiler().profile(toy_run)
+    selection = sampler.select(table)
+    name = selection.representatives[0].kernel_name
+    cycles = toy_measurement.cycles.copy()
+    cycles[kernel_rows(toy_measurement, name)] = 0
+    dirty = dataclasses.replace(toy_measurement, cycles=cycles)
+    with diagnostics.capture_diagnostics() as caught:
+        prediction = sampler.predict(selection, dirty)
+    kept = [rep.kernel_name != name for rep in selection.representatives]
+    measured, _, _ = dirty.lookup(*selection.locate(dirty))
+    assert prediction.predicted_cycles == pytest.approx(
+        measured[kept].mean() * selection.num_invocations, rel=1e-12
+    )
+    assert all(
+        term == 0.0
+        for term, keep in zip(prediction.contributions, kept)
+        if not keep
+    )
+    assert any("left out of the sample mean" in c.message for c in caught)
+
+
+@HT_SAMPLERS
+def test_horvitz_thompson_all_unusable_raises_prediction_error(
+    sampler, toy_run, toy_measurement
+):
+    table, _ = NVBitProfiler().profile(toy_run)
+    selection = sampler.select(table)
+    with pytest.raises(PredictionError, match="no representative"):
+        sampler.predict(selection, all_zero_measurement(toy_measurement))
 
 
 def test_pks_select_survives_nan_metrics(toy_run, toy_measurement):

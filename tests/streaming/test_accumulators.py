@@ -48,14 +48,14 @@ def test_welford_merge_matches_direct_statistics(splits):
     assert int(acc.max_insn[slot]) == int(values.max())
     np.testing.assert_allclose(acc.mean[slot], values.mean(), rtol=1e-12)
     direct_cov = coefficient_of_variation(values)
-    np.testing.assert_allclose(acc.welford_cov(slot), direct_cov, rtol=1e-9)
+    np.testing.assert_allclose(acc.welford_covs([slot])[0], direct_cov, rtol=1e-9)
 
 
 def test_welford_merge_from_zero_state_and_single_value():
     acc = KernelAccumulators()
     slot = _register(acc)
     acc.merge(np.array([slot]), _stats_for(np.array([42])))
-    assert acc.welford_cov(slot) == 0.0
+    assert acc.welford_covs([slot])[0] == 0.0
     assert int(acc.count[slot]) == 1
 
 
@@ -70,11 +70,16 @@ def test_accumulators_grow_past_initial_capacity():
     assert np.array_equal(np.asarray(slots), np.asarray(again))
 
 
+def fold_one(store: ReservoirStore, slot: int, name: str, rows, inv, insn, cta):
+    """Fold one kernel's chunk segment in (arrival order)."""
+    store.fold([slot], [len(rows)], {slot: name}, rows, inv, insn, cta)
+
+
 def _feed(store: ReservoirStore, slot: int, rows, inv, insn, cta, splits: int):
     bounds = np.linspace(0, len(rows), splits + 1).astype(int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi > lo:
-            store.append(slot, "k", rows[lo:hi], inv[lo:hi], insn[lo:hi], cta[lo:hi])
+            fold_one(store, slot, "k", rows[lo:hi], inv[lo:hi], insn[lo:hi], cta[lo:hi])
 
 
 @pytest.mark.parametrize("splits", [1, 2, 5, 17])
@@ -90,11 +95,11 @@ def test_bounded_reservoir_is_chunk_split_invariant(splits):
     cta = np.full(n, 128, dtype=np.int64)
 
     whole = ReservoirStore("wl", capacity)
-    whole.append(0, "k", rows, inv, insn, cta)
+    fold_one(whole, 0, "k", rows, inv, insn, cta)
     split = ReservoirStore("wl", capacity)
     _feed(split, 0, rows, inv, insn, cta, splits)
 
-    for a, b in zip(whole.retained(0), split.retained(0)):
+    for a, b in zip(whole.gather([0])[1], split.gather([0])[1]):
         np.testing.assert_array_equal(a, b)
     assert whole.retained_count(0) == capacity
     assert not whole.complete(0)
@@ -104,8 +109,8 @@ def test_bounded_reservoir_retains_chronological_order():
     n, capacity = 500, 32
     rng_rows = np.arange(n, dtype=np.int64)
     store = ReservoirStore("wl", capacity)
-    store.append(0, "k", rng_rows, rng_rows, rng_rows + 1, rng_rows % 7)
-    rows, inv, insn, cta = store.retained(0)
+    fold_one(store, 0, "k", rng_rows, rng_rows, rng_rows + 1, rng_rows % 7)
+    rows, inv, insn, cta = store.gather([0])[1]
     assert len(rows) == capacity
     assert np.all(np.diff(rows) > 0), "retained sample must stay chronological"
     np.testing.assert_array_equal(rows, inv)
@@ -117,8 +122,8 @@ def test_unbounded_reservoir_keeps_everything_and_is_complete():
     store = ReservoirStore("wl", None)
     for lo in range(0, 100, 10):
         rows = np.arange(lo, lo + 10, dtype=np.int64)
-        store.append(0, "k", rows, rows, rows + 1, rows % 3)
-    rows, inv, insn, cta = store.retained(0)
+        fold_one(store, 0, "k", rows, rows, rows + 1, rows % 3)
+    rows, inv, insn, cta = store.gather([0])[1]
     np.testing.assert_array_equal(rows, np.arange(100))
     assert store.complete(0)
     assert not store.bounded
@@ -128,9 +133,9 @@ def test_unbounded_reservoir_keeps_everything_and_is_complete():
 def test_bounded_reservoir_under_capacity_is_complete_and_exact():
     store = ReservoirStore("wl", 64)
     rows = np.arange(40, dtype=np.int64)
-    store.append(0, "k", rows, rows, rows + 1, rows % 3)
+    fold_one(store, 0, "k", rows, rows, rows + 1, rows % 3)
     assert store.complete(0)
-    got_rows, _, _, _ = store.retained(0)
+    got_rows, _, _, _ = store.gather([0])[1]
     np.testing.assert_array_equal(got_rows, rows)
 
 
@@ -140,12 +145,12 @@ def test_reservoirs_are_independent_across_kernels():
     n, capacity = 400, 16
     rows = np.arange(n, dtype=np.int64)
     solo = ReservoirStore("wl", capacity)
-    solo.append(0, "a", rows, rows, rows + 1, rows % 5)
+    fold_one(solo, 0, "a", rows, rows, rows + 1, rows % 5)
 
     mixed = ReservoirStore("wl", capacity)
-    mixed.append(0, "a", rows[:200], rows[:200], rows[:200] + 1, rows[:200] % 5)
-    mixed.append(1, "b", rows, rows, rows + 2, rows % 3)
-    mixed.append(0, "a", rows[200:], rows[200:], rows[200:] + 1, rows[200:] % 5)
+    fold_one(mixed, 0, "a", rows[:200], rows[:200], rows[:200] + 1, rows[:200] % 5)
+    fold_one(mixed, 1, "b", rows, rows, rows + 2, rows % 3)
+    fold_one(mixed, 0, "a", rows[200:], rows[200:], rows[200:] + 1, rows[200:] % 5)
 
-    for a, b in zip(solo.retained(0), mixed.retained(0)):
+    for a, b in zip(solo.gather([0])[1], mixed.gather([0])[1]):
         np.testing.assert_array_equal(a, b)

@@ -101,7 +101,7 @@ def assert_state_matches(got, want) -> None:
             int(store.seen[slot]), store.retained_count(slot), int(store.replaced[slot])
         ) == (reservoir.seen, reservoir.filled, reservoir.replaced)
         assert bool(store.complete(slot)) == oracle.complete(slot)
-        for column, expected in zip(store.retained(slot), oracle.retained(slot)):
+        for column, expected in zip(store.gather([slot])[1], oracle.retained(slot)):
             assert column.dtype == np.int64
             np.testing.assert_array_equal(column, expected)
     assert trackers(store) == (want._first, want._cta)

@@ -20,9 +20,8 @@ def selection(toy_run):
 class TestSimTime:
     def test_serial_is_sum_parallel_is_max(self, selection, toy_measurement):
         estimate = estimate_simulation_time(selection, toy_measurement)
-        insn = [
-            r.measured_insn(toy_measurement) for r in selection.representatives
-        ]
+        _, insn, _ = toy_measurement.lookup(*selection.locate(toy_measurement))
+        insn = insn.tolist()
         rate = 6000.0
         assert estimate.serial_seconds == pytest.approx(sum(insn) / rate)
         assert estimate.parallel_seconds == pytest.approx(max(insn) / rate)
