@@ -1,7 +1,7 @@
 """Figure 10: Sieve error vs speedup as a function of theta."""
 
 from repro.evaluation.experiments import figure10_theta_sweep
-from repro.evaluation.reporting import format_table, percent, times
+from repro.evaluation.reporting import FIGURE_TABLES, percent
 
 from _common import SCALE_CAP, banner, emit
 
@@ -15,14 +15,7 @@ def test_fig10_theta_sensitivity(benchmark):
         rounds=1, iterations=1,
     )
     banner("Figure 10: Sieve prediction error vs speedup per theta")
-    emit(format_table(
-        ["theta", "avg_error", "max_error", "hmean_speedup"],
-        [
-            (r["theta"], percent(r["avg_error"]), percent(r["max_error"]),
-             times(r["hmean_speedup"]))
-            for r in rows
-        ],
-    ))
+    emit(FIGURE_TABLES["fig10"].render(rows))
     below_half = [r["avg_error"] for r in rows if r["theta"] < 0.5]
     at_one = [r for r in rows if r["theta"] == 1.0][0]
     emit(

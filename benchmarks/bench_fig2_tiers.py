@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.evaluation.experiments import figure2_tiers
-from repro.evaluation.reporting import format_table
+from repro.evaluation.reporting import FIGURE_TABLES
 
 from _common import SCALE_CAP, banner, emit
 
@@ -15,18 +15,7 @@ def test_fig2_tier_fractions(benchmark):
         figure2_tiers, args=(THETAS, SCALE_CAP), rounds=1, iterations=1
     )
     banner("Figure 2: invocation fractions in Tier-1/2/3 per theta")
-    headers = ["workload"] + [f"t1/t2/t3 @ θ={t}" for t in THETAS]
-    table_rows = []
-    for row in rows:
-        cells = [row["workload"]]
-        for theta in THETAS:
-            cells.append(
-                f"{row[f'tier1@{theta}']*100:3.0f}/"
-                f"{row[f'tier2@{theta}']*100:3.0f}/"
-                f"{row[f'tier3@{theta}']*100:3.0f}%"
-            )
-        table_rows.append(cells)
-    emit(format_table(headers, table_rows))
+    emit(FIGURE_TABLES["fig2"].render(rows))
 
     tier1 = float(np.mean([r[f"tier1@{THETAS[0]}"] for r in rows]))
     tier2 = {t: float(np.mean([r[f"tier2@{t}"] for r in rows])) for t in THETAS}

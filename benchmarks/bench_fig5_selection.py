@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.evaluation.experiments import figure5_selection_policies
-from repro.evaluation.reporting import format_table, percent
+from repro.evaluation.reporting import FIGURE_TABLES, percent
 
 from _common import SCALE_CAP, banner, emit
 
@@ -14,14 +14,7 @@ def test_fig5_selection_policies(benchmark):
         rounds=1, iterations=1,
     )
     banner("Figure 5: PKS selection policies (first/random/centroid) vs Sieve")
-    emit(format_table(
-        ["workload", "pks_first", "pks_random", "pks_centroid", "sieve"],
-        [
-            (r["workload"], percent(r["pks_first"]), percent(r["pks_random"]),
-             percent(r["pks_centroid"]), percent(r["sieve"]))
-            for r in rows
-        ],
-    ))
+    emit(FIGURE_TABLES["fig5"].render(rows))
     averages = {
         key: float(np.mean([r[key] for r in rows]))
         for key in ("pks_first", "pks_random", "pks_centroid", "sieve")

@@ -2,7 +2,7 @@
 
 from repro.evaluation.experiments import figure7_profiling
 from repro.evaluation.metrics import harmonic_mean
-from repro.evaluation.reporting import format_table, times
+from repro.evaluation.reporting import FIGURE_TABLES
 
 from _common import SCALE_CAP, banner, emit
 
@@ -13,14 +13,7 @@ def test_fig7_profiling_time(benchmark):
         rounds=1, iterations=1,
     )
     banner("Figure 7: profiling time, PKS (Nsight Compute) vs Sieve (NVBit)")
-    emit(format_table(
-        ["workload", "pks_days", "sieve_days", "speedup"],
-        [
-            (r["workload"], f"{r['pks_days']:.3f}", f"{r['sieve_days']:.4f}",
-             times(r["speedup"]))
-            for r in rows
-        ],
-    ))
+    emit(FIGURE_TABLES["fig7"].render(rows))
     speedups = [r["speedup"] for r in rows]
     cactus = [r["speedup"] for r in rows if r["workload"].startswith("cactus")]
     mlperf = [r["speedup"] for r in rows if r["workload"].startswith("mlperf")]

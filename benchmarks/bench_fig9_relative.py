@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.evaluation.experiments import figure9_relative
-from repro.evaluation.reporting import format_table, percent
+from repro.evaluation.reporting import FIGURE_TABLES, percent
 
 from _common import SCALE_CAP, banner, emit
 
@@ -15,14 +15,7 @@ def test_fig9_relative_accuracy(benchmark):
     )
     banner("Figure 9: Ampere-vs-Turing speedup — hardware vs Sieve vs PKS "
            "(Cactus minus rfl; MLPerf excluded, as in the paper)")
-    emit(format_table(
-        ["workload", "hardware", "sieve", "pks", "sieve_err", "pks_err"],
-        [
-            (r["workload"], f"{r['hardware']:.3f}", f"{r['sieve']:.3f}",
-             f"{r['pks']:.3f}", percent(r["sieve_error"]), percent(r["pks_error"]))
-            for r in rows
-        ],
-    ))
+    emit(FIGURE_TABLES["fig9"].render(rows))
     sieve_avg = float(np.mean([r["sieve_error"] for r in rows]))
     pks_avg = float(np.mean([r["pks_error"] for r in rows]))
     emit(f"\nSieve avg relative error: {percent(sieve_avg)}   (paper: 1.5%)")

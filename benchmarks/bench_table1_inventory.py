@@ -1,7 +1,7 @@
 """Table I: workload inventory (suite, workload, #kernels, #invocations)."""
 
 from repro.evaluation.experiments import table1_inventory
-from repro.evaluation.reporting import format_table
+from repro.evaluation.reporting import FIGURE_TABLES
 
 from _common import SCALE_CAP, banner, emit
 
@@ -11,11 +11,7 @@ def test_table1_inventory(benchmark):
         table1_inventory, args=(SCALE_CAP,), rounds=1, iterations=1
     )
     banner("Table I: workloads, kernel counts and invocation counts")
-    emit(format_table(
-        ["suite", "workload", "#kernels", "#invocations"],
-        [(r["suite"], r["workload"], r["kernels"], f"{r['invocations']:,}")
-         for r in rows],
-    ))
+    emit(FIGURE_TABLES["table1"].render(rows))
     mismatches = [
         r for r in rows
         if SCALE_CAP is None and (

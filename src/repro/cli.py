@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro.core.config import SieveConfig
@@ -22,12 +23,13 @@ from repro.evaluation import experiments
 from repro.evaluation.context import build_context
 from repro.evaluation.engine import EngineConfig, EvaluationEngine, ResultCache
 from repro.evaluation.reporting import (
+    FIGURE_TABLES,
     experiment_row_dict,
     format_table,
     percent,
     times,
 )
-from repro.evaluation.runner import evaluate_method
+from repro.evaluation.runner import evaluate_method, evaluate_method_streaming
 from repro.methods import MethodRequest, get_method, method_entries
 from repro.observability import manifest as obs_manifest
 from repro.observability import spans as obs_spans
@@ -50,6 +52,11 @@ _flags_read: set[str] = set()
 #: ran through and the experiment rows/aggregates it printed. Reset per
 #: ``main()`` invocation; module-level so handlers stay plain functions.
 _trace_artifacts: dict = {}
+
+
+class _UsageError(Exception):
+    """A command line the command cannot act on: main() prints the
+    message on stderr and exits 2."""
 
 
 def _fault_plan(args) -> FaultPlan | None:
@@ -150,81 +157,57 @@ def _cmd_methods(args) -> None:
     print(format_table(["method", "config", "description"], rows))
 
 
-def _cmd_table1(args) -> None:
-    rows = experiments.table1_inventory(args.cap)
-    print(format_table(
-        ["suite", "workload", "kernels", "invocations"],
-        [(r["suite"], r["workload"], r["kernels"], r["invocations"]) for r in rows],
-    ))
-
-
-def _cmd_table2(args) -> None:
-    rows = experiments.table2_metrics()
-    print(format_table(
-        ["execution characteristic", "PKS", "Sieve"],
-        [(r["characteristic"], r["pks"], r["sieve"]) for r in rows],
-    ))
-
-
-def _cmd_fig2(args) -> None:
-    rows = experiments.figure2_tiers(max_invocations=args.cap)
-    headers = ["workload"] + [k for k in rows[0] if k != "workload"]
-    print(format_table(
-        headers,
-        [[row["workload"]] + [percent(row[h]) for h in headers[1:]] for row in rows],
-    ))
-
-
-def _cmd_fig5(args) -> None:
-    rows = experiments.figure5_selection_policies(
+#: Each figure command's driver call. fig5, fig9 and fig10 run through
+#: the command's engine; the others take none, so main() warns about
+#: engine flags given to them.
+_FIGURES = {
+    "table1": lambda args: experiments.table1_inventory(args.cap),
+    "table2": lambda args: experiments.table2_metrics(),
+    "fig2": lambda args: experiments.figure2_tiers(max_invocations=args.cap),
+    "fig5": lambda args: experiments.figure5_selection_policies(
         max_invocations=args.cap, engine=_engine(args)
-    )
-    print(format_table(
-        ["workload", "pks_first", "pks_random", "pks_centroid", "sieve"],
-        [
-            (r["workload"], percent(r["pks_first"]), percent(r["pks_random"]),
-             percent(r["pks_centroid"]), percent(r["sieve"]))
-            for r in rows
-        ],
-    ))
-
-
-def _cmd_fig7(args) -> None:
-    rows = experiments.figure7_profiling(max_invocations=args.cap)
-    print(format_table(
-        ["workload", "pks_days", "sieve_days", "speedup"],
-        [
-            (r["workload"], f"{r['pks_days']:.3f}", f"{r['sieve_days']:.4f}",
-             times(r["speedup"]))
-            for r in rows
-        ],
-    ))
-
-
-def _cmd_fig9(args) -> None:
-    rows = experiments.figure9_relative(max_invocations=args.cap, engine=_engine(args))
-    print(format_table(
-        ["workload", "hardware", "sieve", "pks", "sieve_err", "pks_err"],
-        [
-            (r["workload"], f"{r['hardware']:.3f}", f"{r['sieve']:.3f}",
-             f"{r['pks']:.3f}", percent(r["sieve_error"]), percent(r["pks_error"]))
-            for r in rows
-        ],
-    ))
-
-
-def _cmd_fig10(args) -> None:
-    rows = experiments.figure10_theta_sweep(
+    ),
+    "fig7": lambda args: experiments.figure7_profiling(max_invocations=args.cap),
+    "fig9": lambda args: experiments.figure9_relative(
         max_invocations=args.cap, engine=_engine(args)
-    )
-    print(format_table(
-        ["theta", "avg_error", "max_error", "hmean_speedup"],
-        [
-            (r["theta"], percent(r["avg_error"]), percent(r["max_error"]),
-             times(r["hmean_speedup"]))
-            for r in rows
-        ],
-    ))
+    ),
+    "fig10": lambda args: experiments.figure10_theta_sweep(
+        max_invocations=args.cap, engine=_engine(args)
+    ),
+}
+
+
+def _cmd_figure(args) -> None:
+    """Print a paper table or figure in its shared layout."""
+    print(FIGURE_TABLES[args.command].render(_FIGURES[args.command](args)))
+
+
+def _evaluations(args, methods: str, stream: bool = False):
+    """Parse ``methods``, build the workload's context with the fault plan
+    and evaluate each method on it (streamed for ``sample --stream``): the
+    context and a lazy iterator of results, printable as each lands."""
+    requests = _parse_methods(methods, args.theta)
+    context = build_context(args.workload, args.cap, fault_plan=_fault_plan(args))
+    evaluate = evaluate_method
+    if stream:
+        evaluate = partial(
+            evaluate_method_streaming, chunk_rows=args.chunk_rows, reservoir_rows=args.reservoir
+        )
+    return context, (evaluate(r.method, context, r.config) for r in requests)
+
+
+def _from_manifest(args, field: str, missing: str | None):
+    """The ``--from-manifest`` run manifest, or None to evaluate the
+    workload instead. Neither, or a manifest whose ``field`` is empty when
+    ``missing`` says what that lacks, is a usage error."""
+    if not args.from_manifest:
+        if not args.workload:
+            raise _UsageError("error: a workload (or --from-manifest) is required")
+        return None
+    manifest = obs_manifest.RunManifest.load(args.from_manifest)
+    if missing is not None and not getattr(manifest, field):
+        raise _UsageError(f"error: {args.from_manifest} {missing}")
+    return manifest
 
 
 def _cmd_trace(args) -> None:
@@ -259,28 +242,14 @@ def _cmd_trace_export(args) -> int:
     from repro.observability import export as obs_export
     from repro.observability import metrics as obs_metrics
 
-    if args.from_manifest:
-        manifest = obs_manifest.RunManifest.load(args.from_manifest)
+    missing = "embeds no spans (was it written with --trace-out?)"
+    manifest = _from_manifest(args, "spans", None if args.format == "prometheus" else missing)
+    if manifest is not None:
         records = obs_export.records_from_dicts(manifest.spans)
         snapshot = manifest.metrics
-        if args.format != "prometheus" and not records:
-            print(
-                f"error: {args.from_manifest} embeds no spans "
-                "(was it written with --trace-out?)",
-                file=sys.stderr,
-            )
-            return 2
     else:
-        if not args.workload:
-            print("error: a workload (or --from-manifest) is required",
-                  file=sys.stderr)
-            return 2
         mark = obs_spans.mark()
-        context = build_context(
-            args.workload, args.cap, fault_plan=_fault_plan(args)
-        )
-        for request in _parse_methods(args.methods, args.theta):
-            evaluate_method(request.method, context, request.config)
+        list(_evaluations(args, args.methods)[1])
         records = obs_spans.records(since=mark)
         snapshot = obs_metrics.get_registry().snapshot()
 
@@ -305,28 +274,15 @@ def _cmd_attribute(args) -> int:
     """Explain a prediction: signed per-kernel/per-stratum error shares."""
     from repro.observability.report import render_attribution
 
-    if args.from_manifest:
-        manifest = obs_manifest.RunManifest.load(args.from_manifest)
+    manifest = _from_manifest(args, "attribution", "carries no attribution entries")
+    if manifest is not None:
         entries = list(manifest.attribution)
-        if not entries:
-            print(
-                f"error: {args.from_manifest} carries no attribution entries",
-                file=sys.stderr,
-            )
-            return 2
     else:
-        if not args.workload:
-            print("error: a workload (or --from-manifest) is required",
-                  file=sys.stderr)
-            return 2
-        context = build_context(
-            args.workload, args.cap, fault_plan=_fault_plan(args)
-        )
-        entries = []
-        for request in _parse_methods(args.methods, args.theta):
-            result = evaluate_method(request.method, context, request.config)
-            if result.attribution is not None:
-                entries.append(result.attribution.to_dict())
+        entries = [
+            result.attribution.to_dict()
+            for result in _evaluations(args, args.methods)[1]
+            if result.attribution is not None
+        ]
     _trace_artifacts["attribution"] = entries
     print(render_attribution(entries, top=args.top))
     if args.json:
@@ -363,28 +319,13 @@ def _cmd_sample(args) -> int:
     if args.feed is not None:
         return _sample_feed(args)
     if args.workload is None:
-        print("sample: a workload label (or --from FEED) is required",
-              file=sys.stderr)
-        return 2
-    requests = _parse_methods(args.method or "sieve,pks", args.theta)
-    context = build_context(args.workload, args.cap, fault_plan=_fault_plan(args))
+        raise _UsageError("sample: a workload label (or --from FEED) is required")
+    context, results = _evaluations(args, args.method or "sieve,pks", args.stream)
     print(f"workload        : {context.label}")
     print(f"invocations     : {len(context.sieve_table)}")
     print(f"golden cycles   : {context.golden.total_cycles:,}")
     attributions = []
-    for request in requests:
-        if args.stream:
-            from repro.evaluation.runner import evaluate_method_streaming
-
-            result = evaluate_method_streaming(
-                request.method,
-                context,
-                request.config,
-                chunk_rows=args.chunk_rows,
-                reservoir_rows=args.reservoir,
-            )
-        else:
-            result = evaluate_method(request.method, context, request.config)
+    for result in results:
         if result.attribution is not None:
             attributions.append(result.attribution.to_dict())
         print(
@@ -412,12 +353,10 @@ def _sample_feed(args) -> int:
     from repro.streaming.base import StreamContext
 
     if not args.stream:
-        print("sample: --from requires --stream", file=sys.stderr)
-        return 2
+        raise _UsageError("sample: --from requires --stream")
     requests = _parse_methods(args.method or "sieve", args.theta)
     if len(requests) != 1:
-        print("sample: feed mode streams exactly one method", file=sys.stderr)
-        return 2
+        raise _UsageError("sample: feed mode streams exactly one method")
     [request] = requests
     method = get_method(request.method)
     reader = ProfileTableReader(
@@ -827,8 +766,7 @@ def _cmd_loadgen(args) -> int:
         print(f"[loadgen] spawned service at {handle.url}", file=sys.stderr)
     else:
         if args.port is None:
-            print("error: --port is required without --spawn", file=sys.stderr)
-            return 2
+            raise _UsageError("error: --port is required without --spawn")
         host, port = args.host, args.port
     try:
         report = loadgen.run_loadgen(
@@ -849,6 +787,47 @@ def _cmd_loadgen(args) -> int:
         path = manifest.save(args.bench_out)
         print(f"[loadgen] manifest written to {path}", file=sys.stderr)
     return 1 if report.status_counts()["http_5xx"] else 0
+
+
+#: Options several subcommands take, each declared once; the help states
+#: the default through argparse's ``%(default)s``.
+_OPTIONS = {
+    "--theta": dict(type=float, default=0.4, help="Sieve's tier threshold (default %(default)s)"),
+    "--methods": dict(
+        default="sieve,pks",
+        help="comma-separated registered method names "
+        "(default: %(default)s; see 'sieve-repro methods list')",
+    ),
+    "--from-manifest": dict(
+        default=None,
+        help="read what a --trace-out run manifest recorded instead of "
+        "evaluating a workload",
+    ),
+    "--store": dict(
+        default=None,
+        help="performance store directory "
+        "(default: $SIEVE_PERFSTORE_DIR or ~/.cache/sieve-repro/perfstore)",
+    ),
+    "--alpha": dict(type=float, default=0.05, help="rank-test significance level (default %(default)s)"),
+    "--min-ratio": dict(
+        type=float,
+        default=1.10,
+        help="practical-significance floor: median slowdown ratio (default %(default)s)",
+    ),
+    "--min-seconds": dict(
+        type=float,
+        default=0.05,
+        help="practical-significance floor: absolute median slowdown (default %(default)s)",
+    ),
+}
+
+#: The perf gate's significance level and practical-significance floors.
+_GATE_OPTIONS = ("--alpha", "--min-ratio", "--min-seconds")
+
+
+def _add_options(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -916,20 +895,11 @@ def build_parser() -> argparse.ArgumentParser:
         "runs (crash-safe prefix; worker spans merge in task order)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table1": _cmd_table1,
-        "table2": _cmd_table2,
-        "fig2": _cmd_fig2,
-        "fig5": _cmd_fig5,
-        "fig7": _cmd_fig7,
-        "fig9": _cmd_fig9,
-        "fig10": _cmd_fig10,
-    }
-    for name, handler in commands.items():
-        sub.add_parser(name).set_defaults(handler=handler)
+    for name in _FIGURES:
+        sub.add_parser(name).set_defaults(handler=_cmd_figure)
     sample = sub.add_parser("sample", help="run sampling methods on one workload")
     sample.add_argument("workload", nargs="?", default=None)
-    sample.add_argument("--theta", type=float, default=0.4)
+    _add_options(sample, "--theta")
     sample.add_argument(
         "--method",
         default=None,
@@ -975,13 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads", nargs="*",
         help="workload labels (default: all challenging workloads)",
     )
-    compare.add_argument("--theta", type=float, default=0.4)
-    compare.add_argument(
-        "--methods",
-        default="sieve,pks",
-        help="comma-separated registered method names to compare "
-        "(default: sieve,pks; see 'sieve-repro methods list')",
-    )
+    _add_options(compare, "--theta", "--methods")
     compare.set_defaults(handler=_cmd_compare, suites=CHALLENGING_SUITES)
     # fig3 and fig8 are compare's defaults on preset suites.
     for name, suites in (("fig3", CHALLENGING_SUITES), ("fig8", SIMPLE_SUITES)):
@@ -1024,28 +988,10 @@ def build_parser() -> argparse.ArgumentParser:
         "performance store",
     )
     report.add_argument(
-        "--store", default=None,
-        help="performance store directory (default: $SIEVE_PERFSTORE_DIR "
-        "or ~/.cache/sieve-repro/perfstore)",
-    )
-    report.add_argument(
         "--figure", default=None,
         help="store figure key (default: inferred from the manifest command)",
     )
-    report.add_argument(
-        "--alpha", type=float, default=0.05,
-        help="rank-test significance level (default 0.05)",
-    )
-    report.add_argument(
-        "--min-ratio", type=float, default=1.10,
-        help="practical-significance floor: median slowdown ratio "
-        "(default 1.10)",
-    )
-    report.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="practical-significance floor: absolute median slowdown "
-        "(default 0.05)",
-    )
+    _add_options(report, "--store", *_GATE_OPTIONS)
     report.add_argument(
         "--verbose", action="store_true",
         help="also list indistinguishable and matched metrics",
@@ -1084,11 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "regressed (exit 1 when one is found)",
     )
     for p in (perf_list, perf_ingest, perf_log_p, perf_hint):
-        p.add_argument(
-            "--store", default=None,
-            help="store directory (default: $SIEVE_PERFSTORE_DIR or "
-            "~/.cache/sieve-repro/perfstore)",
-        )
+        _add_options(p, "--store")
     for p in (perf_log_p, perf_hint):
         p.add_argument("--figure", default="fig3",
                        help="store figure key (default fig3)")
@@ -1099,9 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
     perf_log_p.add_argument("--limit", type=int, default=0,
                             help="newest N versions only (0 = all)")
-    perf_hint.add_argument("--alpha", type=float, default=0.05)
-    perf_hint.add_argument("--min-ratio", type=float, default=1.10)
-    perf_hint.add_argument("--min-seconds", type=float, default=0.02)
+    _add_options(perf_hint, *_GATE_OPTIONS)
+    perf_hint.set_defaults(min_seconds=0.02)
     perf.set_defaults(handler=_cmd_perf)
 
     trace = sub.add_parser(
@@ -1115,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     selection.add_argument("workload")
     selection.add_argument("--out", default="traces")
-    selection.add_argument("--theta", type=float, default=0.4)
+    _add_options(selection, "--theta")
     selection.add_argument("--limit", type=int, default=None,
                            help="trace only the first N representatives")
     selection.add_argument("--max-warps", type=int, default=16)
@@ -1142,15 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--structural", action="store_true",
         help="jsonl only: drop timings/ids, leaving run-invariant structure",
     )
-    export.add_argument("--theta", type=float, default=0.4)
-    export.add_argument(
-        "--methods", default="sieve,pks",
-        help="methods to run before exporting (default: sieve,pks)",
-    )
-    export.add_argument(
-        "--from-manifest", default=None,
-        help="export from the spans/metrics a --trace-out manifest embedded",
-    )
+    _add_options(export, "--theta", "--methods", "--from-manifest")
     export.set_defaults(handler=_cmd_trace_export)
 
     attribute = sub.add_parser(
@@ -1162,11 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", nargs="?", default=None,
         help="workload to attribute (omit with --from-manifest)",
     )
-    attribute.add_argument("--theta", type=float, default=0.4)
-    attribute.add_argument(
-        "--methods", default="sieve,pks",
-        help="comma-separated registered method names (default: sieve,pks)",
-    )
+    _add_options(attribute, "--theta", "--methods")
     attribute.add_argument(
         "--top", type=int, default=8,
         help="rows per table, ranked by |contribution| (default 8)",
@@ -1175,10 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", default=None,
         help="also write the attribution entries to PATH as JSON",
     )
-    attribute.add_argument(
-        "--from-manifest", default=None,
-        help="render the attributions a --trace-out manifest recorded",
-    )
+    _add_options(attribute, "--from-manifest")
     attribute.set_defaults(handler=_cmd_attribute)
 
     simulate = sub.add_parser(
@@ -1323,10 +1249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated catalog labels "
         "(default: the challenging suites)",
     )
-    loadgen.add_argument(
-        "--methods", default="sieve,pks",
-        help="comma-separated method names to mix (default sieve,pks)",
-    )
+    _add_options(loadgen, "--methods")
     loadgen.add_argument(
         "--predict-fraction", type=float, default=0.5, dest="predict_fraction",
         help="fraction of requests hitting /v1/predict (default 0.5)",
@@ -1449,6 +1372,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         return 0
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SieveError as exc:
         # Typed pipeline failures get a clean one-liner, not a traceback.
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.gpu.arch import AMPERE_RTX3080, TURING_RTX2080TI, GpuArchitecture
+from repro.gpu.arch import AMPERE_RTX3080, GpuArchitecture
 from repro.gpu.hardware import HardwareExecutor, WorkloadMeasurement
 from repro.observability import metrics, span
 from repro.profiling.cost import ProfilingCost
@@ -61,12 +61,11 @@ class WorkloadContext:
 def _cached_context(
     label: str,
     max_invocations: int | None,
-    arch_name: str,
     fault_plan: FaultPlan | None,
     spec=None,  # WorkloadSpec | None; inline spec for non-catalog labels
 ):
-    arch = {a.name: a for a in (AMPERE_RTX3080, TURING_RTX2080TI)}[arch_name]
-    with span("context.build", workload=label, arch=arch_name):
+    arch = AMPERE_RTX3080  # the baseline; Figure 9 measures Turing with measure_on
+    with span("context.build", workload=label, arch=arch.name):
         with span("context.generate", workload=label):
             run = generate(
                 spec if spec is not None else spec_for(label),
@@ -105,11 +104,11 @@ def _cached_context(
 def build_context(
     label: str,
     max_invocations: int | None = None,
-    arch: GpuArchitecture = AMPERE_RTX3080,
     fault_plan: FaultPlan | None = None,
     spec: WorkloadSpec | None = None,
 ) -> WorkloadContext:
-    """Build (or fetch the cached) evaluation context for ``label``.
+    """Build (or fetch the cached) evaluation context for ``label`` on the
+    baseline architecture, Ampere (``measure_on`` measures another).
 
     ``fault_plan`` (see :mod:`repro.robustness.faults`) optionally injects
     deterministic corruption into the profile tables and the golden
@@ -126,4 +125,4 @@ def build_context(
             spec.label == label,
             f"inline spec label {spec.label!r} does not match {label!r}",
         )
-    return _cached_context(label, max_invocations, arch.name, fault_plan, spec)
+    return _cached_context(label, max_invocations, fault_plan, spec)

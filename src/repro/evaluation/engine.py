@@ -32,12 +32,11 @@ import os
 import pickle
 import signal
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from multiprocessing import util as mp_util
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -52,8 +51,9 @@ from repro.observability import state as obs_state
 from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, task_sabotage
+from repro.utils.atomic import atomic_write
 from repro.utils.errors import EngineError, TaskCrashError
-from repro.utils.hashing import stable_hash, tree_fingerprint
+from repro.utils.hashing import source_fingerprint, stable_hash
 from repro.utils.validation import require
 from repro.workloads.catalog import spec_for
 from repro.workloads.spec import WorkloadSpec
@@ -91,16 +91,6 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "sieve-repro"
-
-
-@lru_cache(maxsize=1)
-def source_fingerprint() -> str:
-    """Content hash of the installed ``repro`` package source.
-
-    Folded into every cache key so editing any module invalidates stale
-    results even when ``repro.__version__`` is unchanged.
-    """
-    return tree_fingerprint(Path(repro.__file__).resolve().parent)
 
 
 @dataclass(frozen=True)
@@ -363,18 +353,8 @@ class ResultCache:
         path = self.path_for(key)
         payload = {"schema": CACHE_SCHEMA, "key": key, "results": results}
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with atomic_write(path, "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
         except OSError as exc:
             # A full or read-only disk must not fail the evaluation.
             diagnostics.emit(
@@ -423,13 +403,12 @@ class RetryPolicy:
     ``deadline_s`` is the per-*attempt* wall-clock budget; ``None``
     disables the deadline (the supervisor blocks until the worker
     responds). Backoff between attempt ``k`` and ``k+1`` is
-    ``backoff_base_s * backoff_factor**k``.
+    ``backoff_base_s * 2**k``.
     """
 
     max_attempts: int = 3
     deadline_s: float | None = 60.0
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         require(self.max_attempts >= 1, "max_attempts must be >= 1", EngineError)
@@ -439,11 +418,10 @@ class RetryPolicy:
             EngineError,
         )
         require(self.backoff_base_s >= 0, "backoff_base_s must be >= 0", EngineError)
-        require(self.backoff_factor >= 1, "backoff_factor must be >= 1", EngineError)
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retrying after failed attempt ``attempt`` (0-based)."""
-        return self.backoff_base_s * self.backoff_factor**attempt
+        return self.backoff_base_s * 2.0**attempt
 
 
 @dataclass(frozen=True)
@@ -487,10 +465,11 @@ class Quarantine:
     and the engine stops rewriting quarantined cache keys.
     """
 
-    def __init__(self, path: Path | None = None, threshold: int = 2):
-        require(threshold >= 1, "quarantine threshold must be >= 1", EngineError)
+    #: Strikes that quarantine an identity (also written to the file).
+    threshold = 2
+
+    def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.threshold = threshold
         self.strikes: dict[str, int] = {}
         self._load()
 
@@ -521,11 +500,8 @@ class Quarantine:
             return
         payload = {"threshold": self.threshold, "strikes": dict(sorted(self.strikes.items()))}
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".tmp-quar-")
-            with os.fdopen(fd, "w") as handle:
+            with atomic_write(self.path) as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(tmp, self.path)
         except OSError as exc:
             diagnostics.emit(
                 "engine.quarantine", f"cannot persist quarantine: {exc}"
@@ -915,18 +891,11 @@ class EngineConfig:
     #: cache (``<cache_dir>/quarantine.json``) when caching is on, else
     #: keeps it in memory for the engine's lifetime.
     quarantine_path: Path | None = None
-    #: Failures before a task label / cache key is quarantined.
-    quarantine_threshold: int = 2
     #: Deadline + retry schedule of the workers; ``run`` drops the deadline.
     retry: RetryPolicy = RetryPolicy()
 
     def __post_init__(self) -> None:
         require(self.jobs >= 1, "jobs must be >= 1", EngineError)
-        require(
-            self.quarantine_threshold >= 1,
-            "quarantine_threshold must be >= 1",
-            EngineError,
-        )
 
 
 class EvaluationEngine:
@@ -947,9 +916,7 @@ class EvaluationEngine:
         quarantine_path = self.config.quarantine_path
         if quarantine_path is None and self.cache is not None:
             quarantine_path = self.cache.directory / "quarantine.json"
-        self.quarantine = Quarantine(
-            quarantine_path, threshold=self.config.quarantine_threshold
-        )
+        self.quarantine = Quarantine(quarantine_path)
         if self.cache is not None:
             # A partial, not a lambda over self: no reference cycle, so an
             # engine nobody closed is freed (and its workers stopped) at once.

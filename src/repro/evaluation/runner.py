@@ -61,14 +61,14 @@ def _score_selection(
     attribution = attribute_error(
         method, selection, prediction, context, config, truth_cycles=truth_cycles
     )
-    # Accuracy is judged against the *clean* reference (context.truth);
-    # under fault injection it differs from the corrupted context.golden
-    # the method consumed.
+    # Accuracy and speedup are judged against the *clean* reference
+    # (context.truth); under fault injection it differs from the
+    # corrupted context.golden the method consumed.
     return MethodResult(
         workload=context.label,
         method=selection.method,
         error=prediction_error(prediction.predicted_cycles, context.truth.total_cycles),
-        speedup=simulation_speedup(selection, context.golden),
+        speedup=simulation_speedup(selection, context.truth),
         num_representatives=selection.num_representatives,
         cycle_cov=cov,
         predicted_cycles=prediction.predicted_cycles,
@@ -131,7 +131,6 @@ def evaluate_method_streaming(
         stream = method.begin_stream(
             StreamContext(
                 workload=table.workload,
-                golden=context.golden,
                 batch=context,
                 reservoir_rows=reservoir_rows,
             ),

@@ -18,8 +18,6 @@ campaign.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +35,7 @@ from repro.observability import metrics
 from repro.observability.spans import span
 from repro.robustness import diagnostics
 from repro.robustness.faults import FaultPlan, parse_fault_plan
+from repro.utils.atomic import atomic_write
 from repro.utils.errors import CheckpointError, FuzzError
 from repro.utils.hashing import stable_hash
 from repro.utils.validation import require
@@ -148,12 +147,9 @@ def _register_in_perfstore(kind: str, config: FuzzConfig, payload: dict) -> None
     maybe_attach(kind, f"{config.seed}-{config.fingerprint()[:8]}", payload)
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    with os.fdopen(fd, "w") as handle:
+def _write_json(path: Path, payload: dict) -> None:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
 
 
 def _load_checkpoint(path: Path, config: FuzzConfig) -> dict[int, dict]:
@@ -186,7 +182,7 @@ def _load_checkpoint(path: Path, config: FuzzConfig) -> dict[int, dict]:
 def _save_checkpoint(
     path: Path, config: FuzzConfig, scored: dict[int, dict]
 ) -> None:
-    _atomic_write_json(
+    _write_json(
         path,
         {
             "schema": CHECKPOINT_SCHEMA,
@@ -396,7 +392,7 @@ def run_campaign(
             },
             "findings": findings,
         }
-        _atomic_write_json(findings_path, payload)
+        _write_json(findings_path, payload)
         _register_in_perfstore("fuzz-findings", config, payload)
         obs_manifest.record_event(
             "fuzz.campaign_complete",

@@ -25,7 +25,6 @@ import os
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -33,18 +32,10 @@ from typing import Iterable, Mapping, Sequence
 from repro import _blas
 from repro.observability import metrics, spans
 from repro.observability.export import record_to_dict as _span_dict
+from repro.utils.hashing import source_fingerprint
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA = 1
-
-
-@lru_cache(maxsize=1)
-def package_fingerprint() -> str:
-    """Content hash of the installed ``repro`` package source."""
-    import repro
-    from repro.utils.hashing import tree_fingerprint
-
-    return tree_fingerprint(Path(repro.__file__).resolve().parent)
 
 
 def package_version() -> str:
@@ -315,7 +306,7 @@ def collect_manifest(
         command=command,
         created=created,
         package_version=package_version(),
-        source_fingerprint=package_fingerprint(),
+        source_fingerprint=source_fingerprint(),
         config=dict(config or {}),
         total_wall_s=total_wall_s,
         total_cpu_s=total_cpu_s,

@@ -50,7 +50,6 @@ from repro.perfstore.store import (
     default_store_dir,
     figure_from_command,
     maybe_record,
-    register_metrics,
     store_from_env,
 )
 
@@ -75,7 +74,6 @@ __all__ = [
     "parse_selector",
     "perf_log",
     "promote_findings",
-    "register_metrics",
     "render_bisect_hint",
     "render_gate_report",
     "render_perf_log",

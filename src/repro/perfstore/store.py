@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-import tempfile
 from dataclasses import dataclass, field, replace
 from hashlib import sha256
 from pathlib import Path
@@ -41,8 +40,9 @@ from typing import Mapping
 from repro.observability import metrics
 from repro.observability.manifest import RunManifest
 from repro.robustness import diagnostics
+from repro.utils.atomic import atomic_write
 from repro.utils.errors import PerfStoreError
-from repro.utils.hashing import stable_hash
+from repro.utils.hashing import source_fingerprint, stable_hash
 from repro.utils.validation import require
 
 INDEX_SCHEMA = 1
@@ -95,9 +95,7 @@ def current_version() -> str:
     head = _git("rev-parse", "HEAD")
     if head:
         return head
-    from repro.observability.manifest import package_fingerprint
-
-    return f"nogit-{package_fingerprint()[:12]}"
+    return f"nogit-{source_fingerprint()[:12]}"
 
 
 def figure_from_command(command: str) -> str:
@@ -121,14 +119,6 @@ def figure_from_command(command: str) -> str:
 def config_fingerprint(figure: str, config: Mapping) -> str:
     """Identity of an experiment shape: figure + manifest config."""
     return stable_hash("perfstore-config", figure, dict(config))[:16]
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    with os.fdopen(fd, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
 
 
 def _append_line(path: Path, line: str) -> None:
@@ -219,9 +209,8 @@ class PerfStore:
                 )
             },
         }
-        _atomic_write_text(
-            self.index_path, json.dumps(ordered, indent=2, sort_keys=False) + "\n"
-        )
+        with atomic_write(self.index_path) as handle:
+            handle.write(json.dumps(ordered, indent=2, sort_keys=False) + "\n")
 
     # ------------------------------------------------------------ ingest
 
@@ -259,7 +248,8 @@ class PerfStore:
         object_path = self._object_path(object_id)
         stored_object = not object_path.exists()
         if stored_object:
-            _atomic_write_text(object_path, blob)
+            with atomic_write(object_path) as handle:
+                handle.write(blob)
         log_path = self._log_path(version, figure, fingerprint)
         seq = self._log_length(log_path) + 1
         _append_line(
@@ -447,9 +437,8 @@ class PerfStore:
         path = (
             self.root / "versions" / version / "attachments" / kind / f"{safe}.json"
         )
-        _atomic_write_text(
-            path, json.dumps(dict(payload), indent=2, sort_keys=True) + "\n"
-        )
+        with atomic_write(path) as handle:
+            handle.write(json.dumps(dict(payload), indent=2, sort_keys=True) + "\n")
         metrics.inc("perfstore.ingest", figure=f"attachment:{kind}")
         return path
 
@@ -508,14 +497,3 @@ def maybe_attach(kind: str, name: str, payload: Mapping) -> Path | None:
     except Exception as exc:  # noqa: BLE001
         diagnostics.emit("perfstore", f"auto-attach failed: {exc!r}")
         return None
-
-
-def register_metrics() -> None:
-    """Zero-register the perfstore counters so exporters surface them
-    before the first ingest/lookup/gate (a service that never touched
-    the store still shows ``perfstore_*_total 0`` in ``/v1/metrics``)."""
-    metrics.inc("perfstore.ingest", 0)
-    for result in ("hit", "miss"):
-        metrics.inc("perfstore.lookup", 0, result=result)
-    for verdict in ("regressed", "improved", "indistinguishable"):
-        metrics.inc("perfstore.gate", 0, verdict=verdict)

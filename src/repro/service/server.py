@@ -74,7 +74,6 @@ class ServiceConfig:
     jobs: int = 1  # isolated worker processes, one dispatcher lane each
     use_cache: bool = True
     cache_dir: str | None = None
-    quarantine_threshold: int = 2
     max_attempts: int = 2
     deadline_s: float = 120.0  # per-attempt wall clock for a task
     max_body_bytes: int = 32 * 1024 * 1024
@@ -84,7 +83,6 @@ class ServiceConfig:
             jobs=self.jobs,
             use_cache=self.use_cache,
             cache_dir=self.cache_dir,
-            quarantine_threshold=self.quarantine_threshold,
             retry=RetryPolicy(
                 max_attempts=self.max_attempts, deadline_s=self.deadline_s
             ),
@@ -100,11 +98,6 @@ class SieveService:
         engine: EvaluationEngine | None = None,
     ):
         self.config = config or ServiceConfig()
-        # Zero-init the perfstore counter families so /v1/metrics exposes
-        # perfstore_* even before any ingest/lookup/gate happens.
-        from repro.perfstore.store import register_metrics as _register_perfstore
-
-        _register_perfstore()
         self._owns_engine = engine is None
         self.engine = engine or EvaluationEngine(self.config.engine_config())
         self.dispatcher = BatchingDispatcher(self.engine)

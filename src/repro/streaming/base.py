@@ -25,7 +25,6 @@ from repro.utils.validation import require
 
 if TYPE_CHECKING:
     from repro.core.types import SampleSelection
-    from repro.gpu.hardware import WorkloadMeasurement
     from repro.methods.base import SamplingMethod
 
 
@@ -61,7 +60,6 @@ class StreamContext:
     """
 
     workload: str
-    golden: WorkloadMeasurement | None = None
     batch: object | None = None
     reservoir_rows: int | None = None
     #: Emit/retract StreamEvents as picks change mid-stream (costs a
@@ -181,20 +179,13 @@ class AssembledContext:
     when a method's ``select`` runs on a table alone: a buffering
     fallback over a feed-driven stream, or an uploaded profile the
     service selects from (:func:`repro.service.protocol.select_inline`).
-    Only the profile tables and, when given, the golden measurement
-    exist; anything else a method asks for raises a typed
-    :class:`StreamingError`.
+    Only the profile tables exist; anything else a method asks for (the
+    golden measurement included) raises a typed :class:`StreamingError`.
     """
 
-    def __init__(
-        self,
-        label: str,
-        table: ProfileTable,
-        golden: WorkloadMeasurement | None = None,
-    ):
+    def __init__(self, label: str, table: ProfileTable):
         self.label = label
         self._table = table
-        self._golden = golden
 
     @property
     def sieve_table(self) -> ProfileTable:
@@ -211,15 +202,6 @@ class AssembledContext:
             StreamingError,
         )
         return self._table
-
-    @property
-    def golden(self) -> WorkloadMeasurement:
-        require(
-            self._golden is not None,
-            "a table-only context has no golden measurement",
-            StreamingError,
-        )
-        return self._golden
 
     def __getattr__(self, name: str):
         raise StreamingError(
@@ -266,8 +248,6 @@ class BufferingStream(MethodStream):
             context = self.context.batch
         else:
             context = AssembledContext(
-                self.context.workload,
-                concat_profile_tables(self._chunks),
-                self.context.golden,
+                self.context.workload, concat_profile_tables(self._chunks)
             )
         return self.method.select(context, self.config)

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +75,20 @@ def stable_hash(*parts: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def tree_fingerprint(root: Path, pattern: str = "*.py") -> str:
-    """Content hash of every ``pattern`` file under ``root``.
+@lru_cache(maxsize=1)
+def source_fingerprint() -> str:
+    """Content hash of the installed ``repro`` package source.
 
-    Used to fold the package source into cache keys: editing any module
-    invalidates previously cached evaluation results even when the
-    package version string is unchanged (the common case during
-    development).
+    Folded into every cache key, so editing any module invalidates
+    previously cached evaluation results even when the package version
+    string is unchanged (the common case during development), and
+    recorded in every run manifest.
     """
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob(pattern)):
+    for path in sorted(root.rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\x00")
         digest.update(path.read_bytes())

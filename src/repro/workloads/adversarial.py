@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.robustness.faults import FaultPlan, FaultSpec
+from repro.utils.atomic import atomic_write
 from repro.utils.errors import PromotionError
 from repro.workloads.spec import KernelBehavior, WorkloadSpec
 
@@ -301,19 +302,14 @@ def save_promoted_entries(
     entries: "Iterable[AdversarialEntry]", path: Path | str | None = None
 ) -> Path:
     """Write the promoted catalog atomically (sorted by label)."""
-    import tempfile
-
     path = Path(path) if path is not None else promoted_catalog_path()
     ordered = sorted(entries, key=lambda e: e.label)
     payload = {
         "schema": PROMOTED_SCHEMA,
         "entries": [entry.to_dict() for entry in ordered],
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    with os.fdopen(fd, "w") as handle:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
     return path
 
 
@@ -352,15 +348,20 @@ def verify_suite(engine=None) -> list[dict]:
 
     if engine is None:
         engine = EvaluationEngine(EngineConfig(jobs=1, use_cache=False))
+    entries = _all_entries()
+    outcomes = engine.run(
+        [
+            EvaluationTask(
+                label=entry.label,
+                max_invocations=entry.max_invocations,
+                fault_plan=entry.fault_plan,
+                methods=tuple(sorted(entry.expected_errors)),
+            )
+            for entry in entries
+        ]
+    )
     rows: list[dict] = []
-    for entry in _all_entries():
-        task = EvaluationTask(
-            label=entry.label,
-            max_invocations=entry.max_invocations,
-            fault_plan=entry.fault_plan,
-            methods=tuple(sorted(entry.expected_errors)),
-        )
-        results = engine.run([task])[0]
+    for entry, results in zip(entries, outcomes):
         for method in sorted(entry.expected_errors):
             expected = float(entry.expected_errors[method])
             actual = abs(results[method].error)

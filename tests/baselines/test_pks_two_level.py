@@ -1,6 +1,7 @@
 """Tests for PKS on two-level profiles."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from repro.profiling.nsight import NsightComputeProfiler
 from repro.profiling.table import ProfileTable
 from repro.profiling.two_level import TwoLevelProfiler
 from repro.robustness.faults import parse_fault_plan
-from repro.streaming.base import AssembledContext
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def test_method_selects_what_the_profiler_path_selects(
     """On a clean profile, splitting the Nsight table selects exactly what
     clustering the two-level profiler's tables does."""
     table, _ = NsightComputeProfiler().profile(toy_run)
-    context = AssembledContext(toy_run.label, table, toy_measurement)
+    context = SimpleNamespace(label=toy_run.label, pks_table=table, golden=toy_measurement)
     selection = get_method("pks-two-level").select(
         context, TwoLevelPksConfig(detailed_budget=400)
     )

@@ -185,3 +185,18 @@ def test_golden_cycles_are_aligned_once_unless_faults_split_them(
     )
     evaluate_method("sieve", context)
     assert len(calls) == alignments
+
+
+def test_speedup_under_measurement_faults_is_the_clean_speedup():
+    """Measurement faults corrupt only the golden reference, so Sieve
+    selects what it selects on the clean run; its speedup, like its
+    error, is judged against the clean truth."""
+    from repro.robustness.faults import parse_fault_plan
+
+    plan = parse_fault_plan("zero_cycles:0.3,cycle_noise:0.1,clock_drift:0.05", seed=7)
+    clean = evaluate_method("sieve", build_context("cactus/gru", max_invocations=600))
+    faulted = evaluate_method(
+        "sieve", build_context("cactus/gru", max_invocations=600, fault_plan=plan)
+    )
+    assert faulted.selection.representatives == clean.selection.representatives
+    assert faulted.speedup == clean.speedup

@@ -177,9 +177,7 @@ def test_retry_policy_validation():
         RetryPolicy(max_attempts=0)
     with pytest.raises(EngineError):
         RetryPolicy(deadline_s=0.0)
-    with pytest.raises(EngineError):
-        RetryPolicy(backoff_factor=0.5)
-    policy = RetryPolicy(backoff_base_s=0.05, backoff_factor=2.0)
+    policy = RetryPolicy(backoff_base_s=0.05)
     assert policy.backoff(0) == pytest.approx(0.05)
     assert policy.backoff(2) == pytest.approx(0.2)
 
@@ -271,17 +269,30 @@ def test_isolated_results_are_cached_for_plain_run(tmp_path):
 
 def test_quarantine_strikes_persist_and_round_trip(tmp_path):
     path = tmp_path / "q.json"
-    quarantine = Quarantine(path, threshold=2)
+    quarantine = Quarantine(path)
     assert quarantine.strike("task", "a/b") == 1
     assert not quarantine.is_quarantined("task", "a/b")
     assert quarantine.strike("task", "a/b") == 2
     assert quarantine.is_quarantined("task", "a/b")
     quarantine.strike("cache", "deadbeef")
 
-    reloaded = Quarantine(path, threshold=2)
+    reloaded = Quarantine(path)
     assert reloaded.entries() == [("cache", "deadbeef", 1), ("task", "a/b", 2)]
     assert reloaded.clear() == 2
-    assert Quarantine(path, threshold=2).entries() == []
+    assert Quarantine(path).entries() == []
+
+
+def test_a_failed_quarantine_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A write that fails (a full disk) loses the save, not the run, and
+    removes its temp file."""
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    quarantine = Quarantine(tmp_path / "q.json")
+    monkeypatch.setattr(engine_mod.json, "dump", full_disk)
+    assert quarantine.strike("task", "a/b") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quarantine_rejects_unknown_kind(tmp_path):

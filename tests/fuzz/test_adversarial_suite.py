@@ -6,7 +6,9 @@ deterministic, so any drift here is a real behaviour change in
 generation, selection or prediction — not noise.
 """
 
-from repro.evaluation.engine import EngineConfig, EvaluationEngine
+from types import SimpleNamespace
+
+from repro.evaluation.engine import EngineConfig, EvaluationEngine, TaskOutcome
 from repro.workloads.adversarial import (
     ADVERSARIAL_ENTRIES,
     ADVERSARIAL_SPECS,
@@ -64,3 +66,34 @@ def test_pinned_errors_reproduce(tmp_path):
         if not row["ok"]
     ]
     assert not drifted, "\n".join(drifted)
+
+
+def test_suite_is_verified_in_one_engine_run():
+    """Every entry reaches the engine in one ``run`` call, so ``--jobs``
+    fans the suite out; rows keep suite order, then method order."""
+    pinned = {entry.label: entry.expected_errors for entry in ADVERSARIAL_ENTRIES}
+    calls = []
+
+    class RecordingEngine:
+        def run(self, tasks):
+            calls.append([task.label for task in tasks])
+            return [
+                TaskOutcome(
+                    task.label,
+                    "ok",
+                    {
+                        request.method: SimpleNamespace(
+                            error=pinned[task.label][request.method]
+                        )
+                        for request in task.methods
+                    },
+                )
+                for task in tasks
+            ]
+
+    rows = verify_suite(engine=RecordingEngine())
+    assert calls == [list(pinned)]
+    assert [(row["label"], row["method"]) for row in rows] == [
+        (label, method) for label, errors in pinned.items() for method in sorted(errors)
+    ]
+    assert all(row["ok"] for row in rows)

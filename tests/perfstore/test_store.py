@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.observability import metrics
-from repro.observability.export import parse_prometheus, prometheus_text
 from repro.perfstore.store import (
     STORE_DIR_ENV,
     VERSION_ENV,
@@ -24,7 +23,6 @@ from repro.perfstore.store import (
     figure_from_command,
     maybe_attach,
     maybe_record,
-    register_metrics,
     store_from_env,
 )
 from repro.utils.errors import PerfStoreError
@@ -224,22 +222,6 @@ def test_maybe_record_failure_degrades_to_diagnostic(tmp_path, monkeypatch):
     monkeypatch.setenv(VERSION_ENV, "v1")
     assert maybe_record(make_manifest()) is None
     assert maybe_attach("kind", "name", {"k": 1}) is None
-
-
-def test_register_metrics_surfaces_zeroed_families():
-    register_metrics()
-    families = parse_prometheus(prometheus_text(metrics.get_registry().snapshot()))
-    for family in (
-        "perfstore_ingest_total",
-        "perfstore_lookup_total",
-        "perfstore_gate_total",
-    ):
-        assert family in families
-    verdicts = {
-        labels.get("verdict")
-        for _, labels, _ in families["perfstore_gate_total"]["samples"]
-    }
-    assert verdicts == {"regressed", "improved", "indistinguishable"}
 
 
 def test_ingest_and_lookup_bump_counters(tmp_path):

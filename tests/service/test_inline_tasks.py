@@ -166,7 +166,7 @@ def test_failing_table_is_isolated_and_quarantined_alone(
     monkeypatch.setattr(protocol, "select_inline", doomed(failure))
     bad = rows_payload(kernels=("doomed", "k1"))
     good = rows_payload()
-    handle = serve(tmp_path, max_attempts=1, deadline_s=2.0, quarantine_threshold=2)
+    handle = serve(tmp_path, max_attempts=1, deadline_s=2.0)
     client = Client(handle.host, handle.port)
     try:
         replies = []

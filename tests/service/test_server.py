@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import pickle
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.evaluation.engine import ResultCache
@@ -325,20 +330,31 @@ def test_metrics_expose_valid_prometheus_text(client):
     families = parse_prometheus(text)
     assert "service_requests_total" in families
     assert "service_latency_s" in families
-    # The perfstore counter families are zero-registered at startup, so
-    # a service that never touched the store still exposes them.
-    for family in (
-        "perfstore_ingest_total",
-        "perfstore_lookup_total",
-        "perfstore_gate_total",
-    ):
-        assert family in families
     select_count = sum(
         value
         for name, labels, value in families["service_requests_total"]["samples"]
         if labels.get("route") == "/v1/select" and labels.get("status") == "200"
     )
     assert select_count >= 1
+
+
+def test_a_service_loads_neither_the_perf_store_nor_the_fuzzer(tmp_path):
+    """The server starts through the CLI and imports what serving needs:
+    no ``repro.perfstore`` or ``repro.fuzz`` module."""
+    code = (
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.service.server import ServiceConfig, SieveService\n"
+        f"service = SieveService(ServiceConfig(cache_dir={str(tmp_path)!r}))\n"
+        "service.engine.close()\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('repro.perfstore', 'repro.fuzz'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_identical_served_results_are_cache_hits(client):

@@ -38,11 +38,7 @@ def context_for(workload: str, cap: int):
 def stream_selection(method_name, context, config, chunks, rows=None):
     method = get_method(method_name)
     stream = method.begin_stream(
-        StreamContext(
-            workload=method.profile_table(context).workload,
-            golden=context.golden,
-            batch=context,
-        ),
+        StreamContext(workload=method.profile_table(context).workload, batch=context),
         config,
     )
     for i, chunk in enumerate(chunks):
