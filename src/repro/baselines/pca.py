@@ -48,10 +48,9 @@ class PCAResult:
 class PCA:
     """PCA keeping enough components to explain a variance target."""
 
-    def __init__(self, variance_target: float = 0.9, max_components: int | None = None):
+    def __init__(self, variance_target: float = 0.9):
         require(0.0 < variance_target <= 1.0, "variance target in (0, 1]")
         self.variance_target = variance_target
-        self.max_components = max_components
 
     def fit(self, matrix: np.ndarray) -> PCAResult:
         """Fit on ``matrix`` (rows = observations, columns = features)."""
@@ -64,10 +63,7 @@ class PCA:
         ratios = explained / total if total > 0 else np.zeros_like(explained)
         cumulative = np.cumsum(ratios)
         keep = int(np.searchsorted(cumulative, self.variance_target) + 1)
-        keep = min(keep, len(ratios))
-        if self.max_components is not None:
-            keep = min(keep, self.max_components)
-        keep = max(keep, 1)
+        keep = max(min(keep, len(ratios)), 1)
         return PCAResult(
             mean=mean,
             std=std,

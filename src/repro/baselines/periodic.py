@@ -19,18 +19,16 @@ from repro.utils.validation import require
 
 @dataclass(frozen=True)
 class PeriodicSampler:
-    """Select every ``period``-th invocation (starting at ``offset``)."""
+    """Select every ``period``-th invocation, starting with the first."""
 
     period: int = 100
-    offset: int = 0
 
     def __post_init__(self) -> None:
         require(self.period >= 1, "period must be >= 1")
-        require(0 <= self.offset < self.period, "offset must be in [0, period)")
 
     def select(self, table: ProfileTable) -> SampleSelection:
         n = len(table)
-        rows = list(range(self.offset, n, self.period)) or [0]
+        rows = range(0, n, self.period)
         representatives = tuple(
             Representative(
                 kernel_name=table.kernel_name_of_row(row),

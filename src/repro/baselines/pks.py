@@ -39,6 +39,9 @@ from repro.utils.validation import require
 
 PKS_SELECTION_POLICIES = ("first", "random", "centroid")
 
+#: PKS clusters for every k up to 20 (Section II-A).
+MAX_K = 20
+
 __all__ = [
     "PKS_SELECTION_POLICIES",
     "PksConfig",
@@ -51,23 +54,12 @@ __all__ = [
 class PksConfig:
     """Tunable parameters of the PKS pipeline."""
 
-    max_k: int = 20
-    variance_target: float = 0.9
     selection_policy: str = "first"
-    kmeans_iterations: int = 50
-    kmeans_fit_sample: int | None = 20_000
 
     def __post_init__(self) -> None:
-        require(self.max_k >= 2, "max_k must be >= 2")
         require(
             self.selection_policy in PKS_SELECTION_POLICIES,
             f"selection_policy must be one of {PKS_SELECTION_POLICIES}",
-        )
-        require(self.kmeans_iterations >= 1, "kmeans_iterations must be >= 1")
-        # A smaller fit sample cannot produce the k candidates PKS searches.
-        require(
-            self.kmeans_fit_sample is None or self.kmeans_fit_sample >= self.max_k,
-            "kmeans_fit_sample must be None or >= max_k",
         )
 
 
@@ -160,9 +152,7 @@ class PksPipeline:
         """PCA-project, cluster for every candidate k, keep the best error."""
         with span("pks.pca", workload=table.workload):
             metrics = _sanitized_metrics(table)
-            projected = PCA(self.config.variance_target).fit(metrics).transform(
-                metrics
-            )
+            projected = PCA().fit(metrics).transform(metrics)
         cycles_by_row = cycles_in_table_order(table, golden)
         measured_total = float(cycles_by_row.sum())
         require(
@@ -173,13 +163,10 @@ class PksPipeline:
         )
 
         best: tuple[float, int, list[int], list[np.ndarray]] | None = None
-        max_k = min(self.config.max_k, len(table))
+        max_k = min(MAX_K, len(table))
         with span("pks.kmeans", workload=table.workload, max_k=max_k):
             clusterings = BisectingKMeans(
-                max_k,
-                seed_label=f"pks/{table.workload}",
-                max_iterations=self.config.kmeans_iterations,
-                fit_sample_size=self.config.kmeans_fit_sample,
+                max_k, seed_label=f"pks/{table.workload}"
             ).fit_all(projected)
         with span("pks.choose_k", workload=table.workload):
             candidate_ks = [k for k in sorted(clusterings) if k >= 2] or [1]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.pks import PksConfig, PksPipeline, PksSelection
+from repro.baselines.pks import PksPipeline, PksSelection
 from repro.core.types import Representative
 from repro.gpu.hardware import WorkloadMeasurement
 from repro.profiling.table import ProfileTable
@@ -29,11 +29,10 @@ class TwoLevelPksConfig:
 
     ``detailed_budget`` is the number of chronological invocations that
     get the full 12-metric profile (the default matches the two-level
-    ablation bench); ``pks`` configures the clustering on that batch.
+    ablation bench); that batch is clustered with PKS's defaults.
     """
 
     detailed_budget: int = 10_000
-    pks: PksConfig = PksConfig()
 
     def __post_init__(self) -> None:
         require(self.detailed_budget >= 1, "detailed budget must be >= 1")
@@ -109,8 +108,8 @@ def _first_maximum(group: np.ndarray, tally: np.ndarray, *order: np.ndarray) -> 
 class TwoLevelPksPipeline:
     """PKS clustering on the detailed batch, extrapolated to the rest."""
 
-    def __init__(self, config: PksConfig | None = None):
-        self._pks = PksPipeline(config)
+    def __init__(self):
+        self._pks = PksPipeline()
 
     def select(
         self,

@@ -17,10 +17,6 @@ DEFAULT_THETA = 0.4
 #: "first", "random" and "centroid" exist for ablation studies.
 SELECTION_POLICIES = ("dominant_cta", "max_cta", "first", "random", "centroid")
 
-#: The finest KDE grid a config may ask for: 8x the paper's 512. A
-#: density evaluation holds grid x (at most 4,096 fit samples) temporaries.
-MAX_KDE_GRID_POINTS = 4096
-
 
 @dataclass(frozen=True)
 class SieveConfig:
@@ -28,9 +24,6 @@ class SieveConfig:
 
     theta: float = DEFAULT_THETA
     selection_policy: str = "dominant_cta"
-    kde_grid_points: int = 512
-    #: Relative bandwidth multiplier on the Scott rule (1.0 = Scott).
-    kde_bandwidth_scale: float = 1.0
 
     def __post_init__(self) -> None:
         require(
@@ -39,12 +32,4 @@ class SieveConfig:
         require(
             self.selection_policy in SELECTION_POLICIES,
             f"selection_policy must be one of {SELECTION_POLICIES}",
-        )
-        require(
-            16 <= self.kde_grid_points <= MAX_KDE_GRID_POINTS,
-            f"kde_grid_points must be in [16, {MAX_KDE_GRID_POINTS}]",
-        )
-        require(
-            self.kde_bandwidth_scale > 0 and math.isfinite(self.kde_bandwidth_scale),
-            "bandwidth scale must be positive and finite",
         )

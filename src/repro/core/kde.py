@@ -22,6 +22,10 @@ from repro.utils.segments import Segments
 from repro.utils.stats import coefficient_of_variation
 from repro.utils.validation import require
 
+#: Points of the grid the density is evaluated on to find its valleys
+#: (the samples' range plus three bandwidths on each side).
+GRID_POINTS = 512
+
 
 @dataclass(frozen=True)
 class GaussianKDE1D:
@@ -36,10 +40,8 @@ class GaussianKDE1D:
     bandwidth: float
 
     @classmethod
-    def fit(
-        cls, samples: np.ndarray, bandwidth_scale: float = 1.0
-    ) -> "GaussianKDE1D":
-        """Fit a KDE with bandwidth ``scale * 1.06 sigma n^(-1/5)``."""
+    def fit(cls, samples: np.ndarray) -> "GaussianKDE1D":
+        """Fit a KDE with Scott's-rule bandwidth ``1.06 sigma n^(-1/5)``."""
         samples = np.asarray(samples, dtype=np.float64)
         require(len(samples) >= 1, "KDE needs at least one sample", SelectionError)
         require(
@@ -47,12 +49,9 @@ class GaussianKDE1D:
             "KDE samples must be finite",
             SelectionError,
         )
-        require(
-            bandwidth_scale > 0, "bandwidth scale must be positive", SelectionError
-        )
         sigma = float(samples.std())
         n = len(samples)
-        bandwidth = 1.06 * sigma * n ** (-1.0 / 5.0) * bandwidth_scale
+        bandwidth = 1.06 * sigma * n ** (-1.0 / 5.0)
         if bandwidth <= 0:  # degenerate: all samples identical
             bandwidth = max(abs(float(samples[0])), 1.0) * 1e-6
         return cls(samples=samples, bandwidth=bandwidth)
@@ -71,9 +70,9 @@ class GaussianKDE1D:
         hi = float(self.samples.max()) + 3.0 * self.bandwidth
         return np.linspace(lo, hi, points)
 
-    def valley_points(self, grid_points: int = 512) -> np.ndarray:
+    def valley_points(self) -> np.ndarray:
         """Locations of local density minima (stratum boundaries)."""
-        grid = self.grid(grid_points)
+        grid = self.grid(GRID_POINTS)
         dens = self.density(grid)
         interior = np.flatnonzero(
             (dens[1:-1] < dens[:-2]) & (dens[1:-1] <= dens[2:])
@@ -112,12 +111,7 @@ def _median_split(values: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
     return [low, high]
 
 
-def kde_strata(
-    insn_count: np.ndarray,
-    theta: float,
-    grid_points: int = 512,
-    bandwidth_scale: float = 1.0,
-) -> list[np.ndarray]:
+def kde_strata(insn_count: np.ndarray, theta: float) -> list[np.ndarray]:
     """Stratify one kernel's invocations so each stratum's CoV <= θ.
 
     Returns a list of index arrays into ``insn_count``. Strata are ordered
@@ -149,8 +143,7 @@ def kde_strata(
             if len(fit_values) > 4096:
                 stride = -(-len(fit_values) // 4096)
                 fit_values = fit_values[::stride]
-            kde = GaussianKDE1D.fit(fit_values, bandwidth_scale)
-            boundaries = kde.valley_points(grid_points)
+            boundaries = GaussianKDE1D.fit(fit_values).valley_points()
             parts = _split_by_boundaries(log_values[indices], boundaries)
             metrics.inc("sieve.kde.fits")
             if len(parts) > 1:

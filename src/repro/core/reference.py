@@ -153,12 +153,7 @@ def stratify_table_scalar(
         if classification.tier in (Tier.TIER1, Tier.TIER2):
             groups = [np.arange(len(rows))]
         else:
-            groups = kde_strata(
-                insn,
-                config.theta,
-                grid_points=config.kde_grid_points,
-                bandwidth_scale=config.kde_bandwidth_scale,
-            )
+            groups = kde_strata(insn, config.theta)
         for index, group in enumerate(groups):
             order = np.sort(group)
             member_rows = rows[order]

@@ -104,7 +104,7 @@ class PksTwoLevelMethod(SamplingMethod):
         self, context: WorkloadContext, config: TwoLevelPksConfig
     ) -> SampleSelection:
         detailed, light = split_two_level(context.pks_table, config.detailed_budget)
-        return TwoLevelPksPipeline(config.pks).select(detailed, light, context.golden)
+        return TwoLevelPksPipeline().select(detailed, light, context.golden)
 
     def predict(
         self,
@@ -112,7 +112,7 @@ class PksTwoLevelMethod(SamplingMethod):
         measurement: WorkloadMeasurement,
         config: TwoLevelPksConfig,
     ) -> PredictionResult:
-        return TwoLevelPksPipeline(config.pks).predict(selection, measurement)
+        return TwoLevelPksPipeline().predict(selection, measurement)
 
     def profile_table(self, context: WorkloadContext) -> ProfileTable:
         return context.pks_table

@@ -120,7 +120,8 @@ def config_from_dict(method_name: str, payload: object | None) -> object | None:
 
     ``None``/``{}`` mean method defaults. Unknown fields and type errors
     raise :class:`~repro.utils.errors.BadRequestError`; nested dataclass
-    fields (e.g. ``TwoLevelPksConfig.pks``) recurse.
+    fields, which a config registered through
+    :func:`~repro.methods.register_method` may have, recurse.
     """
     method = get_method(method_name)
     if payload is None or payload == {}:

@@ -1,12 +1,9 @@
 """Incremental periodic (systematic) sampling.
 
 Membership in a periodic sample is a pure function of the global row
-index — ``row >= offset and (row - offset) % period == 0`` — so the
-stream needs O(picks) state and no reservoir: each qualifying row is
-emitted the moment it arrives. The batch fallback (an empty grid picks
-row 0) maps onto a *provisional* pick that is emitted when row 0 is seen
-and retracted as soon as a real grid pick lands — the simplest honest
-demonstration of retract semantics.
+index — ``row % period == 0`` — so the stream needs O(picks) state and
+no reservoir: each qualifying row is emitted the moment it arrives and
+is never retracted.
 """
 
 from __future__ import annotations
@@ -26,14 +23,11 @@ class PeriodicStream(MethodStream):
     def __init__(self, context: StreamContext, config: PeriodicSampler):
         super().__init__(context)
         self.period = config.period
-        self.offset = config.offset
         self._workload = context.workload
         self._saw_chunk = False
         self._raw_sum = 0
         # group index -> (kernel_name, kernel_id, row, invocation_id)
         self._picks: dict[int, tuple[str, int, int, int]] = {}
-        self._fallback: tuple[str, int, int, int] | None = None
-        self._fallback_emitted = False
 
     def _observe(self, chunk, rows: np.ndarray | None) -> None:
         n = len(chunk)
@@ -48,44 +42,11 @@ class PeriodicStream(MethodStream):
         else:
             global_rows = rows
         self._raw_sum += int(chunk.insn_count.sum())
-        zero = np.flatnonzero(global_rows == 0)
-        if len(zero) and self._fallback is None:
-            i = int(zero[0])
-            self._fallback = (
-                chunk.kernel_name_of_row(i),
-                int(chunk.kernel_id[i]),
-                0,
-                int(chunk.invocation_id[i]),
-            )
-            if self.context.collect_events and self.offset > 0 and not self._picks:
-                # Provisional: stands until (unless) a grid pick arrives.
-                self._record(
-                    "emit",
-                    group="period0",
-                    kernel_name=self._fallback[0],
-                    row=0,
-                    invocation_id=self._fallback[3],
-                    weight=1.0,
-                )
-                self._fallback_emitted = True
-        hits = np.flatnonzero(
-            (global_rows >= self.offset)
-            & ((global_rows - self.offset) % self.period == 0)
-        )
+        hits = np.flatnonzero((global_rows >= 0) & (global_rows % self.period == 0))
         for i in hits:
             i = int(i)
             row = int(global_rows[i])
-            group = (row - self.offset) // self.period
-            if self._fallback_emitted:
-                self._record(
-                    "retract",
-                    group="period0",
-                    kernel_name=self._fallback[0],
-                    row=0,
-                    invocation_id=self._fallback[3],
-                    weight=1.0,
-                )
-                self._fallback_emitted = False
+            group = row // self.period
             pick = (
                 chunk.kernel_name_of_row(i),
                 int(chunk.kernel_id[i]),
@@ -107,18 +68,14 @@ class PeriodicStream(MethodStream):
         require(
             self.rows_seen > 0, "stream observed no invocations", StreamingError
         )
-        if self._picks:
-            ordered = [self._picks[g] for g in sorted(self._picks)]
-            groups = sorted(self._picks)
-        else:
-            require(
-                self._fallback is not None,
-                "feed never delivered row 0; periodic fallback is undefined",
-                StreamingError,
-            )
-            ordered = [self._fallback]
-            groups = [0]
-        weight = 1.0 / len(ordered)
+        require(
+            bool(self._picks),
+            f"no observed row is on the grid of period {self.period} "
+            f"(rows 0, {self.period}, ...); the periodic sample is empty",
+            StreamingError,
+        )
+        picks = sorted(self._picks.items())
+        weight = 1.0 / len(picks)
         representatives = tuple(
             Representative(
                 kernel_name=name,
@@ -126,10 +83,10 @@ class PeriodicStream(MethodStream):
                 invocation_id=invocation_id,
                 row=row,
                 weight=weight,
-                group=f"period{i}",
+                group=f"period{group}",
                 group_size=min(self.period, self.rows_seen),
             )
-            for i, (name, kernel_id, row, invocation_id) in zip(groups, ordered)
+            for group, (name, kernel_id, row, invocation_id) in picks
         )
         return SampleSelection(
             workload=self._workload,

@@ -288,12 +288,7 @@ class StreamingStratifier:
                 )
                 continue
             insn = clamped_cat[lo:hi]
-            groups = kde_strata(
-                insn,
-                config.theta,
-                grid_points=config.kde_grid_points,
-                bandwidth_scale=config.kde_bandwidth_scale,
-            )
+            groups = kde_strata(insn, config.theta)
             kernel_total = insn_sum_l[g]
             retained_total = sums_l[g]
             for index, group in enumerate(groups):

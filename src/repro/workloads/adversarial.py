@@ -260,6 +260,9 @@ _STATIC_ENTRIES: tuple[AdversarialEntry, ...] = (
     ),
 )
 
+_COMMITTED_PROMOTED = Path(__file__).with_name("adversarial_promoted.json")
+
+
 def promoted_catalog_path() -> Path:
     """Where ``sieve-repro fuzz promote`` lands entries.
 
@@ -270,7 +273,7 @@ def promoted_catalog_path() -> Path:
     configured = os.environ.get(PROMOTED_ENV)
     if configured:
         return Path(configured)
-    return Path(__file__).with_name("adversarial_promoted.json")
+    return _COMMITTED_PROMOTED
 
 
 def load_promoted_entries(
@@ -310,16 +313,33 @@ def save_promoted_entries(
     }
     with atomic_write(path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    global _memo
+    _memo = None
     return path
+
+
+#: ``(signature, entries)`` of the last :func:`_all_entries` answer.
+_memo: tuple[tuple, tuple[AdversarialEntry, ...]] | None = None
 
 
 def _all_entries() -> tuple[AdversarialEntry, ...]:
     """Static entries plus whatever the promoted catalog holds *now*.
 
-    Computed per call (not cached) so a promotion in-process is visible
-    to the next ``verify_suite``/catalog access without reimports.
+    Memoized on the promoted file's path and stat signature (inode,
+    size, ``mtime_ns``; an absent file is one more state), so an
+    unchanged file is parsed once, while a promotion written by this
+    process or another is visible at the next call without reimports.
     """
-    return _STATIC_ENTRIES + load_promoted_entries()
+    global _memo
+    path = promoted_catalog_path()
+    try:
+        stat = os.stat(path)
+        signature: tuple = (path, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+    except FileNotFoundError:
+        signature = (path, None)
+    if _memo is None or _memo[0] != signature:
+        _memo = (signature, _STATIC_ENTRIES + load_promoted_entries(path))
+    return _memo[1]
 
 
 def __getattr__(name: str):

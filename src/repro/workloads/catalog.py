@@ -348,16 +348,26 @@ def all_specs() -> list[WorkloadSpec]:
     return list(_ALL.values())
 
 
+#: ``(adversarial entries, extended catalog)`` of the last :func:`_extended`.
+_extended_memo: tuple[tuple, dict[str, WorkloadSpec]] | None = None
+
+
 def _extended() -> dict[str, WorkloadSpec]:
     """Catalog plus the committed fuzz-derived adversarial suite.
 
     Imported lazily: the adversarial module is regenerated by fuzzing
     campaigns, and a broken regeneration must not take down the whole
-    catalog import.
+    catalog import. Rebuilt only when the adversarial entries change
+    (their memo returns the same tuple while the promoted file does not).
     """
-    from repro.workloads.adversarial import ADVERSARIAL_SPECS
+    from repro.workloads.adversarial import _all_entries
 
-    return {**_ALL, **{spec.label: spec for spec in ADVERSARIAL_SPECS}}
+    global _extended_memo
+    entries = _all_entries()
+    if _extended_memo is None or _extended_memo[0] is not entries:
+        specs = {entry.spec.label: entry.spec for entry in entries}
+        _extended_memo = (entries, {**_ALL, **specs})
+    return _extended_memo[1]
 
 
 def specs_for_suites(suites: tuple[str, ...] | list[str]) -> list[WorkloadSpec]:

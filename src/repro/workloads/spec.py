@@ -166,17 +166,6 @@ class WorkloadSpec:
         """Fully qualified workload label, e.g. ``cactus/lmc``."""
         return f"{self.suite}/{self.name}"
 
-    def content_hash(self) -> str:
-        """Stable hash over every field (and the nested behaviour).
-
-        The evaluation engine keys its on-disk result cache on this, so
-        recalibrating any catalog knob invalidates cached results for the
-        affected workload without touching the others.
-        """
-        from repro.utils.hashing import stable_hash
-
-        return stable_hash("workload-spec", self)
-
     def to_dict(self) -> dict:
         """JSON-ready form (fuzz checkpoints, findings files, the
         committed adversarial suite). Round-trips via :meth:`from_dict`."""

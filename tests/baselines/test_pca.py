@@ -56,13 +56,6 @@ def test_components_are_orthonormal():
     assert np.allclose(gram, np.eye(result.n_components), atol=1e-8)
 
 
-def test_max_components_cap():
-    rng = np.random.default_rng(5)
-    data = rng.normal(size=(100, 10))
-    result = PCA(1.0, max_components=3).fit(data)
-    assert result.n_components == 3
-
-
 def test_invalid_variance_target():
     with pytest.raises(ValueError):
         PCA(variance_target=0.0)

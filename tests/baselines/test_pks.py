@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines import pks
 from repro.baselines.pks import PksConfig, PksPipeline
 from repro.evaluation.imputation import cycles_in_table_order
 from repro.profiling.nsight import NsightComputeProfiler
@@ -26,24 +27,6 @@ def test_requires_metric_matrix(toy_run, toy_measurement):
     table, _ = NVBitProfiler().profile(toy_run)
     with pytest.raises(ValueError, match="12-metric"):
         PksPipeline().select(table, toy_measurement)
-
-
-@pytest.mark.parametrize(
-    "field",
-    [
-        {"kmeans_iterations": 0},
-        {"kmeans_fit_sample": 0},
-        {"kmeans_fit_sample": 19},
-    ],
-)
-def test_config_rejects_kmeans_settings_that_cannot_search_k(field):
-    with pytest.raises(ValueError, match="kmeans_"):
-        PksConfig(**field)
-
-
-def test_config_accepts_a_fit_sample_of_max_k():
-    assert PksConfig(max_k=5, kmeans_fit_sample=5).kmeans_fit_sample == 5
-    assert PksConfig(kmeans_fit_sample=None).kmeans_fit_sample is None
 
 
 def test_chosen_k_within_bounds(pks_selection):
@@ -77,14 +60,13 @@ def test_prediction_is_count_weighted_sum(pks_inputs, pks_selection):
     assert prediction.predicted_cycles == pytest.approx(expected)
 
 
-def test_chosen_k_minimizes_error(pks_inputs):
-    """Re-running with max_k below the chosen k cannot yield lower error
+def test_chosen_k_minimizes_error(pks_inputs, monkeypatch):
+    """Re-running with MAX_K below the chosen k cannot yield lower error
     (the k search is over a nested prefix of the same hierarchy)."""
     table, golden = pks_inputs
-    full = PksPipeline(PksConfig(max_k=20)).select(table, golden)
-    restricted = PksPipeline(PksConfig(max_k=max(2, full.chosen_k - 1))).select(
-        table, golden
-    )
+    full = PksPipeline().select(table, golden)
+    monkeypatch.setattr(pks, "MAX_K", max(2, full.chosen_k - 1))
+    restricted = PksPipeline().select(table, golden)
     full_err = abs(
         PksPipeline().predict(full, golden).predicted_cycles - golden.total_cycles
     )

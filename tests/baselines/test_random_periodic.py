@@ -39,10 +39,10 @@ def test_random_estimator_reasonable(table, toy_measurement):
 
 
 def test_periodic_sampler_takes_every_kth(table):
-    sampler = PeriodicSampler(period=100, offset=3)
+    sampler = PeriodicSampler(period=100)
     selection = sampler.select(table)
     rows = [r.row for r in selection.representatives]
-    assert rows == list(range(3, len(table), 100))
+    assert rows == list(range(0, len(table), 100))
 
 
 def test_periodic_estimator_runs(table, toy_measurement):
@@ -57,5 +57,3 @@ def test_invalid_parameters():
         RandomSampler(sample_size=0)
     with pytest.raises(ValueError):
         PeriodicSampler(period=0)
-    with pytest.raises(ValueError):
-        PeriodicSampler(period=5, offset=5)

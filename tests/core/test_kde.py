@@ -44,12 +44,6 @@ class TestGaussianKDE:
         assert kde.bandwidth > 0
         assert np.isfinite(kde.density(np.array([3.0]))[0])
 
-    def test_bandwidth_scale(self):
-        samples = np.random.default_rng(3).normal(0, 1, 100)
-        narrow = GaussianKDE1D.fit(samples, bandwidth_scale=0.5)
-        wide = GaussianKDE1D.fit(samples, bandwidth_scale=2.0)
-        assert wide.bandwidth == pytest.approx(4 * narrow.bandwidth)
-
 
 class TestKdeStrata:
     def test_separated_modes_become_separate_strata(self):

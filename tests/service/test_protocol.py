@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
-from repro.baselines.pks import PksConfig
 from repro.core.config import SieveConfig
 from repro.core.pipeline import SievePipeline
 from repro.evaluation.context import build_context
@@ -56,16 +56,17 @@ def test_parse_request_defaults_to_sieve():
         ({"workload": "rodinia/nw", "cap": True}, "positive integer"),
         ({"workload": "cactus/lmc", "cap": 57}, "cactus/lmc has 58 kernels"),
         ({"workload": "rodinia/nw", "fault_seed": True}, "fault_seed"),
-        # Config values must be what their fields' annotations say.
+        # Config values must be what their fields' annotations say, and
+        # the fields must exist: the KDE and k-means settings are constants.
         ({**GRU, "config": {"theta": float("inf")}}, "theta must be a finite number"),
         ({**GRU, "config": {"theta": 10**400}}, "theta must be a finite number"),
-        ({**GRU, "config": {"kde_bandwidth_scale": float("inf")}}, "kde_bandwidth_scale"),
-        ({**GRU_PKS, "config": {"kmeans_fit_sample": float("inf")}}, "kmeans_fit_sample"),
-        ({**GRU, "config": {"kde_grid_points": 512.5}}, "kde_grid_points must be an integer"),
-        ({**GRU, "config": {"kde_grid_points": 100_000_000}}, "kde_grid_points must be in"),
+        ({**GRU, "config": {"kde_bandwidth_scale": 1.0}}, "kde_bandwidth_scale"),
+        ({**GRU_PKS, "config": {"kmeans_fit_sample": 20_000}}, "kmeans_fit_sample"),
+        ({**VALID, "config": {"period": 100.5}}, "period must be an integer"),
+        ({**VALID, "config": {"period": 0}}, "period must be >= 1"),
         ({**GRU, "config": {"theta": True}}, "theta must be a finite number, got true"),
-        ({**GRU_PKS, "config": {"max_k": 2.5}}, "max_k must be an integer"),
-        ({**GRU_PKS, "config": {"variance_target": True}}, "variance_target"),
+        ({**GRU_PKS, "config": {"selection_policy": 1}}, "selection_policy must be a string"),
+        ({**GRU_PKS, "config": {"variance_target": 0.9}}, "variance_target"),
     ],
 )
 def test_parse_request_rejects_malformed(payload, match):
@@ -101,28 +102,50 @@ def test_config_from_dict_builds_typed_configs():
     assert protocol.config_from_dict("sieve", {}) is None
 
 
+@dataclass(frozen=True)
+class _Search:
+    """A nested config, as a method registered elsewhere may declare."""
+
+    max_k: int = 20
+    fit_sample: int | None = 20_000
+    variance_target: float = 0.9
+
+
+@dataclass(frozen=True)
+class _Plugin:
+    search: _Search = _Search()
+
+
 def test_config_from_dict_recurses_into_nested_dataclasses():
-    config = protocol.config_from_dict(
-        "pks-two-level", {"pks": {"max_k": 5}}
-    )
-    assert isinstance(config.pks, PksConfig) and config.pks.max_k == 5
+    config = protocol._build_dataclass(_Plugin, {"search": {"max_k": 5}}, "config")
+    assert config == _Plugin(_Search(max_k=5))
+    with pytest.raises(BadRequestError, match=r"unknown config\.search field\(s\): k$"):
+        protocol._build_dataclass(_Plugin, {"search": {"k": 5}}, "config")
+    with pytest.raises(BadRequestError, match="search must be an object, got 5"):
+        protocol._build_dataclass(_Plugin, {"search": 5}, "config")
 
 
 @pytest.mark.parametrize(
     "body", [{"kmeans_iterations": 0}, {"kmeans_fit_sample": 0}]
 )
 def test_config_from_dict_rejects_unusable_kmeans_settings(body):
-    for method, payload in (("pks", body), ("pks-two-level", {"pks": body})):
-        with pytest.raises(BadRequestError, match="kmeans_") as caught:
+    # PKS's k-means search is sized by constants; no config reaches it.
+    (field,) = body
+    for method, payload, unknown in (("pks", body, field), ("pks-two-level", {"pks": body}, "pks")):
+        with pytest.raises(BadRequestError, match=f"field\\(s\\): {unknown}$") as caught:
             protocol.config_from_dict(method, payload)
         assert caught.value.http_status == 400
 
 
 def test_config_from_dict_accepts_what_the_annotations_allow():
-    pks = protocol.config_from_dict("pks", {"kmeans_fit_sample": None, "variance_target": 1})
-    assert pks.kmeans_fit_sample is None and pks.variance_target == 1
-    sieve = protocol.config_from_dict("sieve", {"theta": 2, "kde_grid_points": 4096})
-    assert (sieve.theta, sieve.kde_grid_points) == (2, 4096)
+    search = protocol._build_dataclass(
+        _Search, {"fit_sample": None, "variance_target": 1}, "config"
+    )
+    assert search.fit_sample is None and search.variance_target == 1
+    with pytest.raises(BadRequestError, match="fit_sample must be an integer or null, got 2.5"):
+        protocol._build_dataclass(_Search, {"fit_sample": 2.5}, "config")
+    sieve = protocol.config_from_dict("sieve", {"theta": 2})
+    assert sieve.theta == 2
     with pytest.raises(BadRequestError, match="theta must be a finite number, got null"):
         protocol.config_from_dict("sieve", {"theta": None})
 

@@ -43,7 +43,7 @@ def test_methods_lists_the_full_registry(client):
     assert set(by_name) == {"sieve", "pks", "pks-two-level", "periodic", "random"}
     assert by_name["sieve"]["config_schema"] == "SieveConfig"
     assert by_name["sieve"]["defaults"]["theta"] == 0.4
-    assert by_name["pks-two-level"]["defaults"]["pks"]["max_k"] >= 1
+    assert by_name["pks-two-level"]["defaults"] == {"detailed_budget": 10000}
 
 
 def test_served_predict_matches_direct_evaluation(client):
@@ -611,11 +611,14 @@ def test_cap_below_the_kernel_count_is_a_400_that_strikes_nothing(tmp_path):
 
 
 def test_a_non_integer_grid_is_a_400_that_strikes_nothing(tmp_path):
-    # kde_grid_points 512.5 used to reach a worker, fail there twice as a
-    # 500, and on the second request quarantine cactus/gru for everyone.
+    # A fractional period must not reach a worker: failing there on every
+    # attempt, the second request would quarantine cactus/gru for everyone.
     handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
     client = Client(handle.host, handle.port)
-    payload = {"workload": "cactus/gru", "cap": 1000, "config": {"kde_grid_points": 512.5}}
+    payload = {
+        "workload": "cactus/gru", "method": "periodic", "cap": 1000,
+        "config": {"period": 100.5},
+    }
     try:
         replies = [client.post("/v1/select", payload) for _ in range(2)]
         strikes = handle.service.engine.quarantine.entries()
@@ -625,7 +628,43 @@ def test_a_non_integer_grid_is_a_400_that_strikes_nothing(tmp_path):
     for status, body, _ in replies:
         assert status == 400
         assert body["error"]["type"] == "BadRequestError"
-        assert body["error"]["context"] == {"field": "kde_grid_points"}
+        assert body["error"]["context"] == {"field": "period"}
+    assert strikes == []
+
+
+#: Settings that are constants of their method, not config fields.
+DELETED_FIELDS = [
+    ("sieve", {"kde_grid_points": 512}),
+    ("sieve", {"kde_bandwidth_scale": 1.0}),
+    ("pks", {"max_k": 20000}),
+    ("pks", {"variance_target": 0.9}),
+    ("pks", {"kmeans_iterations": 50}),
+    ("pks", {"kmeans_fit_sample": None}),
+    ("pks-two-level", {"pks": {"max_k": 20}}),
+    ("periodic", {"offset": 0}),
+]
+
+
+def test_a_deleted_config_field_is_a_400_that_strikes_nothing(tmp_path):
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
+    client = Client(handle.host, handle.port)
+    try:
+        replies = [
+            (field, client.post("/v1/select", {
+                "workload": "cactus/gru", "method": method, "cap": 1000, "config": config,
+            }))
+            for method, config in DELETED_FIELDS
+            for field in config
+            for _ in range(2)
+        ]
+        strikes = handle.service.engine.quarantine.entries()
+    finally:
+        client.close()
+        handle.stop()
+    for field, (status, body, _) in replies:
+        assert status == 400
+        assert body["error"]["type"] == "BadRequestError"
+        assert body["error"]["message"].endswith(f"field(s): {field}")
     assert strikes == []
 
 

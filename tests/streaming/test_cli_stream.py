@@ -73,3 +73,12 @@ def test_feed_with_multiple_methods_is_an_error(capsys, feed_path):
 def test_sample_without_workload_or_feed_is_an_error(capsys):
     assert main(["sample"]) == 2
     assert "workload label" in capsys.readouterr().err
+
+
+def test_a_negative_reservoir_is_a_one_line_error(capsys):
+    assert main(["--cap", "600", "sample", "cactus/gru",
+                 "--stream", "--reservoir", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        "error: reservoir_rows must be at least 1, got -5"
+    ]

@@ -10,6 +10,7 @@ from repro.core.config import SieveConfig
 from repro.evaluation.context import build_context
 from repro.methods import get_method
 from repro.streaming.base import StreamContext, iter_table_chunks
+from repro.utils.errors import StreamingError
 
 
 @pytest.fixture(scope="module")
@@ -76,22 +77,17 @@ def test_sieve_events_off_by_default(table):
     assert stream.events == []
 
 
-def test_periodic_provisional_fallback_is_retracted(table):
-    """With an offset, row 0 is emitted provisionally (the batch fallback
-    pick) and retracted the moment a real grid pick lands."""
-    config = PeriodicSampler(period=50, offset=10)
+def test_periodic_only_emits_and_replays_to_its_selection(table):
+    """A periodic pick is final the moment its row arrives: no retracts."""
     stream = get_method("periodic").begin_stream(
-        StreamContext(workload=table.workload, collect_events=True), config
+        StreamContext(workload=table.workload, collect_events=True),
+        PeriodicSampler(period=50),
     )
     for chunk in iter_table_chunks(table, 7):
         stream.observe(chunk)
     selection = stream.finalize()
-    events = stream.events
-    assert events[0].kind == "emit" and events[0].group == "period0"
-    assert events[0].row == 0
-    retracts = [e for e in events if e.kind == "retract"]
-    assert retracts and retracts[0].group == "period0"
-    live = replay(events)
+    assert {e.kind for e in stream.events} == {"emit"}
+    live = replay(stream.events)
     want = {
         rep.group: (rep.row, rep.invocation_id)
         for rep in selection.representatives
@@ -99,18 +95,15 @@ def test_periodic_provisional_fallback_is_retracted(table):
     assert live == want
 
 
-def test_periodic_without_grid_hits_keeps_the_fallback():
+def test_periodic_rows_off_the_grid_are_a_streaming_error():
     table = build_context("cactus/gru", max_invocations=30).sieve_table
-    config = PeriodicSampler(period=10_000, offset=100)
     stream = get_method("periodic").begin_stream(
-        StreamContext(workload=table.workload, collect_events=True), config
+        StreamContext(workload=table.workload, collect_events=True),
+        PeriodicSampler(period=10_000),
     )
-    stream.observe(table)
-    selection = stream.finalize()
-    assert len(selection.representatives) == 1
-    assert selection.representatives[0].row == 0
-    live = replay(stream.events)
-    assert live == {"period0": (0, int(table.invocation_id[0]))}
+    assert stream.observe(table, rows=np.arange(1, len(table) + 1)) == []
+    with pytest.raises(StreamingError, match="period 10000"):
+        stream.finalize()
 
 
 def test_event_weights_are_estimates_rows_seen_monotone(table):

@@ -1,7 +1,12 @@
 """Tests for the Table I workload catalog."""
 
+import dataclasses
+import json
+import os
+
 import pytest
 
+from repro.workloads import adversarial
 from repro.workloads.catalog import (
     CHALLENGING_SUITES,
     SIMPLE_SUITES,
@@ -109,3 +114,38 @@ def test_lmc_lmr_favor_turing():
         spec = spec_for(name)
         assert spec.turing_factor < 1.0
         assert spec.turing_biased_fraction > 0.5
+
+
+def _promoted(name: str) -> adversarial.AdversarialEntry:
+    entry = adversarial._STATIC_ENTRIES[0]
+    return dataclasses.replace(entry, spec=dataclasses.replace(entry.spec, name=name))
+
+
+def test_lookups_parse_the_promoted_catalog_only_when_it_changes(tmp_path, monkeypatch):
+    catalog = tmp_path / "promoted.json"
+    monkeypatch.setenv(adversarial.PROMOTED_ENV, str(catalog))
+    first = _promoted("memo-first")
+    adversarial.save_promoted_entries([first])
+    loads = []
+    load = adversarial.load_promoted_entries
+    monkeypatch.setattr(
+        adversarial, "load_promoted_entries", lambda path=None: loads.append(path) or load(path)
+    )
+    for _ in range(1000):
+        assert spec_for("adversarial/memo-first") == first.spec
+    assert len(loads) <= 1
+
+    # A promotion written by this process...
+    second = _promoted("memo-second")
+    adversarial.save_promoted_entries([first, second])
+    assert spec_for("adversarial/memo-second") == second.spec
+    # ...and one another writer puts in the file's place.
+    third = _promoted("memo-third")
+    staged = tmp_path / "staged.json"
+    staged.write_text(json.dumps(
+        {"schema": adversarial.PROMOTED_SCHEMA, "entries": [third.to_dict()]}
+    ))
+    os.replace(staged, catalog)
+    assert spec_for("memo-third") == third.spec
+    with pytest.raises(KeyError):
+        spec_for("adversarial/memo-first")
