@@ -11,6 +11,11 @@ the acceptance bar names:
 * ``GET /v1/metrics`` parses as valid Prometheus exposition text
   (:func:`repro.observability.export.parse_prometheus` is the strict
   validator);
+* each request counts once in the result cache's counters:
+  ``engine_cache_miss_total`` equals the unique tasks the warm-up
+  evaluated, and ``engine_cache_hit_total`` plus ``/v1/healthz``'s
+  ``coalesced`` equals the burst's requests (every one of them is
+  answered from the cache, its memo, or a task in flight);
 * no worker process outlives the server: ``handle.stop()`` closes the
   engine, which stops its long-lived isolated workers (``--jobs`` of
   them), so ``multiprocessing.active_children()`` must then be empty;
@@ -106,21 +111,30 @@ def warm_up(host: str, port: int, schedule) -> int:
     return len(unique)
 
 
-def check_metrics(host: str, port: int) -> int:
+def get(host: str, port: int, route: str) -> str:
     connection = http.client.HTTPConnection(host, port, timeout=60)
     try:
-        connection.request("GET", loadgen.protocol.METRICS_ROUTE)
+        connection.request("GET", route)
         response = connection.getresponse()
         text = response.read().decode("utf-8")
     finally:
         connection.close()
     if response.status != 200:
-        raise SystemExit(f"/v1/metrics returned HTTP {response.status}")
+        raise SystemExit(f"{route} returned HTTP {response.status}")
+    return text
+
+
+def check_metrics(host: str, port: int) -> dict[str, float]:
+    """Validate ``/v1/metrics``; returns each family's total over its samples."""
+    text = get(host, port, loadgen.protocol.METRICS_ROUTE)
     families = parse_prometheus(text)  # raises ValueError on malformation
     for expected in ("service_requests_total", "service_latency_s"):
         if expected not in families:
             raise SystemExit(f"/v1/metrics is missing the {expected} family")
-    return len(families)
+    return {
+        name: sum(value for _, _, value in family["samples"])
+        for name, family in families.items()
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
             report = loadgen.run_loadgen(
                 handle.host, handle.port, schedule, clients=CLIENTS
             )
-            families = check_metrics(handle.host, handle.port)
+            totals = check_metrics(handle.host, handle.port)
+            health = json.loads(get(handle.host, handle.port, loadgen.protocol.HEALTHZ_ROUTE))
         finally:
             handle.stop()
     survivors = multiprocessing.active_children()
@@ -158,7 +173,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = report.summary()
     for key, value in summary.items():
         print(f"{key}: {value}")
-    print(f"/v1/metrics: {families} families, exposition valid")
+    print(f"/v1/metrics: {len(totals)} families, exposition valid")
+    misses = totals.get("engine_cache_miss_total", 0.0)
+    hits = totals.get("engine_cache_hit_total", 0.0)
+    coalesced = health["dispatcher"]["coalesced"]
+    print(f"cache: {hits:.0f} hits, {misses:.0f} misses, {coalesced} coalesced")
     print(f"child processes alive after stop: {len(survivors)}")
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -183,6 +202,12 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"{len(survivors)} child process(es) outlived the server: "
             + ", ".join(f"pid {child.pid}" for child in survivors)
+        )
+    if misses != warmed:
+        failures.append(f"{misses:.0f} cache misses for {warmed} evaluated tasks")
+    if hits + coalesced != REQUESTS:
+        failures.append(
+            f"{hits:.0f} cache hits + {coalesced} coalesced requests != the burst's {REQUESTS}"
         )
     if len(report.records) != REQUESTS:
         failures.append(

@@ -31,6 +31,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import stat
 import sys
 import threading
 import time
@@ -282,8 +283,8 @@ def run_task_with_telemetry(
 class CacheStats:
     """Counters for one :class:`ResultCache` instance's lifetime."""
 
-    hits: int = 0
-    misses: int = 0
+    hits: int = 0  # requests answered from the cache (or the service's memo of it)
+    misses: int = 0  # tasks sent to run, one each however often probed
     writes: int = 0
     invalid: int = 0  # corrupt/stale entries dropped and recomputed
 
@@ -326,13 +327,15 @@ class ResultCache:
         return self.directory / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> dict[str, MethodResult] | None:
+        """The results stored under ``key``, counted as a hit, else ``None``.
+
+        An absent or dropped entry counts no miss here: the engine counts
+        one per task it sends to run, however often the task was probed.
+        """
         path = self.path_for(key)
         try:
             payload = pickle.loads(path.read_bytes())
         except FileNotFoundError:
-            with _bookkeeping:
-                self.stats.misses += 1
-            metrics.inc("engine.cache.miss", reason="absent")
             return None
         except Exception as exc:  # torn write, foreign file, pickle drift
             self._drop_invalid(path, f"unreadable ({type(exc).__name__})", "unreadable")
@@ -344,10 +347,19 @@ class ResultCache:
         ):
             self._drop_invalid(path, "stale schema or key mismatch", "stale")
             return None
-        with _bookkeeping:
-            self.stats.hits += 1
-        metrics.inc("engine.cache.hit")
+        self.count(hits=1)
         return payload["results"]
+
+    def count(self, hits: int = 0, misses: int = 0) -> None:
+        """Count requests answered from the cache and tasks sent to run, in
+        :attr:`stats` and the ``engine.cache.hit``/``miss`` counters."""
+        with _bookkeeping:
+            self.stats.hits += hits
+            self.stats.misses += misses
+        if hits:
+            metrics.inc("engine.cache.hit", hits)
+        if misses:
+            metrics.inc("engine.cache.miss", misses)
 
     def put(self, key: str, results: dict[str, MethodResult]) -> None:
         path = self.path_for(key)
@@ -367,8 +379,7 @@ class ResultCache:
     def _drop_invalid(self, path: Path, reason: str, reason_label: str) -> None:
         with _bookkeeping:
             self.stats.invalid += 1
-            self.stats.misses += 1
-        metrics.inc("engine.cache.miss", reason=reason_label)
+        metrics.inc("engine.cache.invalid", reason=reason_label)
         diagnostics.emit("engine.cache", f"dropping cache entry {path.name}: {reason}")
         try:
             path.unlink()
@@ -603,6 +614,7 @@ def _worker_main(conn, parent_pid: int) -> None:
     group, and the supervisor, not the signal, decides when workers stop.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _release_inherited_sockets(keep=conn.fileno())
     while True:
         try:
             while not conn.poll(_ORPHAN_CHECK_S):
@@ -622,6 +634,30 @@ def _worker_main(conn, parent_pid: int) -> None:
                 conn.send(("error", (f"{type(exc).__name__}: {exc}", _portable(exc))))
             except OSError:
                 return  # the supervisor is gone
+
+
+def _release_inherited_sockets(keep: int) -> None:
+    """Point every socket descriptor but ``keep`` (the worker's pipe) at
+    ``/dev/null``.
+
+    A fork copies every descriptor, so a worker forked while a server runs
+    would hold its listening socket and open connections for as long as it
+    lives, and a client reading a ``Connection: close`` response to EOF
+    would wait for the worker to exit. Replacing a descriptor closes its
+    socket but keeps the number taken, so a stale socket object closing it
+    later cannot close a file opened since. Only sockets go: the worker's
+    ends of multiprocessing's sentinel pipes must stay open, or
+    ``Process.join`` stops waiting.
+    """
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for name in os.listdir("/dev/fd"):
+        fd = int(name)
+        try:
+            if fd not in (keep, devnull) and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:
+            pass  # the listing's own descriptor, closed by now
+    os.close(devnull)
 
 
 class _Worker:
@@ -964,20 +1000,8 @@ class EvaluationEngine:
         retry policy's last one raises :class:`TaskCrashError`.
         """
         with span("engine.run", tasks=len(tasks)):
-            ordered: list[TaskOutcome | None] = [None] * len(tasks)
-            pending: list[int] = []
-            keys: list[str | None] = [None] * len(tasks)
             with span("engine.cache.probe", tasks=len(tasks)):
-                for index, task in enumerate(tasks):
-                    if self.cache is not None:
-                        keys[index] = task.cache_key()
-                        cached = self.cache.get(keys[index])
-                        if cached is not None:
-                            ordered[index] = TaskOutcome(
-                                task.label, "ok", cached, from_cache=True
-                            )
-                            continue
-                    pending.append(index)
+                ordered, keys, pending = self._probe_all(tasks, self._cached)
             if pending:
                 computed = self._execute([tasks[i] for i in pending])
                 for index, outcome in zip(pending, computed):
@@ -1034,6 +1058,28 @@ class EvaluationEngine:
                 self._workers.interrupt(stop)
                 raise
 
+    def _probe_all(
+        self,
+        tasks: Sequence[EvaluationTask],
+        probe: Callable[[EvaluationTask, str | None], TaskOutcome | None],
+    ) -> tuple[list[TaskOutcome | None], list[str | None], list[int]]:
+        """Each task's outcome known without running it (``probe``'s answer)
+        and cache key, and the indices of the tasks left to run: the cache
+        counts one miss for each of those."""
+        keys = [task.cache_key() if self.cache is not None else None for task in tasks]
+        known = [probe(task, key) for task, key in zip(tasks, keys)]
+        pending = [index for index, outcome in enumerate(known) if outcome is None]
+        if self.cache is not None:
+            self.cache.count(misses=len(pending))
+        return known, keys, pending
+
+    def _cached(self, task: EvaluationTask, key: str | None) -> TaskOutcome | None:
+        """``task``'s cached results, if ``key`` has an entry."""
+        results = None if self.cache is None or key is None else self.cache.get(key)
+        if results is None:
+            return None
+        return TaskOutcome(task.label, "ok", results, attempts=0, from_cache=True)
+
     def probe(self, task: EvaluationTask, key: str | None) -> TaskOutcome | None:
         """The outcome :meth:`run_isolated` gives ``task`` without running it.
 
@@ -1041,7 +1087,8 @@ class EvaluationEngine:
         cached results when ``key`` (the task's :meth:`~EvaluationTask.
         cache_key`, or ``None`` without a cache) has an entry, else
         ``None``: the task must run. The service answers hits with this
-        before they reach a batch.
+        before they reach a lane; a miss is counted only when the task is
+        sent to run.
         """
         if self.quarantine.is_quarantined("task", task.label):
             metrics.inc("engine.isolated.quarantine_skips")
@@ -1054,13 +1101,7 @@ class EvaluationEngine:
                 attempts=0,
                 error="skipped: quarantined task",
             )
-        if self.cache is not None and key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return TaskOutcome(
-                    task.label, "ok", cached, attempts=0, from_cache=True
-                )
-        return None
+        return self._cached(task, key)
 
     def run_isolated(
         self,
@@ -1081,15 +1122,7 @@ class EvaluationEngine:
         """
         policy = policy or self.config.retry
         with span("engine.run_isolated", tasks=len(tasks)) as iso_span:
-            ordered: list[TaskOutcome | None] = [None] * len(tasks)
-            keys: list[str | None] = [None] * len(tasks)
-            pending: list[int] = []
-            for index, task in enumerate(tasks):
-                if self.cache is not None:
-                    keys[index] = task.cache_key()
-                ordered[index] = self.probe(task, keys[index])
-                if ordered[index] is None:
-                    pending.append(index)
+            ordered, keys, pending = self._probe_all(tasks, self.probe)
             if pending:
                 attempted = self._supervise(
                     [tasks[i] for i in pending], policy, isolated=True

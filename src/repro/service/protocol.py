@@ -110,6 +110,16 @@ def _require(condition: bool, message: str) -> None:
         raise BadRequestError(message)
 
 
+def _reject_unknown(payload: dict, fields: typing.AbstractSet[str], where: str) -> None:
+    """A 400 listing every key of ``payload`` that is not in ``fields``; its
+    ``field`` context is the first of them in sorted order."""
+    unknown = sorted(set(payload) - fields)
+    if unknown:
+        raise BadRequestError(
+            f"unknown {where} field(s): {', '.join(unknown)}", field=unknown[0]
+        )
+
+
 def _is_int(value: object) -> bool:
     """A JSON integer; ``true``/``false`` decode to ``bool``, an ``int``."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -141,8 +151,7 @@ def config_from_dict(method_name: str, payload: object | None) -> object | None:
 def _build_dataclass(schema: type, payload: dict, where: str) -> object:
     hints = typing.get_type_hints(schema)
     fields = {f.name for f in dataclasses.fields(schema)}
-    unknown = sorted(set(payload) - fields)
-    _require(not unknown, f"unknown {where} field(s): {', '.join(unknown)}")
+    _reject_unknown(payload, fields, where)
     kwargs = {
         name: _typed_value(hints[name], value, where, name)
         for name, value in payload.items()
@@ -276,8 +285,7 @@ def parse_request(kind: str, payload: object) -> EvaluationRequest:
     """
     _require(kind in ("select", "predict"), f"unknown request kind {kind!r}")
     _require(isinstance(payload, dict), "request body must be a JSON object")
-    unknown = sorted(set(payload) - _REQUEST_FIELDS)
-    _require(not unknown, f"unknown request field(s): {', '.join(unknown)}")
+    _reject_unknown(payload, _REQUEST_FIELDS, "request")
 
     method = payload.get("method", "sieve")
     _require(isinstance(method, str) and method != "", "method must be a non-empty string")

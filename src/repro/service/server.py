@@ -64,6 +64,13 @@ MEMO_ENTRIES = 256
 #: default stream limit, passed explicitly so the 400 can name it.
 LINE_LIMIT = 64 * 1024
 
+#: The largest request body read, in bytes; a longer one is a 413.
+MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Attempts a served task gets before its request fails (and its label
+#: takes a quarantine strike).
+MAX_ATTEMPTS = 2
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -74,32 +81,24 @@ class ServiceConfig:
     jobs: int = 1  # isolated worker processes, one dispatcher lane each
     use_cache: bool = True
     cache_dir: str | None = None
-    max_attempts: int = 2
     deadline_s: float = 120.0  # per-attempt wall clock for a task
-    max_body_bytes: int = 32 * 1024 * 1024
-
-    def engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            jobs=self.jobs,
-            use_cache=self.use_cache,
-            cache_dir=self.cache_dir,
-            retry=RetryPolicy(
-                max_attempts=self.max_attempts, deadline_s=self.deadline_s
-            ),
-        )
 
 
 class SieveService:
     """One server instance: engine + dispatcher + asyncio socket server."""
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        engine: EvaluationEngine | None = None,
-    ):
+    def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
-        self._owns_engine = engine is None
-        self.engine = engine or EvaluationEngine(self.config.engine_config())
+        self.engine = EvaluationEngine(
+            EngineConfig(
+                jobs=self.config.jobs,
+                use_cache=self.config.use_cache,
+                cache_dir=self.config.cache_dir,
+                retry=RetryPolicy(
+                    max_attempts=MAX_ATTEMPTS, deadline_s=self.config.deadline_s
+                ),
+            )
+        )
         self.dispatcher = BatchingDispatcher(self.engine)
         self.host: str | None = None
         self.port: int | None = None
@@ -120,7 +119,6 @@ class SieveService:
         With ``stop=None`` the server runs until cancelled (the CLI
         foreground mode — Ctrl-C cancels ``asyncio.run``).
         """
-        await self.dispatcher.start()
         server = await asyncio.start_server(
             self._handle_client, self.config.host, self.config.port, limit=LINE_LIMIT
         )
@@ -143,10 +141,7 @@ class SieveService:
             if self._clients:
                 await asyncio.gather(*self._clients, return_exceptions=True)
             await self.dispatcher.close()
-            if self._owns_engine:
-                # Stop the workers with the server; an injected engine
-                # stays open for its owner (close is idempotent either way).
-                self.engine.close()
+            self.engine.close()
 
     # -------------------------------------------------------- connection IO
 
@@ -186,13 +181,13 @@ class SieveService:
                 # with more digits than the limit is over it, and never
                 # reaches int(), which refuses past 4,300 digits.
                 digits = length_text.lstrip("0") or "0"
-                limit = self.config.max_body_bytes
-                length = int(digits) if len(digits) <= len(str(limit)) else limit + 1
-                if length > limit:
+                too_long = len(digits) > len(str(MAX_BODY_BYTES))
+                length = MAX_BODY_BYTES + 1 if too_long else int(digits)
+                if length > MAX_BODY_BYTES:
                     await self._respond(writer, 413, self._error_body(
                         BadRequestError(
                             "request body too large",
-                            limit_bytes=limit,
+                            limit_bytes=MAX_BODY_BYTES,
                         )))
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -399,7 +394,8 @@ class SieveService:
 
         A result is known when the engine keeps a result cache, the task's
         label is not quarantined and (cache key, kind) is memoized. It is
-        answered as the cache hit it is, without reading the cache entry.
+        answered, and counted, as the cache hit it is, without reading the
+        cache entry.
         A quarantined label goes on to the dispatcher, whose probe answers
         it; without a cache every request runs, so nothing is known.
         """
@@ -411,7 +407,7 @@ class SieveService:
         entry = self._encoded.get(memo_key)
         if entry is not None:
             self._encoded.move_to_end(memo_key)
-            inc("engine.cache.hit")
+            self.engine.cache.count(hits=1)
         return entry
 
     def _encode(
@@ -505,13 +501,10 @@ class ServiceHandle:
 
 
 def start_in_thread(
-    config: ServiceConfig | None = None,
-    engine: EvaluationEngine | None = None,
-    *,
-    startup_timeout_s: float = 30.0,
+    config: ServiceConfig | None = None, *, startup_timeout_s: float = 30.0
 ) -> ServiceHandle:
     """Boot a server on a dedicated thread/event loop and wait for bind."""
-    service = SieveService(config, engine)
+    service = SieveService(config)
     started = threading.Event()
     box: dict[str, object] = {}
 

@@ -190,11 +190,6 @@ class ReservoirStore:
     """
 
     def __init__(self, workload: str, capacity: int | None = None):
-        require(
-            capacity is None or capacity >= 1,
-            f"reservoir_rows must be at least 1, got {capacity}",
-            StreamingError,
-        )
         self.workload = workload
         self.capacity = capacity
         self.seen = np.zeros(0, dtype=np.int64)

@@ -61,10 +61,20 @@ class StreamContext:
 
     workload: str
     batch: object | None = None
+    #: Rows a bounded stream keeps per kernel (``None``: every row). Every
+    #: method's stream is given one through this context, so it is checked
+    #: here, before any row is folded.
     reservoir_rows: int | None = None
     #: Emit/retract StreamEvents as picks change mid-stream (costs a
     #: per-chunk refresh of the touched kernels' picks).
     collect_events: bool = False
+
+    def __post_init__(self) -> None:
+        require(
+            self.reservoir_rows is None or self.reservoir_rows >= 1,
+            f"reservoir_rows must be at least 1, got {self.reservoir_rows}",
+            StreamingError,
+        )
 
 
 def note_resident_rows(rows: int) -> None:

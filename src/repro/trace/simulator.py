@@ -1,14 +1,15 @@
 """Cycle-level trace-driven GPU simulator.
 
 A deliberately small Accel-sim-like model: per-SM warp contexts with
-in-order issue, a register scoreboard, greedy-then-oldest or loose
-round-robin warp scheduling, per-class execution latencies, a per-SM L1, a
-shared L2 and a bandwidth-limited DRAM. It consumes the plain-text traces
+in-order issue, a register scoreboard, greedy-then-oldest warp
+scheduling, per-class execution latencies, a per-SM L1, a shared L2 and a
+bandwidth-limited DRAM. It consumes the plain-text traces
 produced by :mod:`repro.trace.tracer` and reports cycles and IPC.
 
 The simulator is intentionally scaled down (default 4 SMs) to keep
 simulation times proportionate to the scaled traces; IPC is reported per
-SM so results are comparable across configurations.
+SM so results are comparable across configurations. The SM count is the
+one setting; the rest of the model is the constants below.
 """
 
 from __future__ import annotations
@@ -22,27 +23,32 @@ from repro.trace.encoding import KernelTrace
 from repro.utils.validation import require
 
 
+#: Warp contexts resident on one SM; further warps run in later residency
+#: batches on the same SM.
+MAX_WARPS_PER_SM = 16
+#: Warp instructions one SM issues per cycle, at most.
+SCHEDULERS_PER_SM = 2
+#: Cache capacities in bytes: one L1 per SM, one shared L2.
+L1_SIZE = 32 * 1024
+L2_SIZE = 512 * 1024
+#: Completion latencies in cycles.
+L1_LATENCY = 30
+L2_LATENCY = 90
+SHARED_LATENCY = 24
+ALU_LATENCY = 4
+SFU_LATENCY = 16
+#: Runaway guard: a residency batch still issuing past this cycle raises.
+MAX_CYCLES = 5_000_000
+
+
 @dataclass(frozen=True)
 class SimulatorConfig:
     """Scaled-down GPU configuration for trace simulation."""
 
     num_sms: int = 4
-    max_warps_per_sm: int = 16
-    schedulers_per_sm: int = 2
-    scheduler: str = "gto"  # "gto" (greedy-then-oldest) or "lrr"
-    l1_size: int = 32 * 1024
-    l2_size: int = 512 * 1024
-    l1_latency: int = 30
-    l2_latency: int = 90
-    shared_latency: int = 24
-    alu_latency: int = 4
-    sfu_latency: int = 16
-    max_cycles: int = 5_000_000
 
     def __post_init__(self) -> None:
         require(self.num_sms >= 1, "need at least one SM")
-        require(self.max_warps_per_sm >= 1, "need at least one warp slot")
-        require(self.scheduler in ("gto", "lrr"), "unknown scheduler policy")
 
 
 @dataclass(frozen=True)
@@ -116,27 +122,25 @@ class TraceSimulator:
         dram: DramModel,
     ) -> int:
         """Completion cycle of a memory instruction through the hierarchy."""
-        cfg = self.config
         op = insn.opclass
         if op in (OpClass.LOAD_SHARED, OpClass.STORE_SHARED):
-            return cycle + cfg.shared_latency
+            return cycle + SHARED_LATENCY
         if l1.access(insn.address):
-            return cycle + cfg.l1_latency
+            return cycle + L1_LATENCY
         if l2.access(insn.address):
-            return cycle + cfg.l2_latency
+            return cycle + L2_LATENCY
         return dram.request(cycle)
 
     def _issue(self, warp: _WarpContext, cycle, l1, l2, dram) -> int:
         """Issue the warp's next instruction; returns active lane count."""
-        cfg = self.config
         insn = warp.stream[warp.pc]
         op = insn.opclass
         if op.is_memory:
             completion = self._memory_completion(insn, cycle, l1, l2, dram)
         elif op is OpClass.SFU:
-            completion = cycle + cfg.sfu_latency
+            completion = cycle + SFU_LATENCY
         else:
-            completion = cycle + cfg.alu_latency
+            completion = cycle + ALU_LATENCY
         if insn.dest >= 0:
             warp.reg_ready[insn.dest] = completion
         if op in (OpClass.STORE_GLOBAL, OpClass.STORE_SHARED, OpClass.STORE_LOCAL):
@@ -151,20 +155,17 @@ class TraceSimulator:
 
     def simulate(self, trace: KernelTrace) -> SimulationResult:
         """Run one kernel trace to completion."""
-        cfg = self.config
-        l1s = [
-            SetAssociativeCache(cfg.l1_size, associativity=4)
-            for _ in range(cfg.num_sms)
-        ]
-        l2 = SetAssociativeCache(cfg.l2_size, associativity=8)
+        num_sms = self.config.num_sms
+        l1s = [SetAssociativeCache(L1_SIZE, associativity=4) for _ in range(num_sms)]
+        l2 = SetAssociativeCache(L2_SIZE, associativity=8)
         dram = DramModel()
 
         # Distribute warps across SMs round-robin, honouring the warp cap
         # by running excess warps as additional batches on the same SM slot
         # (sequential residency, as CTA schedulers do).
-        per_sm: list[list[_WarpContext]] = [[] for _ in range(cfg.num_sms)]
+        per_sm: list[list[_WarpContext]] = [[] for _ in range(num_sms)]
         for index, stream in enumerate(trace.warps):
-            per_sm[index % cfg.num_sms].append(_WarpContext(stream))
+            per_sm[index % num_sms].append(_WarpContext(stream))
 
         total_cycles = 0
         thread_insns = 0
@@ -172,39 +173,22 @@ class TraceSimulator:
         for sm_index, all_warps in enumerate(per_sm):
             l1 = l1s[sm_index]
             sm_cycles = 0
-            # Process in residency batches of max_warps_per_sm.
-            for start in range(0, len(all_warps), cfg.max_warps_per_sm):
-                batch = all_warps[start : start + cfg.max_warps_per_sm]
+            # Process in residency batches of MAX_WARPS_PER_SM.
+            for start in range(0, len(all_warps), MAX_WARPS_PER_SM):
+                batch = all_warps[start : start + MAX_WARPS_PER_SM]
                 cycle = 0
                 last_greedy: _WarpContext | None = None
-                rr_index = 0
                 while any(not w.done for w in batch):
-                    if cycle > cfg.max_cycles:
+                    if cycle > MAX_CYCLES:
                         raise RuntimeError("simulation exceeded max_cycles")
                     issued = 0
-                    for _slot in range(cfg.schedulers_per_sm):
-                        candidate = None
-                        if (
-                            cfg.scheduler == "gto"
-                            and last_greedy is not None
-                            and last_greedy.ready_at(cycle)
-                        ):
+                    for _slot in range(SCHEDULERS_PER_SM):
+                        # Greedy-then-oldest: the warp issued last keeps
+                        # issuing while it is ready, else the oldest ready one.
+                        if last_greedy is not None and last_greedy.ready_at(cycle):
                             candidate = last_greedy
                         else:
-                            order = (
-                                range(len(batch))
-                                if cfg.scheduler == "gto"
-                                else [
-                                    (rr_index + offset) % len(batch)
-                                    for offset in range(len(batch))
-                                ]
-                            )
-                            for warp_index in order:
-                                warp = batch[warp_index]
-                                if warp.ready_at(cycle):
-                                    candidate = warp
-                                    rr_index = (warp_index + 1) % len(batch)
-                                    break
+                            candidate = next((w for w in batch if w.ready_at(cycle)), None)
                         if candidate is None:
                             break
                         thread_insns += self._issue(candidate, cycle, l1, l2, dram)

@@ -34,6 +34,9 @@ SECTOR = 32
 #: Base of the synthetic global-memory address space per warp.
 GLOBAL_BASE = 0x1000_0000
 
+#: Architectural registers the generated code uses for its dependences.
+REGISTERS = 16
+
 
 @dataclass(frozen=True)
 class TracerConfig:
@@ -41,12 +44,10 @@ class TracerConfig:
 
     max_warps: int = 64
     max_warp_instructions: int = 4096
-    registers: int = 16  # architectural registers used by generated code
 
     def __post_init__(self) -> None:
         require(self.max_warps >= 1, "need at least one warp")
         require(self.max_warp_instructions >= 8, "trace too short to be useful")
-        require(self.registers >= 4, "need a few registers for dependences")
 
 
 class SelectionTracer:
@@ -95,7 +96,6 @@ class SelectionTracer:
         ops = list(mix.keys())
         probabilities = np.array([mix[op] for op in ops])
         choices = rng.choice(len(ops), size=length - 1, p=probabilities)
-        registers = self.config.registers
 
         # Lane mask honours the measured divergence efficiency.
         active_lanes = max(1, round(32 * divergence))
@@ -107,8 +107,8 @@ class SelectionTracer:
         shared_address = warp_id % 16 * 0x100
         for position, choice in enumerate(choices):
             op = ops[choice]
-            dest = int(rng.integers(registers)) if op is not OpClass.BRANCH else -1
-            srcs = (int(rng.integers(registers)), int(rng.integers(registers)))
+            dest = int(rng.integers(REGISTERS)) if op is not OpClass.BRANCH else -1
+            srcs = (int(rng.integers(REGISTERS)), int(rng.integers(REGISTERS)))
             if op.is_memory:
                 if op in (OpClass.LOAD_SHARED, OpClass.STORE_SHARED):
                     insn_address = shared_address

@@ -6,7 +6,8 @@ with junk and whose values are any JSON (integers past 64 bits, floats
 including the non-finite ones Python's decoder accepts, booleans, null,
 strings, arrays, nested objects), and bare non-object values. Parsing
 must return a request whose config can be hashed into a cache key, or
-raise a ``SieveError`` that maps onto HTTP 400, never anything else.
+raise a ``SieveError`` that maps onto HTTP 400, never anything else; a
+400 for unknown fields names one of the keys sent.
 
 The default hypothesis profile keeps this to a few seconds; CI runs it
 deeper with ``--hypothesis-profile=fuzz``.
@@ -62,6 +63,8 @@ def test_served_configs_parse_or_are_400s(case):
         request = protocol.parse_request("select", payload)
     except SieveError as exc:
         assert protocol.status_for(exc) == 400
+        if exc.message.startswith("unknown config"):
+            assert exc.context["field"] in config  # names a key it was sent
         return
     schema = get_method(method).config_schema
     assert request.config is None or isinstance(request.config, schema)

@@ -64,7 +64,6 @@ def test_identical_requests_coalesce_to_one_engine_task():
     async def main():
         engine = StubEngine()
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         outcomes = await asyncio.gather(
             *[dispatcher.submit(task_for("rodinia/nw")) for _ in range(6)]
         )
@@ -75,7 +74,7 @@ def test_identical_requests_coalesce_to_one_engine_task():
     assert len(engine.batches) == 1 and len(engine.batches[0]) == 1
     assert dispatcher.stats.requests == 6
     assert dispatcher.stats.coalesced == 5
-    assert dispatcher.stats.tasks == 1
+    assert dispatcher.stats.batches == 1
     assert all(outcome is outcomes[0] for outcome in outcomes)
 
 
@@ -83,7 +82,6 @@ def test_distinct_requests_each_run_as_one_engine_task():
     async def main():
         engine = StubEngine()
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         labels = ["rodinia/nw", "rodinia/lud", "rodinia/srad"]
         outcomes = await asyncio.gather(
             *[dispatcher.submit(task_for(label)) for label in labels]
@@ -97,14 +95,13 @@ def test_distinct_requests_each_run_as_one_engine_task():
         [label] for label in labels
     ]
     assert [outcome.label for outcome in outcomes] == labels
-    assert dispatcher.stats.batches == dispatcher.stats.tasks == 3
+    assert dispatcher.stats.batches == 3
 
 
 def test_each_unique_key_runs_once_across_lanes():
     async def main():
         engine = StubEngine(jobs=2)
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         # Five requests, three keys: a label and cap make one key.
         requests = [("rodinia/nw", 50), ("rodinia/lud", 51), ("rodinia/nw", 50),
                     ("rodinia/srad", 52), ("rodinia/lud", 51)]
@@ -121,14 +118,13 @@ def test_each_unique_key_runs_once_across_lanes():
     ]
     assert outcomes[2] is outcomes[0] and outcomes[4] is outcomes[1]
     assert (dispatcher.stats.requests, dispatcher.stats.coalesced) == (5, 2)
-    assert dispatcher.stats.tasks == 3
+    assert dispatcher.stats.batches == 3
 
 
 def test_crashing_task_fails_only_its_own_requests():
     async def main():
         engine = StubEngine(fail_labels={"rodinia/lud"})
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         crash, ok = await asyncio.gather(
             dispatcher.submit(task_for("rodinia/lud")),
             dispatcher.submit(task_for("rodinia/nw")),
@@ -147,7 +143,6 @@ def test_cancelled_waiter_does_not_poison_siblings():
         release = threading.Event()
         engine = StubEngine(release=release)
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         first = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
         second = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
         other = asyncio.create_task(dispatcher.submit(task_for("rodinia/lud")))
@@ -169,17 +164,25 @@ def test_cancelled_waiter_does_not_poison_siblings():
 
 def test_close_fails_queued_requests_and_rejects_new_ones():
     async def main():
-        # Never start the lanes: submissions stay queued.
-        dispatcher = BatchingDispatcher(StubEngine())
+        # The one lane is busy, so the second submission stays queued.
+        engine = GatedEngine(jobs=1)
+        dispatcher = BatchingDispatcher(engine)
+        running = asyncio.create_task(dispatcher.submit(task_for("rodinia/srad")))
+        await until(lambda: engine.entered == ["rodinia/srad"])
         waiter = asyncio.create_task(dispatcher.submit(task_for("rodinia/nw")))
         await asyncio.sleep(0.01)
-        await dispatcher.close()
+        closing = asyncio.create_task(dispatcher.close())
         with pytest.raises(ServiceUnavailableError):
             await waiter
+        engine.gate("rodinia/srad").set()
+        await closing  # waits for the running task
+        assert (await running).ok
         with pytest.raises(ServiceUnavailableError):
             await dispatcher.submit(task_for("rodinia/lud"))
+        return engine
 
-    run(main())
+    engine = run(main())
+    assert engine.entered == ["rodinia/srad"]
 
 
 class GatedEngine(StubEngine):
@@ -216,7 +219,6 @@ def test_two_lanes_run_two_misses_at_once_and_a_third_when_one_frees():
     async def main():
         engine = GatedEngine(jobs=2)
         dispatcher = BatchingDispatcher(engine)
-        await dispatcher.start()
         waiters = [asyncio.create_task(dispatcher.submit(task_for(label))) for label in labels]
         try:
             # Both lanes are inside run_isolated, neither released yet.
@@ -267,7 +269,6 @@ def test_cache_hit_returns_without_waiting_for_the_window(tmp_path):
     async def main():
         stub = ProbedEngine(engine)
         dispatcher = BatchingDispatcher(stub)
-        await dispatcher.start()
         outcome = await asyncio.wait_for(dispatcher.submit(hit), timeout=5.0)
         await dispatcher.close()
         return stub, dispatcher, outcome
@@ -278,7 +279,7 @@ def test_cache_hit_returns_without_waiting_for_the_window(tmp_path):
     assert dict(outcome.results) == {"periodic": "cached"}
     assert stub.batches == []
     assert dispatcher.stats.to_dict() == {
-        "requests": 1, "coalesced": 0, "batches": 0, "tasks": 0, "failures": 0,
+        "requests": 1, "coalesced": 0, "batches": 0, "failures": 0,
     }
 
 
@@ -290,7 +291,6 @@ def test_quarantined_label_returns_its_outcome_at_once(tmp_path):
     async def main():
         stub = ProbedEngine(engine)
         dispatcher = BatchingDispatcher(stub)
-        await dispatcher.start()
         outcome = await asyncio.wait_for(
             dispatcher.submit(task_for("rodinia/lud")), timeout=5.0
         )
@@ -312,7 +312,6 @@ def test_hits_beside_misses_take_no_lane(tmp_path):
     async def main():
         stub = ProbedEngine(engine)
         dispatcher = BatchingDispatcher(stub)
-        await dispatcher.start()
         outcomes = await asyncio.gather(
             dispatcher.submit(hit),
             *[dispatcher.submit(task_for("rodinia/lud")) for _ in range(3)],
@@ -329,4 +328,4 @@ def test_hits_beside_misses_take_no_lane(tmp_path):
     assert [[task.label for task in batch] for batch in stub.batches] == [
         ["rodinia/lud"], ["rodinia/srad"],
     ]
-    assert dispatcher.stats.coalesced == 2 and dispatcher.stats.tasks == 2
+    assert dispatcher.stats.coalesced == 2 and dispatcher.stats.batches == 2

@@ -135,7 +135,7 @@ def test_identical_concurrent_uploads_coalesce_into_one_task(tmp_path, monkeypat
     finally:
         release.touch()
         handle.stop()
-    assert (stats.requests, stats.coalesced, stats.tasks) == (2, 1, 1)
+    assert (stats.requests, stats.coalesced, stats.batches) == (2, 1, 1)
     digest = protocol.pickle_digest(direct(payload))
     assert [body["pickle_sha256"] for body in bodies] == [digest, digest]
 
@@ -166,7 +166,7 @@ def test_failing_table_is_isolated_and_quarantined_alone(
     monkeypatch.setattr(protocol, "select_inline", doomed(failure))
     bad = rows_payload(kernels=("doomed", "k1"))
     good = rows_payload()
-    handle = serve(tmp_path, max_attempts=1, deadline_s=2.0)
+    handle = serve(tmp_path, deadline_s=2.0)
     client = Client(handle.host, handle.port)
     try:
         replies = []

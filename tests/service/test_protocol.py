@@ -74,6 +74,13 @@ def test_parse_request_rejects_malformed(payload, match):
         protocol.parse_request("select", payload)
 
 
+def test_an_unknown_request_field_is_named_in_the_400s_context():
+    with pytest.raises(BadRequestError) as caught:
+        protocol.parse_request("select", {"workload": "rodinia/nw", "zeal": 2, "chaos": 1})
+    assert caught.value.message == "unknown request field(s): chaos, zeal"
+    assert caught.value.context == {"field": "chaos"}
+
+
 def test_parse_request_rejects_unknown_kind_and_body():
     with pytest.raises(BadRequestError, match="unknown request kind"):
         protocol.parse_request("mutate", dict(VALID))
@@ -119,7 +126,9 @@ class _Plugin:
 def test_config_from_dict_recurses_into_nested_dataclasses():
     config = protocol._build_dataclass(_Plugin, {"search": {"max_k": 5}}, "config")
     assert config == _Plugin(_Search(max_k=5))
-    with pytest.raises(BadRequestError, match=r"unknown config\.search field\(s\): k$"):
+    with pytest.raises(
+        BadRequestError, match=r"unknown config\.search field\(s\): k \[field='k'\]$"
+    ):
         protocol._build_dataclass(_Plugin, {"search": {"k": 5}}, "config")
     with pytest.raises(BadRequestError, match="search must be an object, got 5"):
         protocol._build_dataclass(_Plugin, {"search": 5}, "config")
@@ -132,7 +141,9 @@ def test_config_from_dict_rejects_unusable_kmeans_settings(body):
     # PKS's k-means search is sized by constants; no config reaches it.
     (field,) = body
     for method, payload, unknown in (("pks", body, field), ("pks-two-level", {"pks": body}, "pks")):
-        with pytest.raises(BadRequestError, match=f"field\\(s\\): {unknown}$") as caught:
+        with pytest.raises(
+            BadRequestError, match=f"field\\(s\\): {unknown} \\[field='{unknown}'\\]$"
+        ) as caught:
             protocol.config_from_dict(method, payload)
         assert caught.value.http_status == 400
 

@@ -9,6 +9,7 @@ import pickle
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.evaluation.context import build_context
 from repro.evaluation.engine import ResultCache
 from repro.evaluation.runner import evaluate_method
 from repro.observability.export import parse_prometheus
+from repro.observability.metrics import get_registry
 from repro.profiling.csv_io import read_profile_csv, write_profile_csv
 from repro.service import protocol
 from repro.service import server as server_mod
@@ -31,7 +33,7 @@ def test_healthz_reports_dispatcher_and_engine(client):
     assert status == 200
     assert body["status"] == "ok"
     assert set(body["dispatcher"]) == {
-        "requests", "coalesced", "batches", "tasks", "failures"
+        "requests", "coalesced", "batches", "failures"
     }
     assert body["engine"]["jobs"] == 1 and body["engine"]["use_cache"] is True
 
@@ -284,7 +286,7 @@ def test_pks_on_duplicated_rows_returns_before_the_deadline(tmp_path):
     # used to repeat one split forever and hold the dispatcher's batch
     # thread until the task deadline; a short one bounds the wait here.
     handle = start_in_thread(
-        ServiceConfig(cache_dir=str(tmp_path), deadline_s=30.0, max_attempts=1)
+        ServiceConfig(cache_dir=str(tmp_path), deadline_s=30.0)
     )
     client = Client(handle.host, handle.port)
     try:
@@ -366,6 +368,62 @@ def test_identical_served_results_are_cache_hits(client):
     assert first["pickle_sha256"] == second["pickle_sha256"]
 
 
+def test_each_served_request_counts_once_in_the_cache(tmp_path):
+    """One miss and two repeats: the miss counts when its task is sent to
+    run (not at each probe), and each repeat answered from the memo counts
+    a hit, in the cache's stats and its metrics alike."""
+    registry = get_registry()
+
+    def counters() -> tuple[float, float]:
+        return registry.counter("engine.cache.hit"), registry.counter("engine.cache.miss")
+
+    before = counters()
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
+    client = Client(handle.host, handle.port)
+    payload = {"workload": "rodinia/nw", "method": "periodic", "cap": 200}
+    try:
+        replies = [client.post("/v1/predict", payload)[1] for _ in range(3)]
+    finally:
+        client.close()
+        handle.stop()
+    assert [reply["telemetry"]["from_cache"] for reply in replies] == [False, True, True]
+    stats = handle.service.engine.cache_stats
+    assert (stats.hits, stats.misses, stats.writes) == (2, 1, 1)
+    after = counters()
+    assert (after[0] - before[0], after[1] - before[1]) == (2, 1)
+
+
+def test_a_served_miss_closes_its_connection_when_asked(tmp_path):
+    """The worker forked for a miss holds none of the server's sockets, so
+    ``Connection: close`` ends the connection with the response, not when
+    the worker exits."""
+    handle = start_in_thread(ServiceConfig(cache_dir=str(tmp_path)))
+    body = json.dumps({"workload": "rodinia/lud", "method": "periodic", "cap": 200})
+    raw = socket.create_connection((handle.host, handle.port), timeout=30)
+    try:
+        raw.sendall(
+            f"POST /v1/select HTTP/1.1\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n{body}".encode()
+        )
+        received = b""
+        while b"\r\n\r\n" not in received:
+            received += raw.recv(65536)
+        head, _, rest = received.partition(b"\r\n\r\n")
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        while len(rest) < length:
+            rest += raw.recv(65536)
+        answered = time.monotonic()
+        raw.settimeout(5.0)  # a socket a worker holds never reads EOF
+        tail = raw.recv(65536)
+        closed_after_s = time.monotonic() - answered
+    finally:
+        raw.close()
+        handle.stop()
+    assert head.startswith(b"HTTP/1.1 200 ")
+    assert json.loads(rest)["telemetry"]["from_cache"] is False
+    assert tail == b"" and closed_after_s < 1.0
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "1e3"])
 def test_malformed_content_length_is_a_typed_400(service, value):
     raw = socket.create_connection((service.host, service.port), timeout=30)
@@ -411,7 +469,7 @@ def test_content_length_is_read_as_its_number_however_long(service, caplog, valu
     error = json.loads(body)["error"]
     assert error["type"] == "BadRequestError"
     if status == 413:
-        assert error["context"] == {"limit_bytes": ServiceConfig().max_body_bytes}
+        assert error["context"] == {"limit_bytes": server_mod.MAX_BODY_BYTES}
     assert not [record for record in caplog.records if record.name == "asyncio"]
 
 
@@ -665,6 +723,7 @@ def test_a_deleted_config_field_is_a_400_that_strikes_nothing(tmp_path):
         assert status == 400
         assert body["error"]["type"] == "BadRequestError"
         assert body["error"]["message"].endswith(f"field(s): {field}")
+        assert body["error"]["context"] == {"field": field}
     assert strikes == []
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.streaming.accumulators import ChunkStats, KernelAccumulators, ReservoirStore
+from repro.streaming.base import StreamContext
 from repro.utils.errors import StreamingError
 from repro.utils.segments import Segments
 from repro.utils.stats import coefficient_of_variation
@@ -122,7 +123,7 @@ def test_bounded_reservoir_retains_chronological_order():
 @pytest.mark.parametrize("capacity", [0, -5])
 def test_a_reservoir_below_one_row_is_a_streaming_error(capacity):
     with pytest.raises(StreamingError, match="reservoir_rows must be at least 1"):
-        ReservoirStore("wl", capacity)
+        StreamContext(workload="wl", reservoir_rows=capacity)
 
 
 def test_unbounded_reservoir_keeps_everything_and_is_complete():

@@ -75,9 +75,10 @@ def test_sample_without_workload_or_feed_is_an_error(capsys):
     assert "workload label" in capsys.readouterr().err
 
 
-def test_a_negative_reservoir_is_a_one_line_error(capsys):
-    assert main(["--cap", "600", "sample", "cactus/gru",
-                 "--stream", "--reservoir", "-5"]) == 2
+@pytest.mark.parametrize("method", ["sieve", "periodic", "pks", "random"])
+def test_a_negative_reservoir_is_a_one_line_error(capsys, method):
+    assert main(["--cap", "600", "sample", "cactus/gru", "--stream",
+                 "--method", method, "--reservoir", "-5"]) == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [
         "error: reservoir_rows must be at least 1, got -5"

@@ -13,6 +13,7 @@ import pytest
 
 from repro.gpu import AMPERE_RTX3080
 from repro.gpu.timing import invocation_timing
+from repro.trace import simulator as simulator_mod
 from repro.trace.simulator import SimulatorConfig, TraceSimulator
 from repro.trace.tracer import SelectionTracer, TracerConfig
 from repro.workloads.generator import generate
@@ -79,7 +80,7 @@ def test_both_models_punish_divergence(world):
     assert per_warp_parallelism == pytest.approx(expected, rel=0.1)
 
 
-def test_memory_intensity_slows_both_models(world):
+def test_memory_intensity_slows_both_models(world, monkeypatch):
     """A memory-heavier variant of the same kernel runs slower under both
     models."""
     run, tracer, simulator = world
@@ -98,9 +99,10 @@ def test_memory_intensity_slows_both_models(world):
     # Trace side: widen strides so the L1/L2 thrash, and compare with a
     # cache-resident version of the same instruction stream.
     trace = tracer.trace_invocation(run, kernel.traits.name, 0)
-    resident_config = SimulatorConfig(num_sms=2, l1_size=16 * 1024 * 1024,
-                                      l2_size=64 * 1024 * 1024)
-    thrash_config = SimulatorConfig(num_sms=2, l1_size=1024, l2_size=2048)
-    resident = TraceSimulator(resident_config).simulate(trace)
-    thrashing = TraceSimulator(thrash_config).simulate(trace)
+    monkeypatch.setattr(simulator_mod, "L1_SIZE", 16 * 1024 * 1024)
+    monkeypatch.setattr(simulator_mod, "L2_SIZE", 64 * 1024 * 1024)
+    resident = simulator.simulate(trace)
+    monkeypatch.setattr(simulator_mod, "L1_SIZE", 1024)
+    monkeypatch.setattr(simulator_mod, "L2_SIZE", 2048)
+    thrashing = simulator.simulate(trace)
     assert thrashing.cycles >= resident.cycles

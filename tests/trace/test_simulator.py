@@ -4,6 +4,7 @@ import pytest
 
 from repro.gpu.isa import OpClass, WarpInstruction
 from repro.trace.encoding import KernelTrace
+from repro.trace import simulator
 from repro.trace.simulator import SimulatorConfig, TraceSimulator
 
 
@@ -26,11 +27,11 @@ def alu_chain(n, dependent=True):
 
 
 def test_dependent_chain_costs_latency_per_instruction():
-    config = SimulatorConfig(num_sms=1, alu_latency=4)
+    config = SimulatorConfig(num_sms=1)
     result = TraceSimulator(config).simulate(make_trace([alu_chain(100)]))
     # Each instruction waits for the previous write: >= latency apart
     # (the final instruction's own latency is not part of the makespan).
-    assert result.cycles >= 99 * 4
+    assert result.cycles >= 99 * simulator.ALU_LATENCY
     assert result.warp_instructions == 101
 
 
@@ -96,11 +97,10 @@ def test_shared_memory_cheaper_than_dram():
 
 
 def test_schedulers_both_complete():
+    # Greedy-then-oldest is the one scheduler; every warp still completes.
     trace = make_trace([alu_chain(50)] * 6)
-    for policy in ("gto", "lrr"):
-        config = SimulatorConfig(num_sms=1, scheduler=policy)
-        result = TraceSimulator(config).simulate(trace)
-        assert result.warp_instructions == 6 * 51
+    result = TraceSimulator(SimulatorConfig(num_sms=1)).simulate(trace)
+    assert result.warp_instructions == 6 * 51
 
 
 def test_thread_instructions_respect_masks():
@@ -116,16 +116,18 @@ def test_thread_instructions_respect_masks():
 
 
 def test_warps_distributed_across_sms():
-    trace = make_trace([alu_chain(100)] * 8)
-    one_sm = TraceSimulator(SimulatorConfig(num_sms=1, max_warps_per_sm=2)).simulate(trace)
-    four_sm = TraceSimulator(SimulatorConfig(num_sms=4, max_warps_per_sm=2)).simulate(trace)
+    # More warps than one SM's slots: one SM runs them in two residency
+    # batches, four SMs in one each.
+    trace = make_trace([alu_chain(100)] * (2 * simulator.MAX_WARPS_PER_SM))
+    one_sm = TraceSimulator(SimulatorConfig(num_sms=1)).simulate(trace)
+    four_sm = TraceSimulator(SimulatorConfig(num_sms=4)).simulate(trace)
     assert four_sm.cycles < one_sm.cycles
 
 
-def test_max_cycles_guard():
-    config = SimulatorConfig(num_sms=1, max_cycles=10)
+def test_max_cycles_guard(monkeypatch):
+    monkeypatch.setattr(simulator, "MAX_CYCLES", 10)
     with pytest.raises(RuntimeError, match="max_cycles"):
-        TraceSimulator(config).simulate(make_trace([alu_chain(1000)]))
+        TraceSimulator(SimulatorConfig(num_sms=1)).simulate(make_trace([alu_chain(1000)]))
 
 
 def test_ipc_definition():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.gpu.isa import OpClass, WarpInstruction
 from repro.trace.encoding import KernelTrace
-from repro.trace.simulator import SimulatorConfig, TraceSimulator
+from repro.trace.simulator import SCHEDULERS_PER_SM, SimulatorConfig, TraceSimulator
 
 OPS = [
     OpClass.FP32,
@@ -48,11 +48,11 @@ def traces(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(trace=traces(), scheduler=st.sampled_from(["gto", "lrr"]))
-def test_every_instruction_is_issued_exactly_once(trace, scheduler):
+@given(trace=traces())
+def test_every_instruction_is_issued_exactly_once(trace):
     """Conservation: the simulator retires exactly the trace's instructions
-    regardless of scheduling policy."""
-    config = SimulatorConfig(num_sms=2, scheduler=scheduler)
+    under greedy-then-oldest scheduling."""
+    config = SimulatorConfig(num_sms=2)
     result = TraceSimulator(config).simulate(trace)
     assert result.warp_instructions == trace.num_instructions
     assert result.thread_instructions == trace.thread_instructions
@@ -72,7 +72,7 @@ def test_simulation_is_deterministic(trace):
 @given(trace=traces())
 def test_cycles_bounded_below_by_issue_width(trace):
     """A trace can never finish faster than the chip's peak issue rate."""
-    config = SimulatorConfig(num_sms=2, schedulers_per_sm=2)
+    config = SimulatorConfig(num_sms=2)
     result = TraceSimulator(config).simulate(trace)
-    peak_issue = config.num_sms * config.schedulers_per_sm
+    peak_issue = config.num_sms * SCHEDULERS_PER_SM
     assert result.cycles >= trace.num_instructions / peak_issue - 1
